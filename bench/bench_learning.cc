@@ -229,7 +229,7 @@ void PrintThreadSweepReport(const std::string& interning_json) {
     const util::SchedulerTotals sched =
         util::GlobalSchedulerTotals().Minus(sched_before);
     if (threads == 1) serial_ms = best_ms;
-    points.push_back({threads, best_ms, sched});
+    points.push_back({threads, best_ms, sched, util::SimdTotals{}});
     table.AddRow({std::to_string(threads), util::FormatDouble(best_ms, 1),
                   serial_ms > 0.0
                       ? util::FormatDouble(serial_ms / best_ms, 2) + "x"

@@ -1,14 +1,16 @@
 // Experiment E6: the linking hot path. The paper's rules shrink the
 // comparison space; this bench measures what each surviving comparison
-// costs. The reference path (ItemMatcher::Score) re-tokenizes and
-// re-bigrams both value strings for every candidate pair; the cached
-// pipeline builds per-source FeatureCaches once and streams the
-// candidates through ItemMatcher::ScoreCached — sort-merge token measures
-// over dense ids, measure dispatch hoisted out of the pair loop, and a
-// per-worker (value, value, measure) memo that exploits how heavily
-// catalog values repeat. Links are byte-identical by construction (see
-// linking_cached_differential_test); this binary records the wall-time
-// and memo economics to BENCH_linking.json.
+// costs. The reference path (the oracle Linker::Run over
+// ItemMatcher::Score) re-tokenizes and re-bigrams both value strings for
+// every candidate pair; the production pipeline builds per-source
+// FeatureCaches once and streams the blocker's per-external candidate runs
+// through StreamingLinker — a sound filter cascade, then
+// ItemMatcher::ScoreCached with sort-merge token measures over dense ids,
+// measure dispatch hoisted out of the pair loop, and a per-worker
+// (value, value, measure) memo that exploits how heavily catalog values
+// repeat. Links are byte-identical by construction (see
+// streaming_linker_differential_test) and re-checked here; this binary
+// records the wall-time and memo economics to BENCH_linking.json.
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
@@ -62,12 +64,12 @@ linking::ItemMatcher PipelineMatcher() {
 struct Fixture {
   const datagen::Dataset* dataset = nullptr;
   linking::ItemMatcher matcher;
+  blocking::StandardBlocker blocker{datagen::props::kPartNumber,
+                                    /*prefix_length=*/4};
   std::vector<blocking::CandidatePair> candidates;
 
   Fixture() : matcher(PipelineMatcher()) {
     dataset = &PaperDataset();
-    const blocking::StandardBlocker blocker(datagen::props::kPartNumber,
-                                            /*prefix_length=*/4);
     candidates =
         blocker.Generate(dataset->external_items, dataset->catalog_items);
   }
@@ -78,52 +80,60 @@ const Fixture& GetFixture() {
   return *fixture;
 }
 
-struct CachedTimings {
-  double build_ms = 0.0;  // dictionary + both caches
-  double run_ms = 0.0;    // RunCached over the candidates
-  double total_ms() const { return build_ms + run_ms; }
-  linking::ScoreMemoStats memo;
-  linking::LinkerStats stats;
-  std::size_t links = 0;
-  std::size_t distinct_values = 0;
-  std::size_t dictionary_symbols = 0;
-  std::size_t dictionary_bytes = 0;
-};
-
-CachedTimings TimeCachedOnce(const Fixture& fixture,
-                             std::size_t num_threads) {
-  CachedTimings timings;
-  util::Stopwatch build_timer;
-  linking::FeatureDictionary dict;
-  const auto external = linking::FeatureCache::Build(
-      fixture.dataset->external_items, fixture.matcher,
-      linking::FeatureCache::Side::kExternal, &dict, num_threads);
-  const auto local = linking::FeatureCache::Build(
-      fixture.dataset->catalog_items, fixture.matcher,
-      linking::FeatureCache::Side::kLocal, &dict, num_threads);
-  timings.build_ms = build_timer.ElapsedMillis();
-  timings.distinct_values = dict.num_values();
-  timings.dictionary_symbols = dict.num_symbols();
-  timings.dictionary_bytes = dict.memory_bytes();
-
-  const linking::Linker linker(&fixture.matcher, kThreshold);
-  util::Stopwatch run_timer;
-  const auto links =
-      linker.RunCached(external, local, fixture.candidates, &timings.stats,
-                       num_threads, &timings.memo);
-  timings.run_ms = run_timer.ElapsedMillis();
-  timings.links = links.size();
-  return timings;
+void CheckLinksIdentical(const std::vector<linking::Link>& actual,
+                         const std::vector<linking::Link>& expected) {
+  RL_CHECK(actual.size() == expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    RL_CHECK(actual[i].external_index == expected[i].external_index &&
+             actual[i].local_index == expected[i].local_index &&
+             actual[i].score == expected[i].score);
+  }
 }
 
-// The headline comparison: reference string-path Run vs cache build +
-// RunCached, single-threaded (the per-comparison economics, not the
+// The full streaming pipeline (cache build, index build, cascade and
+// scoring) at `threads` workers, best of 3 after a warm-up; the scheduler
+// and SIMD counter deltas cover the timed reps only.
+struct PipelineTiming {
+  double ms = 0.0;
+  linking::LinkagePipelineResult result;
+  util::SchedulerTotals scheduler;
+  util::SimdTotals simd;
+};
+
+PipelineTiming TimePipeline(const Fixture& fixture, std::size_t threads) {
+  const auto run = [&] {
+    return linking::RunStreamingLinkagePipeline(
+        fixture.dataset->external_items, fixture.dataset->catalog_items,
+        fixture.blocker, fixture.matcher, kThreshold,
+        linking::Linker::Strategy::kBestPerExternal, /*gold=*/nullptr,
+        threads);
+  };
+  PipelineTiming timing;
+  timing.result = run();  // warm-up
+  const util::SchedulerTotals sched_before = util::GlobalSchedulerTotals();
+  const util::SimdTotals simd_before = util::GlobalSimdTotals();
+  for (int rep = 0; rep < 3; ++rep) {
+    util::Stopwatch timer;
+    auto result = run();
+    const double ms = timer.ElapsedMillis();
+    if (rep == 0 || ms < timing.ms) {
+      timing.ms = ms;
+      timing.result = std::move(result);
+    }
+  }
+  timing.scheduler = util::GlobalSchedulerTotals().Minus(sched_before);
+  timing.simd = util::GlobalSimdTotals().Minus(simd_before);
+  return timing;
+}
+
+// The headline comparison: reference string-path Run vs the streaming
+// pipeline, single-threaded (the per-comparison economics, not the
 // parallel scaling — that is the sweep below). Warm-up once, then
 // best-of-3, matching the learner bench protocol.
-std::string PrintCachedPipelineReport() {
+std::string PrintPipelineReport() {
   const Fixture& fixture = GetFixture();
   const linking::Linker linker(&fixture.matcher, kThreshold);
-  std::cout << "=== E6: cached vs reference linking pipeline ("
+  std::cout << "=== E6: streaming vs reference linking pipeline ("
             << fixture.dataset->external_items.size() << " external x "
             << fixture.dataset->catalog_items.size() << " catalog, "
             << fixture.candidates.size() << " candidates) ===\n";
@@ -144,19 +154,17 @@ std::string PrintCachedPipelineReport() {
     if (rep == 0 || ms < reference_ms) reference_ms = ms;
   }
 
-  CachedTimings cached = TimeCachedOnce(fixture, 1);  // warm-up
-  for (int rep = 0; rep < 3; ++rep) {
-    const CachedTimings t = TimeCachedOnce(fixture, 1);
-    if (t.total_ms() < cached.total_ms()) cached = t;
-  }
-  RL_CHECK(cached.links == reference_links.size());
-  // Both paths score every candidate pair; the cached path runs fewer
-  // kernels because memo hits replay stored results.
-  RL_CHECK(cached.stats.pairs_scored == ref_stats.pairs_scored);
-  RL_CHECK(cached.stats.comparisons <= ref_stats.comparisons);
+  const PipelineTiming streaming = TimePipeline(fixture, 1);
+  const linking::LinkagePipelineResult& result = streaming.result;
+  CheckLinksIdentical(result.links, reference_links);
+  // Every candidate is either scored or provably pruned; the streaming
+  // path runs fewer kernels because pruned pairs never reach the scorer
+  // and memo hits replay stored results.
+  RL_CHECK(result.num_candidates == ref_stats.pairs_scored);
+  RL_CHECK(result.stats.comparisons <= ref_stats.comparisons);
 
   const double speedup =
-      cached.total_ms() > 0.0 ? reference_ms / cached.total_ms() : 0.0;
+      streaming.ms > 0.0 ? reference_ms / streaming.ms : 0.0;
   util::TextTable table({"pipeline", "time (ms)", "pairs scored",
                          "kernels run", "links", "memo hit rate"});
   table.AddRow({"reference (string path)",
@@ -164,51 +172,46 @@ std::string PrintCachedPipelineReport() {
                 std::to_string(ref_stats.pairs_scored),
                 std::to_string(ref_stats.comparisons),
                 std::to_string(reference_links.size()), "-"});
-  table.AddRow({"cached (build + fused run)",
-                util::FormatDouble(cached.total_ms(), 1),
-                std::to_string(cached.stats.pairs_scored),
-                std::to_string(cached.stats.comparisons),
-                std::to_string(cached.links),
-                util::FormatDouble(cached.memo.hit_rate() * 100.0, 1) +
+  table.AddRow({"streaming (build + index + fused run)",
+                util::FormatDouble(streaming.ms, 1),
+                std::to_string(result.stats.pairs_scored),
+                std::to_string(result.stats.comparisons),
+                std::to_string(result.links.size()),
+                util::FormatDouble(result.memo.hit_rate() * 100.0, 1) +
                     "%"});
-  std::cout << table.ToText() << "cache build: "
-            << util::FormatDouble(cached.build_ms, 1) << " ms ("
-            << cached.distinct_values << " distinct values, "
-            << cached.dictionary_symbols << " symbols, "
+  std::cout << table.ToText() << "dictionary: " << result.distinct_values
+            << " distinct values, " << result.dictionary_symbols
+            << " symbols, "
             << util::FormatDouble(
-                   static_cast<double>(cached.dictionary_bytes) / 1024.0, 1)
-            << " KiB); speedup: " << util::FormatDouble(speedup, 2)
-            << "x (identical links; differential-tested)\n\n";
+                   static_cast<double>(result.dictionary_bytes) / 1024.0, 1)
+            << " KiB; speedup: " << util::FormatDouble(speedup, 2)
+            << "x (identical links; re-checked)\n\n";
 
   std::string json = "  \"pipeline\": {\n";
   json += "    \"candidates\": " +
           std::to_string(fixture.candidates.size()) + ",\n";
   json += "    \"pairs_scored\": " +
-          std::to_string(cached.stats.pairs_scored) + ",\n";
+          std::to_string(result.stats.pairs_scored) + ",\n";
   json += "    \"comparisons\": " +
-          std::to_string(cached.stats.comparisons) + ",\n";
-  json += "    \"links\": " + std::to_string(cached.links) + ",\n";
+          std::to_string(result.stats.comparisons) + ",\n";
+  json += "    \"links\": " + std::to_string(result.links.size()) + ",\n";
   json += "    \"reference_ms\": " + util::FormatDouble(reference_ms, 3) +
           ",\n";
-  json += "    \"cache_build_ms\": " +
-          util::FormatDouble(cached.build_ms, 3) + ",\n";
-  json += "    \"cached_run_ms\": " + util::FormatDouble(cached.run_ms, 3) +
+  json += "    \"streaming_ms\": " + util::FormatDouble(streaming.ms, 3) +
           ",\n";
-  json += "    \"cached_total_ms\": " +
-          util::FormatDouble(cached.total_ms(), 3) + ",\n";
   json += "    \"speedup_vs_reference\": " +
           util::FormatDouble(speedup, 3) + ",\n";
-  json += "    \"memo_lookups\": " + std::to_string(cached.memo.lookups) +
+  json += "    \"memo_lookups\": " + std::to_string(result.memo.lookups) +
           ",\n";
-  json += "    \"memo_hits\": " + std::to_string(cached.memo.hits) + ",\n";
+  json += "    \"memo_hits\": " + std::to_string(result.memo.hits) + ",\n";
   json += "    \"memo_hit_rate\": " +
-          util::FormatDouble(cached.memo.hit_rate(), 4) + ",\n";
+          util::FormatDouble(result.memo.hit_rate(), 4) + ",\n";
   json += "    \"distinct_values\": " +
-          std::to_string(cached.distinct_values) + ",\n";
+          std::to_string(result.distinct_values) + ",\n";
   json += "    \"dictionary_symbols\": " +
-          std::to_string(cached.dictionary_symbols) + ",\n";
+          std::to_string(result.dictionary_symbols) + ",\n";
   json += "    \"dictionary_bytes\": " +
-          std::to_string(cached.dictionary_bytes) + "\n  },\n";
+          std::to_string(result.dictionary_bytes) + "\n  },\n";
   return json;
 }
 
@@ -233,16 +236,17 @@ linking::ItemMatcher StreamingMatcher() {
   });
 }
 
-// E6c: streaming (inverted index + filter cascade) vs cached (materialize
-// + RunCached), single-threaded, sharing one pair of feature caches so
-// the difference is purely candidate handling and pruned kernel work.
-// Links are byte-identical (differential-tested; re-checked here).
+// E6c: the streaming path (inverted index + filter cascade + cached
+// scorer) under a matcher the cascade can bound, single-threaded. Its
+// links are checked against a Linker::Run oracle over the same blocker's
+// candidates, as in E6; the timed legs measure the streaming pass with
+// and without a live MetricsRegistry.
 std::string PrintStreamingReport() {
   const datagen::Dataset& dataset = PaperDataset();
   const linking::ItemMatcher matcher = StreamingMatcher();
   const blocking::StandardBlocker blocker(datagen::props::kPartNumber,
                                           /*prefix_length=*/4);
-  std::cout << "=== E6c: streaming filter cascade vs cached linking ===\n";
+  std::cout << "=== E6c: streaming filter cascade ===\n";
 
   linking::FeatureDictionary dict;
   const auto external = linking::FeatureCache::Build(
@@ -252,23 +256,16 @@ std::string PrintStreamingReport() {
       dataset.catalog_items, matcher, linking::FeatureCache::Side::kLocal,
       &dict, 1);
 
-  const linking::Linker cached_linker(&matcher, kThreshold);
   const linking::StreamingLinker streaming(&matcher, kThreshold);
 
-  double cached_ms = 0.0;
-  linking::LinkerStats cached_stats;
-  std::vector<linking::Link> cached_links;
-  for (int rep = -1; rep < 3; ++rep) {  // rep -1 is the warm-up
-    util::Stopwatch timer;
-    const auto candidates =
-        blocker.Generate(dataset.external_items, dataset.catalog_items);
-    auto links = cached_linker.RunCached(external, local, candidates,
-                                         &cached_stats, /*num_threads=*/1);
-    const double ms = timer.ElapsedMillis();
-    if (rep < 0) continue;
-    if (rep == 0 || ms < cached_ms) cached_ms = ms;
-    cached_links = std::move(links);
-  }
+  // Untimed: the oracle is deterministic at every thread count.
+  linking::LinkerStats oracle_stats;
+  const auto oracle_links =
+      linking::Linker(&matcher, kThreshold)
+          .Run(dataset.external_items, dataset.catalog_items,
+               blocker.Generate(dataset.external_items,
+                                dataset.catalog_items),
+               &oracle_stats, /*num_threads=*/0);
 
   double streaming_ms = 0.0;
   linking::LinkerStats streaming_stats;
@@ -314,26 +311,14 @@ std::string PrintStreamingReport() {
     std::cerr << "metrics snapshot: " << s << "\n";
   }
 
-  RL_CHECK(streaming_links.size() == cached_links.size());
-  for (std::size_t i = 0; i < cached_links.size(); ++i) {
-    RL_CHECK(streaming_links[i].external_index ==
-                 cached_links[i].external_index &&
-             streaming_links[i].local_index == cached_links[i].local_index &&
-             streaming_links[i].score == cached_links[i].score);
-  }
+  CheckLinksIdentical(streaming_links, oracle_links);
   RL_CHECK(streaming_stats.pairs_pruned_by_filter > 0);
   RL_CHECK(streaming_stats.pairs_scored +
                streaming_stats.pairs_pruned_by_filter ==
-           cached_stats.pairs_scored);
+           oracle_stats.pairs_scored);
 
-  const double speedup = streaming_ms > 0.0 ? cached_ms / streaming_ms : 0.0;
   util::TextTable table({"pipeline", "time (ms)", "pairs scored",
                          "pruned", "kernels run", "links"});
-  table.AddRow({"cached (materialize + RunCached)",
-                util::FormatDouble(cached_ms, 1),
-                std::to_string(cached_stats.pairs_scored), "0",
-                std::to_string(cached_stats.comparisons),
-                std::to_string(cached_links.size())});
   table.AddRow({"streaming (index + cascade)",
                 util::FormatDouble(streaming_ms, 1),
                 std::to_string(streaming_stats.pairs_scored),
@@ -346,15 +331,14 @@ std::string PrintStreamingReport() {
             << ", exact=" << streaming_stats.pruned_by_exact
             << ", distance cap=" << streaming_stats.pruned_by_distance_cap
             << "; peak candidate run=" << streaming_stats.peak_candidate_run
-            << "\nspeedup: " << util::FormatDouble(speedup, 2)
-            << "x (identical links; differential-tested)\n"
+            << "\n(links identical to the Linker::Run oracle; re-checked)\n"
             << "instrumentation overhead: "
             << util::FormatDouble(overhead_pct, 2)
             << "% (snapshot written to BENCH_linking_metrics.json)\n\n";
 
   std::string json = "  \"streaming\": {\n";
   json += "    \"candidates\": " +
-          std::to_string(cached_stats.pairs_scored) + ",\n";
+          std::to_string(oracle_stats.pairs_scored) + ",\n";
   json += "    \"pairs_scored\": " +
           std::to_string(streaming_stats.pairs_scored) + ",\n";
   json += "    \"pairs_pruned_by_filter\": " +
@@ -370,10 +354,7 @@ std::string PrintStreamingReport() {
   json += "    \"peak_candidate_run\": " +
           std::to_string(streaming_stats.peak_candidate_run) + ",\n";
   json += "    \"links\": " + std::to_string(streaming_links.size()) + ",\n";
-  json += "    \"cached_ms\": " + util::FormatDouble(cached_ms, 3) + ",\n";
   json += "    \"streaming_ms\": " + util::FormatDouble(streaming_ms, 3) +
-          ",\n";
-  json += "    \"speedup_vs_cached\": " + util::FormatDouble(speedup, 3) +
           ",\n";
   json += "    \"instrumented_ms\": " +
           util::FormatDouble(instrumented_ms, 3) + ",\n";
@@ -478,16 +459,14 @@ const ProbeSet& GetProbeSet() {
   return *probes;
 }
 
-// E6d: the batched SIMD cascade (DESIGN.md §5h) vs the per-pair scalar
-// streaming path, links byte-identical by construction (differential-
-// tested; re-checked every rep here). "scalar" is RULELINK_SIMD=off — the
-// per-pair cascade the batch path replaced — so speedup_vs_scalar is the
-// end-to-end gain of SoA lanes + vectorized bounds + interleaved probes
-// on the streaming hot path. The baseline-ISA leg (batch layout compiled
-// without wide registers) splits the layout gain from the SIMD gain. The
-// kernel microbench on harvested stage-B probes answers the
-// EXPERIMENTS.md roofline question: pairs/sec and bytes touched per pair,
-// scalar vs batched.
+// E6d: the batched SIMD cascade (DESIGN.md §5h) at the baseline ISA vs
+// the active dispatch, links byte-identical by construction (differential-
+// tested; re-checked every rep here). The baseline-ISA leg
+// (RULELINK_SIMD=scalar: the batch layout compiled without wide registers)
+// is the floor, so speedup_vs_scalar is the gain the wide-register
+// kernels add on the streaming hot path. The kernel microbench on
+// harvested stage-B probes answers the EXPERIMENTS.md roofline question:
+// pairs/sec and bytes touched per pair, single-pair kernel vs batched.
 std::string PrintBatchedReport() {
   const StreamingFixture& fixture = GetStreamingFixture();
   const linking::StreamingLinker streaming(&fixture.matcher, kThreshold);
@@ -534,7 +513,6 @@ std::string PrintBatchedReport() {
     return best;
   };
 
-  const ModeTiming scalar = time_mode(util::SimdMode::kOff);
   const ModeTiming layout = time_mode(util::SimdMode::kScalar);
   const ModeTiming batched = time_mode(active);
   const auto pairs_per_sec = [&](double ms) {
@@ -542,7 +520,7 @@ std::string PrintBatchedReport() {
                ? static_cast<double>(fixture.candidate_pairs) / (ms / 1000.0)
                : 0.0;
   };
-  const double speedup = batched.ms > 0.0 ? scalar.ms / batched.ms : 0.0;
+  const double speedup = batched.ms > 0.0 ? layout.ms / batched.ms : 0.0;
 
   util::TextTable table({"cascade", "time (ms)", "Mpairs/s",
                          "batched pairs", "remainder"});
@@ -552,10 +530,9 @@ std::string PrintBatchedReport() {
                   std::to_string(t.simd.cascade_batched_pairs),
                   std::to_string(t.simd.cascade_remainder_pairs)});
   };
-  row("scalar (per-pair, RULELINK_SIMD=off)", scalar);
   row("batch layout (baseline ISA)", layout);
   row("batched (active dispatch)", batched);
-  std::cout << table.ToText() << "streaming speedup vs scalar: "
+  std::cout << table.ToText() << "streaming speedup vs baseline ISA: "
             << util::FormatDouble(speedup, 2)
             << "x (identical links at every mode; differential-tested)\n";
 
@@ -620,12 +597,11 @@ std::string PrintBatchedReport() {
   json += "    \"candidates\": " + std::to_string(fixture.candidate_pairs) +
           ",\n";
   json += "    \"links\": " + std::to_string(reference.size()) + ",\n";
-  json += "    \"scalar_ms\": " + util::FormatDouble(scalar.ms, 3) + ",\n";
   json += "    \"batch_baseline_isa_ms\": " +
           util::FormatDouble(layout.ms, 3) + ",\n";
   json += "    \"batched_ms\": " + util::FormatDouble(batched.ms, 3) + ",\n";
-  json += "    \"pairs_per_sec_scalar\": " +
-          util::FormatDouble(pairs_per_sec(scalar.ms), 1) + ",\n";
+  json += "    \"pairs_per_sec_baseline_isa\": " +
+          util::FormatDouble(pairs_per_sec(layout.ms), 1) + ",\n";
   json += "    \"pairs_per_sec_batched\": " +
           util::FormatDouble(pairs_per_sec(batched.ms), 1) + ",\n";
   json += "    \"speedup_vs_scalar\": " + util::FormatDouble(speedup, 3) +
@@ -658,46 +634,30 @@ std::string PrintBatchedReport() {
   return json;
 }
 
-// Thread-count sweep of the full cached pipeline (cache build included),
-// recorded to BENCH_linking.json. Oversubscribed points (beyond the
-// hardware) are flagged in the JSON; the morsel scheduler keeps them
+// Thread-count sweep of the full streaming pipeline (cache build
+// included), recorded to BENCH_linking.json. Oversubscribed points (beyond
+// the hardware) are flagged in the JSON; the morsel scheduler keeps them
 // productive instead of clamping them away.
 void PrintThreadSweepReport(const std::string& pipeline_json) {
   const Fixture& fixture = GetFixture();
-  std::cout << "=== E6b: cached pipeline thread-count sweep ("
+  std::cout << "=== E6b: streaming pipeline thread-count sweep ("
             << fixture.candidates.size()
             << " candidates, hardware_concurrency = "
             << std::thread::hardware_concurrency() << ") ===\n";
-  util::TextTable table(
-      {"threads", "total (ms)", "build (ms)", "run (ms)", "speedup vs 1"});
+  util::TextTable table({"threads", "total (ms)", "speedup vs 1"});
   std::vector<ThreadSweepPoint> points;
   double serial_ms = 0.0;
   for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-    CachedTimings best = TimeCachedOnce(fixture, threads);  // warm-up
-    const util::SchedulerTotals sched_before = util::GlobalSchedulerTotals();
-    const util::SimdTotals simd_before = util::GlobalSimdTotals();
-    for (int rep = 0; rep < 3; ++rep) {
-      const CachedTimings t = TimeCachedOnce(fixture, threads);
-      if (t.total_ms() < best.total_ms()) best = t;
-    }
-    const util::SchedulerTotals sched =
-        util::GlobalSchedulerTotals().Minus(sched_before);
-    // All-zero on this sweep by design: the batch cascade is a streaming
-    // feature, so a nonzero count here would flag a layering regression.
-    const util::SimdTotals simd = util::GlobalSimdTotals().Minus(simd_before);
-    if (threads == 1) serial_ms = best.total_ms();
-    points.push_back({threads, best.total_ms(), sched, simd});
-    table.AddRow({std::to_string(threads),
-                  util::FormatDouble(best.total_ms(), 1),
-                  util::FormatDouble(best.build_ms, 1),
-                  util::FormatDouble(best.run_ms, 1),
+    const PipelineTiming t = TimePipeline(fixture, threads);
+    if (threads == 1) serial_ms = t.ms;
+    points.push_back({threads, t.ms, t.scheduler, t.simd});
+    table.AddRow({std::to_string(threads), util::FormatDouble(t.ms, 1),
                   serial_ms > 0.0
-                      ? util::FormatDouble(serial_ms / best.total_ms(), 2) +
-                            "x"
+                      ? util::FormatDouble(serial_ms / t.ms, 2) + "x"
                       : "-"});
   }
   WriteThreadSweepJson("linking",
-                       "Cached linking pipeline on the paper-scale corpus",
+                       "Streaming linking pipeline on the paper-scale corpus",
                        points, pipeline_json);
   std::cout << table.ToText()
             << "(identical links at every thread count; trajectory written "
@@ -764,36 +724,8 @@ void BM_CacheBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheBuild)->Unit(benchmark::kMillisecond);
 
-void BM_RunCachedThreads(benchmark::State& state) {
-  const Fixture& fixture = GetFixture();
-  const std::size_t threads = static_cast<std::size_t>(state.range(0));
-  linking::FeatureDictionary dict;
-  const auto external = linking::FeatureCache::Build(
-      fixture.dataset->external_items, fixture.matcher,
-      linking::FeatureCache::Side::kExternal, &dict, 1);
-  const auto local = linking::FeatureCache::Build(
-      fixture.dataset->catalog_items, fixture.matcher,
-      linking::FeatureCache::Side::kLocal, &dict, 1);
-  const linking::Linker linker(&fixture.matcher, kThreshold);
-  for (auto _ : state) {
-    const auto links =
-        linker.RunCached(external, local, fixture.candidates, nullptr,
-                         threads);
-    benchmark::DoNotOptimize(links.size());
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(fixture.candidates.size()));
-}
-BENCHMARK(BM_RunCachedThreads)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-// Same workload as BM_RunCachedThreads through the streaming path: the
-// blocker's inverted index replaces the materialized candidate vector and
+// The streaming linker over prebuilt caches and the blocker's index at
+// 1-8 threads: the inverted index feeds per-external candidate runs and
 // the filter cascade runs ahead of the scorer.
 void BM_RunStreamingThreads(benchmark::State& state) {
   const Fixture& fixture = GetFixture();
@@ -805,10 +737,8 @@ void BM_RunStreamingThreads(benchmark::State& state) {
   const auto local = linking::FeatureCache::Build(
       fixture.dataset->catalog_items, fixture.matcher,
       linking::FeatureCache::Side::kLocal, &dict, 1);
-  const blocking::StandardBlocker blocker(datagen::props::kPartNumber,
-                                          /*prefix_length=*/4);
-  const auto index = blocker.BuildIndex(fixture.dataset->external_items,
-                                        fixture.dataset->catalog_items);
+  const auto index = fixture.blocker.BuildIndex(
+      fixture.dataset->external_items, fixture.dataset->catalog_items);
   const linking::StreamingLinker streaming(&fixture.matcher, kThreshold);
   for (auto _ : state) {
     const auto links =
@@ -826,16 +756,15 @@ BENCHMARK(BM_RunStreamingThreads)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// The filter cascade over every candidate run: arg 0 is the per-pair
-// scalar Prune loop, arg 1 the batched PruneBatch under the active
-// dispatch. Items = candidate pairs, bytes untouched (the cascade reads
-// SoA lanes, not strings — that asymmetry is the point).
+// The filter cascade over every candidate run: arg 0 is a plain loop of
+// the per-pair Prune reference, arg 1 the batched PruneBatch under the
+// active dispatch (RULELINK_SIMD picks it). Items = candidate pairs,
+// bytes untouched (the cascade reads SoA lanes, not strings — that
+// asymmetry is the point).
 void BM_FilterCascade(benchmark::State& state) {
   const StreamingFixture& fixture = GetStreamingFixture();
   const linking::FilterCascade cascade(&fixture.matcher, kThreshold);
   const bool batch = state.range(0) != 0;
-  const util::ScopedSimdMode scoped(batch ? util::ActiveSimdMode()
-                                          : util::SimdMode::kOff);
   linking::FilterBatchScratch scratch;
   std::vector<std::size_t> run;
   for (auto _ : state) {
@@ -859,19 +788,20 @@ void BM_FilterCascade(benchmark::State& state) {
       static_cast<std::int64_t>(fixture.candidate_pairs));
 }
 BENCHMARK(BM_FilterCascade)
-    ->Arg(0)   // per-pair scalar cascade
+    ->Arg(0)   // per-pair Prune loop
     ->Arg(1)   // batched SoA cascade, active dispatch
     ->Unit(benchmark::kMillisecond);
 
 // The bounded-Levenshtein probe kernel on the harvested stage-B probe
-// set: arg 0 runs the batch entry point with batching off (single-pair
-// Myers per probe), arg 1 under the active dispatch (interleaved lanes).
-// bytes_per_second is the roofline axis: bytes actually read per probe.
+// set: arg 0 runs the batch entry point at the baseline ISA (width 1:
+// single-pair Myers per probe), arg 1 under the active dispatch
+// (interleaved lanes). bytes_per_second is the roofline axis: bytes
+// actually read per probe.
 void BM_BoundedLevenshteinBatch(benchmark::State& state) {
   const ProbeSet& probes = GetProbeSet();
   const util::ScopedSimdMode scoped(state.range(0) != 0
                                         ? util::ActiveSimdMode()
-                                        : util::SimdMode::kOff);
+                                        : util::SimdMode::kScalar);
   std::vector<std::size_t> out(probes.a.size());
   for (auto _ : state) {
     text::BoundedLevenshteinDistanceBatch(probes.a.data(), probes.b.data(),
@@ -895,7 +825,7 @@ BENCHMARK(BM_BoundedLevenshteinBatch)
 
 int main(int argc, char** argv) {
   rulelink::bench::ApplyPinningFromEnv();
-  std::string pipeline_json = rulelink::bench::PrintCachedPipelineReport();
+  std::string pipeline_json = rulelink::bench::PrintPipelineReport();
   pipeline_json += rulelink::bench::PrintStreamingReport();
   pipeline_json += rulelink::bench::PrintBatchedReport();
   rulelink::bench::PrintThreadSweepReport(pipeline_json);

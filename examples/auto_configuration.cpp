@@ -3,12 +3,11 @@
 // the whole linking setup from the data and a handful of validated links:
 //
 //   1. key discovery        — which property is key-like on each side;
-//   2. schema matching      — which external property corresponds to it;
-//   3. scheme selection     — which classic blocking scheme works best on
+//   2. scheme selection     — which classic blocking scheme works best on
 //                             the validated sample;
-//   4. threshold tuning     — which (support, confidence) setting the
+//   3. threshold tuning     — which (support, confidence) setting the
 //                             rule learner should use, by held-out F1;
-//   5. learn + compare      — rules vs the best classic scheme.
+//   4. learn + compare      — rules vs the best classic scheme.
 #include <iostream>
 #include <memory>
 
@@ -19,7 +18,6 @@
 #include "core/learner.h"
 #include "datagen/generator.h"
 #include "eval/tuner.h"
-#include "linking/schema_matcher.h"
 #include "text/segmenter.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -53,17 +51,7 @@ int main() {
   const std::string external_key =
       blocking::BestKeyProperty(dataset.external_items);
 
-  // 2. Schema matching: confirm the external key maps onto a local
-  // property with the same value distribution.
-  std::cout << "\nSchema alignment:\n";
-  for (const auto& alignment : linking::MatchSchemas(
-           dataset.external_items, dataset.catalog_items)) {
-    std::cout << "  " << alignment.external_property << " -> "
-              << alignment.local_property << "  (similarity "
-              << util::FormatDouble(alignment.similarity, 3) << ")\n";
-  }
-
-  // 3. Blocking-scheme selection over the discovered key.
+  // 2. Blocking-scheme selection over the discovered key.
   std::vector<blocking::CandidatePair> gold;
   for (const auto& link : dataset.links) {
     gold.push_back({link.external_index, link.catalog_index});
@@ -87,7 +75,7 @@ int main() {
               << ")\n";
   }
 
-  // 4. Threshold tuning for the rule learner on held-out links.
+  // 3. Threshold tuning for the rule learner on held-out links.
   const core::TrainingSet ts = datagen::BuildTrainingSet(dataset);
   const text::SeparatorSegmenter segmenter;
   eval::TunerOptions tuner;
@@ -107,7 +95,7 @@ int main() {
               << util::FormatPercent(c.holdout.recall) << ")\n";
   }
 
-  // 5. Learn with the tuned setting and compare against the best classic
+  // 4. Learn with the tuned setting and compare against the best classic
   // scheme on completeness/reduction.
   core::LearnerOptions options;
   options.support_threshold = candidates->front().support_threshold;

@@ -1,8 +1,8 @@
 // Provider-file ingestion scenario: real provider catalogs arrive as CSV,
-// links are validated in batches, and accepted links feed both the
-// incremental rule learner and a data-fusion step that consolidates the
-// catalog. Demonstrates io::LoadItemsFromCsv, core::IncrementalRuleLearner,
-// core::rule_io persistence, and linking::FuseLinks.
+// the delivery is deduplicated, links are validated in batches, and
+// accepted links feed the incremental rule learner. Demonstrates
+// io::LoadItemsFromCsv, linking::Deduplicate,
+// core::IncrementalRuleLearner and core::rule_io persistence.
 #include <iostream>
 
 #include "blocking/standard_blocking.h"
@@ -11,8 +11,6 @@
 #include "core/rule_io.h"
 #include "io/item_loader.h"
 #include "linking/dedup.h"
-#include "linking/fusion.h"
-#include "linking/schema_matcher.h"
 #include "ontology/ontology.h"
 #include "text/segmenter.h"
 #include "util/logging.h"
@@ -69,21 +67,6 @@ int main() {
     *items = std::move(unique);
   }
 
-  // 1c. Align the provider's columns with the catalog schema by value
-  // overlap (the provider's names are arbitrary).
-  const std::vector<core::Item> catalog_sample = {{
-      "http://catalog/P1",
-      {{"http://catalog/schema#partNumber", "CRCW0805-8K2-ohm"},
-       {"http://catalog/schema#manufacturerName", "Voltron"}},
-  }};
-  std::cout << "\nSchema alignment (by token overlap):\n";
-  for (const auto& alignment :
-       linking::MatchSchemas(*items, catalog_sample)) {
-    std::cout << "  " << alignment.external_property << " -> "
-              << alignment.local_property << "  (similarity "
-              << alignment.similarity << ")\n";
-  }
-
   // 2. A minimal local ontology with two classes.
   ontology::Ontology onto;
   const auto component = onto.AddClass("cat:Component", "Component");
@@ -138,22 +121,5 @@ int main() {
   RL_CHECK(!predictions.empty());
   std::cout << "New item D10 predicted as " << onto.label(predictions[0].cls)
             << " (confidence " << predictions[0].confidence << ")\n";
-
-  // 6. Fusion: consolidate one linked pair into the catalog record.
-  std::vector<core::Item> local = {{
-      "http://catalog/P77",
-      {{"http://catalog/schema#pn", "T83-106-16V"},
-       {"http://catalog/schema#stock", "440"}},
-  }};
-  std::vector<core::Item> external = {(*items)[2]};  // D3
-  const auto fused = linking::FuseLinks(
-      external, local, {linking::Link{0, 0, 0.95}},
-      linking::ConflictPolicy::kUnion);
-  std::cout << "\nFused item " << fused[0].iri << " ("
-            << fused[0].facts.size() << " facts from "
-            << fused[0].sources.size() << " sources):\n";
-  for (const auto& pv : fused[0].facts) {
-    std::cout << "  " << pv.property << " = " << pv.value << "\n";
-  }
   return 0;
 }

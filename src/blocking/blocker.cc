@@ -158,33 +158,4 @@ void AppendBlockingKey(const core::Item& item, const std::string& property,
   }
 }
 
-std::vector<CandidatePair> GenerateWithMetrics(
-    const CandidateGenerator& generator,
-    const std::vector<core::Item>& external,
-    const std::vector<core::Item>& local, obs::MetricsRegistry* metrics) {
-  const obs::MetricsRegistry::StageScope stage(metrics, "blocking/generate");
-  std::vector<CandidatePair> candidates = generator.Generate(external, local);
-  if (metrics != nullptr) {
-    metrics->AddCounter("blocking/external_items", external.size());
-    metrics->AddCounter("blocking/local_items", local.size());
-    metrics->AddCounter("blocking/candidates", candidates.size());
-  }
-  return candidates;
-}
-
-std::unique_ptr<CandidateIndex> BuildIndexWithMetrics(
-    const CandidateGenerator& generator,
-    const std::vector<core::Item>& external,
-    const std::vector<core::Item>& local, obs::MetricsRegistry* metrics) {
-  const obs::MetricsRegistry::StageScope stage(metrics,
-                                               "blocking/build_index");
-  std::unique_ptr<CandidateIndex> index =
-      generator.BuildIndex(external, local);
-  if (metrics != nullptr) {
-    metrics->AddCounter("blocking/external_items", external.size());
-    metrics->AddCounter("blocking/local_items", local.size());
-  }
-  return index;
-}
-
 }  // namespace rulelink::blocking

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/item.h"
-#include "obs/metrics.h"
 
 namespace rulelink::blocking {
 
@@ -149,24 +148,6 @@ std::string BlockingKey(const core::Item& item, const std::string& property,
 // when the item has no value under `property`.
 void AppendBlockingKey(const core::Item& item, const std::string& property,
                        std::size_t prefix_length, std::string* key);
-
-// Instrumented candidate generation: runs generator.Generate under the
-// "blocking/generate" stage and records the item/candidate counters.
-// With a null `metrics` this is exactly generator.Generate — the linkage
-// pipeline drivers route through these two wrappers so every blocker is
-// observable without widening the virtual interface.
-std::vector<CandidatePair> GenerateWithMetrics(
-    const CandidateGenerator& generator,
-    const std::vector<core::Item>& external,
-    const std::vector<core::Item>& local, obs::MetricsRegistry* metrics);
-
-// Instrumented BuildIndex under the "blocking/build_index" stage with the
-// same item counters (run sizes are observed downstream by the streaming
-// linker, which sees every run exactly once).
-std::unique_ptr<CandidateIndex> BuildIndexWithMetrics(
-    const CandidateGenerator& generator,
-    const std::vector<core::Item>& external,
-    const std::vector<core::Item>& local, obs::MetricsRegistry* metrics);
 
 }  // namespace rulelink::blocking
 

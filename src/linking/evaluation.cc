@@ -1,40 +1,12 @@
 #include "linking/evaluation.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "linking/feature_cache.h"
 #include "linking/streaming_linker.h"
 
 namespace rulelink::linking {
-namespace {
-
-// Records the pipeline-level outcome common to both drivers: dictionary
-// gauges plus — when a gold standard was evaluated — the quality counters
-// and derived gauges. Dictionary sizes and quality counts are functions of
-// the input alone (never of the chunking), so they belong in the
-// deterministic snapshot.
-void RecordPipelineMetrics(const LinkagePipelineResult& result, bool has_gold,
-                           obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) return;
-  metrics->AddCounter("pipeline/candidates", result.num_candidates);
-  metrics->AddCounter("pipeline/links", result.links.size());
-  metrics->SetGauge("linking/dict/distinct_values",
-                    static_cast<double>(result.distinct_values));
-  metrics->SetGauge("linking/dict/symbols",
-                    static_cast<double>(result.dictionary_symbols));
-  metrics->SetGauge("linking/dict/bytes",
-                    static_cast<double>(result.dictionary_bytes));
-  if (has_gold) {
-    metrics->AddCounter("quality/emitted", result.quality.emitted);
-    metrics->AddCounter("quality/correct", result.quality.correct);
-    metrics->AddCounter("quality/gold", result.quality.gold);
-    metrics->SetGauge("quality/precision", result.quality.precision);
-    metrics->SetGauge("quality/recall", result.quality.recall);
-    metrics->SetGauge("quality/f1", result.quality.f1);
-  }
-}
-
-}  // namespace
 
 LinkageQuality EvaluateLinks(
     const std::vector<Link>& links,
@@ -73,54 +45,6 @@ LinkageQuality EvaluateLinks(
   return quality;
 }
 
-LinkagePipelineResult RunCachedLinkagePipeline(
-    const std::vector<core::Item>& external,
-    const std::vector<core::Item>& local,
-    const blocking::CandidateGenerator& generator, const ItemMatcher& matcher,
-    double threshold, Linker::Strategy strategy,
-    const std::vector<blocking::CandidatePair>* gold,
-    std::size_t num_threads, obs::MetricsRegistry* metrics) {
-  const obs::MetricsRegistry::StageScope stage(metrics, "pipeline/cached");
-  FeatureDictionary dict;
-  const FeatureCache external_features =
-      FeatureCache::Build(external, matcher, FeatureCache::Side::kExternal,
-                          &dict, num_threads, metrics);
-  const FeatureCache local_features =
-      FeatureCache::Build(local, matcher, FeatureCache::Side::kLocal, &dict,
-                          num_threads, metrics);
-
-  const std::vector<blocking::CandidatePair> candidates =
-      blocking::GenerateWithMetrics(generator, external, local, metrics);
-
-  LinkagePipelineResult result;
-  result.num_candidates = candidates.size();
-  result.distinct_values = dict.num_values();
-  result.dictionary_symbols = dict.num_symbols();
-  result.dictionary_bytes = dict.memory_bytes();
-
-  const Linker linker(&matcher, threshold, strategy);
-  {
-    const obs::MetricsRegistry::StageScope run_stage(metrics,
-                                                     "linking/run_cached");
-    result.links = linker.RunCached(external_features, local_features,
-                                    candidates, &result.stats, num_threads,
-                                    &result.memo);
-    if (metrics != nullptr) {
-      metrics->AddCounter("linking/cached/pairs_scored",
-                          result.stats.pairs_scored);
-      metrics->AddCounter("linking/cached/links_emitted",
-                          result.stats.links_emitted);
-    }
-  }
-  if (gold != nullptr) {
-    const obs::MetricsRegistry::StageScope eval_stage(metrics,
-                                                      "pipeline/evaluate");
-    result.quality = EvaluateLinks(result.links, *gold);
-  }
-  RecordPipelineMetrics(result, gold != nullptr, metrics);
-  return result;
-}
-
 LinkagePipelineResult RunStreamingLinkagePipeline(
     const std::vector<core::Item>& external,
     const std::vector<core::Item>& local,
@@ -137,8 +61,12 @@ LinkagePipelineResult RunStreamingLinkagePipeline(
       FeatureCache::Build(local, matcher, FeatureCache::Side::kLocal, &dict,
                           num_threads, metrics);
 
-  const auto index =
-      blocking::BuildIndexWithMetrics(generator, external, local, metrics);
+  std::unique_ptr<blocking::CandidateIndex> index;
+  {
+    const obs::MetricsRegistry::StageScope index_stage(
+        metrics, "blocking/build_index");
+    index = generator.BuildIndex(external, local);
+  }
 
   LinkagePipelineResult result;
   result.distinct_values = dict.num_values();
@@ -155,7 +83,29 @@ LinkagePipelineResult RunStreamingLinkagePipeline(
                                                       "pipeline/evaluate");
     result.quality = EvaluateLinks(result.links, *gold);
   }
-  RecordPipelineMetrics(result, gold != nullptr, metrics);
+  if (metrics == nullptr) return result;
+  // Item counts, dictionary sizes and quality counts are functions of the
+  // input alone (never of the chunking), so they belong in the
+  // deterministic snapshot. Run sizes are observed by the streaming
+  // linker, which sees every run exactly once.
+  metrics->AddCounter("blocking/external_items", external.size());
+  metrics->AddCounter("blocking/local_items", local.size());
+  metrics->AddCounter("pipeline/candidates", result.num_candidates);
+  metrics->AddCounter("pipeline/links", result.links.size());
+  metrics->SetGauge("linking/dict/distinct_values",
+                    static_cast<double>(result.distinct_values));
+  metrics->SetGauge("linking/dict/symbols",
+                    static_cast<double>(result.dictionary_symbols));
+  metrics->SetGauge("linking/dict/bytes",
+                    static_cast<double>(result.dictionary_bytes));
+  if (gold != nullptr) {
+    metrics->AddCounter("quality/emitted", result.quality.emitted);
+    metrics->AddCounter("quality/correct", result.quality.correct);
+    metrics->AddCounter("quality/gold", result.quality.gold);
+    metrics->SetGauge("quality/precision", result.quality.precision);
+    metrics->SetGauge("quality/recall", result.quality.recall);
+    metrics->SetGauge("quality/f1", result.quality.f1);
+  }
   return result;
 }
 

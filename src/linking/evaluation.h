@@ -25,7 +25,7 @@ struct LinkageQuality {
 LinkageQuality EvaluateLinks(const std::vector<Link>& links,
                              const std::vector<blocking::CandidatePair>& gold);
 
-// Everything the fused cached pipeline produces in one pass.
+// Everything the fused streaming pipeline produces in one pass.
 struct LinkagePipelineResult {
   std::vector<Link> links;
   LinkerStats stats;
@@ -39,35 +39,18 @@ struct LinkagePipelineResult {
 
 // The fused linking pipeline over any candidate generator (the classic
 // blockers or the paper's RuleBlocker): builds one shared
-// FeatureDictionary and both per-source FeatureCaches up front (parallel,
-// `num_threads` workers), generates candidates, streams them through
-// Linker::RunCached, and — when `gold` is non-null — evaluates the links.
-// Links, order and LinkerStats are byte-identical to generating the
-// candidates and calling Linker::Run with the same strategy/threshold at
-// every thread count.
+// FeatureDictionary and both per-source FeatureCaches (parallel,
+// `num_threads` workers), streams the generator's CandidateIndex through
+// StreamingLinker and — when `gold` is non-null — evaluates the links.
+// Links, order and scores are byte-identical to the oracle Linker::Run
+// over generator.Generate at every thread count. num_candidates is
+// pairs_scored + pairs_pruned_by_filter (runs are never materialized).
 //
-// A non-null `metrics` traces the whole run under the "pipeline/cached"
-// stage (cache build, blocking, scoring and evaluation sub-stages) and
-// records the pipeline counters and gauges (see DESIGN.md §5f). Every
+// A non-null `metrics` traces the run under the "pipeline/streaming" stage
+// and records the pipeline counters and gauges, the per-filter prune
+// counters and the candidate-run-length histogram (DESIGN.md §5f). Every
 // recorded quantity is thread-invariant, so the deterministic snapshot is
 // byte-identical at every `num_threads`.
-LinkagePipelineResult RunCachedLinkagePipeline(
-    const std::vector<core::Item>& external,
-    const std::vector<core::Item>& local,
-    const blocking::CandidateGenerator& generator, const ItemMatcher& matcher,
-    double threshold,
-    Linker::Strategy strategy = Linker::Strategy::kBestPerExternal,
-    const std::vector<blocking::CandidatePair>* gold = nullptr,
-    std::size_t num_threads = 0, obs::MetricsRegistry* metrics = nullptr);
-
-// Same pipeline through the streaming path: the generator's BuildIndex
-// replaces the materialized candidate vector and StreamingLinker fuses the
-// filter cascade with cached scoring. Links are byte-identical to
-// RunCachedLinkagePipeline; num_candidates is reconstructed as
-// pairs_scored + pairs_pruned_by_filter (runs are never materialized).
-// `metrics` works as above under the "pipeline/streaming" stage, with the
-// streaming linker contributing the per-filter prune counters and the
-// candidate-run-length histogram.
 LinkagePipelineResult RunStreamingLinkagePipeline(
     const std::vector<core::Item>& external,
     const std::vector<core::Item>& local,

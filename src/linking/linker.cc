@@ -5,7 +5,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "linking/feature_cache.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -20,15 +19,6 @@ struct ScoreShard {
   std::size_t pairs_scored = 0;
   std::uint64_t measures_computed = 0;
 };
-
-// True when `candidates` is strictly ascending in (external, local) order,
-// i.e. sorted with no duplicates — the CandidateGenerator contract.
-bool IsSortedUnique(const std::vector<blocking::CandidatePair>& candidates) {
-  for (std::size_t i = 1; i < candidates.size(); ++i) {
-    if (!(candidates[i - 1] < candidates[i])) return false;
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -119,107 +109,6 @@ std::vector<Link> Linker::Run(
     stats->comparisons = measures_computed;
     stats->links_emitted = links.size();
   }
-  return links;
-}
-
-std::vector<Link> Linker::RunCached(
-    const FeatureCache& external_features, const FeatureCache& local_features,
-    const std::vector<blocking::CandidatePair>& candidates,
-    LinkerStats* stats, std::size_t num_threads,
-    ScoreMemoStats* memo_stats) const {
-  RL_DCHECK(&external_features.dict() == &local_features.dict());
-
-  // Stream the caller's vector when it already satisfies the generator
-  // contract; only an unsorted/duplicated list is materialized again.
-  const std::vector<blocking::CandidatePair>* pairs = &candidates;
-  std::vector<blocking::CandidatePair> sorted_storage;
-  if (!IsSortedUnique(candidates)) {
-    sorted_storage.assign(candidates.begin(), candidates.end());
-    std::sort(sorted_storage.begin(), sorted_storage.end());
-    sorted_storage.erase(
-        std::unique(sorted_storage.begin(), sorted_storage.end()),
-        sorted_storage.end());
-    pairs = &sorted_storage;
-  }
-
-  struct CachedShard {
-    std::vector<Link> links;  // sorted by (external, local) within a shard
-    std::size_t pairs_scored = 0;
-    std::uint64_t measures_computed = 0;
-    ScoreMemoStats memo;
-  };
-  // Each slot owns a private ScoreMemo whose hit rate grows with slot
-  // size, so morsels are coarse here — few big slots beat many cold memos.
-  constexpr std::size_t kPairsPerMorsel = 8192;
-  const std::size_t num_shards =
-      util::ParallelSlots(num_threads, pairs->size(), kPairsPerMorsel);
-  std::vector<CachedShard> shards(std::max<std::size_t>(1, num_shards));
-  const bool keep_all = strategy_ == Strategy::kAllAboveThreshold;
-  util::ParallelFor(
-      num_threads, pairs->size(),
-      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        CachedShard& shard = shards[chunk];
-        ScoreMemo memo;
-        Link best;
-        bool best_set = false;
-        std::size_t run_external = 0;
-        for (std::size_t i = begin; i < end; ++i) {
-          const blocking::CandidatePair& pair = (*pairs)[i];
-          RL_DCHECK(pair.external_index < external_features.num_items());
-          RL_DCHECK(pair.local_index < local_features.num_items());
-          if (!keep_all && best_set && pair.external_index != run_external) {
-            shard.links.push_back(best);
-            best_set = false;
-          }
-          run_external = pair.external_index;
-          const double score = matcher_->ScoreCached(
-              external_features, pair.external_index, local_features,
-              pair.local_index, &memo, &shard.measures_computed);
-          ++shard.pairs_scored;
-          if (score < threshold_) continue;
-          const Link link{pair.external_index, pair.local_index, score};
-          if (keep_all) {
-            shard.links.push_back(link);
-          } else if (!best_set || score > best.score) {
-            // Strict >: an equal score never displaces the link found
-            // earlier in candidate order, matching the serial tie-break.
-            best = link;
-            best_set = true;
-          }
-        }
-        if (best_set) shard.links.push_back(best);
-        shard.memo = memo.stats();
-      },
-      kPairsPerMorsel);
-
-  // Candidate order is (external, local) order, so shard outputs
-  // concatenate into the exact order Run's final sort produces. For
-  // best-per-external, an external whose run straddles a chunk boundary
-  // appears once per shard; folding adjacent equal-external links in
-  // chunk order reproduces the serial argmax and tie-break.
-  std::size_t pairs_scored = 0;
-  std::uint64_t measures_computed = 0;
-  std::vector<Link> links;
-  ScoreMemoStats memo_total;
-  for (const CachedShard& shard : shards) {
-    pairs_scored += shard.pairs_scored;
-    measures_computed += shard.measures_computed;
-    memo_total.Add(shard.memo);
-    for (const Link& link : shard.links) {
-      if (!keep_all && !links.empty() &&
-          links.back().external_index == link.external_index) {
-        if (link.score > links.back().score) links.back() = link;
-      } else {
-        links.push_back(link);
-      }
-    }
-  }
-  if (stats != nullptr) {
-    stats->pairs_scored = pairs_scored;
-    stats->comparisons = measures_computed;
-    stats->links_emitted = links.size();
-  }
-  if (memo_stats != nullptr) memo_stats->Add(memo_total);
   return links;
 }
 

@@ -2,6 +2,11 @@
 // decides same-as links. Under the Unique Name Assumption of §3 each
 // external item links to at most one local item, so the default strategy
 // keeps the best-scoring local candidate above the decision threshold.
+//
+// Linker::Run is the string-path oracle: it scores every pair with
+// ItemMatcher::Score and nothing else. The production linker is
+// StreamingLinker (linking/streaming_linker.h), whose links the
+// differential suites pin bit-identical to Run's.
 #ifndef RULELINK_LINKING_LINKER_H_
 #define RULELINK_LINKING_LINKER_H_
 
@@ -30,13 +35,13 @@ struct LinkerStats {
   // the streaming filter cascade). Identical at every thread count.
   std::size_t pairs_scored = 0;
   // Similarity kernels actually executed — memo hits are replays, not
-  // computations, so they do not count. On the cached paths this depends
-  // on how pairs chunked across per-worker memos (a consequence of the
-  // memo-hit exclusion; the scores themselves never vary).
+  // computations, so they do not count. On the streaming path this
+  // depends on how external items chunked across per-worker memos (a
+  // consequence of the memo-hit exclusion; the scores never vary).
   std::uint64_t comparisons = 0;
   std::size_t links_emitted = 0;
   // Streaming-path (StreamingLinker) filter cascade counters; zero for
-  // Run/RunCached. A pruned pair increments every filter whose bound was
+  // Linker::Run. A pruned pair increments every filter whose bound was
   // below the optimistic 1.0, so the per-filter counters can sum to more
   // than pairs_pruned_by_filter. All identical at every thread count.
   std::size_t pairs_pruned_by_filter = 0;
@@ -74,27 +79,6 @@ class Linker {
                         const std::vector<blocking::CandidatePair>& candidates,
                         LinkerStats* stats = nullptr,
                         std::size_t num_threads = 0) const;
-
-  // Cached-scorer variant of Run: emits the same links in the same order
-  // with the same stats at every thread count, but every pair goes through
-  // ItemMatcher::ScoreCached over feature caches built up front (both
-  // against this linker's matcher, sharing one FeatureDictionary).
-  //
-  // When `candidates` is already sorted and duplicate-free — the
-  // CandidateGenerator contract — the vector is streamed through the
-  // workers chunk by chunk with no copy; otherwise it is sorted/deduped
-  // first, exactly like Run. Because chunks of the sorted list group by
-  // external index, the best-per-external reduction runs over contiguous
-  // runs and merges shard boundaries in chunk order: no per-pair hash maps
-  // anywhere on the cached path. Each worker keeps a private ScoreMemo;
-  // `memo_stats`, when non-null, accumulates their counters (these depend
-  // on the chunking, unlike links/stats, so they stay out of LinkerStats).
-  std::vector<Link> RunCached(
-      const FeatureCache& external_features,
-      const FeatureCache& local_features,
-      const std::vector<blocking::CandidatePair>& candidates,
-      LinkerStats* stats = nullptr, std::size_t num_threads = 0,
-      ScoreMemoStats* memo_stats = nullptr) const;
 
  private:
   const ItemMatcher* matcher_;

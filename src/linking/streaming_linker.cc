@@ -29,11 +29,7 @@ void StreamingLinker::QueryRun(const FeatureCache& external_features,
                                std::size_t* pairs_scored,
                                std::vector<Link>* links) const {
   const std::vector<std::size_t>& run = scratch->run;
-  // Same dispatch rule as Run: the batch cascade unless SIMD is "off"
-  // (which keeps the per-pair legacy path reachable as the reference).
-  const bool batch_cascade =
-      util::ActiveSimdMode() != util::SimdMode::kOff;
-  if (batch_cascade && !run.empty()) {
+  if (!run.empty()) {
     cascade_.PruneBatch(external_features, external_index, local_features,
                         run.data(), run.size(), filters, &scratch->filter);
   }
@@ -41,14 +37,9 @@ void StreamingLinker::QueryRun(const FeatureCache& external_features,
   Link best;
   bool best_set = false;
   for (std::size_t idx = 0; idx < run.size(); ++idx) {
+    if (scratch->filter.pruned[idx] != 0) continue;
     const std::size_t l = run[idx];
     RL_DCHECK(l < local_features.num_items());
-    if (batch_cascade
-            ? scratch->filter.pruned[idx] != 0
-            : cascade_.Prune(external_features, external_index,
-                             local_features, l, filters)) {
-      continue;
-    }
     const double score =
         matcher_->ScoreCached(external_features, external_index,
                               local_features, l, &scratch->memo,

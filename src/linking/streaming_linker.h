@@ -1,11 +1,11 @@
-// Streaming linker: fuses candidate generation and cached scoring. Where
-// Linker::RunCached consumes one materialized O(candidates) pair vector,
-// StreamingLinker walks a blocking::CandidateIndex external item by
-// external item, holds only the current per-external candidate run, and
-// pushes each run through a threshold-aware FilterCascade before the
-// cached scorer sees it. Links are byte-identical to RunCached over the
-// same candidate space at every thread count — the cascade is a set of
-// sound bounds, never a heuristic (DESIGN.md §5e).
+// Streaming linker, the production linking engine of the batch pipeline,
+// the CLI and the serve engine: fuses candidate generation and cached
+// scoring. It walks a blocking::CandidateIndex external item by external
+// item, holds only the current per-external candidate run, and pushes
+// each run through a threshold-aware FilterCascade before the cached
+// scorer sees it. Links are byte-identical to the string-path oracle
+// Linker::Run over the same candidate space at every thread count — the
+// cascade is a set of sound bounds, never a heuristic (DESIGN.md §5e).
 #ifndef RULELINK_LINKING_STREAMING_LINKER_H_
 #define RULELINK_LINKING_STREAMING_LINKER_H_
 
@@ -37,7 +37,7 @@ class StreamingLinker {
   // a chunk boundary, so per-worker links concatenate in chunk order with
   // no boundary folding and the output is identical at every thread
   // count. Each worker keeps a private ScoreMemo; `memo_stats`
-  // accumulates their counters (chunking-dependent, like RunCached's).
+  // accumulates their counters (they depend on the chunking).
   // `stats` additionally reports the cascade's prune counters and
   // peak_candidate_run, all thread-count invariant.
   //
@@ -58,9 +58,9 @@ class StreamingLinker {
 
   // The per-external core both Run's workers and the serve engine's
   // sessions execute: pushes the already-fetched candidate run in
-  // scratch->run through the cascade (batched when SIMD dispatch is on)
-  // and the cached scorer, appending this external's links to *links
-  // under the linker's strategy and tie-break. Allocation-free once
+  // scratch->run through the batched cascade and the cached scorer,
+  // appending this external's links to *links under the linker's
+  // strategy and tie-break. Allocation-free once
   // `scratch` and `links` are warm. Thread-safe across callers with
   // distinct scratches.
   void QueryRun(const FeatureCache& external_features,

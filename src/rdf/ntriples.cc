@@ -191,14 +191,6 @@ util::Result<Term> ParseTermAt(LineCursor* cur) {
 
 }  // namespace
 
-util::Result<Term> ParseLeadingTerm(std::string_view text,
-                                    std::size_t* consumed) {
-  LineCursor cur{text};
-  auto term = ParseTermAt(&cur);
-  *consumed = cur.pos;
-  return term;
-}
-
 util::Result<Term> ParseNTriplesTerm(std::string_view text) {
   LineCursor cur{text};
   auto term = ParseTermAt(&cur);

@@ -23,12 +23,6 @@ util::Status ParseNTriplesFile(const std::string& path, Graph* graph);
 // Parses a single N-Triples term (used by the parser and by tests).
 util::Result<Term> ParseNTriplesTerm(std::string_view text);
 
-// Parses the leading term of `text` (after optional whitespace), setting
-// *consumed to the characters read. Building block shared with the
-// N-Quads parser.
-util::Result<Term> ParseLeadingTerm(std::string_view text,
-                                    std::size_t* consumed);
-
 // Serializes the whole graph as N-Triples, one triple per line, in
 // insertion order (deterministic).
 std::string WriteNTriples(const Graph& graph);

@@ -14,7 +14,6 @@ std::int16_t g_override = -1;
 
 SimdMode ClampToCpu(SimdMode requested) {
   const SimdMode cpu = DetectCpuSimdMode();
-  if (requested == SimdMode::kOff) return requested;
   return static_cast<std::uint8_t>(requested) <=
                  static_cast<std::uint8_t>(cpu)
              ? requested
@@ -27,7 +26,6 @@ SimdMode ParseEnvMode() {
       std::strcmp(env, "native") == 0) {
     return DetectCpuSimdMode();
   }
-  if (std::strcmp(env, "off") == 0) return SimdMode::kOff;
   if (std::strcmp(env, "scalar") == 0) return SimdMode::kScalar;
   if (std::strcmp(env, "sse4.2") == 0 || std::strcmp(env, "sse42") == 0) {
     return ClampToCpu(SimdMode::kSSE42);
@@ -75,7 +73,6 @@ SimdMode ActiveSimdMode() {
 
 const char* SimdModeName(SimdMode mode) {
   switch (mode) {
-    case SimdMode::kOff: return "off";
     case SimdMode::kScalar: return "scalar";
     case SimdMode::kSSE42: return "sse4.2";
     case SimdMode::kAVX2: return "avx2";
@@ -87,7 +84,6 @@ std::size_t SimdBatchWidth(SimdMode mode) {
   switch (mode) {
     case SimdMode::kAVX2: return 8;
     case SimdMode::kSSE42: return 4;
-    case SimdMode::kOff:
     case SimdMode::kScalar: return 1;
   }
   return 1;

@@ -10,12 +10,11 @@
 // tests/filter_batch_differential_test.cc enforces).
 //
 // Override order: ScopedSimdMode (tests/benches, in-process) beats the
-// RULELINK_SIMD environment variable ("off", "scalar", "sse4.2", "avx2",
-// "native"; unset = "native") beats CPU detection. A requested ISA the
-// CPU lacks is clamped down to what it supports. "off" disables the batch
-// entry points entirely — callers fall back to the per-pair code, which
-// is how the legacy path stays reachable for differential testing and
-// the speedup baseline.
+// RULELINK_SIMD environment variable ("scalar", "sse4.2", "avx2",
+// "native"; unset = "native"; any other value = "scalar") beats CPU
+// detection. A requested ISA the CPU lacks is clamped down to what it
+// supports. Every mode runs the batch entry points; "scalar" is their
+// width-1 floor.
 //
 // The process-wide counters here mirror the scheduler's observability
 // discipline: hot paths accumulate into shard-local plain integers and
@@ -31,13 +30,12 @@
 namespace rulelink::util {
 
 enum class SimdMode : std::uint8_t {
-  kOff,     // batch entry points disabled; per-pair legacy paths run
   kScalar,  // batch layout and loops, compiled at the baseline ISA
   kSSE42,   // 128-bit lanes
   kAVX2,    // 256-bit lanes
 };
 
-// The best mode this CPU supports (never kOff).
+// The best mode this CPU supports.
 SimdMode DetectCpuSimdMode();
 
 // The mode the batch entry points should use right now:
@@ -46,10 +44,10 @@ SimdMode DetectCpuSimdMode();
 // first call).
 SimdMode ActiveSimdMode();
 
-// "off", "scalar", "sse4.2" or "avx2".
+// "scalar", "sse4.2" or "avx2".
 const char* SimdModeName(SimdMode mode);
 
-// 32-bit lanes per stage-A tile: 8 (AVX2), 4 (SSE4.2), 1 (scalar/off).
+// 32-bit lanes per stage-A tile: 8 (AVX2), 4 (SSE4.2), 1 (scalar).
 std::size_t SimdBatchWidth(SimdMode mode);
 
 // Forces every ActiveSimdMode() in scope to `mode` (clamped to the CPU),
@@ -71,9 +69,9 @@ class ScopedSimdMode {
 // Cumulative process-wide batch/remainder pair counts, subtractable so
 // benches can report per-measurement deltas (like SchedulerTotals).
 // "cascade" counts candidate pairs through FilterCascade: batched = the
-// SoA lane path, remainder = per-pair fallbacks (multi-valued slots or
-// batching off). "kernel" counts bounded-Levenshtein probes: batched =
-// lanes of the interleaved Myers kernel, remainder = single-pair calls.
+// SoA lane path, remainder = per-pair fallbacks (multi-valued slots).
+// "kernel" counts bounded-Levenshtein probes: batched = lanes of the
+// interleaved Myers kernel, remainder = single-pair calls.
 struct SimdTotals {
   std::uint64_t cascade_batched_pairs = 0;
   std::uint64_t cascade_remainder_pairs = 0;

@@ -383,14 +383,21 @@ void ThreadPool::ParallelFor(std::size_t n, const ChunkBody& body,
     });
   }
 
-  std::lock_guard<std::mutex> err_lock(state->err_mu);
-  if (!state->errors.empty()) {
+  // The winning exception is moved out of the shared loop state, so this
+  // thread drops its last reference. A helper task may release the state
+  // after the caller's handler has run, and exception reference counts
+  // live in uninstrumented libstdc++, so ThreadSanitizer would report that
+  // late free as a race on the exception object.
+  std::exception_ptr error;
+  {
+    std::lock_guard<std::mutex> err_lock(state->err_mu);
     auto first = state->errors.begin();
     for (auto it = state->errors.begin(); it != state->errors.end(); ++it) {
       if (it->first < first->first) first = it;
     }
-    std::rethrow_exception(first->second);
+    if (first != state->errors.end()) error = std::move(first->second);
   }
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 SchedulerStats ThreadPool::Stats() const {

@@ -1,5 +1,5 @@
 // Disjoint-set forest with path compression and union by size. Used to
-// cluster same-as links into entities (deduplication, fusion groups).
+// cluster same-as links into entities (deduplication).
 #ifndef RULELINK_UTIL_UNION_FIND_H_
 #define RULELINK_UTIL_UNION_FIND_H_
 

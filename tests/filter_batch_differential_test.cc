@@ -1,11 +1,12 @@
 // Differential tests for the batched SIMD filter cascade (DESIGN.md §5h):
-// StreamingLinker must emit byte-identical links and identical
-// FilterStats under every SIMD dispatch mode — "off" (the per-pair legacy
-// cascade), "scalar" (the batch layout at the baseline ISA), SSE4.2 and
-// AVX2 — at every thread count, down to 1-item morsels, on the
+// StreamingLinker must emit links byte-identical to the string-path
+// oracle Linker::Run, and identical FilterStats, under every SIMD
+// dispatch mode — "scalar" (the batch layout at the baseline ISA), SSE4.2
+// and AVX2 — at every thread count, down to 1-item morsels, on the
 // paper-shaped corpus AND a dirty 50k workload catalog. PruneBatch is
-// additionally pinned pair-for-pair against Prune. Modes the CPU lacks
-// clamp down, so the suite runs (possibly redundantly) everywhere.
+// additionally pinned pair-for-pair against the per-pair Prune reference.
+// Modes the CPU lacks clamp down, so the suite runs (possibly
+// redundantly) everywhere.
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -32,7 +33,6 @@ namespace {
 constexpr std::size_t kThreadCounts[] = {1, 2, 8};
 constexpr double kThreshold = 0.6;
 constexpr util::SimdMode kModes[] = {
-    util::SimdMode::kOff,    // per-pair legacy cascade: the reference
     util::SimdMode::kScalar, // batch layout, baseline ISA
     util::SimdMode::kSSE42,  // 128-bit lanes (clamped where unavailable)
     util::SimdMode::kAVX2,   // 256-bit lanes (clamped where unavailable)
@@ -150,8 +150,9 @@ void ExpectFilterStatsIdentical(const linking::LinkerStats& actual,
   EXPECT_EQ(actual.links_emitted, expected.links_emitted);
 }
 
-// Streaming links and FilterStats under every mode x thread count must be
-// byte-identical to the "off" (legacy per-pair) serial run.
+// Streaming links under every mode x thread count must be byte-identical
+// to the Linker::Run oracle over the blocker's candidates, and FilterStats
+// identical to the first (scalar, serial) run's.
 void RunModeDifferential(const std::vector<core::Item>& external_items,
                          const std::vector<core::Item>& local_items,
                          std::size_t blocker_prefix,
@@ -159,13 +160,20 @@ void RunModeDifferential(const std::vector<core::Item>& external_items,
   const linking::ItemMatcher matcher = FilteredMatcher();
   const blocking::StandardBlocker blocker(datagen::props::kPartNumber,
                                           blocker_prefix);
+  const auto candidates = blocker.Generate(external_items, local_items);
   const auto index = blocker.BuildIndex(external_items, local_items);
   ASSERT_EQ(index->num_external(), external_items.size());
   const linking::StreamingLinker streaming(&matcher, kThreshold);
+  // The oracle is deterministic at every thread count, so it may use them
+  // all.
+  const auto reference =
+      linking::Linker(&matcher, kThreshold)
+          .Run(external_items, local_items, candidates, nullptr,
+               /*num_threads=*/0);
+  ASSERT_GT(reference.size(), 0u);
 
-  std::vector<linking::Link> reference;
   linking::LinkerStats reference_stats;
-  bool have_reference = false;
+  bool have_reference_stats = false;
   for (const std::size_t threads : kThreadCounts) {
     SCOPED_TRACE(threads);
     // Caches are rebuilt per thread count on purpose: id numbering
@@ -185,22 +193,15 @@ void RunModeDifferential(const std::vector<core::Item>& external_items,
                                        caches.local, &stats, threads);
       const util::SimdTotals delta =
           util::GlobalSimdTotals().Minus(before);
-      if (mode == util::SimdMode::kOff) {
-        // The legacy path must not touch the batch counters.
-        EXPECT_EQ(delta.cascade_batched_pairs, 0u);
-        EXPECT_EQ(delta.cascade_remainder_pairs, 0u);
-      } else {
-        // The batch cascade really engaged (single-valued part items
-        // dominate both corpora).
-        EXPECT_GT(delta.cascade_batched_pairs, 0u);
-      }
-      if (!have_reference) {
-        reference = links;
+      // The batch cascade really engaged (single-valued part items
+      // dominate both corpora).
+      EXPECT_GT(delta.cascade_batched_pairs, 0u);
+      ExpectLinksIdentical(links, reference);
+      if (!have_reference_stats) {
         reference_stats = stats;
-        have_reference = true;
+        have_reference_stats = true;
         continue;
       }
-      ExpectLinksIdentical(links, reference);
       ExpectFilterStatsIdentical(stats, reference_stats);
     }
   }

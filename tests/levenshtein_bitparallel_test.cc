@@ -199,8 +199,8 @@ TEST(LevenshteinBitParallel, BatchMatchesSinglePairAtEveryLaneWidth) {
     expected[i] = BoundedLevenshteinDistance(va[i], vb[i], caps[i]);
   }
   for (const util::SimdMode mode :
-       {util::SimdMode::kOff, util::SimdMode::kScalar,
-        util::SimdMode::kSSE42, util::SimdMode::kAVX2}) {
+       {util::SimdMode::kScalar, util::SimdMode::kSSE42,
+        util::SimdMode::kAVX2}) {
     const util::ScopedSimdMode scoped(mode);
     std::vector<std::size_t> out(va.size(), ~std::size_t{0});
     BoundedLevenshteinDistanceBatch(va.data(), vb.data(), caps.data(),
@@ -255,8 +255,8 @@ TEST(LevenshteinBitParallel, BatchSharedPatternSegments) {
     expected[i] = BoundedLevenshteinDistance(va[i], vb[i], caps[i]);
   }
   for (const util::SimdMode mode :
-       {util::SimdMode::kOff, util::SimdMode::kScalar,
-        util::SimdMode::kSSE42, util::SimdMode::kAVX2}) {
+       {util::SimdMode::kScalar, util::SimdMode::kSSE42,
+        util::SimdMode::kAVX2}) {
     const util::ScopedSimdMode scoped(mode);
     std::vector<std::size_t> out(va.size(), ~std::size_t{0});
     BoundedLevenshteinDistanceBatch(va.data(), vb.data(), caps.data(),

@@ -97,7 +97,9 @@ TEST_P(MeasureProperty, Invariants) {
     EXPECT_NEAR(Lift(c), Confidence(c) / prior, 1e-9);
     // The paper: "lift is a value between 0 and infinity"; confidence-1
     // rules have lift = 1/prior.
-    if (Confidence(c) == 1.0) EXPECT_NEAR(Lift(c), 1.0 / prior, 1e-9);
+    if (Confidence(c) == 1.0) {
+      EXPECT_NEAR(Lift(c), 1.0 / prior, 1e-9);
+    }
   }
 }
 

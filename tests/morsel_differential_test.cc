@@ -1,10 +1,11 @@
 // Forced-stealing differential tests for the morsel scheduler: with the
 // morsel size forced to 1 item, every loop degenerates into n single-item
 // slots and the per-worker deques steal constantly — the worst case for
-// the determinism contract. Under that regime the learner, cached linking
-// and streaming linking must still be byte-identical to their serial
-// paths at threads {2, 3, 8}, with skewed per-item workloads thrown in at
-// the raw ParallelFor level to push slots across participants.
+// the determinism contract. Under that regime the learner must still be
+// byte-identical to its serial path, and streaming linking (feature-cache
+// build included) to the serial string-path oracle Linker::Run, at
+// threads {2, 3, 8}, with skewed per-item workloads thrown in at the raw
+// ParallelFor level to push slots across participants.
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -163,7 +164,7 @@ TEST_P(MorselDifferential, LearnerIsByteIdenticalUnderForcedStealing) {
   }
 }
 
-TEST_P(MorselDifferential, CachedLinkingIsByteIdenticalUnderForcedStealing) {
+TEST_P(MorselDifferential, StreamingLinkingIsByteIdenticalUnderForcedStealing) {
   const datagen::Dataset& dataset = corpus();
   const linking::ItemMatcher matcher = Matcher();
   const blocking::StandardBlocker blocker(datagen::props::kPartNumber,
@@ -171,25 +172,23 @@ TEST_P(MorselDifferential, CachedLinkingIsByteIdenticalUnderForcedStealing) {
   const auto candidates =
       blocker.Generate(dataset.external_items, dataset.catalog_items);
   ASSERT_GT(candidates.size(), 0u);
+  const auto index =
+      blocker.BuildIndex(dataset.external_items, dataset.catalog_items);
 
   for (linking::Linker::Strategy strategy :
        {linking::Linker::Strategy::kBestPerExternal,
         linking::Linker::Strategy::kAllAboveThreshold}) {
     SCOPED_TRACE(static_cast<int>(strategy));
-    const linking::Linker linker(&matcher, kThreshold, strategy);
-    linking::FeatureDictionary ref_dict;
-    const auto ref_external = linking::FeatureCache::Build(
-        dataset.external_items, matcher,
-        linking::FeatureCache::Side::kExternal, &ref_dict, 1);
-    const auto ref_local = linking::FeatureCache::Build(
-        dataset.catalog_items, matcher, linking::FeatureCache::Side::kLocal,
-        &ref_dict, 1);
+    const linking::Linker oracle(&matcher, kThreshold, strategy);
     linking::LinkerStats ref_stats;
-    const auto reference = linker.RunCached(ref_external, ref_local,
-                                            candidates, &ref_stats, 1);
+    const auto reference =
+        oracle.Run(dataset.external_items, dataset.catalog_items, candidates,
+                   &ref_stats, /*num_threads=*/1);
     ASSERT_GT(reference.size(), 0u);
 
+    const linking::StreamingLinker streaming(&matcher, kThreshold, strategy);
     util::ScopedMorselItems force(1);
+    linking::LinkerStats first_stats;
     for (std::size_t threads : kThreadCounts) {
       SCOPED_TRACE(threads);
       // Cache build under forced stealing too: one dictionary per item.
@@ -202,47 +201,20 @@ TEST_P(MorselDifferential, CachedLinkingIsByteIdenticalUnderForcedStealing) {
           linking::FeatureCache::Side::kLocal, &dict, threads);
       linking::LinkerStats stats;
       const auto links =
-          linker.RunCached(external, local, candidates, &stats, threads);
+          streaming.Run(*index, external, local, &stats, threads);
       ExpectLinksIdentical(links, reference);
-      EXPECT_EQ(stats.pairs_scored, ref_stats.pairs_scored);
       EXPECT_EQ(stats.links_emitted, ref_stats.links_emitted);
+      EXPECT_EQ(stats.pairs_scored + stats.pairs_pruned_by_filter,
+                ref_stats.pairs_scored);
+      if (threads == kThreadCounts[0]) {
+        first_stats = stats;
+      } else {
+        EXPECT_EQ(stats.pairs_scored, first_stats.pairs_scored);
+        EXPECT_EQ(stats.pairs_pruned_by_filter,
+                  first_stats.pairs_pruned_by_filter);
+        EXPECT_EQ(stats.peak_candidate_run, first_stats.peak_candidate_run);
+      }
     }
-  }
-}
-
-TEST_P(MorselDifferential, StreamingLinkingIsByteIdenticalUnderForcedStealing) {
-  const datagen::Dataset& dataset = corpus();
-  const linking::ItemMatcher matcher = Matcher();
-  const blocking::StandardBlocker blocker(datagen::props::kPartNumber,
-                                          /*prefix_length=*/3);
-  const auto index =
-      blocker.BuildIndex(dataset.external_items, dataset.catalog_items);
-  linking::FeatureDictionary ref_dict;
-  const auto ref_external = linking::FeatureCache::Build(
-      dataset.external_items, matcher, linking::FeatureCache::Side::kExternal,
-      &ref_dict, 1);
-  const auto ref_local = linking::FeatureCache::Build(
-      dataset.catalog_items, matcher, linking::FeatureCache::Side::kLocal,
-      &ref_dict, 1);
-  const linking::StreamingLinker streaming(
-      &matcher, kThreshold, linking::Linker::Strategy::kBestPerExternal);
-  linking::LinkerStats ref_stats;
-  const auto reference =
-      streaming.Run(*index, ref_external, ref_local, &ref_stats, 1);
-  ASSERT_GT(reference.size(), 0u);
-
-  util::ScopedMorselItems force(1);
-  for (std::size_t threads : kThreadCounts) {
-    SCOPED_TRACE(threads);
-    linking::LinkerStats stats;
-    const auto links =
-        streaming.Run(*index, ref_external, ref_local, &stats, threads);
-    ExpectLinksIdentical(links, reference);
-    EXPECT_EQ(stats.pairs_scored, ref_stats.pairs_scored);
-    EXPECT_EQ(stats.pairs_pruned_by_filter,
-              ref_stats.pairs_pruned_by_filter);
-    EXPECT_EQ(stats.links_emitted, ref_stats.links_emitted);
-    EXPECT_EQ(stats.peak_candidate_run, ref_stats.peak_candidate_run);
   }
 }
 

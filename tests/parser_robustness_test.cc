@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "io/csv.h"
-#include "rdf/nquads.h"
 #include "rdf/ntriples.h"
 #include "rdf/sparql.h"
 #include "rdf/turtle.h"
@@ -80,18 +79,6 @@ TEST_P(ParserRobustness, TurtleNeverCrashes) {
   for (int i = 0; i < 300; ++i) {
     rdf::Graph g;
     const auto status = rdf::ParseTurtle(Mutate(kValidTurtle, &rng), &g);
-    if (!status.ok()) {
-      EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
-    }
-  }
-}
-
-TEST_P(ParserRobustness, NQuadsNeverCrashes) {
-  util::Rng rng(GetParam() + 2000);
-  for (int i = 0; i < 300; ++i) {
-    rdf::Dataset dataset;
-    const auto status =
-        rdf::ParseNQuads(Mutate(kValidNTriples, &rng), &dataset);
     if (!status.ok()) {
       EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
     }

@@ -70,23 +70,33 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
+// Every delete frees through one out-of-line function: were free()
+// inlined into the deletes, GCC would pair it with the replaced operator
+// new above and warn of a mismatched new/delete that cannot happen.
+[[gnu::noinline]] static void FreeAllocation(void* p) noexcept {
   std::free(p);
+}
+void operator delete(void* p) noexcept { FreeAllocation(p); }
+void operator delete[](void* p) noexcept { FreeAllocation(p); }
+void operator delete(void* p, std::size_t) noexcept { FreeAllocation(p); }
+void operator delete[](void* p, std::size_t) noexcept { FreeAllocation(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  FreeAllocation(p);
 }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  FreeAllocation(p);
 }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept {
+  FreeAllocation(p);
+}
+void operator delete[](void* p, std::align_val_t) noexcept {
+  FreeAllocation(p);
+}
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  FreeAllocation(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  FreeAllocation(p);
 }
 
 namespace rulelink {

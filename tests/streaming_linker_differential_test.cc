@@ -1,12 +1,14 @@
 // Differential tests for the streaming linker: StreamingLinker over a
-// blocker's CandidateIndex must be byte-identical to Linker::RunCached
-// over the same blocker's materialized candidate list — same links, same
-// order, same scores — at every thread count, for both strategies, over
-// StandardBlocker, RuleBlocker and the default (materializing) BuildIndex.
-// The filter cascade is additionally checked directly: a pruned pair's
-// real cached score must sit below the threshold, i.e. the bounds are
-// sound, never heuristic. This is the acceptance bar for the streaming
-// tentpole.
+// blocker's CandidateIndex must be byte-identical to the string-path
+// oracle Linker::Run over the same blocker's materialized candidate list —
+// same links, same order, same scores — at every thread count, for both
+// strategies, over StandardBlocker, RuleBlocker and the default
+// (materializing) BuildIndex, and under three matchers: one that engages
+// every cascade filter, the Jaro-Winkler-only matcher `rulelink serve`
+// runs (every plan optimistic, so nothing is pruned) and a Jaro-Winkler-
+// heavy mix of cached measures. The filter cascade is additionally
+// checked directly: a pruned pair's real cached score must sit below the
+// threshold, i.e. the bounds are sound, never heuristic.
 #include <algorithm>
 #include <map>
 #include <memory>
@@ -85,6 +87,34 @@ linking::ItemMatcher FilteredMatcher() {
   });
 }
 
+// The matcher `rulelink serve` builds by default: Jaro-Winkler on the
+// blocking key alone. The cascade has no bound for it, so every pair
+// reaches the scorer.
+linking::ItemMatcher ServeDefaultMatcher() {
+  return linking::ItemMatcher({
+      {datagen::props::kPartNumber, datagen::props::kPartNumber,
+       linking::SimilarityMeasure::kJaroWinkler, 1.0},
+  });
+}
+
+// Token sort-merge and character measures on the part number, exact and
+// Monge-Elkan (ordered float summation) on the manufacturer, whose values
+// repeat across the catalog and feed the memo.
+linking::ItemMatcher MixedMatcher() {
+  return linking::ItemMatcher({
+      {datagen::props::kPartNumber, datagen::props::kPartNumber,
+       linking::SimilarityMeasure::kJaroWinkler, 3.0},
+      {datagen::props::kPartNumber, datagen::props::kPartNumber,
+       linking::SimilarityMeasure::kJaccardTokens, 1.5},
+      {datagen::props::kPartNumber, datagen::props::kPartNumber,
+       linking::SimilarityMeasure::kDiceBigram, 1.0},
+      {datagen::props::kManufacturer, datagen::props::kManufacturer,
+       linking::SimilarityMeasure::kExact, 0.5},
+      {datagen::props::kManufacturer, datagen::props::kManufacturer,
+       linking::SimilarityMeasure::kMongeElkan, 0.5},
+  });
+}
+
 struct Caches {
   linking::FeatureDictionary dict;
   linking::FeatureCache external;
@@ -112,7 +142,7 @@ void ExpectLinksIdentical(const std::vector<linking::Link>& actual,
   }
 }
 
-// Runs the streaming linker against the RunCached reference over the same
+// Runs the streaming linker against the Linker::Run oracle over the same
 // generator, for both strategies and every thread count, and checks that
 // the thread-invariant stats really are invariant.
 void RunDifferential(const datagen::Dataset& dataset,
@@ -129,13 +159,13 @@ void RunDifferential(const datagen::Dataset& dataset,
        {linking::Linker::Strategy::kBestPerExternal,
         linking::Linker::Strategy::kAllAboveThreshold}) {
     SCOPED_TRACE(static_cast<int>(strategy));
-    const linking::Linker cached_linker(&matcher, kThreshold, strategy);
+    const linking::Linker oracle(&matcher, kThreshold, strategy);
     const linking::StreamingLinker streaming(&matcher, kThreshold, strategy);
-    const Caches ref_caches(dataset, matcher, /*num_threads=*/1);
     linking::LinkerStats ref_stats;
     const auto reference =
-        cached_linker.RunCached(ref_caches.external, ref_caches.local,
-                                candidates, &ref_stats, /*num_threads=*/1);
+        oracle.Run(dataset.external_items, dataset.catalog_items, candidates,
+                   &ref_stats, /*num_threads=*/1);
+    ASSERT_GT(reference.size(), 0u);
 
     linking::LinkerStats serial_stats;
     for (std::size_t threads : kThreadCounts) {
@@ -155,6 +185,12 @@ void RunDifferential(const datagen::Dataset& dataset,
       EXPECT_EQ(stats.pairs_scored + stats.pairs_pruned_by_filter,
                 candidates.size());
       EXPECT_LE(stats.pairs_scored, ref_stats.pairs_scored);
+      // Memo hits are replays, not computations, so the streaming path
+      // runs at most as many kernels as the string path.
+      EXPECT_GT(stats.comparisons, 0u);
+      EXPECT_LE(stats.comparisons, ref_stats.comparisons);
+      EXPECT_GT(memo.lookups, 0u);
+      EXPECT_LE(memo.hits, memo.lookups);
       EXPECT_GT(stats.peak_candidate_run, 0u);
       EXPECT_LE(stats.peak_candidate_run, dataset.catalog_items.size());
       if (threads == kThreadCounts[0]) {
@@ -184,13 +220,13 @@ class StreamingLinkerDifferential
   const datagen::Dataset& corpus() const { return GetCorpus(GetParam()); }
 };
 
-TEST_P(StreamingLinkerDifferential, MatchesRunCachedOverStandardBlocker) {
+TEST_P(StreamingLinkerDifferential, MatchesOracleOverStandardBlocker) {
   const blocking::StandardBlocker blocker(datagen::props::kPartNumber,
                                           /*prefix_length=*/3);
   RunDifferential(corpus(), FilteredMatcher(), blocker);
 }
 
-TEST_P(StreamingLinkerDifferential, MatchesRunCachedOverRuleBlocker) {
+TEST_P(StreamingLinkerDifferential, MatchesOracleOverRuleBlocker) {
   const datagen::Dataset& dataset = corpus();
   const core::TrainingSet ts = datagen::BuildTrainingSet(dataset);
   const text::SeparatorSegmenter segmenter;
@@ -224,6 +260,20 @@ TEST_P(StreamingLinkerDifferential, MatchesOverDefaultMaterializedIndex) {
     blocking::StandardBlocker inner_{datagen::props::kPartNumber, 3};
   };
   RunDifferential(corpus(), FilteredMatcher(), PlainGenerator());
+}
+
+TEST_P(StreamingLinkerDifferential, MatchesOracleUnderServeDefaultMatcher) {
+  // Every plan is kOptimistic: the cascade runs but can prune nothing, so
+  // the whole candidate space reaches the scorer.
+  const blocking::StandardBlocker blocker(datagen::props::kPartNumber,
+                                          /*prefix_length=*/3);
+  RunDifferential(corpus(), ServeDefaultMatcher(), blocker);
+}
+
+TEST_P(StreamingLinkerDifferential, MatchesOracleUnderMixedMatcher) {
+  const blocking::StandardBlocker blocker(datagen::props::kPartNumber,
+                                          /*prefix_length=*/3);
+  RunDifferential(corpus(), MixedMatcher(), blocker);
 }
 
 TEST_P(StreamingLinkerDifferential, CascadeNeverPrunesAThresholdPair) {
@@ -261,31 +311,40 @@ TEST_P(StreamingLinkerDifferential, CascadeNeverPrunesAThresholdPair) {
             stats.pairs_pruned);
 }
 
-TEST_P(StreamingLinkerDifferential, StreamingPipelineMatchesCachedPipeline) {
+TEST_P(StreamingLinkerDifferential, StreamingPipelineMatchesOracle) {
   const datagen::Dataset& dataset = corpus();
   const linking::ItemMatcher matcher = FilteredMatcher();
   const blocking::StandardBlocker blocker(datagen::props::kPartNumber,
                                           /*prefix_length=*/3);
+  const auto candidates =
+      blocker.Generate(dataset.external_items, dataset.catalog_items);
+  const linking::Linker oracle(&matcher, kThreshold);
+  const auto reference =
+      oracle.Run(dataset.external_items, dataset.catalog_items, candidates,
+                 nullptr, /*num_threads=*/1);
   std::vector<blocking::CandidatePair> gold;
   for (const datagen::GoldLink& link : dataset.links) {
     gold.push_back({link.external_index, link.catalog_index});
   }
-  const auto reference = linking::RunCachedLinkagePipeline(
-      dataset.external_items, dataset.catalog_items, blocker, matcher,
-      kThreshold, linking::Linker::Strategy::kBestPerExternal, &gold,
-      /*num_threads=*/1);
+  const linking::LinkageQuality ref_quality =
+      linking::EvaluateLinks(reference, gold);
   for (std::size_t threads : kThreadCounts) {
     SCOPED_TRACE(threads);
     const auto result = linking::RunStreamingLinkagePipeline(
         dataset.external_items, dataset.catalog_items, blocker, matcher,
         kThreshold, linking::Linker::Strategy::kBestPerExternal, &gold,
         threads);
-    ExpectLinksIdentical(result.links, reference.links);
-    EXPECT_EQ(result.num_candidates, reference.num_candidates);
-    EXPECT_EQ(result.quality.correct, reference.quality.correct);
-    EXPECT_EQ(result.quality.precision, reference.quality.precision);
-    EXPECT_EQ(result.quality.recall, reference.quality.recall);
-    EXPECT_EQ(result.quality.f1, reference.quality.f1);
+    ExpectLinksIdentical(result.links, reference);
+    EXPECT_EQ(result.num_candidates, candidates.size());
+    EXPECT_GT(result.distinct_values, 0u);
+    EXPECT_GE(result.dictionary_symbols, result.distinct_values);
+    EXPECT_GT(result.dictionary_bytes, 0u);
+    // The quality numbers come from the same links, so they match the
+    // oracle's evaluation exactly.
+    EXPECT_EQ(result.quality.correct, ref_quality.correct);
+    EXPECT_EQ(result.quality.precision, ref_quality.precision);
+    EXPECT_EQ(result.quality.recall, ref_quality.recall);
+    EXPECT_EQ(result.quality.f1, ref_quality.f1);
   }
 }
 

@@ -2,9 +2,10 @@
 // path must not diverge from the batch linker at realistic scale. A
 // generated 50k-item catalog plus a skewed, dirty provider query stream
 // goes through StreamingLinker over a StandardBlocker index and must be
-// byte-identical — same links, same order, same scores — to
-// Linker::RunCached over the same blocker's materialized candidates, at
-// every thread count and for two generator seeds.
+// byte-identical — same links, same order, same scores — to the
+// string-path oracle Linker::Run over the same blocker's materialized
+// candidates, at every thread count, for both strategies and for two
+// generator seeds.
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -97,7 +98,7 @@ class WorkloadDifferential : public ::testing::TestWithParam<std::uint64_t> {
   const Workload& workload() const { return GetWorkload(GetParam()); }
 };
 
-TEST_P(WorkloadDifferential, StreamingMatchesRunCachedAtScale) {
+TEST_P(WorkloadDifferential, StreamingMatchesOracleAtScale) {
   const Workload& workload = this->workload();
   const linking::ItemMatcher matcher = WorkloadMatcher();
   const blocking::StandardBlocker blocker(datagen::props::kPartNumber,
@@ -109,44 +110,49 @@ TEST_P(WorkloadDifferential, StreamingMatchesRunCachedAtScale) {
       blocker.BuildIndex(workload.stream.queries, workload.catalog.items);
   ASSERT_EQ(index->num_external(), workload.stream.queries.size());
 
-  const linking::Linker cached_linker(&matcher, kThreshold);
-  const linking::StreamingLinker streaming(&matcher, kThreshold);
-  const Caches ref_caches(workload, matcher, /*num_threads=*/1);
-  linking::LinkerStats ref_stats;
-  const auto reference =
-      cached_linker.RunCached(ref_caches.external, ref_caches.local,
-                              candidates, &ref_stats, /*num_threads=*/1);
-  // The skewed dirty stream still links a substantial share of the
-  // queries — the workload is a linking workload, not noise. (Not a
-  // majority bound: typos and reformats inside the 4-char blocking prefix
-  // cost recall by design, and the zipf head amplifies whichever hot
-  // items happen to be fragile.)
-  EXPECT_GT(reference.size(), workload.stream.queries.size() / 5);
+  for (const linking::Linker::Strategy strategy :
+       {linking::Linker::Strategy::kBestPerExternal,
+        linking::Linker::Strategy::kAllAboveThreshold}) {
+    SCOPED_TRACE(static_cast<int>(strategy));
+    const linking::Linker oracle(&matcher, kThreshold, strategy);
+    const linking::StreamingLinker streaming(&matcher, kThreshold, strategy);
+    // The oracle is deterministic at every thread count, so it may use
+    // them all; the streaming side is what the sweep below varies.
+    const auto reference =
+        oracle.Run(workload.stream.queries, workload.catalog.items,
+                   candidates, nullptr, /*num_threads=*/0);
+    // The skewed dirty stream still links a substantial share of the
+    // queries — the workload is a linking workload, not noise. (Not a
+    // majority bound: typos and reformats inside the 4-char blocking
+    // prefix cost recall by design, and the zipf head amplifies whichever
+    // hot items happen to be fragile.)
+    EXPECT_GT(reference.size(), workload.stream.queries.size() / 5);
 
-  linking::LinkerStats serial_stats;
-  for (const std::size_t threads : kThreadCounts) {
-    SCOPED_TRACE(threads);
-    // Caches are rebuilt per thread count on purpose: id numbering may
-    // differ across builds, the links must not.
-    const Caches caches(workload, matcher, threads);
-    linking::LinkerStats stats;
-    const auto links =
-        streaming.Run(*index, caches.external, caches.local, &stats, threads);
-    ASSERT_EQ(links.size(), reference.size());
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      ASSERT_EQ(links[i].external_index, reference[i].external_index) << i;
-      ASSERT_EQ(links[i].local_index, reference[i].local_index) << i;
-      ASSERT_EQ(links[i].score, reference[i].score) << i;  // bit-identical
-    }
-    EXPECT_EQ(stats.pairs_scored + stats.pairs_pruned_by_filter,
-              candidates.size());
-    if (threads == kThreadCounts[0]) {
-      serial_stats = stats;
-    } else {
-      EXPECT_EQ(stats.pairs_scored, serial_stats.pairs_scored);
-      EXPECT_EQ(stats.pairs_pruned_by_filter,
-                serial_stats.pairs_pruned_by_filter);
-      EXPECT_EQ(stats.peak_candidate_run, serial_stats.peak_candidate_run);
+    linking::LinkerStats serial_stats;
+    for (const std::size_t threads : kThreadCounts) {
+      SCOPED_TRACE(threads);
+      // Caches are rebuilt per thread count on purpose: id numbering may
+      // differ across builds, the links must not.
+      const Caches caches(workload, matcher, threads);
+      linking::LinkerStats stats;
+      const auto links = streaming.Run(*index, caches.external,
+                                       caches.local, &stats, threads);
+      ASSERT_EQ(links.size(), reference.size());
+      for (std::size_t i = 0; i < reference.size(); ++i) {
+        ASSERT_EQ(links[i].external_index, reference[i].external_index) << i;
+        ASSERT_EQ(links[i].local_index, reference[i].local_index) << i;
+        ASSERT_EQ(links[i].score, reference[i].score) << i;  // bit-identical
+      }
+      EXPECT_EQ(stats.pairs_scored + stats.pairs_pruned_by_filter,
+                candidates.size());
+      if (threads == kThreadCounts[0]) {
+        serial_stats = stats;
+      } else {
+        EXPECT_EQ(stats.pairs_scored, serial_stats.pairs_scored);
+        EXPECT_EQ(stats.pairs_pruned_by_filter,
+                  serial_stats.pairs_pruned_by_filter);
+        EXPECT_EQ(stats.peak_candidate_run, serial_stats.peak_candidate_run);
+      }
     }
   }
 }

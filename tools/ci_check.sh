@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# Builds and runs the test suite under AddressSanitizer and ThreadSanitizer,
-# the configurations that lock down the parallel execution layer. Each
-# sanitizer gets its own build tree (build-asan/, build-tsan/) so the plain
-# build/ is never polluted with instrumented objects.
+# Builds and runs the test suite under AddressSanitizer, ThreadSanitizer
+# and UndefinedBehaviorSanitizer, the configurations that lock down the
+# parallel execution layer and the parsers. Each sanitizer gets its own
+# build tree (build-asan/, build-tsan/, build-usan/) so the plain build/ is
+# never polluted with instrumented objects.
 #
 # Usage:
-#   tools/ci_check.sh               # both sanitizers, full test suite
+#   tools/ci_check.sh               # all three sanitizers, full test suite
 #   tools/ci_check.sh address       # ASan only
 #   tools/ci_check.sh thread        # TSan only
+#   tools/ci_check.sh undefined     # UBSan only
 #
 # Environment:
 #   CI_CHECK_TEST_FILTER  optional ctest -R regex (default: all tests)
@@ -18,7 +20,7 @@ ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 JOBS="${CI_CHECK_JOBS:-$(nproc)}"
 FILTER="${CI_CHECK_TEST_FILTER:-}"
 
-SANITIZERS=("address" "thread")
+SANITIZERS=("address" "thread" "undefined")
 if [[ $# -ge 1 ]]; then
   SANITIZERS=("$@")
 fi

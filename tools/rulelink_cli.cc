@@ -29,10 +29,12 @@
 // N-Triples. The local file must contain the ontology (owl:Class /
 // rdfs:subClassOf) and the typed catalog instances.
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -68,6 +70,10 @@ struct Args {
   std::map<std::string, std::string> options;
   std::vector<std::string> properties;  // repeatable --property
   std::vector<std::string> deltas;      // repeatable --delta (serve)
+  // Numeric flags present on the command line, parsed and range-checked
+  // by ParseNumericFlags.
+  std::map<std::string, std::size_t> counts;
+  std::map<std::string, double> fractions;
 };
 
 void PrintUsage() {
@@ -130,11 +136,71 @@ std::string Opt(const Args& args, const std::string& key,
   return it == args.options.end() ? fallback : it->second;
 }
 
+// Every numeric flag and the values it accepts: a count is a plain
+// unsigned decimal (no sign), a fraction a number in [0, 1]; --clients
+// also caps at the worker limit, since each client is a thread.
+enum class NumberKind { kCount, kClients, kFraction };
+constexpr std::pair<const char*, NumberKind> kNumericFlags[] = {
+    {"threads", NumberKind::kCount},
+    {"key-prefix", NumberKind::kCount},
+    {"clients", NumberKind::kClients},
+    {"threshold", NumberKind::kFraction},
+    {"min-confidence", NumberKind::kFraction},
+    {"similarity", NumberKind::kFraction},
+    {"rule-threshold", NumberKind::kFraction},
+};
+
+// The whole of `text` as a number of type T, or nothing.
+template <typename T>
+std::optional<T> ParseWhole(const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+// Parses every numeric flag the command line carries into args->counts /
+// args->fractions, before any input file is opened. On a bad value prints
+// "invalid value for --<flag>: '<text>'" and returns false.
+bool ParseNumericFlags(Args* args) {
+  for (const auto& [flag, kind] : kNumericFlags) {
+    const auto it = args->options.find(flag);
+    if (it == args->options.end()) continue;
+    const std::string& text = it->second;
+    bool ok = false;
+    if (kind == NumberKind::kFraction) {
+      const std::optional<double> value = ParseWhole<double>(text);
+      ok = value && *value >= 0.0 && *value <= 1.0;
+      if (ok) args->fractions[flag] = *value;
+    } else {
+      const std::optional<std::size_t> value = ParseWhole<std::size_t>(text);
+      ok = value && (kind != NumberKind::kClients ||
+                     *value <= rulelink::util::kMaxParallelWorkers);
+      if (ok) args->counts[flag] = *value;
+    }
+    if (!ok) {
+      std::cerr << "invalid value for --" << flag << ": '" << text << "'\n";
+      return false;
+    }
+  }
+  return true;
+}
+
+std::size_t Count(const Args& args, const std::string& flag,
+                  std::size_t fallback) {
+  const auto it = args.counts.find(flag);
+  return it == args.counts.end() ? fallback : it->second;
+}
+
+double Fraction(const Args& args, const std::string& flag, double fallback) {
+  const auto it = args.fractions.find(flag);
+  return it == args.fractions.end() ? fallback : it->second;
+}
+
 // The worker count shared by every parallel phase: 1 = serial (the
 // default), 0 = hardware concurrency.
-std::size_t Threads(const Args& args) {
-  return static_cast<std::size_t>(std::stoul(Opt(args, "threads", "1")));
-}
+std::size_t Threads(const Args& args) { return Count(args, "threads", 1); }
 
 Status LoadExternalItems(const Args& args,
                          std::vector<rulelink::core::Item>* items);
@@ -204,8 +270,7 @@ int RunLearn(const Args& args, rulelink::obs::MetricsRegistry* metrics) {
 
   const rulelink::text::SeparatorSegmenter segmenter;
   rulelink::core::LearnerOptions options;
-  options.support_threshold =
-      std::stod(Opt(args, "threshold", "0.002"));
+  options.support_threshold = Fraction(args, "threshold", 0.002);
   options.segmenter = &segmenter;
   options.properties = args.properties;
   options.num_threads = Threads(args);
@@ -255,8 +320,7 @@ int RunClassify(const Args& args, rulelink::obs::MetricsRegistry* metrics) {
     return 1;
   }
 
-  const double min_confidence =
-      std::stod(Opt(args, "min-confidence", "0"));
+  const double min_confidence = Fraction(args, "min-confidence", 0.0);
   const bool with_candidates = Opt(args, "candidates") == "true";
   const rulelink::text::SeparatorSegmenter segmenter;
   const rulelink::core::RuleClassifier classifier(&*rules, &segmenter);
@@ -325,7 +389,7 @@ int RunEvaluate(const Args& args, rulelink::obs::MetricsRegistry* metrics) {
     std::cerr << ts.status() << "\n";
     return 1;
   }
-  const double threshold = std::stod(Opt(args, "threshold", "0.002"));
+  const double threshold = Fraction(args, "threshold", 0.002);
   const std::size_t num_threads = Threads(args);
   const rulelink::text::SeparatorSegmenter segmenter;
   rulelink::core::LearnerOptions options;
@@ -384,7 +448,7 @@ int RunDedup(const Args& args, rulelink::obs::MetricsRegistry* metrics) {
     }
     std::cerr << "using discovered key property: " << key << "\n";
   }
-  const double threshold = std::stod(Opt(args, "similarity", "0.95"));
+  const double threshold = Fraction(args, "similarity", 0.95);
   const rulelink::blocking::StandardBlocker blocker(key, 5);
   const rulelink::linking::ItemMatcher matcher(
       {{key, key, rulelink::linking::SimilarityMeasure::kJaroWinkler, 1.0}});
@@ -439,8 +503,7 @@ int RunServe(const Args& args, rulelink::obs::MetricsRegistry* metrics) {
     }
     std::cerr << "using discovered key property: " << key << "\n";
   }
-  const std::size_t key_prefix =
-      static_cast<std::size_t>(std::stoul(Opt(args, "key-prefix", "5")));
+  const std::size_t key_prefix = Count(args, "key-prefix", 5);
   std::vector<linking::AttributeRule> rules;
   for (const std::string& property :
        args.properties.empty() ? std::vector<std::string>{key}
@@ -448,7 +511,7 @@ int RunServe(const Args& args, rulelink::obs::MetricsRegistry* metrics) {
     rules.push_back({property, property,
                      linking::SimilarityMeasure::kJaroWinkler, 1.0});
   }
-  const double threshold = std::stod(Opt(args, "threshold", "0.75"));
+  const double threshold = Fraction(args, "threshold", 0.75);
   const linking::Linker::Strategy strategy =
       Opt(args, "all") == "true"
           ? linking::Linker::Strategy::kAllAboveThreshold
@@ -533,8 +596,8 @@ int RunServe(const Args& args, rulelink::obs::MetricsRegistry* metrics) {
       }
       learner.AddExample(item, example.classes);
     }
-    auto learned = learner.BuildRules(
-        std::stod(Opt(args, "rule-threshold", "0.002")));
+    auto learned =
+        learner.BuildRules(Fraction(args, "rule-threshold", 0.002));
     if (!learned.ok()) {
       std::cerr << "incremental learner: " << learned.status() << "\n";
       return 1;
@@ -563,8 +626,8 @@ int RunServe(const Args& args, rulelink::obs::MetricsRegistry* metrics) {
               << policy.rules->size() << " classification rules\n";
   }
 
-  const std::size_t clients = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::stoul(Opt(args, "clients", "1"))));
+  const std::size_t clients =
+      std::max<std::size_t>(1, Count(args, "clients", 1));
   std::vector<std::vector<linking::Link>> answers(queries.size());
   std::size_t pairs_scored = 0;
   {
@@ -652,6 +715,7 @@ int main(int argc, char** argv) {
     PrintUsage();
     return 2;
   }
+  if (!ParseNumericFlags(&args)) return 2;
   // Pinning must be decided before the first parallel region spawns pool
   // workers; it only affects where workers run, never what they compute.
   if (Opt(args, "pin-threads") == "true" ||
