@@ -7,8 +7,8 @@
 // through StreamingLinker — a sound filter cascade, then
 // ItemMatcher::ScoreCached with sort-merge token measures over dense ids,
 // measure dispatch hoisted out of the pair loop, and a per-worker
-// (value, value, measure) memo that exploits how heavily catalog values
-// repeat. Links are byte-identical by construction (see
+// Monge-Elkan (value, value) memo that exploits how heavily catalog
+// values repeat. Links are byte-identical by construction (see
 // streaming_linker_differential_test) and re-checked here; this binary
 // records the wall-time and memo economics to BENCH_linking.json.
 #include <algorithm>
@@ -17,6 +17,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -31,6 +32,7 @@
 #include "linking/streaming_linker.h"
 #include "obs/metrics.h"
 #include "text/similarity.h"
+#include "util/interner.h"
 #include "util/simd.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -44,8 +46,9 @@ constexpr double kThreshold = 0.6;
 // The matcher the cache is built for: token and bigram measures on the
 // part number (sort-merges over dense ids once cached), Monge-Elkan and
 // Jaro-Winkler on the manufacturer name, whose values repeat across the
-// catalog and so hit the score memo, and an exact check that collapses to
-// a value-id comparison.
+// catalog, and an exact check that collapses to a value-id comparison.
+// Only the Monge-Elkan rule's repeated manufacturer values hit the score
+// memo; the Jaro-Winkler rule runs the bit-parallel kernel on every pair.
 linking::ItemMatcher PipelineMatcher() {
   return linking::ItemMatcher({
       {datagen::props::kPartNumber, datagen::props::kPartNumber,
@@ -704,6 +707,102 @@ void BM_ScoreCachedPair(benchmark::State& state) {
 BENCHMARK(BM_ScoreCachedPair)
     ->Arg(0)   // no memo: pure dense-id scoring
     ->Arg(1);  // with memo: steady-state catalog-value reuse
+
+// One rule per measure, on the fixture's candidates that hold a single
+// value on each side (so the score is the kernel's), in blocker order.
+struct MeasureCase {
+  const char* property;
+  const char* property_name;
+  linking::SimilarityMeasure measure;
+};
+constexpr MeasureCase kMeasureCases[] = {
+    {datagen::props::kPartNumber, "part number",
+     linking::SimilarityMeasure::kLevenshtein},
+    {datagen::props::kPartNumber, "part number",
+     linking::SimilarityMeasure::kJaroWinkler},
+    {datagen::props::kManufacturer, "manufacturer",
+     linking::SimilarityMeasure::kJaroWinkler},
+    {datagen::props::kManufacturer, "manufacturer",
+     linking::SimilarityMeasure::kMongeElkan},
+};
+
+// What the score memo costs or saves per measure (DESIGN.md §5d). Arg 0
+// picks a kMeasureCases entry; arg 1 = 0 scores every pair through
+// ScoreCached without a memo, arg 1 = 1 puts a lookup-or-insert on the
+// (value-id, value-id) key of a node map like ScoreMemo's in front, the
+// way ScoreCached memoizes Monge-Elkan. Each iteration is one pass over
+// the pairs from an empty memo, so `memo_hit_rate` is the share of pairs
+// whose value pair an earlier pair already scored: the repetition the
+// memo lives on.
+void BM_ScoreCachedMeasure(benchmark::State& state) {
+  const Fixture& fixture = GetFixture();
+  const MeasureCase& measure_case =
+      kMeasureCases[static_cast<std::size_t>(state.range(0))];
+  const bool use_memo = state.range(1) != 0;
+  const linking::ItemMatcher matcher({{measure_case.property,
+                                       measure_case.property,
+                                       measure_case.measure, 1.0}});
+  linking::FeatureDictionary dict;
+  const auto external = linking::FeatureCache::Build(
+      fixture.dataset->external_items, matcher,
+      linking::FeatureCache::Side::kExternal, &dict, 1);
+  const auto local = linking::FeatureCache::Build(
+      fixture.dataset->catalog_items, matcher,
+      linking::FeatureCache::Side::kLocal, &dict, 1);
+  struct Pair {
+    std::size_t external_index;
+    std::size_t local_index;
+    std::uint64_t key;
+  };
+  std::vector<Pair> pairs;
+  for (const auto& candidate : fixture.candidates) {
+    std::size_t num_ext = 0;
+    std::size_t num_loc = 0;
+    const linking::ValueId* ext =
+        external.Values(candidate.external_index, 0, &num_ext);
+    const linking::ValueId* loc =
+        local.Values(candidate.local_index, 0, &num_loc);
+    if (num_ext != 1 || num_loc != 1) continue;
+    pairs.push_back({candidate.external_index, candidate.local_index,
+                     util::PackSymbolPair(*ext, *loc)});
+  }
+  std::unordered_map<std::uint64_t, double> memo;
+  std::uint64_t hits = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    memo = {};
+    state.ResumeTiming();
+    for (const Pair& pair : pairs) {
+      if (!use_memo) {
+        benchmark::DoNotOptimize(matcher.ScoreCached(
+            external, pair.external_index, local, pair.local_index,
+            nullptr));
+        continue;
+      }
+      const auto [it, inserted] = memo.try_emplace(pair.key, 0.0);
+      if (inserted) {
+        it->second = matcher.ScoreCached(external, pair.external_index,
+                                         local, pair.local_index, nullptr);
+      } else {
+        ++hits;
+      }
+      benchmark::DoNotOptimize(it->second);
+    }
+  }
+  const auto scored = static_cast<std::int64_t>(state.iterations()) *
+                      static_cast<std::int64_t>(pairs.size());
+  state.SetItemsProcessed(scored);
+  state.SetLabel(std::string(linking::SimilarityMeasureName(
+                     measure_case.measure)) +
+                 " on " + measure_case.property_name);
+  if (use_memo && scored > 0) {
+    state.counters["memo_hit_rate"] =
+        static_cast<double>(hits) / static_cast<double>(scored);
+  }
+}
+BENCHMARK(BM_ScoreCachedMeasure)
+    ->ArgsProduct({{0, 1, 2, 3}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_CacheBuild(benchmark::State& state) {
   const Fixture& fixture = GetFixture();

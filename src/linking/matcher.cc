@@ -160,17 +160,16 @@ double CachedMongeElkanOneWay(const FeatureDictionary& dict,
   return total / static_cast<double>(a.num_tokens);
 }
 
-// Best similarity over the value-id cross product, memoized per
-// (value-id, value-id) under `measure_index`. `pair_similarity` is the
-// measure-specific scorer — resolved once per rule, so the value-pair
-// loop is free of measure dispatch.
+// Best similarity over the value-id cross product. `pair_similarity` is
+// the measure-specific scorer — resolved once per rule, so the value-pair
+// loop is free of measure dispatch. With a `memo` (Monge-Elkan only), each
+// (value-id, value-id) score is computed once and replayed after.
 template <typename PairSimilarity>
 double BestCachedPair(const ValueId* ext, std::size_t num_ext,
                       const ValueId* loc, std::size_t num_loc,
-                      std::size_t measure_index, ScoreMemo* memo,
-                      std::uint64_t* measures_computed,
+                      ScoreMemo* memo, std::uint64_t* measures_computed,
                       const PairSimilarity& pair_similarity) {
-  auto* map = memo != nullptr ? &memo->map_for(measure_index) : nullptr;
+  auto* map = memo != nullptr ? &memo->map() : nullptr;
   double best = 0.0;
   for (std::size_t i = 0; i < num_ext; ++i) {
     for (std::size_t j = 0; j < num_loc; ++j) {
@@ -218,7 +217,6 @@ double ItemMatcher::ScoreCached(const FeatureCache& external_features,
     const ValueId* loc = local_features.Values(local_index, r, &num_loc);
     if (num_ext == 0 || num_loc == 0) continue;
 
-    const std::size_t mi = static_cast<std::size_t>(rule.measure);
     double best = 0.0;
     switch (rule.measure) {
       case SimilarityMeasure::kExact:
@@ -233,8 +231,12 @@ double ItemMatcher::ScoreCached(const FeatureCache& external_features,
           }
         }
         break;
+      // Levenshtein and Jaro(-Winkler) do not memoize (see ScoreMemo): on
+      // part numbers, where few value pairs repeat, a lookup-or-insert
+      // costs more than the bit-parallel kernel it would skip (DESIGN.md
+      // §5d).
       case SimilarityMeasure::kLevenshtein:
-        best = BestCachedPair(ext, num_ext, loc, num_loc, mi, memo,
+        best = BestCachedPair(ext, num_ext, loc, num_loc, nullptr,
                               measures_computed,
                               [&dict](ValueId a, ValueId b) {
                                 return text::LevenshteinSimilarity(
@@ -242,7 +244,7 @@ double ItemMatcher::ScoreCached(const FeatureCache& external_features,
                               });
         break;
       case SimilarityMeasure::kJaro:
-        best = BestCachedPair(ext, num_ext, loc, num_loc, mi, memo,
+        best = BestCachedPair(ext, num_ext, loc, num_loc, nullptr,
                               measures_computed,
                               [&dict](ValueId a, ValueId b) {
                                 return text::JaroSimilarity(dict.View(a),
@@ -250,7 +252,7 @@ double ItemMatcher::ScoreCached(const FeatureCache& external_features,
                               });
         break;
       case SimilarityMeasure::kJaroWinkler:
-        best = BestCachedPair(ext, num_ext, loc, num_loc, mi, memo,
+        best = BestCachedPair(ext, num_ext, loc, num_loc, nullptr,
                               measures_computed,
                               [&dict](ValueId a, ValueId b) {
                                 return text::JaroWinklerSimilarity(
@@ -262,7 +264,7 @@ double ItemMatcher::ScoreCached(const FeatureCache& external_features,
         // lookup-or-insert, so the set measures never memoize (on
         // mostly-distinct values like part numbers the memo is all
         // misses, and every miss grows the table).
-        best = BestCachedPair(ext, num_ext, loc, num_loc, mi, nullptr,
+        best = BestCachedPair(ext, num_ext, loc, num_loc, nullptr,
                               measures_computed,
                               [&dict](ValueId a, ValueId b) {
                                 return CachedJaccard(dict.Features(a),
@@ -270,7 +272,7 @@ double ItemMatcher::ScoreCached(const FeatureCache& external_features,
                               });
         break;
       case SimilarityMeasure::kDiceBigram:
-        best = BestCachedPair(ext, num_ext, loc, num_loc, mi, nullptr,
+        best = BestCachedPair(ext, num_ext, loc, num_loc, nullptr,
                               measures_computed,
                               [&dict](ValueId a, ValueId b) {
                                 return CachedDice(dict.Features(a),
@@ -278,8 +280,9 @@ double ItemMatcher::ScoreCached(const FeatureCache& external_features,
                               });
         break;
       case SimilarityMeasure::kMongeElkan:
+        // The one measure that keeps the memo (see ScoreMemo).
         best = BestCachedPair(
-            ext, num_ext, loc, num_loc, mi, memo, measures_computed,
+            ext, num_ext, loc, num_loc, memo, measures_computed,
             [&dict](ValueId a, ValueId b) {
               const ValueFeatures fa = dict.Features(a);
               const ValueFeatures fb = dict.Features(b);

@@ -4,7 +4,6 @@
 #ifndef RULELINK_LINKING_MATCHER_H_
 #define RULELINK_LINKING_MATCHER_H_
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -26,8 +25,6 @@ enum class SimilarityMeasure {
   kDiceBigram,
   kMongeElkan,
 };
-
-inline constexpr std::size_t kNumSimilarityMeasures = 7;
 
 // Dispatches to the text:: similarity functions; kExact returns 1.0 on
 // equality and 0.0 otherwise.
@@ -63,33 +60,29 @@ struct ScoreMemoStats {
   }
 };
 
-// Memo table for the cached-score path, keyed by (value-id, value-id,
-// measure). Part catalogs repeat values heavily, so the same value pair is
-// scored over and over across candidate pairs; an entry is a pure function
-// of the two strings, so replaying it is always exact. Only the
-// character-level measures (Levenshtein, Jaro, Jaro-Winkler, Monge-Elkan)
-// consult it: their O(|a|*|b|) cost dwarfs a hash probe, whereas the
-// id-based set measures are already cheaper than the probe itself.
+// Memo table for the cached-score path, keyed by (value-id, value-id).
+// Only Monge-Elkan consults it; every other measure runs its kernel on
+// each pair. The memo pays only where value pairs repeat: a hit replays
+// a score, a miss adds a lookup-or-insert to the kernel and grows the
+// table. DESIGN.md §5d gives the measured per-measure costs and each
+// workload's share of repeated value pairs. An entry is a pure function
+// of the two strings, so one map serves every Monge-Elkan rule and
+// replaying it is always exact.
 // Not thread-safe: each linker worker keeps its own memo.
 class ScoreMemo {
  public:
   void Clear() {
-    for (auto& map : by_measure_) map.clear();
+    map_.clear();
     stats_ = ScoreMemoStats();
   }
   const ScoreMemoStats& stats() const { return stats_; }
 
   // Internal accessors for the cached scorer; not meant for callers.
-  std::unordered_map<std::uint64_t, double>& map_for(
-      std::size_t measure_index) {
-    return by_measure_[measure_index];
-  }
+  std::unordered_map<std::uint64_t, double>& map() { return map_; }
   ScoreMemoStats& mutable_stats() { return stats_; }
 
  private:
-  std::array<std::unordered_map<std::uint64_t, double>,
-             kNumSimilarityMeasures>
-      by_measure_;
+  std::unordered_map<std::uint64_t, double> map_;
   ScoreMemoStats stats_;
 };
 
@@ -109,9 +102,9 @@ class ItemMatcher {
   // Score() on the items the caches were built from, but measure dispatch
   // is hoisted out of the value-pair loop, token measures run as
   // sort-merges over dense ids instead of re-tokenizing strings, and
-  // `memo` (optional) short-circuits repeated (value, value, measure)
-  // triples. Both caches must have been built against this matcher and
-  // share one FeatureDictionary.
+  // `memo` (optional) short-circuits repeated Monge-Elkan value pairs.
+  // Both caches must have been built against this matcher and share one
+  // FeatureDictionary.
   // `measures_computed` counts kernels actually run: memo hits are replays,
   // not computations, so they do not count (which makes the counter depend
   // on memo state, unlike the score itself); kExact counts the id pairs it

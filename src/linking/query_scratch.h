@@ -4,8 +4,10 @@
 // per worker chunk on every call — fine for batch runs, but the serving
 // engine answers millions of single-item queries, where per-call setup was
 // the dominant allocation source. One QueryScratch per worker (streaming
-// shard or serve session) makes the steady-state query path allocation-free:
-// every member reuses its warm capacity across requests.
+// shard or serve session) makes the steady-state query path allocation-free
+// for known values of at most 64 bytes under measures other than
+// Monge-Elkan: every member reuses its warm capacity across requests, and
+// only a new Monge-Elkan value pair grows the memo.
 #ifndef RULELINK_LINKING_QUERY_SCRATCH_H_
 #define RULELINK_LINKING_QUERY_SCRATCH_H_
 
@@ -18,7 +20,7 @@
 namespace rulelink::linking {
 
 struct QueryScratch {
-  ScoreMemo memo;             // (value-id, value-id, measure) score replay
+  ScoreMemo memo;             // (value-id, value-id) Monge-Elkan replay
   FilterBatchScratch filter;  // PruneBatch lanes, gathers, probe staging
   std::vector<std::size_t> run;  // current per-external candidate run
 

@@ -36,7 +36,9 @@
 // ItemMatcher::ScoreCached — with per-session scratch (QueryScratch, an
 // overlay FeatureDictionary for novel query values, the single-item query
 // FeatureCache, the blocking-key buffer) allocated once and reused, so the
-// steady-state query path performs zero heap allocations (asserted by the
+// steady-state query path performs zero heap allocations on values the
+// session already knows, of at most 64 bytes, under measures other than
+// Monge-Elkan, whose new value pairs insert memo entries (asserted by the
 // serve differential test). Served answers are byte-identical to batch
 // StreamingLinker::Run over the same snapshot, and a snapshot reached via
 // K delta publishes answers byte-identically to a from-scratch snapshot of
@@ -262,9 +264,10 @@ class ServeEngine {
 
   // One worker's query context: an epoch reader slot plus all per-query
   // scratch, allocated once and reused so steady-state queries are
-  // allocation-free. Sessions are single-threaded (one per worker) and
-  // must not outlive the engine. Any number of sessions query
-  // concurrently with each other and with Publish.
+  // allocation-free (known values of at most 64 bytes, no Monge-Elkan).
+  // Sessions are single-threaded (one per worker) and must not outlive
+  // the engine. Any number of sessions query concurrently with each other
+  // and with Publish.
   class Session {
    public:
     explicit Session(ServeEngine* engine);

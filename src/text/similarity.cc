@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 
@@ -562,11 +563,72 @@ double LevenshteinSimilarity(std::string_view a, std::string_view b) {
                                            std::max(a.size(), b.size()));
 }
 
+namespace {
+
+// Jaro's closing expression over the match and transposition counts,
+// shared by both kernels below so their doubles agree bit for bit.
+double JaroFromCounts(std::size_t matches, std::size_t transpositions,
+                      std::size_t a_size, std::size_t b_size) {
+  const double m = static_cast<double>(matches);
+  return (m / static_cast<double>(a_size) +
+          m / static_cast<double>(b_size) +
+          (m - static_cast<double>(transpositions) / 2.0) / m) /
+         3.0;
+}
+
+// Jaro's greedy matching as word operations, for |a|, |b| <= 64. Bit j of
+// peq[c] is set when b[j] == c; each byte of `a` takes the lowest set bit
+// of peq[a[i]] & ~b_matched & window(i), which is exactly the first free
+// equal byte inside the window the scalar loop scans. Transpositions pair
+// the k-th set bits of the two match masks, as the scalar walk does.
+double JaroBitParallel(std::string_view a, std::string_view b,
+                       std::size_t match_window) {
+  // Only the entries for bytes of `a` or `b` are written, and only
+  // entries for bytes of `a` are read.
+  std::uint64_t peq[256];
+  for (const char c : a) peq[static_cast<unsigned char>(c)] = 0;
+  for (const char c : b) peq[static_cast<unsigned char>(c)] = 0;
+  for (std::size_t j = 0; j < b.size(); ++j) {
+    peq[static_cast<unsigned char>(b[j])] |= std::uint64_t{1} << j;
+  }
+
+  // `window` holds bits [max(0, i - match_window), i + match_window]
+  // (peq has no bit at or past |b|, so the AND clips the top; bits past 63
+  // fall off the word). It starts as bits [0, match_window], with
+  // match_window <= 31 here. Each step shifts both edges up one bit, and
+  // sets bit 0 again while the lower edge is still clamped at 0.
+  std::uint64_t window = (std::uint64_t{2} << match_window) - 1;
+  std::uint64_t a_matched = 0;
+  std::uint64_t b_matched = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const std::uint64_t free =
+        peq[static_cast<unsigned char>(a[i])] & ~b_matched & window;
+    const std::uint64_t lowest = free & (~free + 1);
+    b_matched |= lowest;
+    a_matched |= static_cast<std::uint64_t>(lowest != 0) << i;
+    window = (window << 1) | static_cast<std::uint64_t>(i < match_window);
+  }
+  if (a_matched == 0) return 0.0;
+
+  std::size_t transpositions = 0;
+  for (std::uint64_t am = a_matched, bm = b_matched; am != 0;
+       am &= am - 1, bm &= bm - 1) {
+    transpositions += a[std::countr_zero(am)] != b[std::countr_zero(bm)];
+  }
+  return JaroFromCounts(std::popcount(a_matched), transpositions, a.size(),
+                        b.size());
+}
+
+}  // namespace
+
 double JaroSimilarity(std::string_view a, std::string_view b) {
   if (a.empty() && b.empty()) return 1.0;
   if (a.empty() || b.empty()) return 0.0;
   const std::size_t match_window =
       std::max<std::size_t>(1, std::max(a.size(), b.size()) / 2) - 1;
+  if (a.size() <= 64 && b.size() <= 64) {
+    return JaroBitParallel(a, b, match_window);
+  }
 
   std::vector<bool> a_matched(a.size(), false);
   std::vector<bool> b_matched(b.size(), false);
@@ -593,11 +655,7 @@ double JaroSimilarity(std::string_view a, std::string_view b) {
     if (a[i] != b[j]) ++transpositions;
     ++j;
   }
-  const double m = static_cast<double>(matches);
-  return (m / static_cast<double>(a.size()) +
-          m / static_cast<double>(b.size()) +
-          (m - static_cast<double>(transpositions) / 2.0) / m) /
-         3.0;
+  return JaroFromCounts(matches, transpositions, a.size(), b.size());
 }
 
 double JaroWinklerSimilarity(std::string_view a, std::string_view b) {

@@ -66,7 +66,10 @@ std::size_t DamerauLevenshteinDistance(std::string_view a,
 // 1 - distance / max(|a|, |b|); 1.0 for two empty strings.
 double LevenshteinSimilarity(std::string_view a, std::string_view b);
 
-// Jaro similarity as defined by Jaro (1989).
+// Jaro similarity as defined by Jaro (1989). When both strings are at
+// most 64 bytes the greedy matching runs as word operations and allocates
+// nothing; longer strings take the scalar loop. Both give the same double,
+// bit for bit.
 double JaroSimilarity(std::string_view a, std::string_view b);
 
 // Jaro-Winkler with the standard prefix scale 0.1 and max prefix 4.

@@ -4,12 +4,15 @@
 // dispatch mode — "scalar" (the batch layout at the baseline ISA), SSE4.2
 // and AVX2 — at every thread count, down to 1-item morsels, on the
 // paper-shaped corpus AND a dirty 50k workload catalog. PruneBatch is
-// additionally pinned pair-for-pair against the per-pair Prune reference.
+// additionally pinned pair-for-pair against the per-pair Prune reference,
+// under a matcher with every kind of bound and under one with none, where
+// only the pairs with every rule inactive may be pruned.
 // Modes the CPU lacks clamp down, so the suite runs (possibly
 // redundantly) everywhere.
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -227,19 +230,22 @@ TEST(FilterBatchDifferential, DirtyWorkloadAllModesAllThreadCounts) {
                       /*blocker_prefix=*/4, /*one_item_morsels=*/false);
 }
 
-// PruneBatch pinned pair-for-pair against Prune, per mode: decisions and
-// FilterStats must replicate the per-pair cascade exactly, run by run.
-TEST(FilterBatchDifferential, PruneBatchMatchesPrunePairwise) {
-  const datagen::Dataset& dataset = PaperCorpus();
-  const linking::ItemMatcher matcher = FilteredMatcher();
-  const Caches caches(dataset.external_items, dataset.catalog_items,
-                      matcher, /*num_threads=*/1);
-  const blocking::StandardBlocker blocker(datagen::props::kPartNumber,
-                                          /*prefix_length=*/3);
-  const auto index =
-      blocker.BuildIndex(dataset.external_items, dataset.catalog_items);
-  const linking::FilterCascade cascade(&matcher, kThreshold);
+// PruneBatch pinned pair-for-pair against Prune over every candidate run
+// of `blocker`, per mode: decisions and FilterStats must replicate the
+// per-pair cascade exactly, run by run. Sets *pruned_pairs and
+// *candidates to the pairs pruned and checked (both per mode).
+void ExpectPruneBatchMatchesPrune(const linking::ItemMatcher& matcher,
+                                  const std::vector<core::Item>& external,
+                                  const std::vector<core::Item>& local,
+                                  const blocking::CandidateGenerator& blocker,
+                                  double threshold,
+                                  std::uint64_t* pruned_pairs,
+                                  std::size_t* candidates) {
+  const Caches caches(external, local, matcher, /*num_threads=*/1);
+  const auto index = blocker.BuildIndex(external, local);
+  const linking::FilterCascade cascade(&matcher, threshold);
 
+  *pruned_pairs = 0;
   for (const util::SimdMode mode :
        {util::SimdMode::kScalar, util::SimdMode::kSSE42,
         util::SimdMode::kAVX2}) {
@@ -250,6 +256,7 @@ TEST(FilterBatchDifferential, PruneBatchMatchesPrunePairwise) {
     linking::FilterStats pair_stats;
     std::vector<std::size_t> run;
     std::size_t runs_checked = 0;
+    *candidates = 0;
     for (std::size_t e = 0; e < index->num_external(); ++e) {
       index->CandidatesOf(e, &run);
       if (run.empty()) continue;
@@ -262,6 +269,7 @@ TEST(FilterBatchDifferential, PruneBatchMatchesPrunePairwise) {
         ASSERT_EQ(scratch.pruned[i] != 0, pruned)
             << "external=" << e << " local=" << run[i];
       }
+      *candidates += run.size();
       ++runs_checked;
     }
     EXPECT_GT(runs_checked, 0u);
@@ -270,8 +278,61 @@ TEST(FilterBatchDifferential, PruneBatchMatchesPrunePairwise) {
     EXPECT_EQ(batch_stats.by_token_count, pair_stats.by_token_count);
     EXPECT_EQ(batch_stats.by_exact, pair_stats.by_exact);
     EXPECT_EQ(batch_stats.by_distance_cap, pair_stats.by_distance_cap);
-    EXPECT_GT(batch_stats.pairs_pruned, 0u);
+    *pruned_pairs = batch_stats.pairs_pruned;
   }
+}
+
+TEST(FilterBatchDifferential, PruneBatchMatchesPrunePairwise) {
+  const datagen::Dataset& dataset = PaperCorpus();
+  const blocking::StandardBlocker part_blocker(datagen::props::kPartNumber,
+                                               /*prefix_length=*/3);
+  std::uint64_t pruned = 0;
+  std::size_t candidates = 0;
+  ExpectPruneBatchMatchesPrune(FilteredMatcher(), dataset.external_items,
+                               dataset.catalog_items, part_blocker,
+                               kThreshold, &pruned, &candidates);
+  EXPECT_GT(pruned, 0u);
+
+  // A matcher with no bound at all (every plan optimistic), over
+  // candidates of which some have every rule inactive: provider documents
+  // carry no label, every fifth one loses its part number, and so does
+  // every third catalog item, while every seventh catalog item holds two
+  // part numbers (a multi-valued slot). Blocking on the manufacturer
+  // keeps all of them candidates.
+  const linking::ItemMatcher optimistic({
+      {datagen::props::kPartNumber, datagen::props::kPartNumber,
+       linking::SimilarityMeasure::kJaroWinkler, 2.0},
+      {datagen::props::kLabel, datagen::props::kLabel,
+       linking::SimilarityMeasure::kJaro, 1.0},
+  });
+  const auto drop_part_number = [](core::Item* item) {
+    std::erase_if(item->facts, [](const core::PropertyValue& pv) {
+      return pv.property == datagen::props::kPartNumber;
+    });
+  };
+  std::vector<core::Item> external = dataset.external_items;
+  for (std::size_t e = 0; e < external.size(); e += 5) {
+    drop_part_number(&external[e]);
+  }
+  std::vector<core::Item> local = dataset.catalog_items;
+  for (std::size_t l = 0; l < local.size(); ++l) {
+    if (l % 3 == 0) {
+      drop_part_number(&local[l]);
+    } else if (l % 7 == 0) {
+      local[l].facts.push_back(
+          {datagen::props::kPartNumber, "X-" + std::to_string(l)});
+    }
+  }
+  const blocking::StandardBlocker mfr_blocker(datagen::props::kManufacturer,
+                                              /*prefix_length=*/3);
+  ExpectPruneBatchMatchesPrune(optimistic, external, local, mfr_blocker,
+                               kThreshold, &pruned, &candidates);
+  EXPECT_GT(pruned, 0u);
+  EXPECT_LT(pruned, candidates);
+  // At threshold 0 a pair scoring 0.0 still links, so nothing is pruned.
+  ExpectPruneBatchMatchesPrune(optimistic, external, local, mfr_blocker, 0.0,
+                               &pruned, &candidates);
+  EXPECT_EQ(pruned, 0u);
 }
 
 }  // namespace

@@ -1,0 +1,242 @@
+// Differential coverage for the bit-parallel Jaro kernel: JaroSimilarity,
+// JaroWinklerSimilarity and MongeElkanSimilarity must return the very
+// same doubles (compared bit for bit) as the textbook scalar greedy Jaro
+// kept below as the oracle. The oracle lives here rather than in src/
+// because Linker::Run calls the same kernel as the cached path, so no
+// linking differential can catch a bug in it.
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "text/similarity.h"
+#include "util/rng.h"
+#include "util/string_util.h"
+
+namespace rulelink::text {
+namespace {
+
+// Jaro (1989) with the greedy first-free-match scan inside the window.
+double OracleJaro(std::string_view a, std::string_view b) {
+  if (a.empty() && b.empty()) return 1.0;
+  if (a.empty() || b.empty()) return 0.0;
+  const std::size_t window =
+      std::max<std::size_t>(1, std::max(a.size(), b.size()) / 2) - 1;
+  std::vector<bool> a_matched(a.size(), false);
+  std::vector<bool> b_matched(b.size(), false);
+  std::size_t matches = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const std::size_t lo = i > window ? i - window : 0;
+    const std::size_t hi = std::min(b.size(), i + window + 1);
+    for (std::size_t j = lo; j < hi; ++j) {
+      if (!b_matched[j] && a[i] == b[j]) {
+        a_matched[i] = true;
+        b_matched[j] = true;
+        ++matches;
+        break;
+      }
+    }
+  }
+  if (matches == 0) return 0.0;
+  std::size_t transpositions = 0;
+  std::size_t j = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!a_matched[i]) continue;
+    while (!b_matched[j]) ++j;
+    if (a[i] != b[j]) ++transpositions;
+    ++j;
+  }
+  const double m = static_cast<double>(matches);
+  return (m / static_cast<double>(a.size()) +
+          m / static_cast<double>(b.size()) +
+          (m - static_cast<double>(transpositions) / 2.0) / m) /
+         3.0;
+}
+
+double OracleJaroWinkler(std::string_view a, std::string_view b) {
+  const double jaro = OracleJaro(a, b);
+  std::size_t prefix = 0;
+  const std::size_t max_prefix =
+      std::min<std::size_t>(4, std::min(a.size(), b.size()));
+  while (prefix < max_prefix && a[prefix] == b[prefix]) ++prefix;
+  return jaro + static_cast<double>(prefix) * 0.1 * (1.0 - jaro);
+}
+
+double OracleMongeElkan(std::string_view a, std::string_view b) {
+  const auto ta = util::SplitAny(a, " \t\n\r");
+  const auto tb = util::SplitAny(b, " \t\n\r");
+  if (ta.empty() && tb.empty()) return 1.0;
+  if (ta.empty() || tb.empty()) return 0.0;
+  double total = 0.0;
+  for (const auto& x : ta) {
+    double best = 0.0;
+    for (const auto& y : tb) best = std::max(best, OracleJaroWinkler(x, y));
+    total += best;
+  }
+  return total / static_cast<double>(ta.size());
+}
+
+bool SameBits(double x, double y) {
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+// Random string of `length` bytes. Mode 0: part-number ASCII, space
+// included so Monge-Elkan sees several tokens. Mode 1: raw bytes 0..255
+// (negative `char` on this ABI, and every entry of the mask table).
+// Mode 2: UTF-8 encodings of random code points, truncated to `length`.
+std::string RandomString(util::Rng& rng, std::size_t length, int mode) {
+  std::string s;
+  s.reserve(length + 4);
+  static constexpr std::string_view kAscii =
+      "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-./ ";
+  while (s.size() < length) {
+    switch (mode) {
+      case 0:
+        s.push_back(kAscii[rng.UniformUint64(kAscii.size())]);
+        break;
+      case 1:
+        s.push_back(static_cast<char>(rng.UniformUint64(256)));
+        break;
+      default: {
+        const std::uint64_t cp = 0x80 + rng.UniformUint64(0x10000);
+        if (cp < 0x800) {
+          s.push_back(static_cast<char>(0xC0 | (cp >> 6)));
+          s.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+        } else {
+          s.push_back(static_cast<char>(0xE0 | (cp >> 12)));
+          s.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+          s.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+        }
+        break;
+      }
+    }
+  }
+  s.resize(length);
+  return s;
+}
+
+// `a` with a few substitutions, deletions, insertions and adjacent swaps,
+// so the pair has many matches and some transpositions (random pairs
+// over a small alphabet match too, but rarely out of order).
+std::string Perturb(util::Rng& rng, std::string a) {
+  const std::size_t edits = rng.UniformUint64(6);
+  for (std::size_t e = 0; e < edits && !a.empty(); ++e) {
+    const std::size_t pos = rng.UniformUint64(a.size());
+    switch (rng.UniformUint64(4)) {
+      case 0:
+        a[pos] = static_cast<char>(rng.UniformUint64(256));
+        break;
+      case 1:
+        a.erase(pos, 1);
+        break;
+      case 2:
+        a.insert(pos, 1, static_cast<char>(rng.UniformUint64(256)));
+        break;
+      default:
+        if (pos + 1 < a.size()) std::swap(a[pos], a[pos + 1]);
+        break;
+    }
+  }
+  return a;
+}
+
+// Counts the pairs whose kernel double differs from the oracle's in any
+// bit, reporting the first few.
+std::size_t CountBitDifferences(std::string_view a, std::string_view b) {
+  std::size_t differences = 0;
+  const auto check = [&](const char* what, double actual, double expected) {
+    if (SameBits(actual, expected)) return;
+    ++differences;
+    ADD_FAILURE() << what << " |a|=" << a.size() << " |b|=" << b.size()
+                  << " got " << actual << " want " << expected;
+  };
+  check("jaro", JaroSimilarity(a, b), OracleJaro(a, b));
+  check("jaro-winkler", JaroWinklerSimilarity(a, b),
+        OracleJaroWinkler(a, b));
+  check("monge-elkan", MongeElkanSimilarity(a, b), OracleMongeElkan(a, b));
+  return differences;
+}
+
+class JaroBitParallelTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(JaroBitParallelTest, MatchesScalarOracleOnRandomStrings) {
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()));
+  std::size_t differences = 0;
+  for (int iter = 0; iter < 1500; ++iter) {
+    const int mode = iter % 3;
+    // Each side's length independently in 0..130: both kernels, the
+    // 64-byte boundary and one side far longer than the other.
+    const std::string a = RandomString(rng, rng.UniformUint64(131), mode);
+    std::string b = RandomString(rng, rng.UniformUint64(131), mode);
+    if (rng.Bernoulli(0.5)) b = Perturb(rng, a);
+    differences += CountBitDifferences(a, b);
+    differences += CountBitDifferences(b, a);
+  }
+  EXPECT_EQ(differences, 0u) << "seed=" << GetParam();
+}
+
+TEST_P(JaroBitParallelTest, MatchesScalarOracleAtTheWordBoundary) {
+  // Lengths 63, 64 and 65 on each side: the last single-word shape, the
+  // full word (window bit 63, the hi == 64 mask) and the first scalar
+  // fallback, including one side in the word and the other not.
+  util::Rng rng(0x51ED270Bu * static_cast<std::uint64_t>(GetParam()));
+  std::size_t differences = 0;
+  for (const std::size_t la : {63u, 64u, 65u}) {
+    for (const std::size_t lb : {63u, 64u, 65u}) {
+      for (int iter = 0; iter < 60; ++iter) {
+        const int mode = iter % 3;
+        const std::string a = RandomString(rng, la, mode);
+        std::string b = RandomString(rng, lb, mode);
+        if (iter % 2 == 0) {
+          b = Perturb(rng, a);
+          b.resize(lb, 'x');
+        }
+        differences += CountBitDifferences(a, b);
+      }
+    }
+  }
+  EXPECT_EQ(differences, 0u);
+}
+
+TEST(JaroBitParallelEdgeTest, MatchesScalarOracleOnEdgeShapes) {
+  std::size_t differences = 0;
+  // Empty sides and single bytes: max length <= 3 gives a window of 0,
+  // so only equal positions match.
+  for (const std::string_view a : {"", "a", "ab", "ba", "abc", "cab"}) {
+    for (const std::string_view b : {"", "a", "b", "ab", "ba", "acb"}) {
+      differences += CountBitDifferences(a, b);
+    }
+  }
+  // One side much longer: for the short side's late positions lo >= hi,
+  // an empty window.
+  const std::string long_a(64, 'q');
+  differences += CountBitDifferences(long_a, "q");
+  differences += CountBitDifferences(long_a, "qq");
+  differences += CountBitDifferences("q", long_a);
+  differences += CountBitDifferences(std::string(60, 'x') + "abcd", "abcd");
+  // A byte that occurs only at bit 63, and only in `b`.
+  const std::string b63 = std::string(63, 'z') + "\xff";
+  differences += CountBitDifferences(std::string(64, 'z'), b63);
+  differences += CountBitDifferences(std::string(63, 'z') + "\xff", b63);
+  differences += CountBitDifferences(std::string(40, '\x80'), b63);
+  // Every byte value, in order and reversed (full transpositions).
+  std::string all(64, '\0');
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    all[i] = static_cast<char>(0xC0 + i);
+  }
+  std::string reversed(all.rbegin(), all.rend());
+  differences += CountBitDifferences(all, reversed);
+  differences += CountBitDifferences(all, all);
+  EXPECT_EQ(differences, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, JaroBitParallelTest,
+                         ::testing::Values(1, 7, 1234));
+
+}  // namespace
+}  // namespace rulelink::text

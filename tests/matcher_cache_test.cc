@@ -145,8 +145,10 @@ TEST(ScoreCachedTest, CrossPropertyMappingUsesTheRightSide) {
 TEST(ScoreCachedTest, MemoizedScoresAreIdenticalAndCounted) {
   const auto external = ExternalItems();
   const auto local = LocalItems();
+  // Monge-Elkan is the one measure the memo serves; the Jaccard rule
+  // runs beside it unmemoized.
   const ItemMatcher matcher({
-      {"pn", "pn", SimilarityMeasure::kJaroWinkler, 2.0},
+      {"pn", "pn", SimilarityMeasure::kMongeElkan, 2.0},
       {"mfr", "mfr", SimilarityMeasure::kJaccardTokens, 1.0},
   });
   const auto caches = BuildCaches(external, local, matcher);

@@ -7,7 +7,8 @@
 //     thread counts {1, 2, 8} first.
 //   * Allocation-free steady state: a global operator-new counter proves
 //     a warmed session serves the whole stream again without a single
-//     heap allocation.
+//     heap allocation, and scores new value pairs under the `rulelink
+//     serve` default matcher without one.
 //   * Swap stress (the TSan target): clients keep querying while a writer
 //     alternates snapshots of two different catalogs. Every answer must
 //     match the expected links of exactly the generation that served it —
@@ -17,8 +18,10 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -301,6 +304,66 @@ TEST(ServeEngineTest, SteadyStateQueriesAreAllocationFree) {
   EXPECT_EQ(after - before, 0u)
       << "steady-state query path allocated " << (after - before)
       << " times over " << w.queries.size() << " queries";
+}
+
+TEST(ServeEngineTest, ServeDefaultMatcherScoresNewPairsWithoutAllocating) {
+  // The replayed stream above repeats its warm pairs, so every
+  // Monge-Elkan score there is a memo hit. Here every scored value pair
+  // is new: the `rulelink serve` defaults (one Jaro-Winkler rule on the
+  // blocking key, 5-byte key prefix, threshold 0.75) answer catalog items
+  // as queries, and the measured queries are other items of each warm
+  // query's block with a different part number. Every value is known to
+  // the snapshot and each measured run is as long as its warm run, so
+  // only the kernels, or a memo insert, could allocate.
+  datagen::WorkloadConfig config;
+  config.seed = 42;
+  config.catalog_size = 2000;
+  auto generated = datagen::GenerateWorkloadCatalog(config);
+  ASSERT_TRUE(generated.ok()) << generated.status();
+  const std::vector<core::Item> catalog = std::move(generated).value().items;
+  constexpr std::size_t kKeyPrefix = 5;
+  const std::string part = datagen::props::kPartNumber;
+
+  std::map<std::string, std::vector<std::size_t>> blocks;
+  for (std::size_t i = 0; i < catalog.size(); ++i) {
+    const std::string key = blocking::BlockingKey(catalog[i], part, kKeyPrefix);
+    if (!key.empty()) blocks[key].push_back(i);
+  }
+  std::vector<core::Item> warm, measured;
+  for (const auto& [key, members] : blocks) {
+    const std::vector<std::string> first = catalog[members[0]].ValuesOf(part);
+    for (const std::size_t other : members) {
+      if (catalog[other].ValuesOf(part) == first) continue;
+      warm.push_back(catalog[members[0]]);
+      measured.push_back(catalog[other]);
+      break;
+    }
+  }
+  ASSERT_GE(measured.size(), 100u);
+
+  linking::ServeEngine engine;
+  engine.Publish(std::make_unique<linking::ServeSnapshot>(
+      catalog,
+      linking::ItemMatcher{{{part, part,
+                             linking::SimilarityMeasure::kJaroWinkler, 1.0}}},
+      0.75, linking::Linker::Strategy::kBestPerExternal,
+      blocking::StandardBlocker(part, kKeyPrefix)));
+  linking::ServeEngine::Session session(&engine);
+  std::vector<linking::Link> answer;
+  for (std::size_t q = 0; q < warm.size(); ++q) {
+    session.Query(warm[q], &answer, q);
+  }
+  const std::size_t scored_before = session.pairs_scored();
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (std::size_t q = 0; q < measured.size(); ++q) {
+    session.Query(measured[q], &answer, q);
+  }
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  // Each measured query scores its whole block, two items at least.
+  EXPECT_GE(session.pairs_scored() - scored_before, 2 * measured.size());
+  EXPECT_EQ(after - before, 0u)
+      << "scoring new value pairs allocated " << (after - before)
+      << " times over " << measured.size() << " queries";
 }
 
 TEST(ServeEngineTest, ConcurrentQueriesRacingSwaps) {

@@ -88,8 +88,8 @@ linking::ItemMatcher FilteredMatcher() {
 }
 
 // The matcher `rulelink serve` builds by default: Jaro-Winkler on the
-// blocking key alone. The cascade has no bound for it, so every pair
-// reaches the scorer.
+// blocking key alone. The cascade has no bound for it and the memo does
+// not serve it, so every pair reaches the kernel.
 linking::ItemMatcher ServeDefaultMatcher() {
   return linking::ItemMatcher({
       {datagen::props::kPartNumber, datagen::props::kPartNumber,
@@ -144,16 +144,24 @@ void ExpectLinksIdentical(const std::vector<linking::Link>& actual,
 
 // Runs the streaming linker against the Linker::Run oracle over the same
 // generator, for both strategies and every thread count, and checks that
-// the thread-invariant stats really are invariant.
+// the thread-invariant stats really are invariant. `every_pair_scored`
+// pins a matcher the cascade cannot bound and the memo does not serve.
 void RunDifferential(const datagen::Dataset& dataset,
                      const linking::ItemMatcher& matcher,
-                     const blocking::CandidateGenerator& generator) {
+                     const blocking::CandidateGenerator& generator,
+                     bool every_pair_scored = false) {
   const auto candidates =
       generator.Generate(dataset.external_items, dataset.catalog_items);
   ASSERT_GT(candidates.size(), 0u);
   const auto index =
       generator.BuildIndex(dataset.external_items, dataset.catalog_items);
   ASSERT_EQ(index->num_external(), dataset.external_items.size());
+  // The score memo serves Monge-Elkan rules only.
+  const bool memoized = std::any_of(
+      matcher.rules().begin(), matcher.rules().end(),
+      [](const linking::AttributeRule& rule) {
+        return rule.measure == linking::SimilarityMeasure::kMongeElkan;
+      });
 
   for (linking::Linker::Strategy strategy :
        {linking::Linker::Strategy::kBestPerExternal,
@@ -189,8 +197,18 @@ void RunDifferential(const datagen::Dataset& dataset,
       // runs at most as many kernels as the string path.
       EXPECT_GT(stats.comparisons, 0u);
       EXPECT_LE(stats.comparisons, ref_stats.comparisons);
-      EXPECT_GT(memo.lookups, 0u);
       EXPECT_LE(memo.hits, memo.lookups);
+      if (memoized) {
+        EXPECT_GT(memo.lookups, 0u);
+      } else {
+        EXPECT_EQ(memo.lookups, 0u);
+      }
+      if (every_pair_scored) {
+        // Nothing pruned and nothing replayed: exactly the string path's
+        // kernels.
+        EXPECT_EQ(stats.pairs_pruned_by_filter, 0u);
+        EXPECT_EQ(stats.comparisons, ref_stats.comparisons);
+      }
       EXPECT_GT(stats.peak_candidate_run, 0u);
       EXPECT_LE(stats.peak_candidate_run, dataset.catalog_items.size());
       if (threads == kThreadCounts[0]) {
@@ -263,11 +281,13 @@ TEST_P(StreamingLinkerDifferential, MatchesOverDefaultMaterializedIndex) {
 }
 
 TEST_P(StreamingLinkerDifferential, MatchesOracleUnderServeDefaultMatcher) {
-  // Every plan is kOptimistic: the cascade runs but can prune nothing, so
-  // the whole candidate space reaches the scorer.
+  // Every plan is kOptimistic and every candidate shares the blocking key,
+  // so the cascade prunes nothing; Jaro-Winkler runs unmemoized, so the
+  // whole candidate space reaches the kernel.
   const blocking::StandardBlocker blocker(datagen::props::kPartNumber,
                                           /*prefix_length=*/3);
-  RunDifferential(corpus(), ServeDefaultMatcher(), blocker);
+  RunDifferential(corpus(), ServeDefaultMatcher(), blocker,
+                  /*every_pair_scored=*/true);
 }
 
 TEST_P(StreamingLinkerDifferential, MatchesOracleUnderMixedMatcher) {
