@@ -1,8 +1,11 @@
 #include "linking/matcher.h"
 
 #include <algorithm>
+#include <string_view>
+#include <vector>
 
 #include "linking/feature_cache.h"
+#include "linking/query_scratch.h"
 #include "text/similarity.h"
 #include "util/interner.h"
 #include "util/logging.h"
@@ -160,39 +163,32 @@ double CachedMongeElkanOneWay(const FeatureDictionary& dict,
   return total / static_cast<double>(a.num_tokens);
 }
 
-// Best similarity over the value-id cross product. `pair_similarity` is
-// the measure-specific scorer — resolved once per rule, so the value-pair
-// loop is free of measure dispatch. With a `memo` (Monge-Elkan only), each
-// (value-id, value-id) score is computed once and replayed after.
-template <typename PairSimilarity>
-double BestCachedPair(const ValueId* ext, std::size_t num_ext,
-                      const ValueId* loc, std::size_t num_loc,
-                      ScoreMemo* memo, std::uint64_t* measures_computed,
-                      const PairSimilarity& pair_similarity) {
-  auto* map = memo != nullptr ? &memo->map() : nullptr;
-  double best = 0.0;
-  for (std::size_t i = 0; i < num_ext; ++i) {
-    for (std::size_t j = 0; j < num_loc; ++j) {
-      double similarity;
-      if (map != nullptr) {
-        ++memo->mutable_stats().lookups;
-        const std::uint64_t key = util::PackSymbolPair(ext[i], loc[j]);
-        const auto [it, inserted] = map->try_emplace(key, 0.0);
-        if (inserted) {
-          it->second = pair_similarity(ext[i], loc[j]);
-          if (measures_computed != nullptr) ++*measures_computed;
-        } else {
-          ++memo->mutable_stats().hits;
-        }
-        similarity = it->second;
-      } else {
-        similarity = pair_similarity(ext[i], loc[j]);
-        if (measures_computed != nullptr) ++*measures_computed;
-      }
-      best = std::max(best, similarity);
+// Gathers every candidate's local values under rule slot `rule`:
+// candidate c's ids land in value_ids[value_begin[c], value_begin[c + 1]).
+// A single-valued slot reads the SoA id lane, the lane the cascade reads;
+// an invalid lane id (missing property or multi-valued slot) falls back to
+// the CSR slot. The loads of different candidates do not depend on each
+// other, so they overlap instead of stalling one kernel each.
+void GatherValues(const FeatureCache& local_features, std::size_t rule,
+                  const std::size_t* candidates, std::size_t count,
+                  ScoreRunScratch* scratch) {
+  const std::size_t num_rules = local_features.num_rules();
+  const ValueId* lane_ids = local_features.lane_value_ids();
+  std::vector<ValueId>& ids = scratch->value_ids;
+  scratch->value_begin.resize(count + 1);
+  ids.clear();
+  for (std::size_t c = 0; c < count; ++c) {
+    scratch->value_begin[c] = ids.size();
+    const ValueId id = lane_ids[candidates[c] * num_rules + rule];
+    if (id != util::kInvalidSymbolId) {
+      ids.push_back(id);
+      continue;
     }
+    std::size_t num = 0;
+    const ValueId* values = local_features.Values(candidates[c], rule, &num);
+    ids.insert(ids.end(), values, values + num);
   }
-  return best;
+  scratch->value_begin[count] = ids.size();
 }
 
 }  // namespace
@@ -202,100 +198,175 @@ double ItemMatcher::ScoreCached(const FeatureCache& external_features,
                                 const FeatureCache& local_features,
                                 std::size_t local_index, ScoreMemo* memo,
                                 std::uint64_t* measures_computed) const {
+  static thread_local ScoreRunScratch scratch;
+  ScoreRun(external_features, external_index, local_features, &local_index,
+           1, memo, measures_computed, &scratch);
+  return scratch.scores[0];
+}
+
+void ItemMatcher::ScoreRun(const FeatureCache& external_features,
+                           std::size_t external_index,
+                           const FeatureCache& local_features,
+                           const std::size_t* candidates, std::size_t count,
+                           ScoreMemo* memo, std::uint64_t* measures_computed,
+                           ScoreRunScratch* scratch) const {
   RL_DCHECK(&external_features.dict().root() == &local_features.dict().root())
       << "caches must share one FeatureDictionary root";
   RL_DCHECK(external_features.num_rules() == rules_.size());
   RL_DCHECK(local_features.num_rules() == rules_.size());
   const FeatureDictionary& dict = external_features.dict();
+  // The weighted sums accumulate in place of the scores.
+  std::vector<double>& sum = scratch->scores;
+  std::vector<double>& weight_total = scratch->weight_total;
+  std::vector<double>& best = scratch->best;
+  const std::vector<std::size_t>& value_begin = scratch->value_begin;
+  const std::vector<ValueId>& loc = scratch->value_ids;
+  std::vector<double>& similarity = scratch->similarity;
+  sum.assign(count, 0.0);
+  weight_total.assign(count, 0.0);
 
-  double weighted_sum = 0.0;
-  double weight_total = 0.0;
   for (std::size_t r = 0; r < rules_.size(); ++r) {
     const AttributeRule& rule = rules_[r];
-    std::size_t num_ext = 0, num_loc = 0;
+    std::size_t num_ext = 0;
     const ValueId* ext = external_features.Values(external_index, r, &num_ext);
-    const ValueId* loc = local_features.Values(local_index, r, &num_loc);
-    if (num_ext == 0 || num_loc == 0) continue;
+    if (num_ext == 0) continue;  // the rule is inactive for every candidate
+    GatherValues(local_features, r, candidates, count, scratch);
+    const std::size_t num_loc = loc.size();
+    best.assign(count, 0.0);
+    similarity.resize(num_loc);
 
-    double best = 0.0;
+    // Scores every external value against every gathered value: `fill`
+    // writes one external value's similarities, then each candidate keeps
+    // its best. Per candidate that is ScoreCached's external-outer,
+    // local-inner cross product.
+    const auto cross_product = [&](const auto& fill) {
+      for (std::size_t i = 0; i < num_ext; ++i) {
+        fill(ext[i], similarity.data());
+        for (std::size_t c = 0; c < count; ++c) {
+          for (std::size_t j = value_begin[c]; j < value_begin[c + 1]; ++j) {
+            best[c] = std::max(best[c], similarity[j]);
+          }
+        }
+      }
+    };
+    const auto count_kernels = [&] {
+      if (measures_computed != nullptr) *measures_computed += num_ext * num_loc;
+    };
+    const auto resolve_views = [&] {
+      scratch->views.resize(num_loc);
+      for (std::size_t j = 0; j < num_loc; ++j) {
+        scratch->views[j] = dict.View(loc[j]);
+      }
+    };
+    const auto resolve_features = [&] {
+      scratch->features.resize(num_loc);
+      for (std::size_t j = 0; j < num_loc; ++j) {
+        scratch->features[j] = dict.Features(loc[j]);
+      }
+    };
+
     switch (rule.measure) {
       case SimilarityMeasure::kExact:
-        // Identical strings share one value id; no memo needed.
-        for (std::size_t i = 0; i < num_ext && best == 0.0; ++i) {
-          for (std::size_t j = 0; j < num_loc; ++j) {
-            if (measures_computed != nullptr) ++*measures_computed;
-            if (ext[i] == loc[j]) {
-              best = 1.0;
-              break;
+        // Identical strings share one value id; no memo needed. Counts the
+        // id pairs examined up to the first match, as the pairwise scan.
+        for (std::size_t i = 0; i < num_ext; ++i) {
+          for (std::size_t c = 0; c < count; ++c) {
+            if (best[c] != 0.0) continue;
+            for (std::size_t j = value_begin[c]; j < value_begin[c + 1]; ++j) {
+              if (measures_computed != nullptr) ++*measures_computed;
+              if (ext[i] == loc[j]) {
+                best[c] = 1.0;
+                break;
+              }
             }
           }
         }
         break;
-      // Levenshtein and Jaro(-Winkler) do not memoize (see ScoreMemo): on
-      // part numbers, where few value pairs repeat, a lookup-or-insert
-      // costs more than the bit-parallel kernel it would skip (DESIGN.md
-      // §5d).
+      // Levenshtein and Jaro(-Winkler) do not memoize (see ScoreMemo).
       case SimilarityMeasure::kLevenshtein:
-        best = BestCachedPair(ext, num_ext, loc, num_loc, nullptr,
-                              measures_computed,
-                              [&dict](ValueId a, ValueId b) {
-                                return text::LevenshteinSimilarity(
-                                    dict.View(a), dict.View(b));
-                              });
+        resolve_views();
+        cross_product([&](ValueId a, double* out) {
+          const std::string_view va = dict.View(a);
+          for (std::size_t j = 0; j < num_loc; ++j) {
+            out[j] = text::LevenshteinSimilarity(va, scratch->views[j]);
+          }
+        });
+        count_kernels();
         break;
       case SimilarityMeasure::kJaro:
-        best = BestCachedPair(ext, num_ext, loc, num_loc, nullptr,
-                              measures_computed,
-                              [&dict](ValueId a, ValueId b) {
-                                return text::JaroSimilarity(dict.View(a),
-                                                            dict.View(b));
-                              });
+      case SimilarityMeasure::kJaroWinkler: {
+        // The external value's position masks are built once per call,
+        // not once per pair.
+        const auto batch = rule.measure == SimilarityMeasure::kJaro
+                               ? &text::JaroSimilarityBatch
+                               : &text::JaroWinklerSimilarityBatch;
+        resolve_views();
+        cross_product([&](ValueId a, double* out) {
+          batch(dict.View(a), scratch->views.data(), num_loc, out);
+        });
+        count_kernels();
         break;
-      case SimilarityMeasure::kJaroWinkler:
-        best = BestCachedPair(ext, num_ext, loc, num_loc, nullptr,
-                              measures_computed,
-                              [&dict](ValueId a, ValueId b) {
-                                return text::JaroWinklerSimilarity(
-                                    dict.View(a), dict.View(b));
-                              });
-        break;
+      }
       case SimilarityMeasure::kJaccardTokens:
+      case SimilarityMeasure::kDiceBigram: {
         // A sort-merge over precomputed ids is cheaper than a memo
         // lookup-or-insert, so the set measures never memoize (on
         // mostly-distinct values like part numbers the memo is all
         // misses, and every miss grows the table).
-        best = BestCachedPair(ext, num_ext, loc, num_loc, nullptr,
-                              measures_computed,
-                              [&dict](ValueId a, ValueId b) {
-                                return CachedJaccard(dict.Features(a),
-                                                     dict.Features(b));
-                              });
+        const auto set_measure =
+            rule.measure == SimilarityMeasure::kJaccardTokens ? &CachedJaccard
+                                                               : &CachedDice;
+        resolve_features();
+        cross_product([&](ValueId a, double* out) {
+          const ValueFeatures fa = dict.Features(a);
+          for (std::size_t j = 0; j < num_loc; ++j) {
+            out[j] = set_measure(fa, scratch->features[j]);
+          }
+        });
+        count_kernels();
         break;
-      case SimilarityMeasure::kDiceBigram:
-        best = BestCachedPair(ext, num_ext, loc, num_loc, nullptr,
-                              measures_computed,
-                              [&dict](ValueId a, ValueId b) {
-                                return CachedDice(dict.Features(a),
-                                                  dict.Features(b));
-                              });
-        break;
+      }
       case SimilarityMeasure::kMongeElkan:
-        // The one measure that keeps the memo (see ScoreMemo).
-        best = BestCachedPair(
-            ext, num_ext, loc, num_loc, memo, measures_computed,
-            [&dict](ValueId a, ValueId b) {
-              const ValueFeatures fa = dict.Features(a);
-              const ValueFeatures fb = dict.Features(b);
-              // Symmetrized exactly like ComputeSimilarity.
-              return 0.5 * (CachedMongeElkanOneWay(dict, fa, fb) +
-                            CachedMongeElkanOneWay(dict, fb, fa));
-            });
+        // The one measure that keeps the memo (see ScoreMemo): each
+        // (value-id, value-id) score is computed once and replayed after.
+        // Whatever the order, hits = lookups - distinct new keys, so the
+        // counters match the pairwise scan's.
+        cross_product([&](ValueId a, double* out) {
+          const auto score = [&](ValueId b) {
+            if (measures_computed != nullptr) ++*measures_computed;
+            const ValueFeatures fa = dict.Features(a);
+            const ValueFeatures fb = dict.Features(b);
+            // Symmetrized exactly like ComputeSimilarity.
+            return 0.5 * (CachedMongeElkanOneWay(dict, fa, fb) +
+                          CachedMongeElkanOneWay(dict, fb, fa));
+          };
+          for (std::size_t j = 0; j < num_loc; ++j) {
+            if (memo == nullptr) {
+              out[j] = score(loc[j]);
+              continue;
+            }
+            ++memo->mutable_stats().lookups;
+            const auto [it, inserted] =
+                memo->map().try_emplace(util::PackSymbolPair(a, loc[j]), 0.0);
+            if (inserted) {
+              it->second = score(loc[j]);
+            } else {
+              ++memo->mutable_stats().hits;
+            }
+            out[j] = it->second;
+          }
+        });
         break;
     }
-    weighted_sum += rule.weight * best;
-    weight_total += rule.weight;
+    for (std::size_t c = 0; c < count; ++c) {
+      if (value_begin[c] == value_begin[c + 1]) continue;  // property missing
+      sum[c] += rule.weight * best[c];
+      weight_total[c] += rule.weight;
+    }
   }
-  return weight_total > 0.0 ? weighted_sum / weight_total : 0.0;
+  for (std::size_t c = 0; c < count; ++c) {
+    sum[c] = weight_total[c] > 0.0 ? sum[c] / weight_total[c] : 0.0;
+  }
 }
 
 }  // namespace rulelink::linking

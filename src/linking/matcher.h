@@ -14,7 +14,8 @@
 
 namespace rulelink::linking {
 
-class FeatureCache;  // feature_cache.h; broken include cycle
+class FeatureCache;      // feature_cache.h; broken include cycle
+struct ScoreRunScratch;  // query_scratch.h; likewise
 
 enum class SimilarityMeasure {
   kExact,
@@ -109,12 +110,31 @@ class ItemMatcher {
   // not computations, so they do not count (which makes the counter depend
   // on memo state, unlike the score itself); kExact counts the id pairs it
   // examined before short-circuiting.
+  // This is ScoreRun over a one-candidate run, staged in a per-thread
+  // scratch.
   double ScoreCached(const FeatureCache& external_features,
                      std::size_t external_index,
                      const FeatureCache& local_features,
                      std::size_t local_index,
                      ScoreMemo* memo = nullptr,
                      std::uint64_t* measures_computed = nullptr) const;
+
+  // Scores one external item against a run of local items at once:
+  // afterwards scratch->scores[i] is ScoreCached(external_features,
+  // external_index, local_features, candidates[i]) bit for bit, for every
+  // i < count, and `memo` and `measures_computed` have moved exactly as
+  // those count calls in order would have moved them. Rule by rule, a
+  // gather pass resolves every candidate's local values into the scratch
+  // (single-valued slots through the SoA id lane), then a score pass runs
+  // the rule's kernel over the gathered values against each external
+  // value, prepared once per run (DESIGN.md §5d). Each candidate adds
+  // weight * best in rule order, exactly as ScoreCached does.
+  void ScoreRun(const FeatureCache& external_features,
+                std::size_t external_index,
+                const FeatureCache& local_features,
+                const std::size_t* candidates, std::size_t count,
+                ScoreMemo* memo, std::uint64_t* measures_computed,
+                ScoreRunScratch* scratch) const;
 
   const std::vector<AttributeRule>& rules() const { return rules_; }
 

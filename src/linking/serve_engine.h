@@ -33,11 +33,13 @@
 //
 // The per-query path reuses the streaming machinery end to end —
 // ItemCandidateIndex run -> FilterCascade::PruneBatch (SIMD) ->
-// ItemMatcher::ScoreCached — with per-session scratch (QueryScratch, an
-// overlay FeatureDictionary for novel query values, the single-item query
-// FeatureCache, the blocking-key buffer) allocated once and reused, so the
-// steady-state query path performs zero heap allocations on values the
-// session already knows, of at most 64 bytes, under measures other than
+// ItemMatcher::ScoreRun over the survivors, one gather pass and one
+// score pass per rule against the query's values prepared once — with
+// per-session scratch (QueryScratch, an overlay FeatureDictionary for
+// novel query values, the single-item query FeatureCache, the
+// blocking-key buffer) allocated once and reused, so the steady-state
+// query path performs zero heap allocations on values the session
+// already knows, of at most 64 bytes, under measures other than
 // Monge-Elkan, whose new value pairs insert memo entries (asserted by the
 // serve differential test). Served answers are byte-identical to batch
 // StreamingLinker::Run over the same snapshot, and a snapshot reached via
@@ -263,8 +265,10 @@ class ServeEngine {
   util::EpochStats epoch_stats() const { return epochs_.Stats(); }
 
   // One worker's query context: an epoch reader slot plus all per-query
-  // scratch, allocated once and reused so steady-state queries are
-  // allocation-free (known values of at most 64 bytes, no Monge-Elkan).
+  // scratch — the candidate run, the cascade's lanes, the run scorer's
+  // gather buffers — allocated once and reused so steady-state queries
+  // are allocation-free (known values of at most 64 bytes, no
+  // Monge-Elkan).
   // Sessions are single-threaded (one per worker) and must not outlive
   // the engine. Any number of sessions query concurrently with each other
   // and with Publish.
@@ -276,8 +280,8 @@ class ServeEngine {
     Session& operator=(const Session&) = delete;
 
     // Answers one link query: candidates of `item` from the snapshot's
-    // index (tombstoned locals filtered out), filter cascade, cached
-    // scoring, the linker's strategy and tie-break. Replaces *links with
+    // index (tombstoned locals filtered out), filter cascade, the
+    // survivors scored as one run, the linker's strategy and tie-break. Replaces *links with
     // the answer, each link's external_index stamped with
     // `external_index` (the caller's query ordinal) so answers compare
     // byte-identically against a batch StreamingLinker::Run. Returns the

@@ -33,20 +33,24 @@ void StreamingLinker::QueryRun(const FeatureCache& external_features,
     cascade_.PruneBatch(external_features, external_index, local_features,
                         run.data(), run.size(), filters, &scratch->filter);
   }
+  std::vector<std::size_t>& survivors = scratch->survivors;
+  survivors.clear();
+  for (std::size_t idx = 0; idx < run.size(); ++idx) {
+    RL_DCHECK(run[idx] < local_features.num_items());
+    if (scratch->filter.pruned[idx] == 0) survivors.push_back(run[idx]);
+  }
+  matcher_->ScoreRun(external_features, external_index, local_features,
+                     survivors.data(), survivors.size(), &scratch->memo,
+                     measures_computed, &scratch->score);
+  *pairs_scored += survivors.size();
+
   const bool keep_all = strategy_ == Linker::Strategy::kAllAboveThreshold;
   Link best;
   bool best_set = false;
-  for (std::size_t idx = 0; idx < run.size(); ++idx) {
-    if (scratch->filter.pruned[idx] != 0) continue;
-    const std::size_t l = run[idx];
-    RL_DCHECK(l < local_features.num_items());
-    const double score =
-        matcher_->ScoreCached(external_features, external_index,
-                              local_features, l, &scratch->memo,
-                              measures_computed);
-    ++*pairs_scored;
+  for (std::size_t i = 0; i < survivors.size(); ++i) {
+    const double score = scratch->score.scores[i];
     if (score < threshold_) continue;
-    const Link link{external_index, l, score};
+    const Link link{external_index, survivors[i], score};
     if (keep_all) {
       links->push_back(link);
     } else if (!best_set || score > best.score) {

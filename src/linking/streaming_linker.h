@@ -3,7 +3,7 @@
 // scoring. It walks a blocking::CandidateIndex external item by external
 // item, holds only the current per-external candidate run, and pushes
 // each run through a threshold-aware FilterCascade before the cached
-// scorer sees it. Links are byte-identical to the string-path oracle
+// run scorer sees it. Links are byte-identical to the string-path oracle
 // Linker::Run over the same candidate space at every thread count — the
 // cascade is a set of sound bounds, never a heuristic (DESIGN.md §5e).
 #ifndef RULELINK_LINKING_STREAMING_LINKER_H_
@@ -58,10 +58,13 @@ class StreamingLinker {
 
   // The per-external core both Run's workers and the serve engine's
   // sessions execute: pushes the already-fetched candidate run in
-  // scratch->run through the batched cascade and the cached scorer,
-  // appending this external's links to *links under the linker's
-  // strategy and tie-break. Allocation-free once
-  // `scratch` and `links` are warm. Thread-safe across callers with
+  // scratch->run through the batched cascade, scores the cascade's
+  // survivors as one run (ItemMatcher::ScoreRun: gather every survivor's
+  // values, then score them against each external value prepared once),
+  // and appends this external's links to *links under the linker's
+  // strategy and tie-break. Scores, links and counters are those of
+  // ScoreCached called survivor by survivor in run order. Allocation-free
+  // once `scratch` and `links` are warm. Thread-safe across callers with
   // distinct scratches.
   void QueryRun(const FeatureCache& external_features,
                 std::size_t external_index,

@@ -576,47 +576,63 @@ double JaroFromCounts(std::size_t matches, std::size_t transpositions,
          3.0;
 }
 
-// Jaro's greedy matching as word operations, for |a|, |b| <= 64. Bit j of
-// peq[c] is set when b[j] == c; each byte of `a` takes the lowest set bit
-// of peq[a[i]] & ~b_matched & window(i), which is exactly the first free
-// equal byte inside the window the scalar loop scans. Transpositions pair
-// the k-th set bits of the two match masks, as the scalar walk does.
-double JaroBitParallel(std::string_view a, std::string_view b,
-                       std::size_t match_window) {
-  // Only the entries for bytes of `a` or `b` are written, and only
-  // entries for bytes of `a` are read.
-  std::uint64_t peq[256];
-  for (const char c : a) peq[static_cast<unsigned char>(c)] = 0;
-  for (const char c : b) peq[static_cast<unsigned char>(c)] = 0;
-  for (std::size_t j = 0; j < b.size(); ++j) {
-    peq[static_cast<unsigned char>(b[j])] |= std::uint64_t{1} << j;
-  }
+// Longest string the word loop below holds as position masks: one bit
+// per byte of a 64-bit word.
+constexpr std::size_t kJaroWordBytes = 64;
 
+std::size_t JaroMatchWindow(std::size_t a_size, std::size_t b_size) {
+  return std::max<std::size_t>(1, std::max(a_size, b_size) / 2) - 1;
+}
+
+// Jaro's greedy matching of `text` against `pattern` (1..64 bytes) as
+// word operations. Bit j of peq[c] is set when pattern[j] == c, and
+// peq[c] must be 0 for every other byte c of `text`. Each byte of `text`
+// takes the lowest set bit of peq[text[i]] & ~matched & window(i), which
+// is exactly the first free equal byte inside the window the scalar loop
+// scans with `text` as its first string. `text` may be of any length.
+// Transpositions pair the k-th matched byte of `text` with the k-th
+// matched byte of `pattern`, as the scalar walk does. Returns the match
+// count and sets *transpositions.
+std::size_t JaroWordLoop(const std::uint64_t* peq, std::string_view pattern,
+                         std::string_view text, std::size_t match_window,
+                         std::size_t* transpositions) {
   // `window` holds bits [max(0, i - match_window), i + match_window]
-  // (peq has no bit at or past |b|, so the AND clips the top; bits past 63
-  // fall off the word). It starts as bits [0, match_window], with
-  // match_window <= 31 here. Each step shifts both edges up one bit, and
-  // sets bit 0 again while the lower edge is still clamped at 0.
-  std::uint64_t window = (std::uint64_t{2} << match_window) - 1;
-  std::uint64_t a_matched = 0;
-  std::uint64_t b_matched = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
+  // (peq has no bit at or past |pattern|, so the AND clips the top; bits
+  // past 63 fall off the word). It starts as bits [0, match_window]. Each
+  // step shifts both edges up one bit, and sets bit 0 again while the
+  // lower edge is still clamped at 0; past bit 63 the window is empty.
+  std::uint64_t window = match_window >= 63
+                             ? ~std::uint64_t{0}
+                             : (std::uint64_t{2} << match_window) - 1;
+  std::uint64_t matched = 0;
+  // The matched bytes of `text` in text order. At most 64 bytes match;
+  // once all have, the unconditional store below lands in the spare slot.
+  char text_matched[kJaroWordBytes + 1] = {};
+  std::size_t matches = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
     const std::uint64_t free =
-        peq[static_cast<unsigned char>(a[i])] & ~b_matched & window;
+        peq[static_cast<unsigned char>(text[i])] & ~matched & window;
     const std::uint64_t lowest = free & (~free + 1);
-    b_matched |= lowest;
-    a_matched |= static_cast<std::uint64_t>(lowest != 0) << i;
+    matched |= lowest;
+    text_matched[matches] = text[i];
+    matches += lowest != 0;
     window = (window << 1) | static_cast<std::uint64_t>(i < match_window);
   }
-  if (a_matched == 0) return 0.0;
-
-  std::size_t transpositions = 0;
-  for (std::uint64_t am = a_matched, bm = b_matched; am != 0;
-       am &= am - 1, bm &= bm - 1) {
-    transpositions += a[std::countr_zero(am)] != b[std::countr_zero(bm)];
+  std::size_t t = 0;
+  for (std::size_t k = 0; k < matches; ++k, matched &= matched - 1) {
+    t += text_matched[k] != pattern[std::countr_zero(matched)];
   }
-  return JaroFromCounts(std::popcount(a_matched), transpositions, a.size(),
-                        b.size());
+  *transpositions = t;
+  return matches;
+}
+
+double JaroWinklerFromJaro(double jaro, std::string_view a,
+                           std::string_view b) {
+  std::size_t prefix = 0;
+  const std::size_t max_prefix = std::min<std::size_t>(
+      4, std::min(a.size(), b.size()));
+  while (prefix < max_prefix && a[prefix] == b[prefix]) ++prefix;
+  return jaro + static_cast<double>(prefix) * 0.1 * (1.0 - jaro);
 }
 
 }  // namespace
@@ -624,10 +640,21 @@ double JaroBitParallel(std::string_view a, std::string_view b,
 double JaroSimilarity(std::string_view a, std::string_view b) {
   if (a.empty() && b.empty()) return 1.0;
   if (a.empty() || b.empty()) return 0.0;
-  const std::size_t match_window =
-      std::max<std::size_t>(1, std::max(a.size(), b.size()) / 2) - 1;
-  if (a.size() <= 64 && b.size() <= 64) {
-    return JaroBitParallel(a, b, match_window);
+  const std::size_t match_window = JaroMatchWindow(a.size(), b.size());
+  if (a.size() <= kJaroWordBytes && b.size() <= kJaroWordBytes) {
+    // Only the entries for bytes of `a` or `b` are written, and only
+    // entries for bytes of `a` are read.
+    std::uint64_t peq[256];
+    for (const char c : a) peq[static_cast<unsigned char>(c)] = 0;
+    for (const char c : b) peq[static_cast<unsigned char>(c)] = 0;
+    for (std::size_t j = 0; j < b.size(); ++j) {
+      peq[static_cast<unsigned char>(b[j])] |= std::uint64_t{1} << j;
+    }
+    std::size_t transpositions = 0;
+    const std::size_t matches =
+        JaroWordLoop(peq, b, a, match_window, &transpositions);
+    if (matches == 0) return 0.0;
+    return JaroFromCounts(matches, transpositions, a.size(), b.size());
   }
 
   std::vector<bool> a_matched(a.size(), false);
@@ -659,12 +686,47 @@ double JaroSimilarity(std::string_view a, std::string_view b) {
 }
 
 double JaroWinklerSimilarity(std::string_view a, std::string_view b) {
-  const double jaro = JaroSimilarity(a, b);
-  std::size_t prefix = 0;
-  const std::size_t max_prefix = std::min<std::size_t>(
-      4, std::min(a.size(), b.size()));
-  while (prefix < max_prefix && a[prefix] == b[prefix]) ++prefix;
-  return jaro + static_cast<double>(prefix) * 0.1 * (1.0 - jaro);
+  return JaroWinklerFromJaro(JaroSimilarity(a, b), a, b);
+}
+
+void JaroSimilarityBatch(std::string_view a, const std::string_view* b,
+                         std::size_t count, double* out) {
+  if (a.empty() || a.size() > kJaroWordBytes) {
+    for (std::size_t i = 0; i < count; ++i) out[i] = JaroSimilarity(a, b[i]);
+    return;
+  }
+  // `a`'s position masks, built once for the whole batch. The per-thread
+  // table is all zero between calls: only `a`'s entries are set, and they
+  // are cleared again below.
+  static thread_local std::array<std::uint64_t, 256> peq{};
+  for (std::size_t j = 0; j < a.size(); ++j) {
+    peq[static_cast<unsigned char>(a[j])] |= std::uint64_t{1} << j;
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    if (b[i].empty()) {
+      out[i] = 0.0;
+      continue;
+    }
+    // Walking b[i] against `a` matches the very positions that walking
+    // `a` against b[i] does (DESIGN.md §5d), so the counts are
+    // JaroSimilarity(a, b[i])'s and so is the closing expression.
+    std::size_t transpositions = 0;
+    const std::size_t matches =
+        JaroWordLoop(peq.data(), a, b[i],
+                     JaroMatchWindow(a.size(), b[i].size()), &transpositions);
+    out[i] = matches == 0 ? 0.0
+                          : JaroFromCounts(matches, transpositions, a.size(),
+                                           b[i].size());
+  }
+  for (const char c : a) peq[static_cast<unsigned char>(c)] = 0;
+}
+
+void JaroWinklerSimilarityBatch(std::string_view a, const std::string_view* b,
+                                std::size_t count, double* out) {
+  JaroSimilarityBatch(a, b, count, out);
+  for (std::size_t i = 0; i < count; ++i) {
+    out[i] = JaroWinklerFromJaro(out[i], a, b[i]);
+  }
 }
 
 namespace {

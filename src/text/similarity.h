@@ -67,13 +67,25 @@ std::size_t DamerauLevenshteinDistance(std::string_view a,
 double LevenshteinSimilarity(std::string_view a, std::string_view b);
 
 // Jaro similarity as defined by Jaro (1989). When both strings are at
-// most 64 bytes the greedy matching runs as word operations and allocates
-// nothing; longer strings take the scalar loop. Both give the same double,
-// bit for bit.
+// most 64 bytes the greedy matching runs as word operations over a
+// position-mask table of `b` and allocates nothing; longer strings take
+// the scalar loop. Both give the same double, bit for bit.
 double JaroSimilarity(std::string_view a, std::string_view b);
 
 // Jaro-Winkler with the standard prefix scale 0.1 and max prefix 4.
 double JaroWinklerSimilarity(std::string_view a, std::string_view b);
+
+// One string against many: out[i] = JaroSimilarity(a, b[i]), or
+// JaroWinklerSimilarity(a, b[i]), for every i < count, bit for bit. When
+// `a` is at most 64 bytes its position masks are built once per call and
+// each b[i], of any length, is walked against them with no allocation;
+// Jaro's greedy matching pairs the same positions whichever string is
+// walked (DESIGN.md §5d). A longer `a` takes the scalar loop per pair.
+// The cached scorer's candidate runs are the intended caller.
+void JaroSimilarityBatch(std::string_view a, const std::string_view* b,
+                         std::size_t count, double* out);
+void JaroWinklerSimilarityBatch(std::string_view a, const std::string_view* b,
+                                std::size_t count, double* out);
 
 // Jaccard similarity over whitespace tokens.
 double JaccardTokenSimilarity(std::string_view a, std::string_view b);

@@ -3,7 +3,11 @@
 // same doubles (compared bit for bit) as the textbook scalar greedy Jaro
 // kept below as the oracle. The oracle lives here rather than in src/
 // because Linker::Run calls the same kernel as the cached path, so no
-// linking differential can catch a bug in it.
+// linking differential can catch a bug in it. The prepared-pattern entry
+// points (JaroSimilarityBatch, JaroWinklerSimilarityBatch) walk the other
+// string against the first one's masks, so they are checked against the
+// oracle in both orientations: Jaro's greedy matching must pair the same
+// positions whichever string is walked.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -159,8 +163,59 @@ std::size_t CountBitDifferences(std::string_view a, std::string_view b) {
   check("jaro-winkler", JaroWinklerSimilarity(a, b),
         OracleJaroWinkler(a, b));
   check("monge-elkan", MongeElkanSimilarity(a, b), OracleMongeElkan(a, b));
+  double batch = 0.0;
+  JaroSimilarityBatch(a, &b, 1, &batch);
+  check("jaro batch", batch, OracleJaro(a, b));
+  check("jaro batch, walked", batch, OracleJaro(b, a));
+  JaroWinklerSimilarityBatch(a, &b, 1, &batch);
+  check("jaro-winkler batch", batch, OracleJaroWinkler(a, b));
   return differences;
 }
+
+// The prepared-pattern entry points over a whole batch of texts: every
+// out[i] against the oracle with `pattern` first and with the text first.
+// One call prepares the pattern once, so a mask entry left over from an
+// earlier pattern or text would show up here.
+std::size_t CountBatchBitDifferences(std::string_view pattern,
+                                     const std::vector<std::string>& texts) {
+  const std::vector<std::string_view> views(texts.begin(), texts.end());
+  std::vector<double> jaro(views.size());
+  std::vector<double> winkler(views.size());
+  JaroSimilarityBatch(pattern, views.data(), views.size(), jaro.data());
+  JaroWinklerSimilarityBatch(pattern, views.data(), views.size(),
+                             winkler.data());
+  std::size_t differences = 0;
+  const auto check = [&](const char* what, std::string_view text,
+                         double actual, double expected) {
+    if (SameBits(actual, expected)) return;
+    ++differences;
+    ADD_FAILURE() << what << " |pattern|=" << pattern.size()
+                  << " |text|=" << text.size() << " got " << actual
+                  << " want " << expected;
+  };
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    check("jaro batch", views[i], jaro[i], OracleJaro(pattern, views[i]));
+    check("jaro batch, walked", views[i], jaro[i],
+          OracleJaro(views[i], pattern));
+    check("jaro-winkler batch", views[i], winkler[i],
+          OracleJaroWinkler(pattern, views[i]));
+    check("jaro-winkler batch, walked", views[i], winkler[i],
+          OracleJaroWinkler(views[i], pattern));
+  }
+  return differences;
+}
+
+// Random string of `length` bytes over `alphabet`. Two to four letters
+// give many equal bytes per window, so the greedy choice of which equal
+// byte to match, and the transpositions that follow from it, matter.
+std::string RandomOver(util::Rng& rng, std::size_t length,
+                       std::string_view alphabet) {
+  std::string s(length, '\0');
+  for (char& c : s) c = alphabet[rng.UniformUint64(alphabet.size())];
+  return s;
+}
+
+constexpr std::string_view kSmallAlphabets[] = {"ab", "abc", "abcd"};
 
 class JaroBitParallelTest : public ::testing::TestWithParam<int> {};
 
@@ -233,6 +288,77 @@ TEST(JaroBitParallelEdgeTest, MatchesScalarOracleOnEdgeShapes) {
   differences += CountBitDifferences(all, reversed);
   differences += CountBitDifferences(all, all);
   EXPECT_EQ(differences, 0u);
+}
+
+TEST_P(JaroBitParallelTest, BatchMatchesOracleOnSmallAlphabets) {
+  util::Rng rng(0x7A30u + static_cast<std::uint64_t>(GetParam()));
+  std::size_t differences = 0;
+  for (const std::string_view alphabet : kSmallAlphabets) {
+    for (int iter = 0; iter < 40; ++iter) {
+      // Patterns of 0..70 bytes (the scalar fallback past 64) against a
+      // batch of texts of 0..150 bytes, some of them near-copies.
+      const std::string pattern =
+          RandomOver(rng, rng.UniformUint64(71), alphabet);
+      std::vector<std::string> texts;
+      for (int t = 0; t < 24; ++t) {
+        texts.push_back(
+            rng.Bernoulli(0.3)
+                ? Perturb(rng, pattern)
+                : RandomOver(rng, rng.UniformUint64(151), alphabet));
+      }
+      differences += CountBatchBitDifferences(pattern, texts);
+      differences += CountBitDifferences(pattern, texts[0]);
+      differences += CountBitDifferences(texts[0], pattern);
+    }
+  }
+  EXPECT_EQ(differences, 0u) << "seed=" << GetParam();
+}
+
+TEST_P(JaroBitParallelTest, BatchMatchesOracleAtTheWordBoundary) {
+  // Every 63/64/65-byte shape on either side: the pattern's last
+  // single-word length, the full word and the first scalar fallback,
+  // each against texts of the same three lengths.
+  util::Rng rng(0xB0DA7u * static_cast<std::uint64_t>(GetParam()));
+  std::size_t differences = 0;
+  for (const std::string_view alphabet : kSmallAlphabets) {
+    for (const std::size_t pattern_size : {63u, 64u, 65u}) {
+      for (int iter = 0; iter < 4; ++iter) {
+        const std::string pattern = RandomOver(rng, pattern_size, alphabet);
+        std::vector<std::string> texts;
+        for (const std::size_t text_size : {63u, 64u, 65u}) {
+          texts.push_back(RandomOver(rng, text_size, alphabet));
+          std::string near = Perturb(rng, pattern);
+          near.resize(text_size, alphabet[0]);
+          texts.push_back(near);
+        }
+        differences += CountBatchBitDifferences(pattern, texts);
+      }
+    }
+  }
+  EXPECT_EQ(differences, 0u) << "seed=" << GetParam();
+}
+
+TEST_P(JaroBitParallelTest, BatchWalksLongTextsAgainstShortPatterns) {
+  // Texts past 64 bytes against patterns of at most 64: the walked side
+  // outgrows the word. From 128 bytes on the match window covers the
+  // whole word at the start, and late text positions see an empty one.
+  util::Rng rng(0x10A6u + static_cast<std::uint64_t>(GetParam()));
+  std::size_t differences = 0;
+  for (const std::string_view alphabet : kSmallAlphabets) {
+    for (int iter = 0; iter < 30; ++iter) {
+      const std::string pattern =
+          RandomOver(rng, 1 + rng.UniformUint64(64), alphabet);
+      std::vector<std::string> texts;
+      for (const std::size_t text_size :
+           {65u, 100u, 126u, 127u, 128u, 129u, 130u, 200u, 400u}) {
+        texts.push_back(RandomOver(rng, text_size, alphabet));
+      }
+      texts.push_back(pattern + RandomOver(rng, 100, alphabet));
+      texts.push_back(RandomOver(rng, 100, alphabet) + pattern);
+      differences += CountBatchBitDifferences(pattern, texts);
+    }
+  }
+  EXPECT_EQ(differences, 0u) << "seed=" << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JaroBitParallelTest,

@@ -1,19 +1,31 @@
 // Equivalence tests for the cached scoring path: ItemMatcher::ScoreCached
-// over FeatureCache/FeatureDictionary must return exactly (bit-for-bit)
-// the same score as ItemMatcher::Score on the raw items, for every
-// similarity measure and for the awkward inputs the cache precomputes
-// around — empty values, whitespace-only values, missing properties,
-// duplicate values, multi-valued properties and sub-bigram strings.
+// and the run scorer ItemMatcher::ScoreRun over FeatureCache /
+// FeatureDictionary must return exactly (bit-for-bit) the same score as
+// ItemMatcher::Score on the raw items, for every similarity measure and
+// for the awkward inputs the cache precomputes around — empty values,
+// whitespace-only values, missing properties, duplicate values,
+// multi-valued properties and sub-bigram strings. The run scorer must
+// also move the kernel and memo counters exactly as a per-pair loop does.
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <iterator>
 #include <memory>
+#include <numeric>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "datagen/config.h"
+#include "datagen/workload.h"
 #include "linking/feature_cache.h"
 #include "linking/matcher.h"
+#include "linking/query_scratch.h"
 
 namespace rulelink::linking {
 namespace {
@@ -250,6 +262,266 @@ TEST(FeatureCacheTest, SlotsFollowRuleOrderAndMissingPropertiesAreEmpty) {
   const ValueId* mfr = cache.Values(6, 1, &count);
   ASSERT_EQ(count, 1u);
   EXPECT_EQ(dict.View(mfr[0]), "Vishay");
+}
+
+// --- The run scorer ----------------------------------------------------
+
+const std::string kPart = datagen::props::kPartNumber;
+const std::string kMaker = datagen::props::kManufacturer;
+const std::string kLabel = datagen::props::kLabel;
+
+// Every measure as a two-rule matcher, the five-rule matcher of the batch
+// benchmark (bench_linking's streaming matcher) and the `rulelink serve`
+// default, one Jaro-Winkler rule on the part number. Only matchers with
+// three or more active rules can tell the accumulation order apart:
+// IEEE addition of two terms onto 0.0 commutes.
+std::vector<ItemMatcher> RunMatchers() {
+  std::vector<ItemMatcher> matchers;
+  for (SimilarityMeasure measure : kAllMeasures) {
+    matchers.push_back(ItemMatcher(
+        {{kPart, kPart, measure, 2.0}, {kMaker, kMaker, measure, 1.0}}));
+  }
+  matchers.push_back(ItemMatcher({
+      {kPart, kPart, SimilarityMeasure::kLevenshtein, 3.0},
+      {kPart, kPart, SimilarityMeasure::kDiceBigram, 1.5},
+      {kPart, kPart, SimilarityMeasure::kExact, 1.0},
+      {kPart, kPart, SimilarityMeasure::kJaccardTokens, 0.5},
+      {kMaker, kMaker, SimilarityMeasure::kMongeElkan, 0.5},
+  }));
+  matchers.push_back(
+      ItemMatcher({{kPart, kPart, SimilarityMeasure::kJaroWinkler, 1.0}}));
+  return matchers;
+}
+
+std::string MatcherName(const ItemMatcher& matcher) {
+  return std::string(SimilarityMeasureName(matcher.rules()[0].measure)) +
+         ", " + std::to_string(matcher.rules().size()) + " rules";
+}
+
+// Generated catalog items and dirty provider queries, beside hand-made
+// items that cover what the run scorer gathers around: multi-valued
+// slots on either side (e1, l1), a duplicated value (e2), a missing
+// property (e3, l5), empty and whitespace-only values (e4, l4), items
+// with neither property, so every rule is inactive (e5, l6), and values
+// past 64 bytes on either side (e6, l7).
+struct RunCorpus {
+  std::vector<core::Item> external;  // hand-made first
+  std::vector<core::Item> local;     // hand-made last
+  std::size_t awkward_begin = 0;     // the first hand-made local
+};
+
+RunCorpus MakeRunCorpus() {
+  const std::string long_part(70, 'C');
+  RunCorpus corpus;
+  corpus.external = {
+      MakeItem("e0", {{kPart, "CRCW0805 10K ohm"}, {kMaker, "Vishay"}}),
+      MakeItem("e1",
+               {{kPart, "T83-106"}, {kPart, "X-1"}, {kMaker, "ACME corp"}}),
+      MakeItem("e2", {{kPart, "X-1"}, {kPart, "X-1"}, {kMaker, "acme ACME"}}),
+      MakeItem("e3", {{kMaker, "Vishay"}}),
+      MakeItem("e4", {{kPart, ""}, {kMaker, " \t "}}),
+      MakeItem("e5", {{kLabel, "no linking property"}}),
+      MakeItem("e6", {{kPart, long_part + "-1"}, {kMaker, "Vishay Dale"}}),
+      MakeItem("e7", {{kPart, "a"}, {kMaker, "b"}}),
+  };
+  corpus.local = {
+      MakeItem("l0", {{kPart, "CRCW0805 10K ohm"}, {kMaker, "Vishay"}}),
+      MakeItem("l1", {{kPart, "CRCW0806 10K ohm"},
+                      {kPart, "T83-106"},
+                      {kMaker, "vishay"},
+                      {kMaker, "ACME"}}),
+      MakeItem("l2", {{kPart, "X-1"}, {kMaker, "ACME"}}),
+      MakeItem("l3", {{kPart, "a b a"}, {kMaker, "b"}}),
+      MakeItem("l4", {{kPart, ""}, {kMaker, ""}}),
+      MakeItem("l5", {{kPart, "T83-106"}}),
+      MakeItem("l6", {{kLabel, "no linking property"}}),
+      MakeItem("l7", {{kPart, long_part + "0805-1 " + long_part},
+                      {kMaker, "Vishay"}}),
+  };
+
+  datagen::WorkloadConfig config;
+  config.seed = 42;
+  config.catalog_size = 1100;
+  auto catalog = datagen::GenerateWorkloadCatalog(config, 1);
+  EXPECT_TRUE(catalog.ok()) << catalog.status();
+  datagen::QueryStreamConfig stream_config;
+  stream_config.num_queries = 12;
+  stream_config.typo_prob = 0.3;
+  auto stream = datagen::GenerateQueryStream(*catalog, stream_config, 1);
+  EXPECT_TRUE(stream.ok()) << stream.status();
+  corpus.awkward_begin = catalog->items.size();
+  corpus.local.insert(corpus.local.begin(),
+                      std::make_move_iterator(catalog->items.begin()),
+                      std::make_move_iterator(catalog->items.end()));
+  for (core::Item& item : stream->queries) {
+    corpus.external.push_back(std::move(item));
+  }
+  return corpus;
+}
+
+// One candidate run: an external item and its local candidates.
+struct CandidateRun {
+  std::size_t external;
+  std::vector<std::size_t> locals;
+};
+
+// Runs of 0, 1 and 2 candidates for every external item, mixing hand-made
+// and generated locals, and for every fourth external one run over every
+// local (over 1 000), rotated so the hand-made locals sit mid-run.
+std::vector<CandidateRun> MakeRuns(const RunCorpus& corpus) {
+  const std::size_t num_local = corpus.local.size();
+  const std::size_t generated = corpus.awkward_begin;
+  const std::size_t awkward = num_local - generated;
+  std::vector<CandidateRun> runs;
+  for (std::size_t e = 0; e < corpus.external.size(); ++e) {
+    runs.push_back({e, {}});
+    runs.push_back({e, {generated + e % awkward}});
+    runs.push_back({e, {generated + (e + 3) % awkward, (e * 31) % generated}});
+    if (e % 4 == 0) {
+      CandidateRun all{e, std::vector<std::size_t>(num_local)};
+      std::iota(all.locals.begin(), all.locals.end(), std::size_t{0});
+      std::rotate(all.locals.begin(),
+                  all.locals.begin() + (e * 37 + 500) % num_local,
+                  all.locals.end());
+      runs.push_back(std::move(all));
+    }
+  }
+  return runs;
+}
+
+// The kernel and memo counts a per-pair loop over the raw items gives:
+// kExact counts the value pairs it examines up to the first match,
+// Monge-Elkan runs a kernel only for a value pair `memo_keys` has not
+// seen (value-id equality is string equality), every other measure one
+// kernel per value pair.
+struct PairCounts {
+  std::uint64_t kernels = 0;
+  std::uint64_t lookups = 0;
+  std::uint64_t hits = 0;
+};
+
+void CountPair(const ItemMatcher& matcher, const core::Item& external,
+               const core::Item& local,
+               std::set<std::pair<std::string, std::string>>* memo_keys,
+               PairCounts* counts) {
+  for (const AttributeRule& rule : matcher.rules()) {
+    const auto ext = external.ValuesOf(rule.external_property);
+    const auto loc = local.ValuesOf(rule.local_property);
+    if (ext.empty() || loc.empty()) continue;
+    bool matched = false;
+    for (std::size_t i = 0; i < ext.size() && !matched; ++i) {
+      for (std::size_t j = 0; j < loc.size() && !matched; ++j) {
+        if (rule.measure == SimilarityMeasure::kExact) {
+          ++counts->kernels;
+          matched = ext[i] == loc[j];
+        } else if (rule.measure == SimilarityMeasure::kMongeElkan) {
+          ++counts->lookups;
+          if (memo_keys->emplace(ext[i], loc[j]).second) {
+            ++counts->kernels;
+          } else {
+            ++counts->hits;
+          }
+        } else {
+          ++counts->kernels;
+        }
+      }
+    }
+  }
+}
+
+// Scores every run through ScoreRun and checks each score against
+// ItemMatcher::Score by memcmp, and the kernel and memo counters against
+// CountPair's. `external_features(e, &index)` returns the cache holding
+// external item e and its index there.
+void ExpectRunsMatchScore(
+    const ItemMatcher& matcher, const RunCorpus& corpus,
+    const std::vector<CandidateRun>& runs, const FeatureCache& local_features,
+    const std::function<const FeatureCache&(std::size_t, std::size_t*)>&
+        external_features) {
+  ScoreMemo memo;
+  ScoreRunScratch scratch;
+  std::uint64_t kernels = 0;
+  std::set<std::pair<std::string, std::string>> memo_keys;
+  PairCounts expected;
+  std::size_t pairs = 0;
+  std::size_t differences = 0;
+  for (const CandidateRun& run : runs) {
+    std::size_t index = 0;
+    const FeatureCache& external = external_features(run.external, &index);
+    matcher.ScoreRun(external, index, local_features, run.locals.data(),
+                     run.locals.size(), &memo, &kernels, &scratch);
+    ASSERT_GE(scratch.scores.size(), run.locals.size());
+    for (std::size_t i = 0; i < run.locals.size(); ++i) {
+      const core::Item& ext = corpus.external[run.external];
+      const core::Item& loc = corpus.local[run.locals[i]];
+      const double want = matcher.Score(ext, loc);
+      const double got = scratch.scores[i];
+      if (std::memcmp(&got, &want, sizeof(double)) != 0 && ++differences <= 5) {
+        ADD_FAILURE() << "external=" << ext.iri << " local=" << loc.iri
+                      << " run length " << run.locals.size() << ": got "
+                      << got << " want " << want;
+      }
+      CountPair(matcher, ext, loc, &memo_keys, &expected);
+      ++pairs;
+    }
+  }
+  EXPECT_EQ(differences, 0u) << "of " << pairs << " pairs";
+  EXPECT_EQ(kernels, expected.kernels);
+  EXPECT_EQ(memo.stats().lookups, expected.lookups);
+  EXPECT_EQ(memo.stats().hits, expected.hits);
+}
+
+TEST(ScoreRunTest, MatchesScoreOverARootDictionary) {
+  const RunCorpus corpus = MakeRunCorpus();
+  const std::vector<CandidateRun> runs = MakeRuns(corpus);
+  ASSERT_GT(corpus.local.size(), 1000u);
+  for (const ItemMatcher& matcher : RunMatchers()) {
+    SCOPED_TRACE(MatcherName(matcher));
+    const auto caches = BuildCaches(corpus.external, corpus.local, matcher);
+    ExpectRunsMatchScore(
+        matcher, corpus, runs, caches.local,
+        [&](std::size_t e, std::size_t* index) -> const FeatureCache& {
+          *index = e;
+          return caches.external;
+        });
+  }
+}
+
+TEST(ScoreRunTest, MatchesScoreOverAnOverlayChain) {
+  // The serving engine's shape: the locals span a root dictionary and two
+  // delta overlays, and each external item is assigned alone into a
+  // session overlay on top, so value ids resolve through every level.
+  // The hand-made locals land in the last delta.
+  const RunCorpus corpus = MakeRunCorpus();
+  const std::vector<CandidateRun> runs = MakeRuns(corpus);
+  const auto first = corpus.local.begin();
+  const std::size_t third = corpus.local.size() / 3;
+  const std::vector<core::Item> root_items(first, first + third);
+  const std::vector<core::Item> delta1(first + third, first + 2 * third);
+  const std::vector<core::Item> delta2(first + 2 * third, corpus.local.end());
+  for (const ItemMatcher& matcher : RunMatchers()) {
+    SCOPED_TRACE(MatcherName(matcher));
+    FeatureDictionary root;
+    const FeatureCache base = FeatureCache::Build(
+        root_items, matcher, FeatureCache::Side::kLocal, &root, 1);
+    FeatureDictionary level1(&root);
+    const FeatureCache extended1 = FeatureCache::ExtendFrom(
+        base, delta1, matcher, FeatureCache::Side::kLocal, &level1);
+    FeatureDictionary level2(&level1);
+    const FeatureCache local = FeatureCache::ExtendFrom(
+        extended1, delta2, matcher, FeatureCache::Side::kLocal, &level2);
+    ASSERT_EQ(local.num_items(), corpus.local.size());
+    FeatureDictionary session(&level2);
+    FeatureCache query;
+    ExpectRunsMatchScore(
+        matcher, corpus, runs, local,
+        [&](std::size_t e, std::size_t* index) -> const FeatureCache& {
+          query.AssignSingle(corpus.external[e], matcher,
+                             FeatureCache::Side::kExternal, &session);
+          *index = 0;
+          return query;
+        });
+  }
 }
 
 }  // namespace
