@@ -36,7 +36,7 @@ inline void ApplyPinningFromEnv() {
 
 // One measured point of a thread-count sweep, with the scheduler-counter
 // delta (morsels, steals, busy time) and the SIMD batch-counter delta
-// (cascade/kernel pairs taken batched vs per-pair) observed during the
+// (Levenshtein probes taken batched vs per-pair) observed during the
 // best-of run.
 struct ThreadSweepPoint {
   std::size_t num_threads = 0;
@@ -53,7 +53,7 @@ struct ThreadSweepPoint {
 // exceeds the hardware get "oversubscribed": true so downstream tooling
 // can drop them from scaling fits; the per-point "scheduler" object
 // (loop/morsel/steal counts from the global pool) and "simd" object
-// (batched vs per-pair cascade/kernel counts) make scaling regressions
+// (batched vs per-pair probe counts) make scaling regressions
 // diagnosable from the artifact alone.
 // `extra_sections`, when non-empty, is spliced verbatim as additional
 // top-level JSON members (e.g. "\"interning\": {...},\n").
@@ -98,9 +98,7 @@ inline void WriteThreadSweepJson(const std::string& bench_name,
           << ", \"llc_misses\": " << p.scheduler.hw.llc_misses << "}";
     }
     out << "}";
-    out << ", \"simd\": {\"cascade_batched_pairs\": "
-        << p.simd.cascade_batched_pairs << ", \"cascade_remainder_pairs\": "
-        << p.simd.cascade_remainder_pairs << ", \"kernel_batched_pairs\": "
+    out << ", \"simd\": {\"kernel_batched_pairs\": "
         << p.simd.kernel_batched_pairs << ", \"kernel_remainder_pairs\": "
         << p.simd.kernel_remainder_pairs << "}";
     out << "}" << (i + 1 < points.size() ? "," : "") << "\n";

@@ -5,7 +5,7 @@
 // every candidate pair; the production pipeline builds per-source
 // FeatureCaches once and streams the blocker's per-external candidate runs
 // through StreamingLinker — a sound filter cascade, then
-// ItemMatcher::ScoreCached with sort-merge token measures over dense ids,
+// ItemMatcher::ScoreRun with sort-merge token measures over dense ids,
 // measure dispatch hoisted out of the pair loop, and a per-worker
 // Monge-Elkan (value, value) memo that exploits how heavily catalog
 // values repeat. Links are byte-identical by construction (see
@@ -29,6 +29,7 @@
 #include "linking/filters.h"
 #include "linking/linker.h"
 #include "linking/matcher.h"
+#include "linking/query_scratch.h"
 #include "linking/streaming_linker.h"
 #include "obs/metrics.h"
 #include "text/similarity.h"
@@ -465,19 +466,19 @@ const ProbeSet& GetProbeSet() {
 // E6d: the batched SIMD cascade (DESIGN.md §5h) at the baseline ISA vs
 // the active dispatch, links byte-identical by construction (differential-
 // tested; re-checked every rep here). The baseline-ISA leg
-// (RULELINK_SIMD=scalar: the batch layout compiled without wide registers)
-// is the floor, so speedup_vs_scalar is the gain the wide-register
-// kernels add on the streaming hot path. The kernel microbench on
-// harvested stage-B probes answers the EXPERIMENTS.md roofline question:
-// pairs/sec and bytes touched per pair, single-pair kernel vs batched.
+// (ScopedSimdMode(kScalar): the batch layout compiled without wide
+// registers) is the floor, so speedup_vs_scalar is the gain the
+// wide-register kernels add on the streaming hot path. The kernel
+// microbench on harvested stage-B probes answers the EXPERIMENTS.md
+// roofline question: pairs/sec and bytes touched per pair, single-pair
+// kernel vs batched.
 std::string PrintBatchedReport() {
   const StreamingFixture& fixture = GetStreamingFixture();
   const linking::StreamingLinker streaming(&fixture.matcher, kThreshold);
   const util::SimdMode active = util::ActiveSimdMode();
   std::cout << "=== E6d: batched SIMD filter cascade ("
             << fixture.candidate_pairs << " candidate pairs, dispatch "
-            << util::SimdModeName(active) << ", stage-A width "
-            << util::SimdBatchWidth(active) << ") ===\n";
+            << util::SimdModeName(active) << ") ===\n";
 
   struct ModeTiming {
     double ms = 0.0;
@@ -526,12 +527,12 @@ std::string PrintBatchedReport() {
   const double speedup = batched.ms > 0.0 ? layout.ms / batched.ms : 0.0;
 
   util::TextTable table({"cascade", "time (ms)", "Mpairs/s",
-                         "batched pairs", "remainder"});
+                         "interleaved probes", "single-pair probes"});
   const auto row = [&](const char* name, const ModeTiming& t) {
     table.AddRow({name, util::FormatDouble(t.ms, 2),
                   util::FormatDouble(pairs_per_sec(t.ms) / 1e6, 2),
-                  std::to_string(t.simd.cascade_batched_pairs),
-                  std::to_string(t.simd.cascade_remainder_pairs)});
+                  std::to_string(t.simd.kernel_batched_pairs),
+                  std::to_string(t.simd.kernel_remainder_pairs)});
   };
   row("batch layout (baseline ISA)", layout);
   row("batched (active dispatch)", batched);
@@ -595,8 +596,6 @@ std::string PrintBatchedReport() {
   std::string json = "  \"batched\": {\n";
   json += "    \"dispatch\": \"" +
           std::string(util::SimdModeName(active)) + "\",\n";
-  json += "    \"batch_width\": " +
-          std::to_string(util::SimdBatchWidth(active)) + ",\n";
   json += "    \"candidates\": " + std::to_string(fixture.candidate_pairs) +
           ",\n";
   json += "    \"links\": " + std::to_string(reference.size()) + ",\n";
@@ -609,10 +608,6 @@ std::string PrintBatchedReport() {
           util::FormatDouble(pairs_per_sec(batched.ms), 1) + ",\n";
   json += "    \"speedup_vs_scalar\": " + util::FormatDouble(speedup, 3) +
           ",\n";
-  json += "    \"cascade_batched_pairs\": " +
-          std::to_string(batched.simd.cascade_batched_pairs) + ",\n";
-  json += "    \"cascade_remainder_pairs\": " +
-          std::to_string(batched.simd.cascade_remainder_pairs) + ",\n";
   json += "    \"kernel_batched_pairs\": " +
           std::to_string(batched.simd.kernel_batched_pairs) + ",\n";
   json += "    \"kernel_remainder_pairs\": " +
@@ -682,7 +677,8 @@ void BM_ScoreReferencePair(benchmark::State& state) {
 }
 BENCHMARK(BM_ScoreReferencePair);
 
-void BM_ScoreCachedPair(benchmark::State& state) {
+// ItemMatcher::ScoreRun over a run of one candidate per iteration.
+void BM_ScoreRunPair(benchmark::State& state) {
   const Fixture& fixture = GetFixture();
   const bool use_memo = state.range(0) != 0;
   linking::FeatureDictionary dict;
@@ -693,18 +689,20 @@ void BM_ScoreCachedPair(benchmark::State& state) {
       fixture.dataset->catalog_items, fixture.matcher,
       linking::FeatureCache::Side::kLocal, &dict, 1);
   linking::ScoreMemo memo;
+  linking::ScoreRunScratch scratch;
   const auto& candidates = fixture.candidates;
   std::size_t i = 0;
   for (auto _ : state) {
     const auto& pair = candidates[i % candidates.size()];
-    benchmark::DoNotOptimize(fixture.matcher.ScoreCached(
-        external, pair.external_index, local, pair.local_index,
-        use_memo ? &memo : nullptr));
+    fixture.matcher.ScoreRun(external, pair.external_index, local,
+                             &pair.local_index, 1,
+                             use_memo ? &memo : nullptr, nullptr, &scratch);
+    benchmark::DoNotOptimize(scratch.scores[0]);
     ++i;
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ScoreCachedPair)
+BENCHMARK(BM_ScoreRunPair)
     ->Arg(0)   // no memo: pure dense-id scoring
     ->Arg(1);  // with memo: steady-state catalog-value reuse
 
@@ -728,13 +726,13 @@ constexpr MeasureCase kMeasureCases[] = {
 
 // What the score memo costs or saves per measure (DESIGN.md §5d). Arg 0
 // picks a kMeasureCases entry; arg 1 = 0 scores every pair through
-// ScoreCached without a memo, arg 1 = 1 puts a lookup-or-insert on the
-// (value-id, value-id) key of a node map like ScoreMemo's in front, the
-// way ScoreCached memoizes Monge-Elkan. Each iteration is one pass over
-// the pairs from an empty memo, so `memo_hit_rate` is the share of pairs
-// whose value pair an earlier pair already scored: the repetition the
-// memo lives on.
-void BM_ScoreCachedMeasure(benchmark::State& state) {
+// ScoreRun over a run of one without a memo, arg 1 = 1 puts a
+// lookup-or-insert on the (value-id, value-id) key of a node map like
+// ScoreMemo's in front, the way ScoreRun memoizes Monge-Elkan. Each
+// iteration is one pass over the pairs from an empty memo, so
+// `memo_hit_rate` is the share of pairs whose value pair an earlier pair
+// already scored: the repetition the memo lives on.
+void BM_ScoreRunMeasure(benchmark::State& state) {
   const Fixture& fixture = GetFixture();
   const MeasureCase& measure_case =
       kMeasureCases[static_cast<std::size_t>(state.range(0))];
@@ -766,6 +764,12 @@ void BM_ScoreCachedMeasure(benchmark::State& state) {
     pairs.push_back({candidate.external_index, candidate.local_index,
                      util::PackSymbolPair(*ext, *loc)});
   }
+  linking::ScoreRunScratch scratch;
+  const auto score = [&](const Pair& pair) {
+    matcher.ScoreRun(external, pair.external_index, local, &pair.local_index,
+                     1, nullptr, nullptr, &scratch);
+    return scratch.scores[0];
+  };
   std::unordered_map<std::uint64_t, double> memo;
   std::uint64_t hits = 0;
   for (auto _ : state) {
@@ -774,15 +778,12 @@ void BM_ScoreCachedMeasure(benchmark::State& state) {
     state.ResumeTiming();
     for (const Pair& pair : pairs) {
       if (!use_memo) {
-        benchmark::DoNotOptimize(matcher.ScoreCached(
-            external, pair.external_index, local, pair.local_index,
-            nullptr));
+        benchmark::DoNotOptimize(score(pair));
         continue;
       }
       const auto [it, inserted] = memo.try_emplace(pair.key, 0.0);
       if (inserted) {
-        it->second = matcher.ScoreCached(external, pair.external_index,
-                                         local, pair.local_index, nullptr);
+        it->second = score(pair);
       } else {
         ++hits;
       }
@@ -800,7 +801,7 @@ void BM_ScoreCachedMeasure(benchmark::State& state) {
         static_cast<double>(hits) / static_cast<double>(scored);
   }
 }
-BENCHMARK(BM_ScoreCachedMeasure)
+BENCHMARK(BM_ScoreRunMeasure)
     ->ArgsProduct({{0, 1, 2, 3}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
@@ -855,15 +856,16 @@ BENCHMARK(BM_RunStreamingThreads)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// The filter cascade over every candidate run: arg 0 is a plain loop of
-// the per-pair Prune reference, arg 1 the batched PruneBatch under the
-// active dispatch (RULELINK_SIMD picks it). Items = candidate pairs,
-// bytes untouched (the cascade reads SoA lanes, not strings — that
+// PruneBatch over every candidate run: arg 0 at the baseline ISA (the
+// scalar floor), arg 1 under the active dispatch. Items = candidate
+// pairs, bytes untouched (stage A reads SoA lanes, not strings — that
 // asymmetry is the point).
 void BM_FilterCascade(benchmark::State& state) {
   const StreamingFixture& fixture = GetStreamingFixture();
   const linking::FilterCascade cascade(&fixture.matcher, kThreshold);
-  const bool batch = state.range(0) != 0;
+  const util::ScopedSimdMode scoped(state.range(0) != 0
+                                        ? util::ActiveSimdMode()
+                                        : util::SimdMode::kScalar);
   linking::FilterBatchScratch scratch;
   std::vector<std::size_t> run;
   for (auto _ : state) {
@@ -871,14 +873,8 @@ void BM_FilterCascade(benchmark::State& state) {
     for (std::size_t e = 0; e < fixture.index->num_external(); ++e) {
       fixture.index->CandidatesOf(e, &run);
       if (run.empty()) continue;
-      if (batch) {
-        cascade.PruneBatch(fixture.external, e, fixture.local, run.data(),
-                           run.size(), &stats, &scratch);
-      } else {
-        for (const std::size_t local : run) {
-          cascade.Prune(fixture.external, e, fixture.local, local, &stats);
-        }
-      }
+      cascade.PruneBatch(fixture.external, e, fixture.local, run.data(),
+                         run.size(), &stats, &scratch);
     }
     benchmark::DoNotOptimize(stats.pairs_pruned);
   }
@@ -887,8 +883,8 @@ void BM_FilterCascade(benchmark::State& state) {
       static_cast<std::int64_t>(fixture.candidate_pairs));
 }
 BENCHMARK(BM_FilterCascade)
-    ->Arg(0)   // per-pair Prune loop
-    ->Arg(1)   // batched SoA cascade, active dispatch
+    ->Arg(0)   // baseline ISA
+    ->Arg(1)   // active dispatch
     ->Unit(benchmark::kMillisecond);
 
 // The bounded-Levenshtein probe kernel on the harvested stage-B probe

@@ -181,10 +181,6 @@ PointResult ReplayPoint(linking::ServeEngine* engine, const ServeWorkload& w,
     }
     mismatches.fetch_add(bad, std::memory_order_relaxed);
     pairs.fetch_add(session.pairs_scored(), std::memory_order_relaxed);
-    // Sessions bypass StreamingLinker::Run's per-run fold, so fold their
-    // cascade counts into the process totals here.
-    util::AddSimdCascadePairs(session.scratch().filter.batched_pairs,
-                              session.scratch().filter.remainder_pairs);
   };
   if (clients == 1) {
     client(0);
@@ -439,11 +435,7 @@ std::string PointJson(const PointResult& r, double serial_qps) {
               static_cast<double>(r.latency_ns.max()) / 1000.0, 3) +
           ",\n";
   json += "     \"scheduler\": " + SchedulerJson(r.scheduler) + ",\n";
-  json += "     \"simd\": {\"cascade_batched_pairs\": " +
-          std::to_string(r.simd.cascade_batched_pairs) +
-          ", \"cascade_remainder_pairs\": " +
-          std::to_string(r.simd.cascade_remainder_pairs) +
-          ", \"kernel_batched_pairs\": " +
+  json += "     \"simd\": {\"kernel_batched_pairs\": " +
           std::to_string(r.simd.kernel_batched_pairs) +
           ", \"kernel_remainder_pairs\": " +
           std::to_string(r.simd.kernel_remainder_pairs) + "}}";

@@ -2,8 +2,9 @@
 // The workload generator (src/datagen/workload.h) synthesizes a catalog
 // and a skewed provider query stream from any KeyChooser distribution;
 // this driver replays the stream request by request through the streaming
-// linking path (candidate index probe -> filter cascade -> cached scorer
-// -> best-per-external decision) and reports per-request latency
+// linker's per-external core (candidate index probe ->
+// StreamingLinker::QueryRun: filter cascade -> run scorer ->
+// best-per-external decision) and reports per-request latency
 // percentiles from the log2 obs::Histogram — the serving-side view the
 // batch benches cannot give. Each sweep point (catalog size x skew x
 // dirtiness) is cross-checked against StreamingLinker::Run over the same
@@ -32,6 +33,7 @@
 #include "linking/filters.h"
 #include "linking/linker.h"
 #include "linking/matcher.h"
+#include "linking/query_scratch.h"
 #include "linking/streaming_linker.h"
 #include "obs/metrics.h"
 #include "util/stopwatch.h"
@@ -108,9 +110,9 @@ struct ReplayResult {
 };
 
 // Replays the stream one request at a time through exactly the streaming
-// linker's inner loop: index probe, cascade prune, cached score,
-// strict-> best-per-external. Returns the per-request latency histogram
-// and the replayed links for the differential check.
+// linker's inner loop: index probe, then StreamingLinker::QueryRun over
+// one reused QueryScratch. Returns the per-request latency histogram and
+// the replayed links for the differential check.
 ReplayResult ReplayPoint(const SweepPoint& point,
                          std::vector<linking::Link>* replayed_links) {
   using ClockNs = std::chrono::steady_clock;
@@ -151,31 +153,19 @@ ReplayResult ReplayPoint(const SweepPoint& point,
   const auto index = blocker.BuildIndex(stream.queries, catalog.items);
   result.build_ms = build_timer.ElapsedMillis();
 
-  const linking::FilterCascade cascade(&matcher, kThreshold);
+  const linking::StreamingLinker streaming(&matcher, kThreshold);
+  linking::QueryScratch scratch;
   linking::FilterStats filter_stats;
-  linking::ScoreMemo memo;
-  std::vector<std::size_t> run;
   replayed_links->clear();
   util::Stopwatch replay_timer;
   for (std::size_t e = 0; e < stream.queries.size(); ++e) {
     const ClockNs::time_point start = ClockNs::now();
-    index->CandidatesOf(e, &run);
+    index->CandidatesOf(e, &scratch.run);
     result.stats.peak_candidate_run =
-        std::max(result.stats.peak_candidate_run, run.size());
-    linking::Link best;
-    bool best_set = false;
-    for (const std::size_t l : run) {
-      if (cascade.Prune(external, e, local, l, &filter_stats)) continue;
-      const double score = matcher.ScoreCached(external, e, local, l, &memo,
-                                               &result.stats.comparisons);
-      ++result.stats.pairs_scored;
-      if (score < kThreshold) continue;
-      if (!best_set || score > best.score) {
-        best = linking::Link{e, l, score};
-        best_set = true;
-      }
-    }
-    if (best_set) replayed_links->push_back(best);
+        std::max(result.stats.peak_candidate_run, scratch.run.size());
+    streaming.QueryRun(external, e, local, &scratch, &filter_stats,
+                       &result.stats.comparisons, &result.stats.pairs_scored,
+                       replayed_links);
     const auto nanos = std::chrono::duration_cast<std::chrono::nanoseconds>(
                            ClockNs::now() - start)
                            .count();
@@ -192,7 +182,6 @@ ReplayResult ReplayPoint(const SweepPoint& point,
 
   // Differential anchor: the replayed links must be byte-identical to the
   // batch streaming path over the same index and caches.
-  const linking::StreamingLinker streaming(&matcher, kThreshold);
   linking::LinkerStats streaming_stats;
   const auto reference = streaming.Run(*index, external, local,
                                        &streaming_stats, /*num_threads=*/0);

@@ -3,17 +3,17 @@
 // the whole linking setup from the data and a handful of validated links:
 //
 //   1. key discovery        — which property is key-like on each side;
-//   2. scheme selection     — which classic blocking scheme works best on
-//                             the validated sample;
-//   3. threshold tuning     — which (support, confidence) setting the
+//   2. threshold tuning     — which (support, confidence) setting the
 //                             rule learner should use, by held-out F1;
-//   4. learn + compare      — rules vs the best classic scheme.
+//   3. learn + compare      — rules vs standard blocking on the
+//                             discovered key, against the validated links.
 #include <iostream>
-#include <memory>
+#include <vector>
 
 #include "blocking/key_discovery.h"
+#include "blocking/metrics.h"
 #include "blocking/rule_blocker.h"
-#include "blocking/scheme_selector.h"
+#include "blocking/standard_blocking.h"
 #include "core/classifier.h"
 #include "core/learner.h"
 #include "datagen/generator.h"
@@ -51,31 +51,7 @@ int main() {
   const std::string external_key =
       blocking::BestKeyProperty(dataset.external_items);
 
-  // 2. Blocking-scheme selection over the discovered key.
-  std::vector<blocking::CandidatePair> gold;
-  for (const auto& link : dataset.links) {
-    gold.push_back({link.external_index, link.catalog_index});
-  }
-  const auto portfolio = blocking::DefaultSchemePortfolio(external_key);
-  std::vector<const blocking::CandidateGenerator*> raw;
-  for (const auto& generator : portfolio) raw.push_back(generator.get());
-  std::cout << "\nBlocking-scheme ranking on the validated sample:\n";
-  // Full corpus (no sampling): the rule blocker below needs the class
-  // vector to stay parallel to the local item list.
-  blocking::SchemeSelectorOptions selector;
-  selector.sample_limit = 0;
-  const auto ranked = blocking::RankSchemes(
-      raw, dataset.external_items, dataset.catalog_items, gold, selector);
-  for (const auto& scheme : ranked) {
-    std::cout << "  " << util::FormatDouble(scheme.score, 3) << "  "
-              << scheme.name << "  (PC "
-              << util::FormatPercent(scheme.quality.pairs_completeness)
-              << ", RR "
-              << util::FormatPercent(scheme.quality.reduction_ratio, 2)
-              << ")\n";
-  }
-
-  // 3. Threshold tuning for the rule learner on held-out links.
+  // 2. Threshold tuning for the rule learner on held-out links.
   const core::TrainingSet ts = datagen::BuildTrainingSet(dataset);
   const text::SeparatorSegmenter segmenter;
   eval::TunerOptions tuner;
@@ -95,8 +71,9 @@ int main() {
               << util::FormatPercent(c.holdout.recall) << ")\n";
   }
 
-  // 4. Learn with the tuned setting and compare against the best classic
-  // scheme on completeness/reduction.
+  // 3. Learn with the tuned setting and compare the rules, as a blocking
+  // scheme, with standard blocking on the discovered key: completeness
+  // and reduction against the validated links.
   core::LearnerOptions options;
   options.support_threshold = candidates->front().support_threshold;
   options.segmenter = &segmenter;
@@ -108,17 +85,22 @@ int main() {
       &classifier, &dataset.ontology(), &dataset.catalog_classes,
       candidates->front().min_confidence,
       /*compare_all_when_unclassified=*/true);
-  const auto rule_scheme = blocking::RankSchemes(
-      {&rule_blocker}, dataset.external_items, dataset.catalog_items, gold,
-      selector);
-  std::cout << "\nLearnt rules as a blocking scheme:\n  "
-            << util::FormatDouble(rule_scheme[0].score, 3) << "  "
-            << rule_scheme[0].name << "  (PC "
-            << util::FormatPercent(rule_scheme[0].quality.pairs_completeness)
-            << ", RR "
-            << util::FormatPercent(rule_scheme[0].quality.reduction_ratio, 2)
-            << ")\n"
-            << "vs best classic scheme: " << ranked[0].name << " at "
-            << util::FormatDouble(ranked[0].score, 3) << "\n";
+  const blocking::StandardBlocker key_blocker(external_key,
+                                              /*prefix_length=*/5);
+  std::vector<blocking::CandidatePair> gold;
+  for (const auto& link : dataset.links) {
+    gold.push_back({link.external_index, link.catalog_index});
+  }
+  const auto report = [&](const blocking::CandidateGenerator& generator) {
+    const blocking::BlockingQuality quality = blocking::EvaluateBlocking(
+        generator.Generate(dataset.external_items, dataset.catalog_items),
+        gold, dataset.external_items.size(), dataset.catalog_items.size());
+    std::cout << "  " << generator.name() << "  (PC "
+              << util::FormatPercent(quality.pairs_completeness) << ", RR "
+              << util::FormatPercent(quality.reduction_ratio, 2) << ")\n";
+  };
+  std::cout << "\nLearnt rules vs standard blocking on the discovered key:\n";
+  report(rule_blocker);
+  report(key_blocker);
   return 0;
 }

@@ -1,6 +1,9 @@
 #include "blocking/standard_blocking.h"
 
 #include <algorithm>
+#include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/interner.h"
@@ -11,34 +14,39 @@ StandardBlocker::StandardBlocker(std::string property,
                                  std::size_t prefix_length)
     : property_(std::move(property)), prefix_length_(prefix_length) {}
 
-std::vector<CandidatePair> StandardBlocker::Generate(
-    const std::vector<core::Item>& external,
-    const std::vector<core::Item>& local) const {
-  // Keys are interned to dense ids; the block index is then a flat
-  // vector-of-vectors instead of a string-keyed hash map, and the probe
-  // side never allocates map nodes (Find is read-only).
+namespace {
+
+// The key -> block table over one run of items: block `id` lists, in
+// ascending order, offset + position of every item whose key interned to
+// `id`. Items with an empty key join no block, so Find("") is null.
+struct KeyBlocks {
   util::StringInterner keys;
   std::vector<std::vector<std::size_t>> blocks;  // by key id
-  for (std::size_t l = 0; l < local.size(); ++l) {
-    const std::string key = BlockingKey(local[l], property_, prefix_length_);
-    if (key.empty()) continue;
-    const util::SymbolId id = keys.Intern(key);
-    if (id == blocks.size()) blocks.emplace_back();
-    blocks[id].push_back(l);
-  }
-  std::vector<CandidatePair> pairs;
-  for (std::size_t e = 0; e < external.size(); ++e) {
-    const std::string key = BlockingKey(external[e], property_, prefix_length_);
-    if (key.empty()) continue;
-    const util::SymbolId id = keys.Find(key);
-    if (id == util::kInvalidSymbolId) continue;
-    for (std::size_t l : blocks[id]) pairs.push_back(CandidatePair{e, l});
-  }
-  std::sort(pairs.begin(), pairs.end());
-  return pairs;
-}
 
-namespace {
+  // The block of `key`, or null. Find never mutates the interner, so
+  // concurrent probes are safe.
+  const std::vector<std::size_t>* Find(std::string_view key) const {
+    const util::SymbolId id = keys.Find(key);
+    return id == util::kInvalidSymbolId ? nullptr : &blocks[id];
+  }
+};
+
+// Keys are interned to dense ids, so the table is a flat vector of blocks
+// instead of a string-keyed hash map.
+KeyBlocks BuildKeyBlocks(const std::vector<core::Item>& items,
+                         const std::string& property,
+                         std::size_t prefix_length, std::size_t offset) {
+  KeyBlocks table;
+  std::string key;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    AppendBlockingKey(items[i], property, prefix_length, &key);
+    if (key.empty()) continue;
+    const util::SymbolId id = table.keys.Intern(key);
+    if (id == table.blocks.size()) table.blocks.emplace_back();
+    table.blocks[id].push_back(offset + i);
+  }
+  return table;
+}
 
 class StandardBlockIndex : public CandidateIndex {
  public:
@@ -64,169 +72,113 @@ class StandardBlockIndex : public CandidateIndex {
   std::vector<util::SymbolId> external_key_;      // by external index
 };
 
+// The probe-by-item index: the blocks of one run of locals over a base
+// layer with the same key scheme that holds every earlier local — null at
+// the root, one more layer per delta publish. A probe derives the query's
+// key once and every layer, root first, appends its block; a layer's
+// indices all lie past its base's, so the run stays ascending and
+// duplicate-free.
 class StandardItemIndex : public ItemCandidateIndex {
  public:
-  StandardItemIndex(std::string property, std::size_t prefix_length,
-                    util::StringInterner keys,
-                    std::vector<std::vector<std::size_t>> blocks,
-                    std::size_t num_local)
-      : property_(std::move(property)),
-        prefix_length_(prefix_length),
-        keys_(std::move(keys)),
-        blocks_(std::move(blocks)),
-        num_local_(num_local) {}
-
-  void CandidatesOfItem(const core::Item& item, std::string* key_scratch,
-                        std::vector<std::size_t>* out) const override {
-    AppendBlockingKey(item, property_, prefix_length_, key_scratch);
-    if (key_scratch->empty()) {
-      out->clear();
-      return;
-    }
-    // Find never mutates the interner, so concurrent probes are safe.
-    const util::SymbolId id = keys_.Find(*key_scratch);
-    if (id == util::kInvalidSymbolId) {
-      out->clear();
-      return;
-    }
-    out->assign(blocks_[id].begin(), blocks_[id].end());
-  }
-  std::size_t num_local() const override { return num_local_; }
-
-  const std::string& property() const { return property_; }
-  std::size_t prefix_length() const { return prefix_length_; }
-
- private:
-  std::string property_;
-  std::size_t prefix_length_;
-  util::StringInterner keys_;
-  std::vector<std::vector<std::size_t>> blocks_;  // by key id
-  std::size_t num_local_;
-};
-
-// One delta layer over a shared base index: the base answers first (its
-// indices are all < base->num_local()), then this layer appends its own
-// postings, which carry global indices past the base's — so the combined
-// run is ascending and duplicate-free by construction. Probing re-derives
-// the key per layer (AppendBlockingKey into the caller's scratch), which
-// keeps layers independent of each other's interner numbering.
-class DeltaStandardItemIndex : public ItemCandidateIndex {
- public:
-  DeltaStandardItemIndex(std::shared_ptr<const ItemCandidateIndex> base,
-                         std::string property, std::size_t prefix_length,
-                         util::StringInterner keys,
-                         std::vector<std::vector<std::size_t>> blocks,
-                         std::size_t num_local)
+  StandardItemIndex(std::shared_ptr<const StandardItemIndex> base,
+                    std::string property, std::size_t prefix_length,
+                    KeyBlocks blocks, std::size_t num_local)
       : base_(std::move(base)),
         property_(std::move(property)),
         prefix_length_(prefix_length),
-        keys_(std::move(keys)),
         blocks_(std::move(blocks)),
         num_local_(num_local) {}
 
   void CandidatesOfItem(const core::Item& item, std::string* key_scratch,
                         std::vector<std::size_t>* out) const override {
-    base_->CandidatesOfItem(item, key_scratch, out);
+    out->clear();
     AppendBlockingKey(item, property_, prefix_length_, key_scratch);
     if (key_scratch->empty()) return;
-    const util::SymbolId id = keys_.Find(*key_scratch);
-    if (id == util::kInvalidSymbolId) return;
-    out->insert(out->end(), blocks_[id].begin(), blocks_[id].end());
+    AppendBlocks(*key_scratch, out);
   }
   std::size_t num_local() const override { return num_local_; }
 
-  const std::string& property() const { return property_; }
-  std::size_t prefix_length() const { return prefix_length_; }
+  bool HasScheme(const std::string& property,
+                 std::size_t prefix_length) const {
+    return property == property_ && prefix_length == prefix_length_;
+  }
 
  private:
-  std::shared_ptr<const ItemCandidateIndex> base_;
+  void AppendBlocks(std::string_view key,
+                    std::vector<std::size_t>* out) const {
+    if (base_ != nullptr) base_->AppendBlocks(key, out);
+    if (const std::vector<std::size_t>* block = blocks_.Find(key)) {
+      out->insert(out->end(), block->begin(), block->end());
+    }
+  }
+
+  std::shared_ptr<const StandardItemIndex> base_;
   std::string property_;
   std::size_t prefix_length_;
-  util::StringInterner keys_;
-  std::vector<std::vector<std::size_t>> blocks_;  // by key id, global indices
+  KeyBlocks blocks_;  // global local indices
   std::size_t num_local_;
 };
 
 }  // namespace
 
+std::vector<CandidatePair> StandardBlocker::Generate(
+    const std::vector<core::Item>& external,
+    const std::vector<core::Item>& local) const {
+  const KeyBlocks table =
+      BuildKeyBlocks(local, property_, prefix_length_, /*offset=*/0);
+  std::vector<CandidatePair> pairs;
+  std::string key;
+  for (std::size_t e = 0; e < external.size(); ++e) {
+    AppendBlockingKey(external[e], property_, prefix_length_, &key);
+    const std::vector<std::size_t>* block = table.Find(key);
+    if (block == nullptr) continue;
+    for (std::size_t l : *block) pairs.push_back(CandidatePair{e, l});
+  }
+  std::sort(pairs.begin(), pairs.end());
+  return pairs;
+}
+
 std::unique_ptr<CandidateIndex> StandardBlocker::BuildIndex(
     const std::vector<core::Item>& external,
     const std::vector<core::Item>& local) const {
-  // Same block construction as Generate, but instead of expanding the
-  // cross product we keep the blocks and each external item's key id.
-  util::StringInterner keys;
-  std::vector<std::vector<std::size_t>> blocks;  // by key id
-  for (std::size_t l = 0; l < local.size(); ++l) {
-    const std::string key = BlockingKey(local[l], property_, prefix_length_);
-    if (key.empty()) continue;
-    const util::SymbolId id = keys.Intern(key);
-    if (id == blocks.size()) blocks.emplace_back();
-    blocks[id].push_back(l);
-  }
-  std::vector<util::SymbolId> external_key(external.size(),
-                                           util::kInvalidSymbolId);
+  // Generate's blocks, kept instead of expanding the cross product, plus
+  // each external item's key id.
+  KeyBlocks table =
+      BuildKeyBlocks(local, property_, prefix_length_, /*offset=*/0);
+  std::vector<util::SymbolId> external_key(external.size());
+  std::string key;
   for (std::size_t e = 0; e < external.size(); ++e) {
-    const std::string key = BlockingKey(external[e], property_, prefix_length_);
-    if (key.empty()) continue;
-    external_key[e] = keys.Find(key);
+    AppendBlockingKey(external[e], property_, prefix_length_, &key);
+    external_key[e] = table.keys.Find(key);
   }
-  return std::make_unique<StandardBlockIndex>(std::move(blocks),
+  return std::make_unique<StandardBlockIndex>(std::move(table.blocks),
                                               std::move(external_key));
 }
 
 std::unique_ptr<ItemCandidateIndex> StandardBlocker::BuildItemIndex(
     const std::vector<core::Item>& local) const {
-  // The local half of BuildIndex, kept probe-ready: the interner resolves
-  // any query item's key with a read-only Find at serve time.
-  util::StringInterner keys;
-  std::vector<std::vector<std::size_t>> blocks;  // by key id
-  for (std::size_t l = 0; l < local.size(); ++l) {
-    const std::string key = BlockingKey(local[l], property_, prefix_length_);
-    if (key.empty()) continue;
-    const util::SymbolId id = keys.Intern(key);
-    if (id == blocks.size()) blocks.emplace_back();
-    blocks[id].push_back(l);
-  }
-  return std::make_unique<StandardItemIndex>(property_, prefix_length_,
-                                             std::move(keys),
-                                             std::move(blocks), local.size());
+  return std::make_unique<StandardItemIndex>(
+      nullptr, property_, prefix_length_,
+      BuildKeyBlocks(local, property_, prefix_length_, /*offset=*/0),
+      local.size());
 }
 
 std::unique_ptr<ItemCandidateIndex> StandardBlocker::ExtendItemIndex(
     std::shared_ptr<const ItemCandidateIndex> base,
     const std::vector<core::Item>& delta) const {
-  if (base == nullptr) return nullptr;
   // Only an index built with this exact key scheme can be extended: the
   // delta layer must block on the same (property, prefix) or the combined
   // index would mix incompatible keys.
-  const std::string* base_property = nullptr;
-  std::size_t base_prefix = 0;
-  if (const auto* flat = dynamic_cast<const StandardItemIndex*>(base.get())) {
-    base_property = &flat->property();
-    base_prefix = flat->prefix_length();
-  } else if (const auto* layered =
-                 dynamic_cast<const DeltaStandardItemIndex*>(base.get())) {
-    base_property = &layered->property();
-    base_prefix = layered->prefix_length();
-  } else {
-    return nullptr;
-  }
-  if (*base_property != property_ || base_prefix != prefix_length_) {
+  const auto* layer = dynamic_cast<const StandardItemIndex*>(base.get());
+  if (layer == nullptr || !layer->HasScheme(property_, prefix_length_)) {
     return nullptr;
   }
   const std::size_t offset = base->num_local();
-  util::StringInterner keys;
-  std::vector<std::vector<std::size_t>> blocks;  // by key id
-  for (std::size_t j = 0; j < delta.size(); ++j) {
-    const std::string key = BlockingKey(delta[j], property_, prefix_length_);
-    if (key.empty()) continue;
-    const util::SymbolId id = keys.Intern(key);
-    if (id == blocks.size()) blocks.emplace_back();
-    blocks[id].push_back(offset + j);
-  }
-  return std::make_unique<DeltaStandardItemIndex>(
-      std::move(base), property_, prefix_length_, std::move(keys),
-      std::move(blocks), offset + delta.size());
+  return std::make_unique<StandardItemIndex>(
+      std::static_pointer_cast<const StandardItemIndex>(std::move(base)),
+      property_, prefix_length_,
+      BuildKeyBlocks(delta, property_, prefix_length_, offset),
+      offset + delta.size());
 }
 
 std::string StandardBlocker::name() const {

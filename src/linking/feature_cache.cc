@@ -364,7 +364,6 @@ FeatureCache FeatureCache::ExtendFrom(const FeatureCache& base,
   cache.lane_unique_tokens_ = base.lane_unique_tokens_;
   cache.lane_bigrams_ = base.lane_bigrams_;
   cache.lane_value_ids_ = base.lane_value_ids_;
-  cache.simple_ = base.simple_;
 
   // Append the delta items' slots, interning serially through `dict` (the
   // same discipline as Build's serial path; deltas are small by design).
@@ -388,7 +387,6 @@ FeatureCache FeatureCache::ExtendFrom(const FeatureCache& base,
   cache.lane_unique_tokens_.resize(slots, 0);
   cache.lane_bigrams_.resize(slots, 0);
   cache.lane_value_ids_.resize(slots, util::kInvalidSymbolId);
-  cache.simple_.resize(cache.num_items_, 1);
   cache.FillLanes(base.num_items_, cache.num_items_);
   return cache;
 }
@@ -425,7 +423,6 @@ void FeatureCache::BuildLanes(std::size_t num_threads) {
   lane_unique_tokens_.assign(slots, 0);
   lane_bigrams_.assign(slots, 0);
   lane_value_ids_.assign(slots, util::kInvalidSymbolId);
-  simple_.assign(num_items_, 1);
   if (slots == 0) return;
   // Pure replication of already-built per-value features into flat
   // arrays: every write targets this item's own slots, and the dictionary
@@ -443,13 +440,8 @@ void FeatureCache::FillLanes(std::size_t begin, std::size_t end) {
       const std::size_t slot = item * num_rules_ + r;
       const std::uint32_t lo = offsets_[slot];
       const std::uint32_t hi = offsets_[slot + 1];
-      if (hi == lo) continue;  // missing property: lanes stay empty
-      if (hi - lo > 1) {
-        // Multi-valued slot: the cross-product bounds need the per-pair
-        // path, so the whole item opts out of the lanes.
-        simple_[item] = 0;
-        continue;
-      }
+      // A missing or multi-valued slot keeps empty lanes.
+      if (hi - lo != 1) continue;
       const ValueId id = value_ids_[lo];
       const FeatureDictionary::ValueFeatures features = dict.Features(id);
       lane_lengths_[slot] = static_cast<std::uint32_t>(features.text.size());
@@ -466,8 +458,7 @@ std::size_t FeatureCache::memory_bytes() const {
          (lane_lengths_.capacity() + lane_unique_tokens_.capacity() +
           lane_bigrams_.capacity()) *
              sizeof(std::uint32_t) +
-         lane_value_ids_.capacity() * sizeof(ValueId) +
-         simple_.capacity() * sizeof(std::uint8_t);
+         lane_value_ids_.capacity() * sizeof(ValueId);
 }
 
 }  // namespace rulelink::linking

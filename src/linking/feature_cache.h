@@ -234,11 +234,10 @@ class FeatureCache {
   // count and value id — so the batched cascade reads four flat arrays
   // instead of chasing Spans structs and interner offsets per pair. Slots
   // are indexed item * num_rules() + rule, the same addressing as
-  // Values(). Lanes carry real data only for items where simple(item) is
-  // true (every slot holds at most one value — the overwhelmingly common
-  // shape); an empty slot's id lane is util::kInvalidSymbolId and its
-  // other lanes are 0, and multi-valued items take the per-pair fallback.
-  bool simple(std::size_t item) const { return simple_[item] != 0; }
+  // Values(). A slot's lanes carry real data exactly when the slot holds
+  // one value (the overwhelmingly common shape); a missing or multi-valued
+  // slot's id lane is util::kInvalidSymbolId and its other lanes are 0, so
+  // readers take such a slot's values from Values().
   const std::uint32_t* lane_byte_lengths() const {
     return lane_lengths_.data();
   }
@@ -253,9 +252,8 @@ class FeatureCache {
   std::size_t memory_bytes() const;
 
  private:
-  // Fills the SoA lanes and the per-item simple flags from the finished
-  // CSR index (pure function of the data: safe to run in parallel, reads
-  // the dictionary const-only).
+  // Fills the SoA lanes from the finished CSR index (pure function of the
+  // data: safe to run in parallel, reads the dictionary const-only).
   void BuildLanes(std::size_t num_threads);
   // Fills lanes for items in [begin, end). The lane vectors must already
   // be sized and default-initialized for those items; writes stay inside
@@ -273,7 +271,6 @@ class FeatureCache {
   std::vector<std::uint32_t> lane_unique_tokens_;
   std::vector<std::uint32_t> lane_bigrams_;
   std::vector<ValueId> lane_value_ids_;
-  std::vector<std::uint8_t> simple_;  // per item: all slots have <= 1 value
 };
 
 }  // namespace rulelink::linking

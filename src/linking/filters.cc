@@ -9,16 +9,16 @@
 // Stage A's elementwise kernels are compiled once per ISA via per-function
 // target attributes; only x86 has the multi-versioned clones.
 #if defined(__x86_64__) || defined(__i386__)
-#define RULELINK_SIMD_TARGETS 1
+#define RULELINK_X86_TARGETS 1
 #else
-#define RULELINK_SIMD_TARGETS 0
+#define RULELINK_X86_TARGETS 0
 #endif
 
 namespace rulelink::linking {
 namespace {
 
 // Safety slack for stage B only. The stage-A bound is *exactly* at least
-// the score ScoreCached computes (each per-rule bound dominates the best
+// the score ScoreRun computes (each per-rule bound dominates the best
 // value-pair similarity as a double, both sides accumulate in the same
 // rule order, and IEEE +,*,/ are monotone per argument), so stage A needs
 // no slack. Stage B derives a per-rule similarity floor through a
@@ -107,12 +107,13 @@ double ExactValue(const ValueId* ext, std::size_t num_ext,
 //
 // One elementwise pass per rule over the whole candidate run, reading the
 // FeatureCache SoA lanes. Every lane evaluates the very expression the
-// per-pair helpers above evaluate for a single-valued slot — same integer
-// widths in the denominators, same comparison order — so the accumulated
-// bound_sum/weight_total are bit-identical to Prune's locals. Inactive
-// lanes (missing local property, i.e. an invalid id) contribute +0.0,
-// which is an IEEE identity here because the accumulators start at +0.0
-// and only ever add non-negative products.
+// cross-product helpers above evaluate for a single value on each side —
+// same integer widths in the denominators, same comparison order — so a
+// slot's term does not depend on which of the two computed it. Inactive
+// lanes (an invalid id: a missing or multi-valued local slot) contribute
+// +0.0, which is an IEEE identity here because the accumulators start at
+// +0.0 and only ever add non-negative products; a multi-valued slot's
+// cross-product term is added right after the pass (AddCrossProductBound).
 
 // Participation bits, folded into FilterStats when a pair is pruned.
 constexpr std::uint8_t kFlagLength = 1;
@@ -221,25 +222,19 @@ __attribute__((always_inline)) inline void StageARuleImpl(
 
 void StageARuleBaseline(const StageAArgs& a) { StageARuleImpl(a); }
 
-#if RULELINK_SIMD_TARGETS
-__attribute__((target("sse4.2"))) void StageARuleSse42(const StageAArgs& a) {
-  StageARuleImpl(a);
-}
-
+#if RULELINK_X86_TARGETS
 __attribute__((target("avx2"))) void StageARuleAvx2(const StageAArgs& a) {
   StageARuleImpl(a);
 }
-#endif  // RULELINK_SIMD_TARGETS
+#endif  // RULELINK_X86_TARGETS
 
 using StageAKernel = void (*)(const StageAArgs&);
 
 StageAKernel PickStageAKernel(util::SimdMode mode) {
-#if RULELINK_SIMD_TARGETS
+#if RULELINK_X86_TARGETS
   switch (mode) {
     case util::SimdMode::kAVX2:
       return StageARuleAvx2;
-    case util::SimdMode::kSSE42:
-      return StageARuleSse42;
     default:
       return StageARuleBaseline;
   }
@@ -249,7 +244,44 @@ StageAKernel PickStageAKernel(util::SimdMode mode) {
 #endif
 }
 
-// Prune's `record` lambda, replayed from a pair's participation bits.
+// One rule's term for candidate i when a slot holds several values: the
+// best bound over the value-id cross product, through the helpers above,
+// with the lane kernel's bookkeeping. It runs right after the rule's
+// kernel pass (which added +0.0 for the slot's invalid id lane), so each
+// candidate's sums still see the rules in the scorer's order.
+void AddCrossProductBound(const FeatureDictionary& dict, const StageAArgs& a,
+                          const ValueId* ext, std::size_t num_ext,
+                          const ValueId* loc, std::size_t num_loc,
+                          std::size_t i) {
+  double bound = 1.0;
+  std::uint8_t flag = 0;
+  switch (a.kind) {
+    case kStageALevenshtein:
+      bound = LevenshteinLengthBound(dict, ext, num_ext, loc, num_loc);
+      flag = kFlagLength;
+      a.lev_bound[i] = bound;
+      break;
+    case kStageAJaccard:
+      bound = JaccardCountBound(dict, ext, num_ext, loc, num_loc);
+      flag = kFlagToken;
+      break;
+    case kStageADice:
+      bound = DiceCountBound(dict, ext, num_ext, loc, num_loc);
+      flag = kFlagToken;
+      break;
+    case kStageAExact:
+      bound = ExactValue(ext, num_ext, loc, num_loc);
+      flag = kFlagExact;
+      break;
+    default:
+      break;
+  }
+  if (bound < 1.0) a.flags[i] |= flag;
+  a.bound_sum[i] += a.weight * bound;
+  a.weight_total[i] += a.weight;
+}
+
+// Counts a pruned pair under every filter its participation bits name.
 void RecordPruned(FilterStats* stats, std::uint8_t flags,
                   bool distance_cap) {
   if (stats == nullptr) return;
@@ -259,12 +291,6 @@ void RecordPruned(FilterStats* stats, std::uint8_t flags,
   if (flags & kFlagExact) ++stats->by_exact;
   if (distance_cap) ++stats->by_distance_cap;
 }
-
-// FilterBatchScratch::state values.
-constexpr std::uint8_t kStateUndecided = 0;
-constexpr std::uint8_t kStatePruned = 1;
-constexpr std::uint8_t kStateKeep = 2;
-constexpr std::uint8_t kStateFallback = 3;  // decided by per-pair Prune
 
 }  // namespace
 
@@ -298,127 +324,6 @@ FilterCascade::FilterCascade(const ItemMatcher* matcher, double threshold)
   }
 }
 
-bool FilterCascade::Prune(const FeatureCache& external_features,
-                          std::size_t external_index,
-                          const FeatureCache& local_features,
-                          std::size_t local_index,
-                          FilterStats* stats) const {
-  const FeatureDictionary& dict = external_features.dict();
-
-  // Stage A: accumulate the per-rule bounds exactly the way ScoreCached
-  // accumulates the per-rule bests (same order, same skip-and-renormalize
-  // treatment of missing properties), so bound_sum >= weighted_sum holds
-  // as computed doubles, not just in real arithmetic.
-  double bound_sum = 0.0;
-  double weight_total = 0.0;
-  bool length_participated = false;
-  bool token_participated = false;
-  bool exact_participated = false;
-  bool any_levenshtein_active = false;
-  for (std::size_t r = 0; r < plans_.size(); ++r) {
-    std::size_t num_ext = 0, num_loc = 0;
-    const ValueId* ext = external_features.Values(external_index, r, &num_ext);
-    const ValueId* loc = local_features.Values(local_index, r, &num_loc);
-    if (num_ext == 0 || num_loc == 0) continue;
-    const Plan& plan = plans_[r];
-    double bound = 1.0;
-    switch (plan.kind) {
-      case Kind::kOptimistic:
-        break;
-      case Kind::kLevenshtein:
-        bound = LevenshteinLengthBound(dict, ext, num_ext, loc, num_loc);
-        any_levenshtein_active = true;
-        if (bound < 1.0) length_participated = true;
-        break;
-      case Kind::kJaccard:
-        bound = JaccardCountBound(dict, ext, num_ext, loc, num_loc);
-        if (bound < 1.0) token_participated = true;
-        break;
-      case Kind::kDice:
-        bound = DiceCountBound(dict, ext, num_ext, loc, num_loc);
-        if (bound < 1.0) token_participated = true;
-        break;
-      case Kind::kExact:
-        bound = ExactValue(ext, num_ext, loc, num_loc);
-        if (bound < 1.0) exact_participated = true;
-        break;
-    }
-    bound_sum += plan.weight * bound;
-    weight_total += plan.weight;
-  }
-
-  const auto record = [&](bool distance_cap) {
-    if (stats == nullptr) return;
-    ++stats->pairs_pruned;
-    if (length_participated) ++stats->by_length;
-    if (token_participated) ++stats->by_token_count;
-    if (exact_participated) ++stats->by_exact;
-    if (distance_cap) ++stats->by_distance_cap;
-  };
-
-  if (weight_total == 0.0) {
-    // Every rule inactive: the scorer returns 0.0, below any positive
-    // threshold. (With threshold 0 the pair would still be emitted.)
-    if (threshold_ <= 0.0) return false;
-    record(false);
-    return true;
-  }
-  if (bound_sum / weight_total < threshold_) {
-    record(false);
-    return true;
-  }
-
-  // Stage B: the length bound survived, but a capped bit-parallel probe
-  // may still prove every Levenshtein value pair sits below the similarity
-  // floor that rule would need for the aggregate to reach the threshold.
-  if (!any_levenshtein_active || threshold_ <= 0.0) return false;
-  const double threshold_weight = threshold_ * weight_total;
-  for (std::size_t r = 0; r < plans_.size(); ++r) {
-    if (plans_[r].kind != Kind::kLevenshtein) continue;
-    std::size_t num_ext = 0, num_loc = 0;
-    const ValueId* ext = external_features.Values(external_index, r, &num_ext);
-    const ValueId* loc = local_features.Values(local_index, r, &num_loc);
-    if (num_ext == 0 || num_loc == 0) continue;
-    // Bound on every other rule's contribution = stage A's sum minus this
-    // rule's own term; the subtraction's rounding is what kStageBSlack is
-    // for.
-    const double own =
-        plans_[r].weight *
-        LevenshteinLengthBound(dict, ext, num_ext, loc, num_loc);
-    const double floor =
-        (threshold_weight - (bound_sum - own)) / plans_[r].weight;
-    const double floor_cap = floor - kStageBSlack;
-    if (floor_cap <= 0.0) continue;  // any similarity could suffice
-    double best = -1.0;
-    for (std::size_t i = 0; i < num_ext; ++i) {
-      const std::string_view va = dict.View(ext[i]);
-      for (std::size_t j = 0; j < num_loc; ++j) {
-        const std::string_view vb = dict.View(loc[j]);
-        const std::size_t longest = std::max(va.size(), vb.size());
-        if (longest == 0) {
-          best = std::max(best, 1.0);
-          continue;
-        }
-        // Distances above this cap put the pair's similarity strictly
-        // below floor_cap (the +1 absorbs the product's rounding).
-        double allowed = (1.0 - floor_cap) * static_cast<double>(longest);
-        if (allowed < 0.0) allowed = 0.0;
-        const std::size_t cap = static_cast<std::size_t>(allowed) + 1;
-        const std::size_t d = text::BoundedLevenshteinDistance(va, vb, cap);
-        if (d <= cap) {
-          best = std::max(
-              best, text::LevenshteinSimilarityFromDistance(d, longest));
-        }
-      }
-    }
-    if (best < floor_cap) {
-      record(true);
-      return true;
-    }
-  }
-  return false;
-}
-
 void FilterCascade::PruneBatch(const FeatureCache& external_features,
                                std::size_t external_index,
                                const FeatureCache& local_features,
@@ -428,19 +333,6 @@ void FilterCascade::PruneBatch(const FeatureCache& external_features,
   RL_DCHECK(scratch != nullptr);
   scratch->pruned.assign(count, 0);
   if (count == 0) return;
-
-  // A multi-valued external item needs the cross-product bounds on every
-  // rule: the whole run takes the per-pair path.
-  if (!external_features.simple(external_index)) {
-    for (std::size_t i = 0; i < count; ++i) {
-      scratch->pruned[i] = Prune(external_features, external_index,
-                                 local_features, candidates[i], stats)
-                               ? 1
-                               : 0;
-    }
-    scratch->remainder_pairs += count;
-    return;
-  }
 
   const FeatureDictionary& dict = external_features.dict();
   const std::size_t num_rules = plans_.size();
@@ -452,29 +344,10 @@ void FilterCascade::PruneBatch(const FeatureCache& external_features,
   scratch->bound_sum.assign(count, 0.0);
   scratch->weight_total.assign(count, 0.0);
   scratch->flags.assign(count, 0);
-  scratch->state.assign(count, kStateUndecided);
   scratch->lev_bound.assign(num_lev * count, -1.0);
   scratch->lane_scalar.resize(count);
   scratch->lane_id.resize(count);
 
-  // Multi-valued locals are decided by per-pair Prune right away; their
-  // lanes still flow through the kernels below but every result is
-  // ignored (state == kStateFallback).
-  std::size_t fallback = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (local_features.simple(candidates[i])) continue;
-    scratch->state[i] = kStateFallback;
-    scratch->pruned[i] = Prune(external_features, external_index,
-                               local_features, candidates[i], stats)
-                             ? 1
-                             : 0;
-    ++fallback;
-  }
-  scratch->remainder_pairs += fallback;
-  scratch->batched_pairs += count - fallback;
-  if (fallback == count) return;
-
-  const ValueId* ext_ids = external_features.lane_value_ids();
   const std::uint32_t* ext_lengths = external_features.lane_byte_lengths();
   const std::uint32_t* ext_tokens = external_features.lane_unique_tokens();
   const std::uint32_t* ext_bigrams = external_features.lane_bigrams();
@@ -484,22 +357,25 @@ void FilterCascade::PruneBatch(const FeatureCache& external_features,
   const std::uint32_t* loc_bigrams = local_features.lane_bigrams();
   const StageAKernel kernel = PickStageAKernel(util::ActiveSimdMode());
 
-  // Stage A, rule-outer: gather the local lanes this rule's bound reads
-  // into contiguous scratch, then one elementwise kernel pass. Rules run
-  // in plan order, so each lane's accumulators see the exact addition
-  // sequence Prune's scalar locals see.
+  // Stage A, rule-outer, in plan order (the scorer's rule order): gather
+  // the local lanes this rule's bound reads into contiguous scratch, run
+  // one elementwise kernel pass, then add the cross-product terms of the
+  // multi-valued slots. An external item with several values under the
+  // rule takes the cross product for every candidate instead.
   std::size_t lev_row = 0;
   for (std::size_t r = 0; r < num_rules; ++r) {
     const Plan& plan = plans_[r];
     const std::size_t row =
         plan.kind == Kind::kLevenshtein ? lev_row++ : 0;
-    const std::size_t ext_slot = external_index * num_rules + r;
-    const ValueId ext_id = ext_ids[ext_slot];
-    if (ext_id == util::kInvalidSymbolId) continue;  // property missing
+    std::size_t num_ext = 0;
+    const ValueId* ext =
+        external_features.Values(external_index, r, &num_ext);
+    if (num_ext == 0) continue;  // property missing
 
+    const std::size_t ext_slot = external_index * num_rules + r;
     StageAArgs args;
     args.weight = plan.weight;
-    args.ext_id = ext_id;
+    args.ext_id = ext[0];
     args.n = count;
     args.bound_sum = scratch->bound_sum.data();
     args.weight_total = scratch->weight_total.data();
@@ -531,50 +407,70 @@ void FilterCascade::PruneBatch(const FeatureCache& external_features,
         args.kind = kStageAExact;
         break;
     }
+    if (num_ext > 1) {
+      for (std::size_t i = 0; i < count; ++i) {
+        std::size_t num_loc = 0;
+        const ValueId* loc = local_features.Values(candidates[i], r, &num_loc);
+        if (num_loc == 0) continue;
+        AddCrossProductBound(dict, args, ext, num_ext, loc, num_loc, i);
+      }
+      continue;
+    }
+    scratch->multi_valued.clear();
     for (std::size_t i = 0; i < count; ++i) {
       const std::size_t slot = candidates[i] * num_rules + r;
-      scratch->lane_id[i] = loc_ids[slot];
+      const ValueId id = loc_ids[slot];
+      scratch->lane_id[i] = id;
       if (gather_from != nullptr) {
         scratch->lane_scalar[i] = gather_from[slot];
       }
+      if (id == util::kInvalidSymbolId) {
+        std::size_t num_loc = 0;
+        local_features.Values(candidates[i], r, &num_loc);
+        if (num_loc > 1) scratch->multi_valued.push_back(i);
+      }
     }
     kernel(args);
+    for (const std::size_t i : scratch->multi_valued) {
+      std::size_t num_loc = 0;
+      const ValueId* loc = local_features.Values(candidates[i], r, &num_loc);
+      AddCrossProductBound(dict, args, ext, 1, loc, num_loc, i);
+    }
   }
 
-  // Stage-A decision, exactly Prune's: all-inactive pairs score 0.0, and
-  // a renormalized bound below the threshold proves the pair out.
+  // Stage-A decision: all-inactive pairs score 0.0, below any positive
+  // threshold, and a renormalized bound below the threshold proves the
+  // pair out.
   for (std::size_t i = 0; i < count; ++i) {
-    if (scratch->state[i] != kStateUndecided) continue;
-    if (scratch->weight_total[i] == 0.0) {
-      if (threshold_ <= 0.0) {
-        scratch->state[i] = kStateKeep;
-        continue;
-      }
+    const bool below =
+        scratch->weight_total[i] == 0.0
+            ? threshold_ > 0.0
+            : scratch->bound_sum[i] / scratch->weight_total[i] < threshold_;
+    if (below) {
       scratch->pruned[i] = 1;
-      scratch->state[i] = kStatePruned;
-      RecordPruned(stats, scratch->flags[i], false);
-      continue;
-    }
-    if (scratch->bound_sum[i] / scratch->weight_total[i] < threshold_) {
-      scratch->pruned[i] = 1;
-      scratch->state[i] = kStatePruned;
       RecordPruned(stats, scratch->flags[i], false);
     }
   }
 
-  // Stage B: per Levenshtein rule in plan order, derive each surviving
-  // pair's similarity floor (same subtraction/division/slack as Prune)
-  // and batch the capped probes through the interleaved kernel. A pair
-  // pruned by an earlier rule skips the later ones, like Prune's early
-  // return.
+  // Stage B: the length bound survived, but capped bit-parallel probes may
+  // still prove every Levenshtein value pair sits below the similarity
+  // floor that rule would need for the aggregate to reach the threshold.
+  // Per Levenshtein rule in plan order, derive each surviving pair's floor
+  // and queue one capped probe per value pair, then run them all through
+  // the interleaved kernel. A pair pruned by an earlier rule skips the
+  // later ones.
   if (!any_levenshtein_ || threshold_ <= 0.0) return;
   lev_row = 0;
   for (std::size_t r = 0; r < num_rules; ++r) {
     if (plans_[r].kind != Kind::kLevenshtein) continue;
     const std::size_t row = lev_row++;
-    const ValueId ext_id = ext_ids[external_index * num_rules + r];
-    if (ext_id == util::kInvalidSymbolId) continue;
-    const std::string_view va = dict.View(ext_id);
+    std::size_t num_ext = 0;
+    const ValueId* ext =
+        external_features.Values(external_index, r, &num_ext);
+    if (num_ext == 0) continue;
+    std::vector<std::string_view>& ext_views = scratch->external_views;
+    ext_views.resize(num_ext);
+    for (std::size_t k = 0; k < num_ext; ++k) ext_views[k] = dict.View(ext[k]);
     const double weight = plans_[r].weight;
     const double* lev_bounds = scratch->lev_bound.data() + row * count;
     scratch->probe_a.clear();
@@ -584,54 +480,63 @@ void FilterCascade::PruneBatch(const FeatureCache& external_features,
     scratch->probe_longest.clear();
     scratch->probe_floor.clear();
     for (std::size_t i = 0; i < count; ++i) {
-      if (scratch->state[i] != kStateUndecided) continue;
+      if (scratch->pruned[i] != 0) continue;
       const double own_bound = lev_bounds[i];
       if (own_bound < 0.0) continue;  // rule inactive for this pair
+      // Bound on every other rule's contribution = stage A's sum minus
+      // this rule's own term; the subtraction's rounding is what
+      // kStageBSlack is for.
       const double own = weight * own_bound;
       const double floor = (threshold_ * scratch->weight_total[i] -
                             (scratch->bound_sum[i] - own)) /
                            weight;
       const double floor_cap = floor - kStageBSlack;
-      if (floor_cap <= 0.0) continue;
-      const ValueId loc_id = loc_ids[candidates[i] * num_rules + r];
-      const std::string_view vb = dict.View(loc_id);
-      const std::size_t longest = std::max(va.size(), vb.size());
-      if (longest == 0) {
-        // best = 1.0 without a probe; prune only if even that is below
-        // the floor (a floor above 1 is unreachable by any value pair).
-        if (1.0 < floor_cap) {
-          scratch->pruned[i] = 1;
-          scratch->state[i] = kStatePruned;
-          RecordPruned(stats, scratch->flags[i], true);
-        }
-        continue;
+      if (floor_cap <= 0.0) continue;  // any similarity could suffice
+      const std::size_t slot = candidates[i] * num_rules + r;
+      std::size_t num_loc = 1;
+      const ValueId* loc = loc_ids + slot;
+      if (*loc == util::kInvalidSymbolId) {
+        loc = local_features.Values(candidates[i], r, &num_loc);
       }
-      double allowed = (1.0 - floor_cap) * static_cast<double>(longest);
-      if (allowed < 0.0) allowed = 0.0;
-      const std::size_t cap = static_cast<std::size_t>(allowed) + 1;
-      scratch->probe_a.push_back(va);
-      scratch->probe_b.push_back(vb);
-      scratch->probe_cap.push_back(cap);
-      scratch->probe_pair.push_back(i);
-      scratch->probe_longest.push_back(longest);
-      scratch->probe_floor.push_back(floor_cap);
+      for (const std::string_view va : ext_views) {
+        for (std::size_t j = 0; j < num_loc; ++j) {
+          const std::string_view vb = dict.View(loc[j]);
+          const std::size_t longest = std::max(va.size(), vb.size());
+          // Distances above this cap put the pair's similarity strictly
+          // below floor_cap (the +1 absorbs the product's rounding). Two
+          // empty values probe as distance 0, similarity 1.0.
+          double allowed = (1.0 - floor_cap) * static_cast<double>(longest);
+          if (allowed < 0.0) allowed = 0.0;
+          scratch->probe_a.push_back(va);
+          scratch->probe_b.push_back(vb);
+          scratch->probe_cap.push_back(static_cast<std::size_t>(allowed) +
+                                       1);
+          scratch->probe_pair.push_back(i);
+          scratch->probe_longest.push_back(longest);
+          scratch->probe_floor.push_back(floor_cap);
+        }
+      }
     }
-    if (scratch->probe_a.empty()) continue;
-    scratch->probe_out.resize(scratch->probe_a.size());
+    const std::size_t num_probes = scratch->probe_a.size();
+    if (num_probes == 0) continue;
+    scratch->probe_out.resize(num_probes);
     text::BoundedLevenshteinDistanceBatch(
         scratch->probe_a.data(), scratch->probe_b.data(),
-        scratch->probe_cap.data(), scratch->probe_a.size(),
-        scratch->probe_out.data());
-    for (std::size_t p = 0; p < scratch->probe_a.size(); ++p) {
+        scratch->probe_cap.data(), num_probes, scratch->probe_out.data());
+    // A pair is pruned when its best value pair stays below its floor.
+    for (std::size_t p = 0; p < num_probes;) {
       const std::size_t i = scratch->probe_pair[p];
+      const double floor_cap = scratch->probe_floor[p];
       double best = -1.0;
-      if (scratch->probe_out[p] <= scratch->probe_cap[p]) {
-        best = text::LevenshteinSimilarityFromDistance(
-            scratch->probe_out[p], scratch->probe_longest[p]);
+      for (; p < num_probes && scratch->probe_pair[p] == i; ++p) {
+        if (scratch->probe_out[p] <= scratch->probe_cap[p]) {
+          best = std::max(best, text::LevenshteinSimilarityFromDistance(
+                                    scratch->probe_out[p],
+                                    scratch->probe_longest[p]));
+        }
       }
-      if (best < scratch->probe_floor[p]) {
+      if (best < floor_cap) {
         scratch->pruned[i] = 1;
-        scratch->state[i] = kStatePruned;
         RecordPruned(stats, scratch->flags[i], true);
       }
     }

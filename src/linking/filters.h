@@ -42,21 +42,22 @@ struct FilterStats {
 // lanes, gather buffers and stage-B probe staging, plus the output bitmap.
 // Owned by the caller (one per streaming shard) so a run's batch pass
 // allocates nothing after warm-up. `pruned[i]` is 1 when candidate i of
-// the last PruneBatch call was pruned. The batched/remainder counters
-// accumulate across calls (candidate pairs through the SoA lane path vs
-// the per-pair fallback) for the "simd" observability section; the caller
-// folds them into util::AddSimdCascadePairs once per run.
+// the last PruneBatch call was pruned.
 struct FilterBatchScratch {
-  // Per-candidate stage-A accumulators (exactly Prune's locals, as lanes).
+  // Per-candidate stage-A accumulators.
   std::vector<double> bound_sum;
   std::vector<double> weight_total;
   std::vector<double> lev_bound;  // num-Levenshtein-rules rows of n lanes
   std::vector<std::uint8_t> flags;  // participation bits for FilterStats
-  std::vector<std::uint8_t> state;  // 0 undecided / 1 pruned / 2 keep
-  // Gathered local-side lanes for the rule being evaluated.
+  // Gathered local-side lanes for the rule being evaluated, and the
+  // candidates whose slot under it holds several values.
   std::vector<std::uint32_t> lane_scalar;
   std::vector<ValueId> lane_id;
-  // Stage-B probe staging for BoundedLevenshteinDistanceBatch.
+  std::vector<std::size_t> multi_valued;
+  // The external item's values under the stage-B rule being probed.
+  std::vector<std::string_view> external_views;
+  // Stage-B probe staging for BoundedLevenshteinDistanceBatch, one entry
+  // per value pair; a candidate's probes are consecutive.
   std::vector<std::string_view> probe_a;
   std::vector<std::string_view> probe_b;
   std::vector<std::size_t> probe_cap;
@@ -66,9 +67,6 @@ struct FilterBatchScratch {
   std::vector<double> probe_floor;         // floor_cap per probe
   // Output bitmap of the last call.
   std::vector<std::uint8_t> pruned;
-  // Cascade pair counters, caller-folded into the process totals.
-  std::uint64_t batched_pairs = 0;
-  std::uint64_t remainder_pairs = 0;
 };
 
 class FilterCascade {
@@ -77,28 +75,20 @@ class FilterCascade {
   // linker's decision threshold in [0, 1].
   FilterCascade(const ItemMatcher* matcher, double threshold);
 
-  // True when the pair's aggregate score is provably below the threshold.
+  // Prunes one external item's whole candidate run: sets
+  // scratch->pruned[i] to 1 exactly when candidate i's aggregate score is
+  // provably below the threshold, and counts every prune in `stats`.
   // Stage A combines per-rule upper bounds (length gap for Levenshtein,
   // count bounds for Jaccard/Dice, the exact id scan for kExact, 1.0 for
-  // everything else) with the matcher's weight renormalization; stage B
-  // spends a capped bit-parallel Levenshtein probe per surviving
-  // Levenshtein rule. Thread-safe: no mutable state.
-  bool Prune(const FeatureCache& external_features,
-             std::size_t external_index,
-             const FeatureCache& local_features, std::size_t local_index,
-             FilterStats* stats) const;
-
-  // Batched Prune over one external item's whole candidate run: fills
-  // scratch->pruned[i] with Prune(ext, e, loc, candidates[i], stats) for
-  // every i < count, updating `stats` exactly as the per-pair calls would
-  // (same decisions, same counters — the arithmetic per lane is the very
-  // expression Prune evaluates, so the results are byte-identical; see
-  // DESIGN.md §5h). Pairs whose items carry multi-valued slots take the
-  // per-pair path internally. Stage A runs over the FeatureCache SoA
-  // lanes through an ISA-dispatched elementwise kernel
-  // (util::ActiveSimdMode()); stage B collects its capped probes into
-  // text::BoundedLevenshteinDistanceBatch. Thread-safe as long as each
-  // worker owns its scratch.
+  // everything else) with the matcher's weight renormalization, over the
+  // FeatureCache SoA lanes through an ISA-dispatched elementwise kernel
+  // (util::ActiveSimdMode()); a multi-valued slot on either side adds its
+  // best bound over the value cross product in the same rule order.
+  // Stage B spends one capped bit-parallel Levenshtein probe per value
+  // pair of each surviving Levenshtein rule, batched through
+  // text::BoundedLevenshteinDistanceBatch. Decisions and counters do not
+  // depend on the dispatch mode (DESIGN.md §5e, §5h). Thread-safe as long
+  // as each worker owns its scratch.
   void PruneBatch(const FeatureCache& external_features,
                   std::size_t external_index,
                   const FeatureCache& local_features,

@@ -193,17 +193,6 @@ void GatherValues(const FeatureCache& local_features, std::size_t rule,
 
 }  // namespace
 
-double ItemMatcher::ScoreCached(const FeatureCache& external_features,
-                                std::size_t external_index,
-                                const FeatureCache& local_features,
-                                std::size_t local_index, ScoreMemo* memo,
-                                std::uint64_t* measures_computed) const {
-  static thread_local ScoreRunScratch scratch;
-  ScoreRun(external_features, external_index, local_features, &local_index,
-           1, memo, measures_computed, &scratch);
-  return scratch.scores[0];
-}
-
 void ItemMatcher::ScoreRun(const FeatureCache& external_features,
                            std::size_t external_index,
                            const FeatureCache& local_features,
@@ -237,8 +226,8 @@ void ItemMatcher::ScoreRun(const FeatureCache& external_features,
 
     // Scores every external value against every gathered value: `fill`
     // writes one external value's similarities, then each candidate keeps
-    // its best. Per candidate that is ScoreCached's external-outer,
-    // local-inner cross product.
+    // its best. Per candidate that is Score's external-outer, local-inner
+    // cross product.
     const auto cross_product = [&](const auto& fill) {
       for (std::size_t i = 0; i < num_ext; ++i) {
         fill(ext[i], similarity.data());

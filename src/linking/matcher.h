@@ -99,36 +99,24 @@ class ItemMatcher {
   double Score(const core::Item& external, const core::Item& local,
                std::uint64_t* measures_computed = nullptr) const;
 
-  // The same score computed from precomputed features: byte-identical to
-  // Score() on the items the caches were built from, but measure dispatch
-  // is hoisted out of the value-pair loop, token measures run as
-  // sort-merges over dense ids instead of re-tokenizing strings, and
-  // `memo` (optional) short-circuits repeated Monge-Elkan value pairs.
-  // Both caches must have been built against this matcher and share one
-  // FeatureDictionary.
-  // `measures_computed` counts kernels actually run: memo hits are replays,
-  // not computations, so they do not count (which makes the counter depend
-  // on memo state, unlike the score itself); kExact counts the id pairs it
-  // examined before short-circuiting.
-  // This is ScoreRun over a one-candidate run, staged in a per-thread
-  // scratch.
-  double ScoreCached(const FeatureCache& external_features,
-                     std::size_t external_index,
-                     const FeatureCache& local_features,
-                     std::size_t local_index,
-                     ScoreMemo* memo = nullptr,
-                     std::uint64_t* measures_computed = nullptr) const;
-
-  // Scores one external item against a run of local items at once:
-  // afterwards scratch->scores[i] is ScoreCached(external_features,
-  // external_index, local_features, candidates[i]) bit for bit, for every
-  // i < count, and `memo` and `measures_computed` have moved exactly as
-  // those count calls in order would have moved them. Rule by rule, a
-  // gather pass resolves every candidate's local values into the scratch
-  // (single-valued slots through the SoA id lane), then a score pass runs
-  // the rule's kernel over the gathered values against each external
-  // value, prepared once per run (DESIGN.md §5d). Each candidate adds
-  // weight * best in rule order, exactly as ScoreCached does.
+  // Scores one external item against a run of local items from
+  // precomputed features: afterwards scratch->scores[i] is
+  // Score(external, local[candidates[i]]) bit for bit on the items the
+  // caches were built from, for every i < count. Both caches must have
+  // been built against this matcher and share one FeatureDictionary root.
+  // Rule by rule, a gather pass resolves every candidate's local values
+  // into the scratch (single-valued slots through the SoA id lane), then a
+  // score pass runs the rule's kernel over the gathered values against
+  // each external value, prepared once per run (DESIGN.md §5d); token
+  // measures run as sort-merges over dense ids instead of re-tokenizing
+  // strings. Each candidate adds weight * best in rule order, exactly as
+  // Score does. `memo` (optional) short-circuits repeated Monge-Elkan
+  // value pairs. `measures_computed` (optional) counts kernels actually
+  // run: memo hits are replays, not computations, so they do not count
+  // (which makes the counter depend on memo state, unlike the scores);
+  // kExact counts the id pairs it examined before short-circuiting. Both
+  // move exactly as a pair-by-pair loop over the run in order would move
+  // them.
   void ScoreRun(const FeatureCache& external_features,
                 std::size_t external_index,
                 const FeatureCache& local_features,

@@ -295,7 +295,6 @@ class ServeEngine {
     // bookkeeping for benches; the links themselves are deterministic).
     std::size_t pairs_scored() const { return pairs_scored_; }
     const FilterStats& filter_stats() const { return filters_; }
-    const QueryScratch& scratch() const { return scratch_; }
 
    private:
     ServeEngine* engine_;

@@ -6,7 +6,6 @@
 #include "linking/feature_cache.h"
 #include "linking/query_scratch.h"
 #include "util/logging.h"
-#include "util/simd.h"
 #include "util/thread_pool.h"
 
 namespace rulelink::linking {
@@ -85,8 +84,6 @@ std::vector<Link> StreamingLinker::Run(const blocking::CandidateIndex& index,
     FilterStats filters;
     ScoreMemoStats memo;
     obs::Histogram run_lengths;  // one observation per external item
-    std::uint64_t cascade_batched = 0;    // pairs through PruneBatch lanes
-    std::uint64_t cascade_remainder = 0;  // per-pair fallback pairs
   };
   // Run lengths are exactly the skew the morsel scheduler exists for: one
   // hot external with a huge candidate run no longer serializes its whole
@@ -112,8 +109,6 @@ std::vector<Link> StreamingLinker::Run(const blocking::CandidateIndex& index,
                    &shard.pairs_scored, &shard.links);
         }
         shard.memo = scratch.memo.stats();
-        shard.cascade_batched = scratch.filter.batched_pairs;
-        shard.cascade_remainder = scratch.filter.remainder_pairs;
       },
       kExternalsPerMorsel);
 
@@ -121,11 +116,7 @@ std::vector<Link> StreamingLinker::Run(const blocking::CandidateIndex& index,
   LinkerStats total;
   ScoreMemoStats memo_total;
   obs::Histogram run_lengths;  // shards fold in chunk order
-  std::uint64_t cascade_batched = 0;
-  std::uint64_t cascade_remainder = 0;
   for (const StreamShard& shard : shards) {
-    cascade_batched += shard.cascade_batched;
-    cascade_remainder += shard.cascade_remainder;
     if (observe) run_lengths.Merge(shard.run_lengths);
     total.pairs_scored += shard.pairs_scored;
     total.comparisons += shard.measures_computed;
@@ -140,10 +131,6 @@ std::vector<Link> StreamingLinker::Run(const blocking::CandidateIndex& index,
     links.insert(links.end(), shard.links.begin(), shard.links.end());
   }
   total.links_emitted = links.size();
-  // One atomic fold per Run into the process-wide SIMD counters (the
-  // "simd" section of the full MetricsSnapshot; dispatch-variant, so it
-  // stays out of the deterministic snapshot).
-  util::AddSimdCascadePairs(cascade_batched, cascade_remainder);
   if (metrics != nullptr) {
     // Only thread-invariant quantities: `comparisons` (kernels run) and
     // the memo counters depend on the chunking, so they stay out of the

@@ -63,9 +63,9 @@ class StreamingLinker {
   // values, then score them against each external value prepared once),
   // and appends this external's links to *links under the linker's
   // strategy and tie-break. Scores, links and counters are those of
-  // ScoreCached called survivor by survivor in run order. Allocation-free
-  // once `scratch` and `links` are warm. Thread-safe across callers with
-  // distinct scratches.
+  // ItemMatcher::Score called survivor by survivor in run order.
+  // Allocation-free once `scratch` and `links` are warm. Thread-safe
+  // across callers with distinct scratches.
   void QueryRun(const FeatureCache& external_features,
                 std::size_t external_index,
                 const FeatureCache& local_features, QueryScratch* scratch,

@@ -294,12 +294,7 @@ std::string MetricsSnapshot::ToJson(bool include_timings) const {
     // SIMD dispatch is host/CPU-dependent, so it stays out of the
     // deterministic document too.
     out += ",\n  \"simd\": {\"dispatch\": \"" + std::string(simd.dispatch) +
-           "\", \"batch_width\": " + std::to_string(simd.batch_width) +
-           ", \"cascade_batched_pairs\": " +
-           std::to_string(simd.totals.cascade_batched_pairs) +
-           ", \"cascade_remainder_pairs\": " +
-           std::to_string(simd.totals.cascade_remainder_pairs) +
-           ", \"kernel_batched_pairs\": " +
+           "\", \"kernel_batched_pairs\": " +
            std::to_string(simd.totals.kernel_batched_pairs) +
            ", \"kernel_remainder_pairs\": " +
            std::to_string(simd.totals.kernel_remainder_pairs) + "}";

@@ -122,9 +122,9 @@ struct MetricsSnapshot {
   // section renders only in the full document, never the deterministic
   // one.
   util::SchedulerStats scheduler;
-  // SIMD dispatch target and batched/remainder pair counters at snapshot
-  // time (DESIGN.md §5h). Dispatch-variant (depends on the host CPU and
-  // RULELINK_SIMD), so it renders alongside "scheduler" in the full
+  // SIMD dispatch target and batched/remainder Levenshtein probe
+  // counters at snapshot time (DESIGN.md §5h). Dispatch-variant (depends
+  // on the host CPU), so it renders alongside "scheduler" in the full
   // document only.
   util::SimdStats simd;
 

@@ -14,10 +14,10 @@
 // per-function target attributes; only x86 has the multi-versioned
 // wrappers (elsewhere the batch API degrades to single-pair calls).
 #if defined(__x86_64__) || defined(__i386__)
-#define RULELINK_SIMD_TARGETS 1
+#define RULELINK_X86_TARGETS 1
 #include <immintrin.h>
 #else
-#define RULELINK_SIMD_TARGETS 0
+#define RULELINK_X86_TARGETS 0
 #endif
 
 namespace rulelink::text {
@@ -153,8 +153,8 @@ std::size_t MyersDistance(std::string_view a, std::string_view b,
 
 // --- Interleaved multi-pair Myers (DESIGN.md §5h) ----------------------
 //
-// W independent single-word Myers computations advancing in lockstep in
-// the 64-bit lanes of one vector register set, all probing the SAME
+// Four independent single-word Myers computations advancing in lockstep
+// in the 64-bit lanes of one AVX2 register set, all probing the SAME
 // pattern against their own texts — the shape the filter cascade
 // produces, where every stage-B probe of a candidate run shares the
 // external item's value. Sharing the pattern lets one match-mask table
@@ -173,10 +173,10 @@ std::size_t MyersDistance(std::string_view a, std::string_view b,
 // <= cap means the exit condition can never have held — so both compute
 // d <= cap ? d : cap + 1, a value that does not depend on orientation or
 // on when the exit is detected. The per-column early exit is therefore
-// pure throughput, and the lockstep kernels recover it in bulk: every 8
-// columns they stop if every lane is finished or provably past its cap.
+// pure throughput, and the lockstep kernel recovers it in bulk: every 8
+// columns it stops if every lane is finished or provably past its cap.
 
-// Per-thread match-mask table for the shared-pattern kernels; entries
+// Per-thread match-mask table for the shared-pattern kernel; entries
 // touched by a pattern are cleared again after each segment, the same
 // discipline as the single-pair kernel's table.
 std::uint64_t* InterleavedPeq() {
@@ -184,7 +184,7 @@ std::uint64_t* InterleavedPeq() {
   return table.data();
 }
 
-#if RULELINK_SIMD_TARGETS
+#if RULELINK_X86_TARGETS
 
 // Runs one shared pattern (1..64 bytes) against `count` texts, four at a
 // time; texts must be non-empty. The final partial group is padded with
@@ -287,89 +287,7 @@ __attribute__((target("avx2"))) void MyersInterleavedShared4Avx2(
   }
 }
 
-__attribute__((target("sse4.2"))) void MyersInterleavedShared2Sse42(
-    std::string_view pattern, const std::string_view* text,
-    const std::size_t* cap, std::size_t count, std::size_t* result) {
-  std::uint64_t* table = InterleavedPeq();
-  const std::size_t m = pattern.size();
-  for (std::size_t i = 0; i < m; ++i) {
-    table[static_cast<unsigned char>(pattern[i])] |= std::uint64_t{1} << i;
-  }
-  const auto i64 = [](std::uint64_t v) {
-    return static_cast<long long>(v);
-  };
-  const __m128i lr = _mm_set1_epi64x(i64(std::uint64_t{1} << (m - 1)));
-  const __m128i m_vec = _mm_set1_epi64x(i64(m));
-  const __m128i ones = _mm_set1_epi64x(-1);
-  const __m128i one = _mm_set1_epi64x(1);
-  const __m128i zero = _mm_setzero_si128();
-  for (std::size_t g = 0; g < count; g += 2) {
-    const unsigned char* txt[2];
-    std::size_t last_col[2];
-    std::size_t idx[2];
-    std::size_t max_n = 0;
-    for (int k = 0; k < 2; ++k) {
-      idx[k] = g + k < count ? g + k : g;
-      txt[k] = reinterpret_cast<const unsigned char*>(text[idx[k]].data());
-      last_col[k] = text[idx[k]].size() - 1;
-      max_n = std::max(max_n, text[idx[k]].size());
-    }
-    const __m128i n_vec =
-        _mm_set_epi64x(i64(last_col[1] + 1), i64(last_col[0] + 1));
-    const __m128i cap_n =
-        _mm_set_epi64x(i64(cap[idx[1]] + last_col[1] + 1),
-                       i64(cap[idx[0]] + last_col[0] + 1));
-    __m128i score = m_vec;
-    __m128i pv = ones;
-    __m128i mv = zero;
-    __m128i j_vec = zero;
-    for (std::size_t j = 0; j < max_n; ++j) {
-      const __m128i eq = _mm_set_epi64x(
-          i64(table[txt[1][std::min(j, last_col[1])]]),
-          i64(table[txt[0][std::min(j, last_col[0])]]));
-      const __m128i active = _mm_cmpgt_epi64(n_vec, j_vec);
-      const __m128i xv = _mm_or_si128(eq, mv);
-      const __m128i xh = _mm_or_si128(
-          _mm_xor_si128(_mm_add_epi64(_mm_and_si128(eq, pv), pv), pv), eq);
-      __m128i ph =
-          _mm_or_si128(mv, _mm_andnot_si128(_mm_or_si128(xh, pv), ones));
-      __m128i mh = _mm_and_si128(pv, xh);
-      const __m128i incp =
-          _mm_add_epi64(one, _mm_cmpeq_epi64(_mm_and_si128(ph, lr), zero));
-      const __m128i incm =
-          _mm_add_epi64(one, _mm_cmpeq_epi64(_mm_and_si128(mh, lr), zero));
-      score = _mm_add_epi64(
-          score, _mm_and_si128(_mm_sub_epi64(incp, incm), active));
-      ph = _mm_or_si128(_mm_slli_epi64(ph, 1), one);
-      mh = _mm_slli_epi64(mh, 1);
-      const __m128i pv_new =
-          _mm_or_si128(mh, _mm_andnot_si128(_mm_or_si128(xv, ph), ones));
-      const __m128i mv_new = _mm_and_si128(ph, xv);
-      pv = _mm_blendv_epi8(pv, pv_new, active);
-      mv = _mm_blendv_epi8(mv, mv_new, active);
-      j_vec = _mm_add_epi64(j_vec, one);
-      if ((j & 7) == 7) {
-        const __m128i finished =
-            _mm_cmpeq_epi64(_mm_cmpgt_epi64(n_vec, j_vec), zero);
-        const __m128i past_cap =
-            _mm_cmpgt_epi64(_mm_add_epi64(score, j_vec), cap_n);
-        if (_mm_movemask_epi8(_mm_or_si128(finished, past_cap)) ==
-            0xFFFF) {
-          break;
-        }
-      }
-    }
-    alignas(16) std::uint64_t fin[2];
-    _mm_store_si128(reinterpret_cast<__m128i*>(fin), score);
-    for (int k = 0; k < 2 && g + k < count; ++k) {
-      result[g + k] = fin[k] > cap[g + k] ? cap[g + k] + 1 : fin[k];
-    }
-  }
-  for (std::size_t i = 0; i < m; ++i) {
-    table[static_cast<unsigned char>(pattern[i])] = 0;
-  }
-}
-#endif  // RULELINK_SIMD_TARGETS
+#endif  // RULELINK_X86_TARGETS
 
 }  // namespace
 
@@ -397,13 +315,10 @@ void BoundedLevenshteinDistanceBatch(const std::string_view* a,
                                      const std::string_view* b,
                                      const std::size_t* caps,
                                      std::size_t count, std::size_t* out) {
-#if RULELINK_SIMD_TARGETS
-  const util::SimdMode mode = util::ActiveSimdMode();
-  const std::size_t width = mode == util::SimdMode::kAVX2    ? 4
-                            : mode == util::SimdMode::kSSE42 ? 2
-                                                             : 1;
+#if RULELINK_X86_TARGETS
+  const bool interleave = util::ActiveSimdMode() == util::SimdMode::kAVX2;
 #else
-  const std::size_t width = 1;
+  const bool interleave = false;
 #endif
   std::uint64_t batched = 0;
   std::uint64_t remainder = 0;
@@ -411,7 +326,7 @@ void BoundedLevenshteinDistanceBatch(const std::string_view* a,
   // cap) are staged with the a-side kept as the pattern whenever it fits,
   // so that consecutive probes sharing their a-side — the cascade's
   // shape, one external value per candidate run — form shared-pattern
-  // segments for the kernels above. The prologue mirrors
+  // segments for the kernel above. The prologue mirrors
   // BoundedLevenshteinDistance but is written orientation-free, which is
   // sound because every return value (exact distance, cap + 1, the
   // prologue shortcuts) is symmetric in the two strings.
@@ -449,7 +364,7 @@ void BoundedLevenshteinDistanceBatch(const std::string_view* a,
       ++remainder;
       continue;
     }
-    if (width <= 1) {
+    if (!interleave) {
       out[i] = MyersDistance64(shorter, longer, cap);
       ++remainder;
       continue;
@@ -464,7 +379,7 @@ void BoundedLevenshteinDistanceBatch(const std::string_view* a,
     staged_cap.push_back(cap);
     staged_index.push_back(i);
   }
-#if RULELINK_SIMD_TARGETS
+#if RULELINK_X86_TARGETS
   if (!staged_pat.empty()) {
     static thread_local std::vector<std::string_view> seg_txt;
     static thread_local std::vector<std::size_t> seg_cap;
@@ -489,7 +404,7 @@ void BoundedLevenshteinDistanceBatch(const std::string_view* a,
         continue;
       }
       seg_src.resize(len);
-      if (len <= width) {
+      if (len <= 4) {  // one lane group: nothing to sort
         for (std::size_t i = 0; i < len; ++i) {
           seg_src[i] = static_cast<std::uint32_t>(s + i);
         }
@@ -519,13 +434,8 @@ void BoundedLevenshteinDistanceBatch(const std::string_view* a,
         seg_txt[i] = staged_txt[seg_src[i]];
         seg_cap[i] = staged_cap[seg_src[i]];
       }
-      if (width == 4) {
-        MyersInterleavedShared4Avx2(pat, seg_txt.data(), seg_cap.data(),
-                                    len, seg_out.data());
-      } else {
-        MyersInterleavedShared2Sse42(pat, seg_txt.data(), seg_cap.data(),
-                                     len, seg_out.data());
-      }
+      MyersInterleavedShared4Avx2(pat, seg_txt.data(), seg_cap.data(), len,
+                                  seg_out.data());
       for (std::size_t i = 0; i < len; ++i) {
         out[staged_index[seg_src[i]]] = seg_out[i];
       }

@@ -36,13 +36,13 @@ std::size_t BoundedLevenshteinDistance(std::string_view a, std::string_view b,
 // Batched capped Levenshtein: out[i] = BoundedLevenshteinDistance(a[i],
 // b[i], caps[i]) for every i < count — the same values exactly, including
 // the cap+1 early-exit results. Pairs whose shorter string fits one
-// 64-bit word run through a multi-pair interleaved Myers kernel: W
-// independent bit-parallel computations advance in lockstep across SIMD
-// lanes (W = 4 under AVX2, 2 under SSE4.2, chosen by
-// util::ActiveSimdMode()), with the single-pair kernel as remainder and
-// long-pattern fallback. The streaming cascade's stage-B probes are the
-// intended caller: one external value against the surviving locals of a
-// candidate run (DESIGN.md §5h).
+// 64-bit word run through a multi-pair interleaved Myers kernel under
+// util::ActiveSimdMode() == kAVX2: four independent bit-parallel
+// computations advance in lockstep across SIMD lanes, with the
+// single-pair kernel as remainder and long-pattern fallback (and as the
+// whole batch in scalar mode). The streaming cascade's stage-B probes are
+// the intended caller: one external value against the surviving locals of
+// a candidate run (DESIGN.md §5h).
 void BoundedLevenshteinDistanceBatch(const std::string_view* a,
                                      const std::string_view* b,
                                      const std::size_t* caps,

@@ -1,24 +1,22 @@
 // Runtime SIMD dispatch for the batched linking hot path (DESIGN.md §5h).
 //
 // The batch kernels (FilterCascade::PruneBatch's stage-A lanes and the
-// interleaved Myers Levenshtein in text/similarity.cc) are compiled three
-// times — baseline ISA, SSE4.2 and AVX2 via per-function target
-// attributes — and one of them is picked at runtime from CPUID. The mode
-// only selects *which compiled copy of the same elementwise arithmetic*
-// runs; every copy performs the identical IEEE operations per pair, so
-// links and FilterStats are byte-identical across modes (the contract
+// interleaved Myers Levenshtein in text/similarity.cc) are compiled twice
+// — baseline ISA and AVX2 via per-function target attributes — and one of
+// them is picked at runtime from CPUID. The mode only selects *which
+// compiled copy of the same elementwise arithmetic* runs; every copy
+// performs the identical IEEE operations per pair, so links and
+// FilterStats are byte-identical across modes (the contract
 // tests/filter_batch_differential_test.cc enforces).
 //
-// Override order: ScopedSimdMode (tests/benches, in-process) beats the
-// RULELINK_SIMD environment variable ("scalar", "sse4.2", "avx2",
-// "native"; unset = "native"; any other value = "scalar") beats CPU
+// Override order: ScopedSimdMode (tests/benches, in-process) beats CPU
 // detection. A requested ISA the CPU lacks is clamped down to what it
 // supports. Every mode runs the batch entry points; "scalar" is their
-// width-1 floor.
+// baseline-ISA floor.
 //
 // The process-wide counters here mirror the scheduler's observability
-// discipline: hot paths accumulate into shard-local plain integers and
-// fold them in with one atomic add per run, and the totals are
+// discipline: hot paths accumulate into local plain integers and fold
+// them in with one atomic add per batch, and the totals are
 // timing/dispatch-variant, so they render only in the full
 // MetricsSnapshot ("simd" section), never in DeterministicJson.
 #ifndef RULELINK_UTIL_SIMD_H_
@@ -31,24 +29,19 @@ namespace rulelink::util {
 
 enum class SimdMode : std::uint8_t {
   kScalar,  // batch layout and loops, compiled at the baseline ISA
-  kSSE42,   // 128-bit lanes
   kAVX2,    // 256-bit lanes
 };
 
 // The best mode this CPU supports.
 SimdMode DetectCpuSimdMode();
 
-// The mode the batch entry points should use right now:
-// ScopedSimdMode override > RULELINK_SIMD env > DetectCpuSimdMode(),
-// clamped to the CPU's capability. Cheap (one relaxed load after the
-// first call).
+// The mode the batch entry points should use right now: the
+// ScopedSimdMode override clamped to the CPU's capability, else
+// DetectCpuSimdMode(). Cheap (one plain load and a cached CPUID result).
 SimdMode ActiveSimdMode();
 
-// "scalar", "sse4.2" or "avx2".
+// "scalar" or "avx2".
 const char* SimdModeName(SimdMode mode);
-
-// 32-bit lanes per stage-A tile: 8 (AVX2), 4 (SSE4.2), 1 (scalar).
-std::size_t SimdBatchWidth(SimdMode mode);
 
 // Forces every ActiveSimdMode() in scope to `mode` (clamped to the CPU),
 // restoring the previous override on destruction. Like ScopedMorselItems:
@@ -66,15 +59,11 @@ class ScopedSimdMode {
 
 // --- Observability ------------------------------------------------------
 
-// Cumulative process-wide batch/remainder pair counts, subtractable so
-// benches can report per-measurement deltas (like SchedulerTotals).
-// "cascade" counts candidate pairs through FilterCascade: batched = the
-// SoA lane path, remainder = per-pair fallbacks (multi-valued slots).
-// "kernel" counts bounded-Levenshtein probes: batched = lanes of the
-// interleaved Myers kernel, remainder = single-pair calls.
+// Cumulative process-wide bounded-Levenshtein probe counts, subtractable
+// so benches can report per-measurement deltas (like SchedulerTotals):
+// batched = lanes of the interleaved Myers kernel, remainder =
+// single-pair calls.
 struct SimdTotals {
-  std::uint64_t cascade_batched_pairs = 0;
-  std::uint64_t cascade_remainder_pairs = 0;
   std::uint64_t kernel_batched_pairs = 0;
   std::uint64_t kernel_remainder_pairs = 0;
 
@@ -86,16 +75,14 @@ struct SimdTotals {
 struct SimdStats {
   SimdMode mode = SimdMode::kScalar;
   const char* dispatch = "scalar";
-  std::size_t batch_width = 1;
   SimdTotals totals;
 };
 
 SimdTotals GlobalSimdTotals();
 SimdStats GlobalSimdStats();
 
-// Fold shard-local counts into the process totals (one atomic add each;
-// call once per run/batch, never per pair).
-void AddSimdCascadePairs(std::uint64_t batched, std::uint64_t remainder);
+// Fold local counts into the process totals (one atomic add each; call
+// once per batch, never per pair).
 void AddSimdKernelPairs(std::uint64_t batched, std::uint64_t remainder);
 
 }  // namespace rulelink::util

@@ -199,8 +199,7 @@ TEST(LevenshteinBitParallel, BatchMatchesSinglePairAtEveryLaneWidth) {
     expected[i] = BoundedLevenshteinDistance(va[i], vb[i], caps[i]);
   }
   for (const util::SimdMode mode :
-       {util::SimdMode::kScalar, util::SimdMode::kSSE42,
-        util::SimdMode::kAVX2}) {
+       {util::SimdMode::kScalar, util::SimdMode::kAVX2}) {
     const util::ScopedSimdMode scoped(mode);
     std::vector<std::size_t> out(va.size(), ~std::size_t{0});
     BoundedLevenshteinDistanceBatch(va.data(), vb.data(), caps.data(),
@@ -216,7 +215,7 @@ TEST(LevenshteinBitParallel, BatchMatchesSinglePairAtEveryLaneWidth) {
 
 // The cascade's shape: runs of probes sharing one a-side value, which
 // the batch entry turns into shared-pattern segments for the interleaved
-// kernels. Covers segment lengths that pad the final lane group, pattern
+// kernel. Covers segment lengths that pad the final lane group, pattern
 // lengths at the word-kernel extremes (1 and 64 bytes), texts shorter
 // AND longer than the shared pattern (the segment path never swaps), and
 // a singleton segment between two real ones (the per-pair fallback).
@@ -226,7 +225,7 @@ TEST(LevenshteinBitParallel, BatchSharedPatternSegments) {
   std::vector<std::size_t> segment_lengths;
   const std::size_t pattern_lengths[] = {1, 3, 7, 12, 33, 64};
   for (const std::size_t pm : pattern_lengths) {
-    // 1..9 spans partial, exact and multi-group segments at widths 2/4.
+    // 1..9 spans partial, exact and multi-group segments at width 4.
     for (std::size_t len = 1; len <= 9; ++len) {
       pattern_storage.push_back(RandomString(rng, pm, 0));
       segment_lengths.push_back(len);
@@ -255,8 +254,7 @@ TEST(LevenshteinBitParallel, BatchSharedPatternSegments) {
     expected[i] = BoundedLevenshteinDistance(va[i], vb[i], caps[i]);
   }
   for (const util::SimdMode mode :
-       {util::SimdMode::kScalar, util::SimdMode::kSSE42,
-        util::SimdMode::kAVX2}) {
+       {util::SimdMode::kScalar, util::SimdMode::kAVX2}) {
     const util::ScopedSimdMode scoped(mode);
     std::vector<std::size_t> out(va.size(), ~std::size_t{0});
     BoundedLevenshteinDistanceBatch(va.data(), vb.data(), caps.data(),

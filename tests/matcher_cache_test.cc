@@ -1,7 +1,7 @@
-// Equivalence tests for the cached scoring path: ItemMatcher::ScoreCached
-// and the run scorer ItemMatcher::ScoreRun over FeatureCache /
-// FeatureDictionary must return exactly (bit-for-bit) the same score as
-// ItemMatcher::Score on the raw items, for every similarity measure and
+// Equivalence tests for the cached scoring path: the run scorer
+// ItemMatcher::ScoreRun over FeatureCache / FeatureDictionary, on runs of
+// one and on long runs, must return exactly (bit-for-bit) the same score
+// as ItemMatcher::Score on the raw items, for every similarity measure and
 // for the awkward inputs the cache precomputes around — empty values,
 // whitespace-only values, missing properties, duplicate values,
 // multi-valued properties and sub-bigram strings. The run scorer must
@@ -99,6 +99,16 @@ BuiltCaches BuildCaches(const std::vector<core::Item>& external,
   return caches;
 }
 
+// ItemMatcher::ScoreRun over a run of one candidate.
+double ScoreOne(const ItemMatcher& matcher, const BuiltCaches& caches,
+                std::size_t external_index, std::size_t local_index,
+                ScoreMemo* memo = nullptr) {
+  ScoreRunScratch scratch;
+  matcher.ScoreRun(caches.external, external_index, caches.local,
+                   &local_index, 1, memo, nullptr, &scratch);
+  return scratch.scores[0];
+}
+
 void ExpectAllPairsIdentical(const std::vector<core::Item>& external,
                              const std::vector<core::Item>& local,
                              const ItemMatcher& matcher,
@@ -108,15 +118,14 @@ void ExpectAllPairsIdentical(const std::vector<core::Item>& external,
     for (std::size_t l = 0; l < local.size(); ++l) {
       // Exact double equality: the cached path must be byte-identical,
       // not merely close.
-      EXPECT_EQ(matcher.ScoreCached(caches.external, e, caches.local, l,
-                                    memo),
+      EXPECT_EQ(ScoreOne(matcher, caches, e, l, memo),
                 matcher.Score(external[e], local[l]))
           << "external=" << external[e].iri << " local=" << local[l].iri;
     }
   }
 }
 
-TEST(ScoreCachedTest, MatchesScoreForEveryMeasure) {
+TEST(ScoreRunOfOneTest, MatchesScoreForEveryMeasure) {
   const auto external = ExternalItems();
   const auto local = LocalItems();
   for (SimilarityMeasure measure : kAllMeasures) {
@@ -128,7 +137,7 @@ TEST(ScoreCachedTest, MatchesScoreForEveryMeasure) {
   }
 }
 
-TEST(ScoreCachedTest, MatchesScoreWithMixedMeasuresAndWeights) {
+TEST(ScoreRunOfOneTest, MatchesScoreWithMixedMeasuresAndWeights) {
   const auto external = ExternalItems();
   const auto local = LocalItems();
   const ItemMatcher matcher({
@@ -141,7 +150,7 @@ TEST(ScoreCachedTest, MatchesScoreWithMixedMeasuresAndWeights) {
   ExpectAllPairsIdentical(external, local, matcher, caches);
 }
 
-TEST(ScoreCachedTest, CrossPropertyMappingUsesTheRightSide) {
+TEST(ScoreRunOfOneTest, CrossPropertyMappingUsesTheRightSide) {
   const auto external = std::vector<core::Item>{
       MakeItem("e0", {{"provider:pn", "X-1"}})};
   const auto local = std::vector<core::Item>{MakeItem("l0", {{"pn", "X-1"}}),
@@ -149,12 +158,12 @@ TEST(ScoreCachedTest, CrossPropertyMappingUsesTheRightSide) {
   const ItemMatcher matcher(
       {{"provider:pn", "pn", SimilarityMeasure::kExact, 1.0}});
   const auto caches = BuildCaches(external, local, matcher);
-  EXPECT_EQ(matcher.ScoreCached(caches.external, 0, caches.local, 0), 1.0);
-  EXPECT_EQ(matcher.ScoreCached(caches.external, 0, caches.local, 1), 0.0);
+  EXPECT_EQ(ScoreOne(matcher, caches, 0, 0), 1.0);
+  EXPECT_EQ(ScoreOne(matcher, caches, 0, 1), 0.0);
   ExpectAllPairsIdentical(external, local, matcher, caches);
 }
 
-TEST(ScoreCachedTest, MemoizedScoresAreIdenticalAndCounted) {
+TEST(ScoreRunOfOneTest, MemoizedScoresAreIdenticalAndCounted) {
   const auto external = ExternalItems();
   const auto local = LocalItems();
   // Monge-Elkan is the one measure the memo serves; the Jaccard rule
@@ -185,7 +194,7 @@ TEST(ScoreCachedTest, MemoizedScoresAreIdenticalAndCounted) {
   EXPECT_EQ(memo.stats().hits, 0u);
 }
 
-TEST(ScoreCachedTest, ParallelCacheBuildGivesIdenticalScores) {
+TEST(ScoreRunOfOneTest, ParallelCacheBuildGivesIdenticalScores) {
   const auto external = ExternalItems();
   const auto local = LocalItems();
   const ItemMatcher matcher({

@@ -7,7 +7,7 @@
 // every cascade filter, the Jaro-Winkler-only matcher `rulelink serve`
 // runs (every plan optimistic, so nothing is pruned) and a Jaro-Winkler-
 // heavy mix of cached measures. The filter cascade is additionally
-// checked directly: a pruned pair's real cached score must sit below the
+// checked directly: a pruned pair's real score must sit below the
 // threshold, i.e. the bounds are sound, never heuristic.
 #include <algorithm>
 #include <map>
@@ -297,29 +297,34 @@ TEST_P(StreamingLinkerDifferential, MatchesOracleUnderMixedMatcher) {
 }
 
 TEST_P(StreamingLinkerDifferential, CascadeNeverPrunesAThresholdPair) {
-  // Soundness, checked against ground truth: every pair the cascade
-  // prunes must score strictly below the threshold under ScoreCached.
+  // Soundness, checked against ground truth: every pair PruneBatch prunes
+  // from a candidate run must score strictly below the threshold under
+  // ItemMatcher::Score on the raw items.
   const datagen::Dataset& dataset = corpus();
   const linking::ItemMatcher matcher = FilteredMatcher();
   const blocking::StandardBlocker blocker(datagen::props::kPartNumber,
                                           /*prefix_length=*/3);
-  const auto candidates =
-      blocker.Generate(dataset.external_items, dataset.catalog_items);
+  const auto index =
+      blocker.BuildIndex(dataset.external_items, dataset.catalog_items);
   const Caches caches(dataset, matcher, /*num_threads=*/1);
   const linking::FilterCascade cascade(&matcher, kThreshold);
 
   linking::FilterStats stats;
+  linking::FilterBatchScratch scratch;
+  std::vector<std::size_t> run;
   std::size_t pruned = 0;
-  for (const blocking::CandidatePair& pair : candidates) {
-    if (cascade.Prune(caches.external, pair.external_index, caches.local,
-                      pair.local_index, &stats)) {
+  for (std::size_t e = 0; e < index->num_external(); ++e) {
+    index->CandidatesOf(e, &run);
+    cascade.PruneBatch(caches.external, e, caches.local, run.data(),
+                       run.size(), &stats, &scratch);
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      if (scratch.pruned[i] == 0) continue;
       ++pruned;
-      const double score =
-          matcher.ScoreCached(caches.external, pair.external_index,
-                              caches.local, pair.local_index);
+      const double score = matcher.Score(dataset.external_items[e],
+                                         dataset.catalog_items[run[i]]);
       ASSERT_LT(score, kThreshold)
-          << "pruned pair (" << pair.external_index << ", "
-          << pair.local_index << ") actually reaches the threshold";
+          << "pruned pair (" << e << ", " << run[i]
+          << ") actually reaches the threshold";
     }
   }
   EXPECT_EQ(stats.pairs_pruned, pruned);
