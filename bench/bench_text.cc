@@ -8,7 +8,6 @@
 #include <benchmark/benchmark.h>
 
 #include "text/normalize.h"
-#include "text/phonetic.h"
 #include "text/segmenter.h"
 #include "text/similarity.h"
 #include "util/rng.h"
@@ -91,28 +90,6 @@ BENCHMARK(BM_Similarity<&JaroWinklerSimilarity>)->Name("BM_JaroWinkler");
 BENCHMARK(BM_Similarity<&JaccardTokenSimilarity>)->Name("BM_JaccardTokens");
 BENCHMARK(BM_Similarity<&DiceBigramSimilarity>)->Name("BM_DiceBigram");
 BENCHMARK(BM_Similarity<&MongeElkanSimilarity>)->Name("BM_MongeElkan");
-
-void BM_Soundex(benchmark::State& state) {
-  const auto& corpus = Corpus();
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Soundex(corpus[i % corpus.size()]));
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_Soundex);
-
-void BM_Nysiis(benchmark::State& state) {
-  const auto& corpus = Corpus();
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Nysiis(corpus[i % corpus.size()]));
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_Nysiis);
 
 void BM_Normalize(benchmark::State& state) {
   const auto& corpus = Corpus();

@@ -119,27 +119,4 @@ std::vector<std::vector<ClassPrediction>> RuleClassifier::ClassifyBatch(
   return results;
 }
 
-ontology::ClassId RuleClassifier::PredictClass(const Item& item,
-                                               double min_confidence) const {
-  const auto predictions = Classify(item, min_confidence);
-  return predictions.empty() ? ontology::kInvalidClassId
-                             : predictions.front().cls;
-}
-
-std::vector<ontology::ClassId> RuleClassifier::PredictClassBatch(
-    const std::vector<Item>& items, double min_confidence,
-    std::size_t num_threads) const {
-  std::vector<ontology::ClassId> results(items.size(),
-                                         ontology::kInvalidClassId);
-  util::ParallelFor(
-      num_threads, items.size(),
-      [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          results[i] = PredictClass(items[i], min_confidence);
-        }
-      },
-      /*items_per_morsel=*/64);
-  return results;
-}
-
 }  // namespace rulelink::core

@@ -41,15 +41,6 @@ class RuleClassifier {
       const std::vector<Item>& items, double min_confidence = 0.0,
       std::size_t num_threads = 0) const;
 
-  // The top-ranked predicted class, or kInvalidClassId when no rule fires.
-  ontology::ClassId PredictClass(const Item& item,
-                                 double min_confidence = 0.0) const;
-
-  // Batch variant of PredictClass, parallelized like ClassifyBatch.
-  std::vector<ontology::ClassId> PredictClassBatch(
-      const std::vector<Item>& items, double min_confidence = 0.0,
-      std::size_t num_threads = 0) const;
-
   const RuleSet& rules() const { return *rules_; }
 
  private:

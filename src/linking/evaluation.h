@@ -39,9 +39,9 @@ struct LinkagePipelineResult {
 
 // The fused linking pipeline over any candidate generator (the classic
 // blockers or the paper's RuleBlocker): builds one shared
-// FeatureDictionary and both per-source FeatureCaches (parallel,
-// `num_threads` workers), streams the generator's CandidateIndex through
-// StreamingLinker and — when `gold` is non-null — evaluates the links.
+// FeatureDictionary and both per-source FeatureCaches (serially), streams
+// the generator's CandidateIndex through StreamingLinker (`num_threads`
+// workers) and — when `gold` is non-null — evaluates the links.
 // Links, order and scores are byte-identical to the oracle Linker::Run
 // over generator.Generate at every thread count. num_candidates is
 // pairs_scored + pairs_pruned_by_filter (runs are never materialized).

@@ -5,7 +5,6 @@
 
 #include "util/logging.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace rulelink::linking {
 namespace {
@@ -17,9 +16,9 @@ constexpr char kTokenSeparators[] = " \t\n\r";
 }  // namespace
 
 FeatureDictionary::FeatureDictionary(const FeatureDictionary* base)
-    : base_(base),
-      base_offset_(static_cast<ValueId>(base->num_symbols())) {
-  RL_CHECK(base != nullptr);
+    : base_(base) {
+  RL_CHECK(base != nullptr) << "an overlay dictionary needs a base";
+  base_offset_ = static_cast<ValueId>(base->num_symbols());
 }
 
 void FeatureDictionary::EnsureSlot(ValueId local) {
@@ -51,12 +50,6 @@ ValueId FeatureDictionary::FindBuiltValue(std::string_view s) const {
     return local + base_offset_;
   }
   return util::kInvalidSymbolId;
-}
-
-bool FeatureDictionary::IsBuiltValue(ValueId id) const {
-  if (base_ != nullptr && id < base_offset_) return base_->IsBuiltValue(id);
-  const ValueId local = id - base_offset_;
-  return local < spans_.size() && spans_[local].built;
 }
 
 text::TokenId FeatureDictionary::InternSymbol(std::string_view s) {
@@ -167,51 +160,6 @@ FeatureDictionary::ValueFeatures FeatureDictionary::Features(
   return features;
 }
 
-std::vector<ValueId> FeatureDictionary::Absorb(
-    const FeatureDictionary& local) {
-  RL_DCHECK(base_ == nullptr && local.base_ == nullptr)
-      << "Absorb is a root-dictionary merge; overlays never absorb";
-  std::vector<ValueId> remap(local.strings_.size(), util::kInvalidSymbolId);
-  for (ValueId id = 0; id < local.strings_.size(); ++id) {
-    remap[id] = strings_.Intern(local.strings_.View(id));
-  }
-  std::vector<text::TokenId> scratch;
-  for (ValueId id = 0; id < local.spans_.size(); ++id) {
-    const Spans& src = local.spans_[id];
-    if (!src.built) continue;
-    const ValueId global = remap[id];
-    EnsureSlot(global);
-    if (spans_[global].built) {
-      ++values_reused_;
-      continue;
-    }
-    // Re-state the value's features in this dictionary's id universe. The
-    // sorted sequences must be re-sorted because the remap does not
-    // preserve id order; cardinalities (all any scorer reads from them)
-    // are unaffected.
-    Spans& dst = spans_[global];
-    dst.tok_begin = static_cast<std::uint32_t>(ordered_tokens_.size());
-    scratch.clear();
-    for (std::uint32_t i = src.tok_begin; i < src.tok_end; ++i) {
-      scratch.push_back(remap[local.ordered_tokens_[i]]);
-    }
-    ordered_tokens_.insert(ordered_tokens_.end(), scratch.begin(),
-                           scratch.end());
-    dst.tok_end = static_cast<std::uint32_t>(ordered_tokens_.size());
-    dst.tok_unique = AppendSorted(scratch, &sorted_tokens_);
-    scratch.clear();
-    for (std::uint32_t i = src.big_begin; i < src.big_end; ++i) {
-      scratch.push_back(remap[local.sorted_bigrams_[i]]);
-    }
-    dst.big_begin = static_cast<std::uint32_t>(sorted_bigrams_.size());
-    AppendSorted(scratch, &sorted_bigrams_);
-    dst.big_end = static_cast<std::uint32_t>(sorted_bigrams_.size());
-    dst.built = true;
-    ++num_values_;
-  }
-  return remap;
-}
-
 std::size_t FeatureDictionary::memory_bytes() const {
   return strings_.arena_bytes() + spans_.capacity() * sizeof(Spans) +
          (ordered_tokens_.capacity() + sorted_tokens_.capacity() +
@@ -222,103 +170,25 @@ std::size_t FeatureDictionary::memory_bytes() const {
 FeatureCache FeatureCache::Build(const std::vector<core::Item>& items,
                                  const ItemMatcher& matcher, Side side,
                                  FeatureDictionary* dict,
-                                 std::size_t num_threads,
+                                 std::size_t /*num_threads*/,
                                  obs::MetricsRegistry* metrics) {
   RL_CHECK(dict != nullptr);
   const obs::MetricsRegistry::StageScope stage(metrics,
                                                "linking/cache_build");
   if (metrics != nullptr) {
-    // `values_reused` and the dictionary's id numbering depend on the
-    // chunking, so only thread-invariant quantities are recorded here.
     metrics->AddCounter(side == Side::kExternal
                             ? "linking/cache/external_items"
                             : "linking/cache/local_items",
                         items.size());
   }
-  const auto& rules = matcher.rules();
-  std::vector<const std::string*> properties;
-  properties.reserve(rules.size());
-  for (const AttributeRule& rule : rules) {
-    properties.push_back(side == Side::kExternal ? &rule.external_property
-                                                 : &rule.local_property);
-  }
-
   FeatureCache cache;
   cache.dict_ = dict;
-  cache.num_items_ = items.size();
-  cache.num_rules_ = rules.size();
-  cache.offsets_.reserve(items.size() * rules.size() + 1);
+  cache.num_rules_ = matcher.rules().size();
+  cache.Reserve(items.size());
   cache.offsets_.push_back(0);
-
-  // One slot per (item, rule): append the ids of the item's values under
-  // that rule's property. `emit` flushes one slot's ids into the cache.
-  const auto finish_slot = [&cache] {
-    RL_CHECK(cache.value_ids_.size() <
-             std::numeric_limits<std::uint32_t>::max());
-    cache.offsets_.push_back(
-        static_cast<std::uint32_t>(cache.value_ids_.size()));
-  };
-
-  // Each slot carries a private FeatureDictionary (interner + arena), so
-  // morsels are deliberately coarse: fewer, bigger slots amortize the
-  // dictionary cost and keep the Absorb merge short.
-  constexpr std::size_t kItemsPerMorsel = 4096;
-  const std::size_t chunks =
-      util::ParallelSlots(num_threads, items.size(), kItemsPerMorsel);
-  if (chunks <= 1) {
-    // Serial path: intern straight into the shared dictionary.
-    for (const core::Item& item : items) {
-      for (const std::string* property : properties) {
-        for (const core::PropertyValue& fact : item.facts) {
-          if (fact.property != *property) continue;
-          cache.value_ids_.push_back(dict->AddValue(fact.value));
-        }
-        finish_slot();
-      }
-    }
-    cache.BuildLanes(num_threads);
-    return cache;
+  for (const core::Item& item : items) {
+    cache.AppendItem(item, matcher, side, dict);
   }
-
-  // Parallel path: each chunk builds into a private dictionary (interning
-  // is not thread-safe), then the chunks are folded into the shared one in
-  // chunk order — the same merge discipline as the learner's sharded
-  // counting (DESIGN.md §5b).
-  struct Shard {
-    FeatureDictionary dict;
-    std::vector<ValueId> ids;           // slot-major, chunk-local ids
-    std::vector<std::uint32_t> counts;  // ids per slot
-  };
-  std::vector<Shard> shards(chunks);
-  util::ParallelFor(
-      num_threads, items.size(),
-      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        Shard& shard = shards[chunk];
-        for (std::size_t i = begin; i < end; ++i) {
-          for (const std::string* property : properties) {
-            std::uint32_t count = 0;
-            for (const core::PropertyValue& fact : items[i].facts) {
-              if (fact.property != *property) continue;
-              shard.ids.push_back(shard.dict.AddValue(fact.value));
-              ++count;
-            }
-            shard.counts.push_back(count);
-          }
-        }
-      },
-      kItemsPerMorsel);
-  for (Shard& shard : shards) {
-    const std::vector<ValueId> remap = dict->Absorb(shard.dict);
-    std::size_t next = 0;
-    for (const std::uint32_t count : shard.counts) {
-      for (std::uint32_t k = 0; k < count; ++k) {
-        cache.value_ids_.push_back(remap[shard.ids[next++]]);
-      }
-      finish_slot();
-    }
-  }
-  RL_CHECK(cache.offsets_.size() == items.size() * rules.size() + 1);
-  cache.BuildLanes(num_threads);
   return cache;
 }
 
@@ -334,6 +204,8 @@ FeatureCache FeatureCache::ExtendFrom(const FeatureCache& base,
   // root) keeps every one of them resolvable without collisions.
   RL_CHECK(dict == &base.dict() || dict->base() == &base.dict())
       << "ExtendFrom needs base.dict() itself or a direct overlay over it";
+  RL_CHECK(matcher.rules().size() == base.num_rules_)
+      << "ExtendFrom cannot change the rule slot layout";
   const obs::MetricsRegistry::StageScope stage(metrics,
                                                "linking/cache_extend");
   if (metrics != nullptr) {
@@ -342,52 +214,23 @@ FeatureCache FeatureCache::ExtendFrom(const FeatureCache& base,
                             : "linking/cache/local_delta_items",
                         delta_items.size());
   }
-  const auto& rules = matcher.rules();
-  RL_CHECK(rules.size() == base.num_rules_)
-      << "ExtendFrom cannot change the rule slot layout";
-  std::vector<const std::string*> properties;
-  properties.reserve(rules.size());
-  for (const AttributeRule& rule : rules) {
-    properties.push_back(side == Side::kExternal ? &rule.external_property
-                                                 : &rule.local_property);
-  }
-
   FeatureCache cache;
   cache.dict_ = dict;
-  cache.num_items_ = base.num_items_ + delta_items.size();
+  cache.num_items_ = base.num_items_;
   cache.num_rules_ = base.num_rules_;
   // Flat copies of the predecessor's CSR index and SoA lanes — O(catalog)
-  // memcpy, no re-tokenization, no dictionary traffic.
+  // memcpy, no re-tokenization, no dictionary traffic — then the delta
+  // items' slots, interned through `dict` (deltas are small by design).
+  cache.Reserve(base.num_items_ + delta_items.size());
   cache.offsets_ = base.offsets_;
   cache.value_ids_ = base.value_ids_;
   cache.lane_lengths_ = base.lane_lengths_;
   cache.lane_unique_tokens_ = base.lane_unique_tokens_;
   cache.lane_bigrams_ = base.lane_bigrams_;
   cache.lane_value_ids_ = base.lane_value_ids_;
-
-  // Append the delta items' slots, interning serially through `dict` (the
-  // same discipline as Build's serial path; deltas are small by design).
   for (const core::Item& item : delta_items) {
-    for (const std::string* property : properties) {
-      for (const core::PropertyValue& fact : item.facts) {
-        if (fact.property != *property) continue;
-        cache.value_ids_.push_back(dict->AddValue(fact.value));
-      }
-      RL_CHECK(cache.value_ids_.size() <
-               std::numeric_limits<std::uint32_t>::max());
-      cache.offsets_.push_back(
-          static_cast<std::uint32_t>(cache.value_ids_.size()));
-    }
+    cache.AppendItem(item, matcher, side, dict);
   }
-  RL_CHECK(cache.offsets_.size() ==
-           cache.num_items_ * cache.num_rules_ + 1);
-
-  const std::size_t slots = cache.num_items_ * cache.num_rules_;
-  cache.lane_lengths_.resize(slots, 0);
-  cache.lane_unique_tokens_.resize(slots, 0);
-  cache.lane_bigrams_.resize(slots, 0);
-  cache.lane_value_ids_.resize(slots, util::kInvalidSymbolId);
-  cache.FillLanes(base.num_items_, cache.num_items_);
   return cache;
 }
 
@@ -395,61 +238,61 @@ void FeatureCache::AssignSingle(const core::Item& item,
                                 const ItemMatcher& matcher, Side side,
                                 FeatureDictionary* dict) {
   RL_CHECK(dict != nullptr);
-  const auto& rules = matcher.rules();
+  // clear() keeps every vector's capacity, so at steady state the rebuild
+  // allocates nothing (only a never-seen value string does, in `dict`).
   dict_ = dict;
-  num_items_ = 1;
-  num_rules_ = rules.size();
+  num_items_ = 0;
+  num_rules_ = matcher.rules().size();
   offsets_.clear();
   value_ids_.clear();
+  lane_lengths_.clear();
+  lane_unique_tokens_.clear();
+  lane_bigrams_.clear();
+  lane_value_ids_.clear();
   offsets_.push_back(0);
-  for (const AttributeRule& rule : rules) {
+  AppendItem(item, matcher, side, dict);
+}
+
+void FeatureCache::Reserve(std::size_t items) {
+  const std::size_t slots = items * num_rules_;
+  offsets_.reserve(slots + 1);
+  value_ids_.reserve(slots);
+  lane_lengths_.reserve(slots);
+  lane_unique_tokens_.reserve(slots);
+  lane_bigrams_.reserve(slots);
+  lane_value_ids_.reserve(slots);
+}
+
+void FeatureCache::AppendItem(const core::Item& item,
+                              const ItemMatcher& matcher, Side side,
+                              FeatureDictionary* dict) {
+  for (const AttributeRule& rule : matcher.rules()) {
     const std::string& property = side == Side::kExternal
                                       ? rule.external_property
                                       : rule.local_property;
+    const std::size_t begin = value_ids_.size();
     for (const core::PropertyValue& fact : item.facts) {
       if (fact.property != property) continue;
       value_ids_.push_back(dict->AddValue(fact.value));
     }
+    RL_CHECK(value_ids_.size() < std::numeric_limits<std::uint32_t>::max());
     offsets_.push_back(static_cast<std::uint32_t>(value_ids_.size()));
-  }
-  // Serial lane fill: ParallelFor at one thread runs inline with no pool,
-  // no locks and no allocation, so the whole rebuild stays on this thread.
-  BuildLanes(1);
-}
-
-void FeatureCache::BuildLanes(std::size_t num_threads) {
-  const std::size_t slots = num_items_ * num_rules_;
-  lane_lengths_.assign(slots, 0);
-  lane_unique_tokens_.assign(slots, 0);
-  lane_bigrams_.assign(slots, 0);
-  lane_value_ids_.assign(slots, util::kInvalidSymbolId);
-  if (slots == 0) return;
-  // Pure replication of already-built per-value features into flat
-  // arrays: every write targets this item's own slots, and the dictionary
-  // is only read, so items parallelize freely.
-  util::ParallelFor(num_threads, num_items_,
-                    [&](std::size_t, std::size_t begin, std::size_t end) {
-                      FillLanes(begin, end);
-                    });
-}
-
-void FeatureCache::FillLanes(std::size_t begin, std::size_t end) {
-  const FeatureDictionary& dict = *dict_;
-  for (std::size_t item = begin; item < end; ++item) {
-    for (std::size_t r = 0; r < num_rules_; ++r) {
-      const std::size_t slot = item * num_rules_ + r;
-      const std::uint32_t lo = offsets_[slot];
-      const std::uint32_t hi = offsets_[slot + 1];
-      // A missing or multi-valued slot keeps empty lanes.
-      if (hi - lo != 1) continue;
-      const ValueId id = value_ids_[lo];
-      const FeatureDictionary::ValueFeatures features = dict.Features(id);
-      lane_lengths_[slot] = static_cast<std::uint32_t>(features.text.size());
-      lane_unique_tokens_[slot] = features.num_unique_tokens;
-      lane_bigrams_[slot] = features.num_bigrams;
-      lane_value_ids_[slot] = id;
+    // A missing or multi-valued slot gets empty lanes.
+    if (value_ids_.size() - begin != 1) {
+      lane_lengths_.push_back(0);
+      lane_unique_tokens_.push_back(0);
+      lane_bigrams_.push_back(0);
+      lane_value_ids_.push_back(util::kInvalidSymbolId);
+      continue;
     }
+    const ValueId id = value_ids_[begin];
+    const FeatureDictionary::ValueFeatures features = dict->Features(id);
+    lane_lengths_.push_back(static_cast<std::uint32_t>(features.text.size()));
+    lane_unique_tokens_.push_back(features.num_unique_tokens);
+    lane_bigrams_.push_back(features.num_bigrams);
+    lane_value_ids_.push_back(id);
   }
+  ++num_items_;
 }
 
 std::size_t FeatureCache::memory_bytes() const {

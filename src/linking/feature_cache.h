@@ -3,13 +3,12 @@
 // ItemMatcher::Score re-tokenizes and re-bigrams both raw value strings
 // for every candidate pair, so an item scored against k candidates pays
 // its string-preparation cost k times. The feature cache moves that work
-// to a build phase that runs once per item (in parallel via
-// util::ParallelFor): for every distinct property value it interns the
-// value itself plus its whitespace tokens and character bigrams through a
-// shared util::StringInterner, and stores the token/bigram id sequences
-// the cached scorer needs. Part catalogs repeat values heavily, so the
-// dictionary doubles as a build-time memo: a value seen before costs one
-// hash lookup, not a re-tokenization.
+// to a build phase that runs once per item: for every distinct property
+// value it interns the value itself plus its whitespace tokens and
+// character bigrams through a shared util::StringInterner, and stores the
+// token/bigram id sequences the cached scorer needs. Part catalogs repeat
+// values heavily, so the dictionary doubles as a build-time memo: a value
+// seen before costs one hash lookup, not a re-tokenization.
 //
 // Ownership and lifetime (see DESIGN.md §5d):
 //   * FeatureDictionary owns the StringInterner and the pooled feature
@@ -23,14 +22,13 @@
 //     of the item vectors: edit the items (or the matcher's rules) and
 //     the caches must be rebuilt.
 //
-// Determinism: the parallel build gives worker chunks their own local
-// dictionary and merges them into the shared one in chunk order. Id
-// *numbering* therefore depends on the thread count, but every score is a
-// pure function of the underlying strings (ids are only compared for
-// equality or sort-merged, and set/multiset intersection cardinalities are
-// invariant under any consistent renumbering), so cached scores — and the
-// links built from them — are byte-identical to the string path at every
-// thread count.
+// Determinism: every build is serial. Build, ExtendFrom and AssignSingle
+// append items, in order, through one routine that interns each slot's
+// values straight into the target dictionary, so value ids — and the
+// dictionary's symbol, value, reuse and byte counts — are a pure function
+// of the dictionary's prior contents and the item order. Scores depend on
+// the strings alone (ids are only compared for equality or sort-merged),
+// so cached scores are byte-identical to the string path.
 #ifndef RULELINK_LINKING_FEATURE_CACHE_H_
 #define RULELINK_LINKING_FEATURE_CACHE_H_
 
@@ -88,8 +86,8 @@ class FeatureDictionary {
   // value is a single hash lookup (the build-time memo).
   ValueId AddValue(std::string_view value);
 
-  // Features of a value previously returned by AddValue/Absorb (resolved
-  // through the base for overlay dictionaries).
+  // Features of a value previously returned by AddValue (resolved through
+  // the base for overlay dictionaries).
   ValueFeatures Features(ValueId id) const;
 
   // The value string for `id`.
@@ -107,13 +105,6 @@ class FeatureDictionary {
 
   // The immediate base of an overlay (null for a root dictionary).
   const FeatureDictionary* base() const { return base_; }
-
-  // Merges every symbol of `local` into this dictionary and returns the
-  // id remap (local id -> id here). Values keep their features (token and
-  // bigram ids are remapped and re-sorted); already-known values are
-  // reused. Used by FeatureCache::Build to fold per-chunk dictionaries
-  // together in chunk order.
-  std::vector<ValueId> Absorb(const FeatureDictionary& local);
 
   // Distinct symbols (values + tokens + bigrams), including the base's
   // for overlay dictionaries.
@@ -151,8 +142,6 @@ class FeatureDictionary {
   // FindSymbol: a string can be an unbuilt token at one level and a built
   // value at a shallower one, and value reuse must find the built id.
   ValueId FindBuiltValue(std::string_view s) const;
-  // Whether public id `id` resolves to a value with built features.
-  bool IsBuiltValue(ValueId id) const;
   // Appends `ids` sorted (and returns the unique count when asked).
   std::uint32_t AppendSorted(const std::vector<text::TokenId>& ids,
                              std::vector<text::TokenId>* pool);
@@ -178,12 +167,12 @@ class FeatureCache {
   enum class Side { kExternal, kLocal };
 
   // Precomputes features for `items` against `matcher`'s rules, reading
-  // rule.external_property or rule.local_property according to `side`.
-  // Work is partitioned across `num_threads` workers (0 = hardware,
-  // 1 = serial); per-chunk dictionaries are merged into `dict` in chunk
-  // order. `dict` must outlive the returned cache; `items` may not.
+  // rule.external_property or rule.local_property according to `side`,
+  // interning values into `dict` serially in item order. `num_threads` is
+  // accepted for callers' source compatibility and does not change the
+  // build. `dict` must outlive the returned cache; `items` may not.
   // `metrics`, when non-null, gets the "linking/cache_build" stage plus
-  // thread-invariant item/slot counters (DESIGN.md §5f).
+  // the item counter (DESIGN.md §5f).
   static FeatureCache Build(const std::vector<core::Item>& items,
                             const ItemMatcher& matcher, Side side,
                             FeatureDictionary* dict,
@@ -192,13 +181,13 @@ class FeatureCache {
 
   // Builds a cache over `base`'s items plus `delta_items` appended after
   // them, without re-featurizing the base: the CSR index and SoA lanes are
-  // flat-copied and only the delta items' slots are built, interning their
-  // values through `dict`. `dict` must be an overlay directly over
-  // `base.dict()` (or `&base.dict()` itself, for a root that may still
-  // grow) so every copied id stays resolvable and novel delta values
-  // intern past the base universe — this is the serving engine's delta
-  // publish path (DESIGN.md §5j). Serial over the delta (deltas are small
-  // by design); `metrics` gets the "linking/cache_extend" stage.
+  // flat-copied and only the delta items' slots are appended, through the
+  // same routine as Build, interning their values through `dict`. `dict`
+  // must be an overlay directly over `base.dict()` (or `&base.dict()`
+  // itself, for a root that may still grow) so every copied id stays
+  // resolvable and novel delta values intern past the base universe —
+  // this is the serving engine's delta publish path (DESIGN.md §5j).
+  // `metrics` gets the "linking/cache_extend" stage.
   static FeatureCache ExtendFrom(const FeatureCache& base,
                                  const std::vector<core::Item>& delta_items,
                                  const ItemMatcher& matcher, Side side,
@@ -206,10 +195,10 @@ class FeatureCache {
                                  obs::MetricsRegistry* metrics = nullptr);
 
   // Rebuilds this cache in place over exactly one item — the serving
-  // engine's per-query external cache. Serial, and allocation-free at
-  // steady state: the index and lane vectors reuse their capacity and
-  // dict->AddValue of an already-known value is one hash lookup (only a
-  // never-seen value string allocates, in the overlay dictionary).
+  // engine's per-query external cache. Allocation-free at steady state:
+  // the index and lane vectors reuse their capacity and dict->AddValue of
+  // an already-known value is one hash lookup (only a never-seen value
+  // string allocates, in the overlay dictionary).
   void AssignSingle(const core::Item& item, const ItemMatcher& matcher,
                     Side side, FeatureDictionary* dict);
 
@@ -252,14 +241,14 @@ class FeatureCache {
   std::size_t memory_bytes() const;
 
  private:
-  // Fills the SoA lanes from the finished CSR index (pure function of the
-  // data: safe to run in parallel, reads the dictionary const-only).
-  void BuildLanes(std::size_t num_threads);
-  // Fills lanes for items in [begin, end). The lane vectors must already
-  // be sized and default-initialized for those items; writes stay inside
-  // the range, so disjoint ranges run in parallel (ExtendFrom uses this
-  // to fill only the appended delta items' slots).
-  void FillLanes(std::size_t begin, std::size_t end);
+  // Reserves the CSR index, the value pool and the lanes for `items`
+  // items' slots (one value per slot).
+  void Reserve(std::size_t items);
+  // Appends `item`'s slots, one per rule in rule order: interns the
+  // slot's values into `dict`, closes the slot's CSR edge and appends its
+  // four SoA lanes. The only code that writes a slot.
+  void AppendItem(const core::Item& item, const ItemMatcher& matcher,
+                  Side side, FeatureDictionary* dict);
 
   const FeatureDictionary* dict_ = nullptr;
   std::size_t num_items_ = 0;

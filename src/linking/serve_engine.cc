@@ -19,7 +19,7 @@ ServeSnapshot::ServeSnapshot(std::vector<core::Item> catalog,
                              ItemMatcher matcher, double threshold,
                              Linker::Strategy strategy,
                              const blocking::CandidateGenerator& blocker,
-                             std::size_t num_threads,
+                             std::size_t /*num_threads*/,
                              obs::MetricsRegistry* metrics,
                              std::shared_ptr<const core::RuleSet> rules)
     : ServeSnapshot(std::move(matcher), threshold, strategy,
@@ -33,7 +33,7 @@ ServeSnapshot::ServeSnapshot(std::vector<core::Item> catalog,
   dict_link_ = std::make_shared<DictLink>();
   local_features_ =
       FeatureCache::Build(*segments_[0], matcher_, FeatureCache::Side::kLocal,
-                          &dict_link_->dict, num_threads, metrics);
+                          &dict_link_->dict, /*num_threads=*/1, metrics);
   index_ = blocker.BuildItemIndex(*segments_[0]);
   RL_CHECK(index_ != nullptr)
       << "blocker '" << blocker.name()

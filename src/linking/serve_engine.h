@@ -90,8 +90,8 @@ struct ServePolicy {
 };
 
 // One immutable serving generation. Construction is the expensive batch
-// phase (feature build parallelized like any batch pipeline); BuildDelta
-// is the cheap path that extends a predecessor. After Publish the
+// phase (a serial feature build over the whole catalog); BuildDelta is
+// the cheap path that extends a predecessor. After Publish the
 // snapshot is read-only forever and freed by the engine's epoch domain.
 // Not movable: sessions hold interior pointers (dictionary, caches,
 // index) for the engine's lifetime.
@@ -103,7 +103,9 @@ class ServeSnapshot {
   // snapshot: a republish can change rules and policy atomically.
   // `rules`, when given, is the learned rule set this serving
   // configuration was materialized from (carried for introspection and
-  // hot-swap bookkeeping; scoring goes through `matcher`).
+  // hot-swap bookkeeping; scoring goes through `matcher`). `num_threads`
+  // is accepted for callers' source compatibility and does not change the
+  // build, which is serial (FeatureCache::Build).
   ServeSnapshot(std::vector<core::Item> catalog, ItemMatcher matcher,
                 double threshold, Linker::Strategy strategy,
                 const blocking::CandidateGenerator& blocker,

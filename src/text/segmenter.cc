@@ -89,28 +89,4 @@ void AlphaDigitSegmenter::SegmentViews(
   out->insert(out->end(), runs.begin(), runs.end());
 }
 
-PrefixEnrichedSegmenter::PrefixEnrichedSegmenter(
-    std::unique_ptr<Segmenter> base, std::size_t min_prefix)
-    : base_(std::move(base)), min_prefix_(min_prefix) {
-  RL_CHECK(base_ != nullptr);
-  RL_CHECK(min_prefix_ > 0);
-}
-
-void PrefixEnrichedSegmenter::SegmentViews(
-    std::string_view value, std::vector<std::string_view>* out) const {
-  const std::size_t first = out->size();
-  base_->SegmentViews(value, out);
-  const std::size_t original = out->size();
-  for (std::size_t i = first; i < original; ++i) {
-    const std::string_view seg = (*out)[i];  // copy: push_back reallocates
-    for (std::size_t len = min_prefix_; len < seg.size(); ++len) {
-      out->push_back(seg.substr(0, len));
-    }
-  }
-}
-
-std::string PrefixEnrichedSegmenter::name() const {
-  return base_->name() + "+prefix(" + std::to_string(min_prefix_) + ")";
-}
-
 }  // namespace rulelink::text

@@ -5,9 +5,8 @@
 //
 // Two call styles:
 //   * SegmentViews appends string_views into `value` — every scheme here
-//     emits substrings (or prefixes of substrings) of the input, so no
-//     segment ever needs its own allocation. The views are valid only
-//     while `value`'s bytes are.
+//     emits substrings of the input, so no segment ever needs its own
+//     allocation. The views are valid only while `value`'s bytes are.
 //   * SegmentInto resolves those views through a util::StringInterner and
 //     appends dense SegmentIds — the form the learning core counts with.
 // The legacy Segment() (vector of owned strings) wraps SegmentViews and
@@ -15,7 +14,6 @@
 #ifndef RULELINK_TEXT_SEGMENTER_H_
 #define RULELINK_TEXT_SEGMENTER_H_
 
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -97,23 +95,6 @@ class AlphaDigitSegmenter : public Segmenter {
   void SegmentViews(std::string_view value,
                     std::vector<std::string_view>* out) const override;
   std::string name() const override { return "alpha-digit"; }
-};
-
-// Composite: applies a primary segmenter and additionally emits every
-// prefix of each segment no shorter than `min_prefix` (classic blocking
-// key family). Used for ablations.
-class PrefixEnrichedSegmenter : public Segmenter {
- public:
-  PrefixEnrichedSegmenter(std::unique_ptr<Segmenter> base,
-                          std::size_t min_prefix);
-
-  void SegmentViews(std::string_view value,
-                    std::vector<std::string_view>* out) const override;
-  std::string name() const override;
-
- private:
-  std::unique_ptr<Segmenter> base_;
-  std::size_t min_prefix_;
 };
 
 }  // namespace rulelink::text

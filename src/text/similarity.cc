@@ -743,21 +743,6 @@ double DiceBigramSimilarity(std::string_view a, std::string_view b) {
   return 2.0 * static_cast<double>(overlap) / static_cast<double>(total);
 }
 
-double NGramOverlapSimilarity(std::string_view a, std::string_view b,
-                              std::size_t n) {
-  RL_CHECK(n > 0);
-  std::vector<std::string_view> ga, gb;
-  NGramViews(a, n, &ga);
-  NGramViews(b, n, &gb);
-  if (ga.empty() && gb.empty()) return 1.0;
-  if (ga.empty() || gb.empty()) return 0.0;
-  const std::size_t smaller = std::min(ga.size(), gb.size());
-  std::sort(ga.begin(), ga.end());
-  std::sort(gb.begin(), gb.end());
-  const std::size_t overlap = SortedMultisetOverlap(ga, gb);
-  return static_cast<double>(overlap) / static_cast<double>(smaller);
-}
-
 double MongeElkanSimilarity(std::string_view a, std::string_view b) {
   const auto ta = util::SplitAny(a, " \t\n\r");
   const auto tb = util::SplitAny(b, " \t\n\r");

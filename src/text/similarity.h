@@ -93,10 +93,6 @@ double JaccardTokenSimilarity(std::string_view a, std::string_view b);
 // Dice coefficient over character bigrams (multiset semantics).
 double DiceBigramSimilarity(std::string_view a, std::string_view b);
 
-// Overlap coefficient over character n-grams.
-double NGramOverlapSimilarity(std::string_view a, std::string_view b,
-                              std::size_t n);
-
 // Monge-Elkan: mean over tokens of `a` of the best Jaro-Winkler match in
 // `b`'s tokens. Asymmetric; callers usually average both directions.
 double MongeElkanSimilarity(std::string_view a, std::string_view b);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <utility>
 
 #if defined(__linux__)
@@ -26,19 +25,10 @@ std::int64_t SteadyMicros() {
       .count();
 }
 
-// Process-wide morsel-size override: 0 = none. Initialized once from the
-// RULELINK_MORSEL_ITEMS environment variable (CI forces 1-item morsels
-// through it to maximize stealing in the differential suites), then
-// adjustable by ScopedMorselItems.
+// Process-wide morsel-size override: 0 = none, set only by
+// ScopedMorselItems.
 std::atomic<std::size_t>& MorselOverride() {
-  static std::atomic<std::size_t> value{[] {
-    const char* env = std::getenv("RULELINK_MORSEL_ITEMS");
-    if (env == nullptr || *env == '\0') return std::size_t{0};
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(env, &end, 10);
-    if (end == nullptr || *end != '\0') return std::size_t{0};
-    return static_cast<std::size_t>(parsed);
-  }()};
+  static std::atomic<std::size_t> value{0};
   return value;
 }
 

@@ -135,10 +135,10 @@ bool ThreadPinningEnabled();
 
 // The items-per-morsel ParallelFor will use for a loop of n items at the
 // given participant count. Resolution order: the process-wide test
-// override (ScopedMorselItems / RULELINK_MORSEL_ITEMS env) if set, else a
-// non-zero per-call hint, else a heuristic targeting ~16 morsels per
-// participant (capped so a huge n cannot explode the slot count and the
-// per-slot accumulator memory of callers).
+// override (ScopedMorselItems) if set, else a non-zero per-call hint,
+// else a heuristic targeting ~16 morsels per participant (capped so a
+// huge n cannot explode the slot count and the per-slot accumulator
+// memory of callers).
 std::size_t MorselItemsFor(std::size_t participants, std::size_t n,
                            std::size_t items_per_morsel_hint);
 

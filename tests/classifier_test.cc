@@ -67,8 +67,6 @@ TEST_F(ClassifierTest, SingleRuleFires) {
 
 TEST_F(ClassifierTest, NoRuleFires) {
   EXPECT_TRUE(classifier_->Classify(MakeItem("ZZZ-999")).empty());
-  EXPECT_EQ(classifier_->PredictClass(MakeItem("ZZZ-999")),
-            ontology::kInvalidClassId);
 }
 
 TEST_F(ClassifierTest, PredictionsOrderedByConfidenceThenLift) {
@@ -100,8 +98,10 @@ TEST_F(ClassifierTest, MinConfidenceFilters) {
   for (const auto& p : predictions) EXPECT_GE(p.confidence, 0.6);
 }
 
-TEST_F(ClassifierTest, PredictClassReturnsTopRanked) {
-  EXPECT_EQ(classifier_->PredictClass(MakeItem("OHM-MIX")), 2u);
+TEST_F(ClassifierTest, TopRankedClassComesFirst) {
+  const auto predictions = classifier_->Classify(MakeItem("OHM-MIX"));
+  ASSERT_FALSE(predictions.empty());
+  EXPECT_EQ(predictions.front().cls, 2u);
 }
 
 TEST_F(ClassifierTest, UnknownPropertyIgnored) {

@@ -384,9 +384,9 @@ void RunModeDifferential(const std::vector<core::Item>& external_items,
   bool have_reference_stats = false;
   for (const std::size_t threads : kThreadCounts) {
     SCOPED_TRACE(threads);
-    // Caches are rebuilt per thread count on purpose: id numbering
-    // differs across builds, the links must not. Modes share one build —
-    // dispatch cannot touch the cache contents.
+    // Caches are rebuilt per thread count on purpose: the build takes the
+    // thread count too, and neither it nor the links may depend on it.
+    // Modes share one build — dispatch cannot touch the cache contents.
     const Caches caches(external_items, local_items, matcher, threads);
     for (const util::SimdMode mode : kModes) {
       SCOPED_TRACE(util::SimdModeName(mode));

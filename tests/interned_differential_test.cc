@@ -182,12 +182,23 @@ TEST_P(InternedDifferential, LinkingSpaceIsIdenticalToReference) {
     ASSERT_TRUE(rules.ok());
     const core::RuleClassifier classifier(&*rules, &segmenter_);
 
-    // Item-level classification parity feeds the linking comparison.
-    const auto ref_top =
-        ref_classifier.PredictClassBatch(dataset.external_items, 0.4, 1);
-    const auto top = classifier.PredictClassBatch(dataset.external_items,
-                                                  0.4, threads);
-    EXPECT_EQ(top, ref_top) << "threads=" << threads;
+    // Item-level classification parity feeds the linking comparison: the
+    // same ranked classes, at the same confidences, for every item.
+    const auto ref_ranked =
+        ref_classifier.ClassifyBatch(dataset.external_items, 0.4, 1);
+    const auto ranked =
+        classifier.ClassifyBatch(dataset.external_items, 0.4, threads);
+    ASSERT_EQ(ranked.size(), ref_ranked.size());
+    for (std::size_t i = 0; i < ranked.size(); ++i) {
+      ASSERT_EQ(ranked[i].size(), ref_ranked[i].size())
+          << "threads=" << threads << " item " << i;
+      for (std::size_t k = 0; k < ranked[i].size(); ++k) {
+        EXPECT_EQ(ranked[i][k].cls, ref_ranked[i][k].cls)
+            << "threads=" << threads << " item " << i;
+        EXPECT_EQ(ranked[i][k].confidence, ref_ranked[i][k].confidence)
+            << "threads=" << threads << " item " << i;
+      }
+    }
 
     const core::LinkingSpaceAnalyzer analyzer(&classifier, &index);
     const auto actual =

@@ -109,6 +109,80 @@ double ScoreOne(const ItemMatcher& matcher, const BuiltCaches& caches,
   return scratch.scores[0];
 }
 
+// Asserts `got` holds the slots of `want`: per slot the same values, by
+// string (and by id when `same_ids`), and the same four lanes.
+void ExpectSameSlots(const FeatureCache& want, const FeatureCache& got,
+                     bool same_ids) {
+  ASSERT_EQ(got.num_items(), want.num_items());
+  ASSERT_EQ(got.num_rules(), want.num_rules());
+  const auto same_value = [&](ValueId w, ValueId g) {
+    if (same_ids || w == util::kInvalidSymbolId ||
+        g == util::kInvalidSymbolId) {
+      return w == g;
+    }
+    return want.dict().View(w) == got.dict().View(g);
+  };
+  std::size_t differences = 0;
+  for (std::size_t item = 0; item < want.num_items(); ++item) {
+    for (std::size_t rule = 0; rule < want.num_rules(); ++rule) {
+      const std::size_t slot = item * want.num_rules() + rule;
+      std::size_t want_count = 0;
+      std::size_t got_count = 0;
+      const ValueId* want_ids = want.Values(item, rule, &want_count);
+      const ValueId* got_ids = got.Values(item, rule, &got_count);
+      bool same = want_count == got_count;
+      for (std::size_t k = 0; same && k < want_count; ++k) {
+        same = same_value(want_ids[k], got_ids[k]);
+      }
+      same = same &&
+             want.lane_byte_lengths()[slot] == got.lane_byte_lengths()[slot] &&
+             want.lane_unique_tokens()[slot] ==
+                 got.lane_unique_tokens()[slot] &&
+             want.lane_bigrams()[slot] == got.lane_bigrams()[slot] &&
+             same_value(want.lane_value_ids()[slot],
+                        got.lane_value_ids()[slot]);
+      if (!same && ++differences <= 5) {
+        ADD_FAILURE() << "item " << item << " rule " << rule << " differs";
+      }
+    }
+  }
+  EXPECT_EQ(differences, 0u);
+}
+
+// Asserts every slot's lanes follow its values: a single-valued slot
+// carries that value's byte length, unique-token and bigram counts and
+// id; a missing or multi-valued slot carries zeros and an invalid id.
+void ExpectLanesFollowValues(const FeatureCache& cache) {
+  std::size_t differences = 0;
+  for (std::size_t item = 0; item < cache.num_items(); ++item) {
+    for (std::size_t rule = 0; rule < cache.num_rules(); ++rule) {
+      const std::size_t slot = item * cache.num_rules() + rule;
+      std::size_t count = 0;
+      const ValueId* ids = cache.Values(item, rule, &count);
+      std::uint32_t length = 0;
+      std::uint32_t unique_tokens = 0;
+      std::uint32_t bigrams = 0;
+      ValueId id = util::kInvalidSymbolId;
+      if (count == 1) {
+        const auto features = cache.dict().Features(ids[0]);
+        length = static_cast<std::uint32_t>(features.text.size());
+        unique_tokens = features.num_unique_tokens;
+        bigrams = features.num_bigrams;
+        id = ids[0];
+      }
+      if ((cache.lane_byte_lengths()[slot] != length ||
+           cache.lane_unique_tokens()[slot] != unique_tokens ||
+           cache.lane_bigrams()[slot] != bigrams ||
+           cache.lane_value_ids()[slot] != id) &&
+          ++differences <= 5) {
+        ADD_FAILURE() << "item " << item << " rule " << rule << " ("
+                      << count << " values): lanes do not follow them";
+      }
+    }
+  }
+  EXPECT_EQ(differences, 0u);
+}
+
 void ExpectAllPairsIdentical(const std::vector<core::Item>& external,
                              const std::vector<core::Item>& local,
                              const ItemMatcher& matcher,
@@ -195,18 +269,59 @@ TEST(ScoreRunOfOneTest, MemoizedScoresAreIdenticalAndCounted) {
 }
 
 TEST(ScoreRunOfOneTest, ParallelCacheBuildGivesIdenticalScores) {
-  const auto external = ExternalItems();
-  const auto local = LocalItems();
+  // The locals are the hand-made ones followed by a generated catalog,
+  // more than 4 096 items in all; the externals are the hand-made ones
+  // followed by dirty queries against that catalog.
+  datagen::WorkloadConfig config;
+  config.seed = 42;
+  config.catalog_size = 5000;
+  auto catalog = datagen::GenerateWorkloadCatalog(config, 1);
+  ASSERT_TRUE(catalog.ok()) << catalog.status();
+  datagen::QueryStreamConfig stream_config;
+  stream_config.num_queries = 12;
+  stream_config.typo_prob = 0.3;
+  auto stream = datagen::GenerateQueryStream(*catalog, stream_config, 1);
+  ASSERT_TRUE(stream.ok()) << stream.status();
+  std::vector<core::Item> external = ExternalItems();
+  external.insert(external.end(), stream->queries.begin(),
+                  stream->queries.end());
+  const std::vector<core::Item> hand_made_local = LocalItems();
+  std::vector<core::Item> local = hand_made_local;
+  local.insert(local.end(), catalog->items.begin(), catalog->items.end());
+  ASSERT_GT(local.size(), 4096u);
+  const std::string part = datagen::props::kPartNumber;
+  const std::string maker = datagen::props::kManufacturer;
   const ItemMatcher matcher({
       {"pn", "pn", SimilarityMeasure::kDiceBigram, 1.0},
       {"mfr", "mfr", SimilarityMeasure::kMongeElkan, 1.0},
+      {part, part, SimilarityMeasure::kDiceBigram, 1.0},
+      {maker, maker, SimilarityMeasure::kMongeElkan, 1.0},
   });
-  // Id numbering differs per thread count; scores must not.
+  // The build is serial at every thread count: the same ids, lanes and
+  // dictionary counts, and so the same scores.
+  const auto serial = BuildCaches(external, local, matcher, 1);
   for (std::size_t threads : {std::size_t{1}, std::size_t{2},
                               std::size_t{8}}) {
     SCOPED_TRACE(threads);
     const auto caches = BuildCaches(external, local, matcher, threads);
-    ExpectAllPairsIdentical(external, local, matcher, caches);
+    ExpectSameSlots(serial.external, caches.external, /*same_ids=*/true);
+    ExpectSameSlots(serial.local, caches.local, /*same_ids=*/true);
+    EXPECT_EQ(caches.dict->num_symbols(), serial.dict->num_symbols());
+    EXPECT_EQ(caches.dict->num_values(), serial.dict->num_values());
+    EXPECT_EQ(caches.dict->values_reused(), serial.dict->values_reused());
+    EXPECT_EQ(caches.dict->memory_bytes(), serial.dict->memory_bytes());
+    EXPECT_EQ(caches.external.memory_bytes(),
+              serial.external.memory_bytes());
+    EXPECT_EQ(caches.local.memory_bytes(), serial.local.memory_bytes());
+    ExpectAllPairsIdentical(external, hand_made_local, matcher, caches);
+    for (std::size_t e = 0; e < external.size(); ++e) {
+      for (std::size_t l = hand_made_local.size(); l < local.size();
+           l += 97) {
+        EXPECT_EQ(ScoreOne(matcher, caches, e, l),
+                  matcher.Score(external[e], local[l]))
+            << "external=" << external[e].iri << " local=" << local[l].iri;
+      }
+    }
   }
 }
 
@@ -218,6 +333,12 @@ TEST(FeatureDictionaryTest, RepeatedValuesHitTheBuildMemo) {
   EXPECT_EQ(dict.num_values(), 1u);
   EXPECT_EQ(dict.values_reused(), 1u);
   EXPECT_GT(dict.memory_bytes(), 0u);
+}
+
+TEST(FeatureDictionaryDeathTest, OverlayWithoutABaseFailsTheCheck) {
+  const FeatureDictionary* no_base = nullptr;
+  EXPECT_DEATH(FeatureDictionary overlay(no_base),
+               "Check failed: base != nullptr");
 }
 
 TEST(FeatureDictionaryTest, FeaturesRecordTokensAndBigrams) {
@@ -271,6 +392,61 @@ TEST(FeatureCacheTest, SlotsFollowRuleOrderAndMissingPropertiesAreEmpty) {
   const ValueId* mfr = cache.Values(6, 1, &count);
   ASSERT_EQ(count, 1u);
   EXPECT_EQ(dict.View(mfr[0]), "Vishay");
+}
+
+TEST(FeatureCacheTest, ExtendFromAndAssignSingleAppendLikeBuild) {
+  const ItemMatcher matcher({
+      {"pn", "pn", SimilarityMeasure::kExact, 1.0},
+      {"mfr", "mfr", SimilarityMeasure::kExact, 1.0},
+  });
+  const auto side = FeatureCache::Side::kLocal;
+  // The appended items hold multi-valued, duplicated, empty and missing
+  // slots.
+  const std::vector<core::Item> first = LocalItems();
+  const std::vector<core::Item> appended = ExternalItems();
+  std::vector<core::Item> both = first;
+  both.insert(both.end(), appended.begin(), appended.end());
+  FeatureDictionary whole_dict;
+  const FeatureCache whole =
+      FeatureCache::Build(both, matcher, side, &whole_dict, 1);
+  ExpectLanesFollowValues(whole);
+
+  // Over a direct overlay, as a delta publish extends: the same values by
+  // string.
+  FeatureDictionary root;
+  const FeatureCache base = FeatureCache::Build(first, matcher, side, &root);
+  FeatureDictionary overlay(&root);
+  const FeatureCache extended =
+      FeatureCache::ExtendFrom(base, appended, matcher, side, &overlay);
+  ExpectLanesFollowValues(extended);
+  ExpectSameSlots(whole, extended, /*same_ids=*/false);
+
+  // Over the base's own root: the same ids and dictionary counts too.
+  FeatureDictionary grown_dict;
+  const FeatureCache grown = FeatureCache::ExtendFrom(
+      FeatureCache::Build(first, matcher, side, &grown_dict), appended,
+      matcher, side, &grown_dict);
+  ExpectLanesFollowValues(grown);
+  ExpectSameSlots(whole, grown, /*same_ids=*/true);
+  EXPECT_EQ(grown_dict.num_symbols(), whole_dict.num_symbols());
+  EXPECT_EQ(grown_dict.num_values(), whole_dict.num_values());
+  EXPECT_EQ(grown_dict.values_reused(), whole_dict.values_reused());
+
+  // One item at a time into a session overlay, reusing one cache: each
+  // assignment equals a build over that item alone.
+  FeatureDictionary session(&root);
+  FeatureCache single;
+  for (const core::Item& item : both) {
+    SCOPED_TRACE(item.iri);
+    single.AssignSingle(item, matcher, FeatureCache::Side::kExternal,
+                        &session);
+    FeatureDictionary alone_dict;
+    const FeatureCache alone =
+        FeatureCache::Build({item}, matcher, FeatureCache::Side::kExternal,
+                            &alone_dict);
+    ExpectLanesFollowValues(single);
+    ExpectSameSlots(alone, single, /*same_ids=*/false);
+  }
 }
 
 // --- The run scorer ----------------------------------------------------

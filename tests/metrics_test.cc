@@ -285,22 +285,30 @@ std::string InstrumentedPipelineJson(const datagen::Dataset& dataset,
 }
 
 TEST(MetricsDeterminismTest, SnapshotByteIdenticalAcrossThreadCounts) {
-  for (std::uint64_t seed : {11u, 23u}) {
-    SCOPED_TRACE(seed);
-    auto dataset = datagen::DatasetGenerator(SmallConfig(seed)).Generate();
-    ASSERT_TRUE(dataset.ok()) << dataset.status();
-    const std::string reference = InstrumentedPipelineJson(*dataset, 1);
-    EXPECT_FALSE(reference.empty());
-    // The snapshot must carry real pipeline content, not just zeros.
-    EXPECT_NE(reference.find("linking/stream/pairs_scored"),
-              std::string::npos);
-    EXPECT_NE(reference.find("learn/rules_emitted"), std::string::npos);
-    EXPECT_NE(reference.find("linking/stream/run_length"),
-              std::string::npos);
-    EXPECT_NE(reference.find("quality/"), std::string::npos);
-    for (std::size_t threads : {2u, 8u}) {
-      SCOPED_TRACE(threads);
-      EXPECT_EQ(InstrumentedPipelineJson(*dataset, threads), reference);
+  // The 6 000-item catalog gives the feature build thousands of items in
+  // one call: a build whose dictionary depended on the thread count would
+  // change the dictionary sizes in the snapshot.
+  for (std::size_t catalog_size : {400u, 6000u}) {
+    for (std::uint64_t seed : {11u, 23u}) {
+      SCOPED_TRACE(testing::Message() << "catalog " << catalog_size
+                                      << " seed " << seed);
+      datagen::DatasetConfig config = SmallConfig(seed);
+      config.catalog_size = catalog_size;
+      auto dataset = datagen::DatasetGenerator(config).Generate();
+      ASSERT_TRUE(dataset.ok()) << dataset.status();
+      const std::string reference = InstrumentedPipelineJson(*dataset, 1);
+      EXPECT_FALSE(reference.empty());
+      // The snapshot must carry real pipeline content, not just zeros.
+      EXPECT_NE(reference.find("linking/stream/pairs_scored"),
+                std::string::npos);
+      EXPECT_NE(reference.find("learn/rules_emitted"), std::string::npos);
+      EXPECT_NE(reference.find("linking/stream/run_length"),
+                std::string::npos);
+      EXPECT_NE(reference.find("quality/"), std::string::npos);
+      for (std::size_t threads : {2u, 8u}) {
+        SCOPED_TRACE(threads);
+        EXPECT_EQ(InstrumentedPipelineJson(*dataset, threads), reference);
+      }
     }
   }
 }

@@ -160,10 +160,6 @@ TEST_P(ParallelDifferential, ClassifyBatchIsThreadCountInvariant) {
         EXPECT_EQ(parallel[i][k].lift, serial[i][k].lift);
       }
     }
-    const auto top_serial = classifier.PredictClassBatch(items, 0.0, 1);
-    const auto top_parallel =
-        classifier.PredictClassBatch(items, 0.0, threads);
-    EXPECT_EQ(top_serial, top_parallel) << "threads=" << threads;
   }
 }
 

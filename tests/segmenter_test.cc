@@ -1,7 +1,6 @@
 #include "text/segmenter.h"
 
 #include <algorithm>
-#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -96,23 +95,6 @@ TEST(AlphaDigitSegmenterTest, PureTokensPassThrough) {
   ASSERT_EQ(parts.size(), 2u);
   EXPECT_EQ(parts[0], "ohm");
   EXPECT_EQ(parts[1], "123");
-}
-
-TEST(PrefixEnrichedSegmenterTest, EmitsPrefixes) {
-  PrefixEnrichedSegmenter seg(std::make_unique<SeparatorSegmenter>(), 3);
-  const auto parts = seg.Segment("CRCW0805");
-  // Original + prefixes of length 3..7.
-  ASSERT_EQ(parts.size(), 6u);
-  EXPECT_EQ(parts[0], "CRCW0805");
-  EXPECT_TRUE(std::count(parts.begin(), parts.end(), "CRC"));
-  EXPECT_TRUE(std::count(parts.begin(), parts.end(), "CRCW080"));
-  // The full segment is not duplicated as a "prefix".
-  EXPECT_EQ(std::count(parts.begin(), parts.end(), "CRCW0805"), 1);
-}
-
-TEST(PrefixEnrichedSegmenterTest, ShortSegmentsGetNoPrefixes) {
-  PrefixEnrichedSegmenter seg(std::make_unique<SeparatorSegmenter>(), 3);
-  EXPECT_EQ(seg.Segment("ab").size(), 1u);
 }
 
 // Property sweep over segmenters: segments never contain the separator

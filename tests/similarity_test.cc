@@ -70,12 +70,6 @@ TEST(CharacterBigramsTest, Extraction) {
   EXPECT_TRUE(CharacterBigrams("").empty());
 }
 
-TEST(NGramOverlapTest, OverlapCoefficient) {
-  // trigrams of "abcd": abc, bcd; of "abce": abc, bce -> overlap 1, min 2.
-  EXPECT_NEAR(NGramOverlapSimilarity("abcd", "abce", 3), 0.5, 1e-9);
-  EXPECT_DOUBLE_EQ(NGramOverlapSimilarity("abcd", "abcd", 3), 1.0);
-}
-
 TEST(MongeElkanTest, TokenwiseBestMatch) {
   // Every token of the first string has a perfect counterpart.
   EXPECT_DOUBLE_EQ(MongeElkanSimilarity("louvre museum", "museum louvre"),

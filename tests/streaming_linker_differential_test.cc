@@ -178,8 +178,9 @@ void RunDifferential(const datagen::Dataset& dataset,
     linking::LinkerStats serial_stats;
     for (std::size_t threads : kThreadCounts) {
       SCOPED_TRACE(threads);
-      // Caches are rebuilt per thread count on purpose: id numbering
-      // differs across builds, the links must not.
+      // Caches are rebuilt per thread count on purpose: the build takes
+      // the thread count too, and neither it nor the links may depend on
+      // it.
       const Caches caches(dataset, matcher, threads);
       linking::LinkerStats stats;
       linking::ScoreMemoStats memo;

@@ -35,8 +35,8 @@ TEST(ResolveNumThreadsTest, ExplicitRequestsPassThroughUnclamped) {
 }
 
 TEST(MorselItemsTest, HintAndOverridePrecedence) {
-  // Neutralize any ambient RULELINK_MORSEL_ITEMS: this test asserts the
-  // non-overridden precedence order.
+  // Start from no override: this test asserts the non-overridden
+  // precedence order.
   ScopedMorselItems no_override(0);
   // Per-call hint wins over the heuristic.
   EXPECT_EQ(MorselItemsFor(4, 100000, 512), 512u);

@@ -131,8 +131,9 @@ TEST_P(WorkloadDifferential, StreamingMatchesOracleAtScale) {
     linking::LinkerStats serial_stats;
     for (const std::size_t threads : kThreadCounts) {
       SCOPED_TRACE(threads);
-      // Caches are rebuilt per thread count on purpose: id numbering may
-      // differ across builds, the links must not.
+      // Caches are rebuilt per thread count on purpose: the build takes
+      // the thread count too, and neither it nor the links may depend on
+      // it.
       const Caches caches(workload, matcher, threads);
       linking::LinkerStats stats;
       const auto links = streaming.Run(*index, caches.external,

@@ -529,7 +529,7 @@ int RunServe(const Args& args, rulelink::obs::MetricsRegistry* metrics) {
                                                            "serve/publish");
     engine.Publish(std::make_unique<linking::ServeSnapshot>(
         std::move(locals), linking::ItemMatcher(rules), threshold, strategy,
-        blocker, Threads(args), metrics));
+        blocker, /*num_threads=*/1, metrics));
   }
 
   // Each --delta file becomes one incremental generation: its items are
