@@ -35,7 +35,7 @@ inline void ApplyPinningFromEnv() {
 }
 
 // One measured point of a thread-count sweep, with the scheduler-counter
-// delta (morsels, steals, busy time) and the SIMD batch-counter delta
+// delta (loops, morsels, busy time) and the SIMD batch-counter delta
 // (Levenshtein probes taken batched vs per-pair) observed during the
 // best-of run.
 struct ThreadSweepPoint {
@@ -52,7 +52,7 @@ struct ThreadSweepPoint {
 // "scheduler": {...}, "simd": {...}}, ...]}. Points whose thread count
 // exceeds the hardware get "oversubscribed": true so downstream tooling
 // can drop them from scaling fits; the per-point "scheduler" object
-// (loop/morsel/steal counts from the global pool) and "simd" object
+// (loop/morsel counts from the process pool) and "simd" object
 // (batched vs per-pair probe counts) make scaling regressions
 // diagnosable from the artifact alone.
 // `extra_sections`, when non-empty, is spliced verbatim as additional
@@ -86,18 +86,7 @@ inline void WriteThreadSweepJson(const std::string& bench_name,
     }
     out << ", \"scheduler\": {\"loops\": " << p.scheduler.loops
         << ", \"morsels\": " << p.scheduler.morsels
-        << ", \"steals\": " << p.scheduler.steals
-        << ", \"steal_failures\": " << p.scheduler.steal_failures
-        << ", \"busy_micros\": " << p.scheduler.busy_micros;
-    if (p.scheduler.hw.valid) {
-      // Per-point hardware-counter delta (pool workers with live
-      // perf_event groups): tells memory-bound scaling regressions (LLC
-      // misses growing with threads) from compute-bound ones.
-      out << ", \"hw\": {\"cycles\": " << p.scheduler.hw.cycles
-          << ", \"instructions\": " << p.scheduler.hw.instructions
-          << ", \"llc_misses\": " << p.scheduler.hw.llc_misses << "}";
-    }
-    out << "}";
+        << ", \"busy_micros\": " << p.scheduler.busy_micros << "}";
     out << ", \"simd\": {\"kernel_batched_pairs\": "
         << p.simd.kernel_batched_pairs << ", \"kernel_remainder_pairs\": "
         << p.simd.kernel_remainder_pairs << "}";

@@ -391,18 +391,9 @@ PublishPoint MeasureDeltaPublish(std::size_t catalog_size,
 }
 
 std::string SchedulerJson(const util::SchedulerTotals& s) {
-  std::string json = "{\"loops\": " + std::to_string(s.loops) +
-                     ", \"morsels\": " + std::to_string(s.morsels) +
-                     ", \"steals\": " + std::to_string(s.steals) +
-                     ", \"steal_failures\": " +
-                     std::to_string(s.steal_failures) +
-                     ", \"busy_micros\": " + std::to_string(s.busy_micros);
-  if (s.hw.valid) {
-    json += ", \"hw\": {\"cycles\": " + std::to_string(s.hw.cycles) +
-            ", \"instructions\": " + std::to_string(s.hw.instructions) +
-            ", \"llc_misses\": " + std::to_string(s.hw.llc_misses) + "}";
-  }
-  return json + "}";
+  return "{\"loops\": " + std::to_string(s.loops) +
+         ", \"morsels\": " + std::to_string(s.morsels) +
+         ", \"busy_micros\": " + std::to_string(s.busy_micros) + "}";
 }
 
 std::string PointJson(const PointResult& r, double serial_qps) {

@@ -124,7 +124,7 @@ util::Result<RuleSet> RuleLearner::Learn(const TrainingSet& ts,
   // O(num_premises) flat vector (and an O(premises x classes) grid in
   // pass 2), so the default ~16-slots-per-worker heuristic would make the
   // serial merge the dominant cost. Per-example work is uniform, so a few
-  // hundred examples per morsel still balances well under stealing.
+  // hundred examples per morsel still balance well.
   constexpr std::size_t kExamplesPerMorsel = 512;
   const std::size_t num_shards = util::ParallelSlots(
       options_.num_threads, num_examples, kExamplesPerMorsel);

@@ -42,7 +42,7 @@ std::vector<Link> Linker::Run(
   unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
 
   // Uncached scoring is expensive per pair but uniform; medium morsels
-  // bound the shard count while leaving room for stealing.
+  // bound the shard count while leaving enough of them to balance.
   constexpr std::size_t kPairsPerMorsel = 512;
   const std::size_t num_shards =
       util::ParallelSlots(num_threads, unique.size(), kPairsPerMorsel);

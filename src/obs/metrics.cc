@@ -36,19 +36,7 @@ void AppendJsonString(std::string_view s, std::string* out) {
 void AppendSchedulerWorkerJson(const util::SchedulerWorkerStats& w,
                                std::string* out) {
   *out += "{\"morsels\": " + std::to_string(w.morsels) +
-          ", \"steals\": " + std::to_string(w.steals) +
-          ", \"steal_failures\": " + std::to_string(w.steal_failures) +
-          ", \"busy_micros\": " + std::to_string(w.busy_micros);
-  // Hardware counters render only when the worker's perf_event group is
-  // live, so "no perf access" is distinguishable from "zero misses".
-  // Thread-variant like the rest of the scheduler section: never part of
-  // DeterministicJson.
-  if (w.hw.valid) {
-    *out += ", \"hw\": {\"cycles\": " + std::to_string(w.hw.cycles) +
-            ", \"instructions\": " + std::to_string(w.hw.instructions) +
-            ", \"llc_misses\": " + std::to_string(w.hw.llc_misses) + "}";
-  }
-  *out += "}";
+          ", \"busy_micros\": " + std::to_string(w.busy_micros) + "}";
 }
 
 void AppendHistogramJson(const Histogram& h, std::string* out) {
@@ -268,13 +256,12 @@ std::string MetricsSnapshot::ToJson(bool include_timings) const {
     }
     out += first ? "]" : "\n  ]";
 
-    // Scheduler counters are timing-dependent (steal order, busy time),
-    // which is exactly why they live here and not in DeterministicJson.
+    // Scheduler counters are timing-dependent (who claimed which morsel,
+    // busy time), which is exactly why they live here and not in
+    // DeterministicJson.
     out += ",\n  \"scheduler\": {\"workers\": " +
            std::to_string(scheduler.workers) +
            ", \"pinned\": " + (scheduler.pinned ? "true" : "false") +
-           ", \"hw_counters\": " +
-           (util::ThreadPerfCounters::Available() ? "true" : "false") +
            ", \"loops\": " + std::to_string(scheduler.loops) +
            ", \"uptime_micros\": " + std::to_string(scheduler.uptime_micros) +
            ", \"utilization\": " +

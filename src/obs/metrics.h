@@ -117,10 +117,10 @@ struct MetricsSnapshot {
   std::map<std::string, StageTiming> stages;
   std::vector<TraceSpan> trace;
   // The process-wide morsel scheduler's counters at snapshot time
-  // (workers, loops, per-worker morsels/steals/busy time — DESIGN.md §5g).
-  // Thread-variant by nature: steal counts depend on timing, so this
-  // section renders only in the full document, never the deterministic
-  // one.
+  // (workers, loops, per-worker morsels/busy time — DESIGN.md §5g).
+  // Thread-variant by nature: who runs which morsel depends on timing, so
+  // this section renders only in the full document, never the
+  // deterministic one.
   util::SchedulerStats scheduler;
   // SIMD dispatch target and batched/remainder Levenshtein probe
   // counters at snapshot time (DESIGN.md §5h). Dispatch-variant (depends

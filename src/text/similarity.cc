@@ -22,25 +22,6 @@
 
 namespace rulelink::text {
 
-std::size_t LevenshteinDistanceDP(std::string_view a, std::string_view b) {
-  if (a.size() > b.size()) std::swap(a, b);
-  // Single-row dynamic program over the shorter string.
-  std::vector<std::size_t> row(a.size() + 1);
-  for (std::size_t i = 0; i <= a.size(); ++i) row[i] = i;
-  for (std::size_t j = 1; j <= b.size(); ++j) {
-    std::size_t prev_diag = row[0];
-    row[0] = j;
-    for (std::size_t i = 1; i <= a.size(); ++i) {
-      const std::size_t insert_or_delete = std::min(row[i], row[i - 1]) + 1;
-      const std::size_t substitute =
-          prev_diag + (a[i - 1] == b[j - 1] ? 0 : 1);
-      prev_diag = row[i];
-      row[i] = std::min(insert_or_delete, substitute);
-    }
-  }
-  return row[a.size()];
-}
-
 namespace {
 
 // Sentinel cap meaning "compute the exact distance, never exit early".

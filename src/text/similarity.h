@@ -18,13 +18,9 @@ using TokenId = util::SymbolId;
 
 // Levenshtein edit distance (insert/delete/substitute, unit costs).
 // Computed with Myers' bit-parallel algorithm (64-bit blocks); byte-wise,
-// so it agrees exactly with the dynamic-programming reference below even
-// on multi-byte UTF-8 input.
+// so it agrees exactly with the dynamic-programming oracle in
+// tests/levenshtein_bitparallel_test.cc even on multi-byte UTF-8 input.
 std::size_t LevenshteinDistance(std::string_view a, std::string_view b);
-
-// The single-row dynamic-programming formulation, kept as the differential
-// oracle for the bit-parallel kernel. Not used on any hot path.
-std::size_t LevenshteinDistanceDP(std::string_view a, std::string_view b);
 
 // Threshold-capped Levenshtein: returns the exact distance when it is
 // <= cap, and some value > cap otherwise (the kernel stops as soon as the

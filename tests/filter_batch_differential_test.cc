@@ -416,8 +416,9 @@ TEST(FilterBatchDifferential, PaperCorpusAllModesAllThreadCounts) {
 }
 
 TEST(FilterBatchDifferential, PaperCorpusOneItemMorsels) {
-  // 1-item morsels maximize stealing and put every external item's run in
-  // its own scratch epoch — the adversarial chunking for the batch path.
+  // 1-item morsels scatter neighbouring external items across threads and
+  // put every item's run in its own scratch epoch — the adversarial
+  // chunking for the batch path.
   const datagen::Dataset& dataset = PaperCorpus();
   RunModeDifferential(dataset.external_items, dataset.catalog_items,
                       /*blocker_prefix=*/3, /*one_item_morsels=*/true);

@@ -1,12 +1,13 @@
 // Differential coverage for the bit-parallel Myers Levenshtein kernel:
 // LevenshteinDistance (Myers, single-word and blocked) must agree with the
-// preserved dynamic-programming reference on arbitrary byte strings, and
+// dynamic-programming oracle below on arbitrary byte strings, and
 // BoundedLevenshteinDistance must return the exact distance whenever it is
 // within the cap and something strictly larger otherwise.
 #include <algorithm>
 #include <cstddef>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +18,26 @@
 
 namespace rulelink::text {
 namespace {
+
+// The single-row dynamic-programming formulation: the differential oracle
+// for the bit-parallel kernels.
+std::size_t LevenshteinDistanceDP(std::string_view a, std::string_view b) {
+  if (a.size() > b.size()) std::swap(a, b);
+  std::vector<std::size_t> row(a.size() + 1);
+  for (std::size_t i = 0; i <= a.size(); ++i) row[i] = i;
+  for (std::size_t j = 1; j <= b.size(); ++j) {
+    std::size_t prev_diag = row[0];
+    row[0] = j;
+    for (std::size_t i = 1; i <= a.size(); ++i) {
+      const std::size_t insert_or_delete = std::min(row[i], row[i - 1]) + 1;
+      const std::size_t substitute =
+          prev_diag + (a[i - 1] == b[j - 1] ? 0 : 1);
+      prev_diag = row[i];
+      row[i] = std::min(insert_or_delete, substitute);
+    }
+  }
+  return row[a.size()];
+}
 
 // Random string of `length` bytes. Mode 0: ASCII part-number-ish alphabet.
 // Mode 1: raw bytes 0..255 (exercises the full Peq table). Mode 2: UTF-8

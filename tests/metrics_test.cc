@@ -197,12 +197,13 @@ TEST(MetricsSnapshotTest, DeterministicJsonOmitsTimings) {
   EXPECT_EQ(det.find("\"stages\""), std::string::npos);
   EXPECT_EQ(det.find("\"trace\""), std::string::npos);
   EXPECT_NE(det.find("\"c\": 7"), std::string::npos) << det;
-  // The scheduler counters are thread-variant (steal order, busy time):
-  // present in the full document, never in the deterministic one.
+  // The scheduler counters are thread-variant (who ran which morsel, busy
+  // time): present in the full document, never in the deterministic one.
   EXPECT_NE(full.find("\"scheduler\""), std::string::npos);
   EXPECT_NE(full.find("\"per_worker\""), std::string::npos);
+  EXPECT_NE(full.find("\"morsels\""), std::string::npos);
   EXPECT_EQ(det.find("\"scheduler\""), std::string::npos);
-  EXPECT_EQ(det.find("\"steals\""), std::string::npos);
+  EXPECT_EQ(det.find("\"morsels\""), std::string::npos);
 }
 
 TEST(MetricsSnapshotTest, SchedulerSectionReflectsPoolActivity) {

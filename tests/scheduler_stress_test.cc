@@ -1,10 +1,10 @@
-// Sanitizer stress for the morsel scheduler's stealing deques: many tiny
-// morsels, maximal steal contention, repeated pool reuse, nested loops
-// and concurrent Stats() reads. The assertions are deliberately simple —
-// every item exactly once, slot ranges exact — because the point of this
-// suite is what TSan/ASan observe while it runs (the per-deque locking,
-// the in-limbo stolen ranges, the shared_ptr'd loop state outliving late
-// helper tasks), not the arithmetic.
+// Sanitizer stress for the morsel scheduler's claim-and-complete protocol:
+// many tiny morsels, maximal contention on the shared cursor, repeated
+// pool reuse, nested loops and concurrent stats reads. The assertions are
+// deliberately simple — every item exactly once, slot ranges exact —
+// because the point of this suite is what TSan/ASan observe while it runs
+// (the cursor claims, the completion handshake, the shared_ptr'd loop
+// state outliving stale helper tickets), not the arithmetic.
 #include <atomic>
 #include <cstdint>
 #include <thread>
@@ -17,25 +17,23 @@
 namespace rulelink::util {
 namespace {
 
-TEST(SchedulerStressTest, ContendedStealsOverTinyMorsels) {
+TEST(SchedulerStressTest, ContendedClaimsOverTinyMorsels) {
   // 8 participants fighting over one-item slots, re-running on the same
-  // pool so helper tasks from finished loops (holding the old LoopState)
-  // drain while the next loop is already live.
+  // pool so helper tickets from finished loops (holding the old loop
+  // state) drain while the next loop is already live.
   ScopedMorselItems force(1);
-  ThreadPool pool(8);
   constexpr std::size_t kItems = 2000;
   for (int round = 0; round < 10; ++round) {
     std::vector<std::atomic<std::uint32_t>> hits(kItems);
     std::atomic<std::uint64_t> checksum{0};
-    pool.ParallelFor(kItems,
-                     [&](std::size_t slot, std::size_t begin,
-                         std::size_t end) {
-                       for (std::size_t i = begin; i < end; ++i) {
-                         ++hits[i];
-                         checksum.fetch_add(i * (slot + 1),
-                                            std::memory_order_relaxed);
-                       }
-                     });
+    ParallelFor(8, kItems,
+                [&](std::size_t slot, std::size_t begin, std::size_t end) {
+                  for (std::size_t i = begin; i < end; ++i) {
+                    ++hits[i];
+                    checksum.fetch_add(i * (slot + 1),
+                                       std::memory_order_relaxed);
+                  }
+                });
     for (std::size_t i = 0; i < kItems; ++i) {
       ASSERT_EQ(hits[i].load(), 1u) << "round " << round << " item " << i;
     }
@@ -47,24 +45,22 @@ TEST(SchedulerStressTest, ContendedStealsOverTinyMorsels) {
 }
 
 TEST(SchedulerStressTest, StatsReadsRaceWithRunningLoops) {
-  // Stats() uses relaxed reads of live counters by design; TSan must see
-  // no lock-order or data-race issue between a reader thread and the
+  // Stats reads use relaxed loads of live counters by design; TSan must
+  // see no lock-order or data-race issue between a reader thread and the
   // participants flushing their counters.
   ScopedMorselItems force(1);
-  ThreadPool pool(4);
   std::atomic<bool> stop{false};
   std::thread reader([&] {
     std::uint64_t last = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      const SchedulerTotals totals = pool.Stats().Totals();
+      const SchedulerTotals totals = GlobalSchedulerTotals();
       ASSERT_GE(totals.morsels, last);  // monotone
       last = totals.morsels;
     }
   });
   for (int round = 0; round < 20; ++round) {
     std::atomic<std::uint64_t> sum{0};
-    pool.ParallelFor(500, [&](std::size_t, std::size_t begin,
-                              std::size_t end) {
+    ParallelFor(4, 500, [&](std::size_t, std::size_t begin, std::size_t end) {
       sum.fetch_add(end - begin, std::memory_order_relaxed);
     });
     ASSERT_EQ(sum.load(), 500u);
@@ -98,7 +94,7 @@ TEST(SchedulerStressTest, NestedLoopsUnderContention) {
 
 TEST(SchedulerStressTest, ManyShortLoopsReuseTheGlobalPool) {
   // Loop-start/loop-end churn: hundreds of small scheduled loops back to
-  // back exercise LoopState construction, helper-task drain and the
+  // back exercise loop-state construction, stale-ticket drain and the
   // completion condition variable far more often than a few big loops.
   ScopedMorselItems force(2);
   const SchedulerTotals before = GlobalSchedulerTotals();

@@ -82,6 +82,27 @@ TEST(ParallelSlotsTest, MatchesTheLoopPartition) {
   }
 }
 
+TEST(UtilizationTest, CountsPoolWorkersOnly) {
+  // Callers are not among `workers`, so their participation stays out of
+  // the numerator: one worker and one caller, each busy for the whole
+  // uptime, make a fully utilized pool, not a 2x one.
+  SchedulerStats stats;
+  stats.workers = 1;
+  stats.uptime_micros = 1000;
+  stats.external.busy_micros = 1000;
+  stats.per_worker.emplace_back();
+  stats.per_worker[0].busy_micros = 1000;
+  EXPECT_DOUBLE_EQ(stats.Utilization(), 1.0);
+
+  // The same through the process pool: 2 contexts, each slot busy 50 ms.
+  ParallelFor(2, 2, [](std::size_t, std::size_t, std::size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  });
+  const double utilization = GlobalSchedulerStats().Utilization();
+  EXPECT_GE(utilization, 0.0);
+  EXPECT_LE(utilization, 1.0);
+}
+
 TEST(ParallelForTest, EmptyRangeNeverCallsBody) {
   std::atomic<int> calls{0};
   ParallelFor(4, 0, [&](std::size_t, std::size_t, std::size_t) { ++calls; });
@@ -104,7 +125,7 @@ TEST(ParallelForTest, SingleThreadRunsInlineOnCaller) {
 
 TEST(ParallelForTest, SlotsAreAPureFunctionOfNAndMorselSize) {
   // The determinism contract: slot s covers [s*m, min(n, (s+1)*m))
-  // whatever the thread count and steal interleaving, and every slot runs
+  // whatever the thread count and claim interleaving, and every slot runs
   // exactly once.
   for (std::size_t morsel : {1u, 3u, 7u, 32u}) {
     ScopedMorselItems force(morsel);
@@ -148,11 +169,10 @@ TEST(ParallelForTest, OversubscriptionStillCoversTheRangeExactly) {
 
 TEST(ParallelForTest, RangeSmallerThanWorkerCount) {
   ScopedMorselItems force(1);
-  ThreadPool pool(8);
   std::atomic<int> calls{0};
   std::mutex mutex;
   std::set<std::pair<std::size_t, std::size_t>> ranges;
-  pool.ParallelFor(3, [&](std::size_t, std::size_t begin, std::size_t end) {
+  ParallelFor(8, 3, [&](std::size_t, std::size_t begin, std::size_t end) {
     ++calls;
     std::lock_guard<std::mutex> lock(mutex);
     ranges.insert({begin, end});
@@ -173,15 +193,14 @@ TEST(ParallelForTest, PropagatesExceptionFromWorker) {
       std::runtime_error);
 }
 
-TEST(ParallelForTest, RethrowsLowestSlotFirstUnderStealing) {
-  // 1-item morsels with skewed workloads force heavy stealing; whichever
-  // participant ends up executing the throwing slots, the caller must see
-  // the lowest slot's exception.
+TEST(ParallelForTest, RethrowsLowestSlotFirstUnderSkew) {
+  // 1-item morsels with skewed workloads scatter the slots over every
+  // participant; whichever participant ends up executing the throwing
+  // slots, the caller must see the lowest slot's exception.
   ScopedMorselItems force(1);
-  ThreadPool pool(4);
   for (int repeat = 0; repeat < 20; ++repeat) {
     try {
-      pool.ParallelFor(64, [](std::size_t slot, std::size_t, std::size_t) {
+      ParallelFor(4, 64, [](std::size_t slot, std::size_t, std::size_t) {
         if (slot % 5 == 0) {
           std::this_thread::sleep_for(std::chrono::microseconds(50));
         }
@@ -195,32 +214,29 @@ TEST(ParallelForTest, RethrowsLowestSlotFirstUnderStealing) {
   }
 }
 
-TEST(ParallelForTest, EveryClaimableSlotRunsDespiteAnEarlyThrow) {
+TEST(ParallelForTest, EverySlotRunsDespiteAnEarlyThrow) {
   ScopedMorselItems force(1);
-  ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(50);
-  EXPECT_THROW(
-      pool.ParallelFor(hits.size(),
-                       [&](std::size_t slot, std::size_t, std::size_t) {
-                         ++hits[slot];
-                         if (slot == 0) throw std::runtime_error("boom");
-                       }),
-      std::runtime_error);
+  EXPECT_THROW(ParallelFor(3, hits.size(),
+                           [&](std::size_t slot, std::size_t, std::size_t) {
+                             ++hits[slot];
+                             if (slot == 0) throw std::runtime_error("boom");
+                           }),
+               std::runtime_error);
   for (std::size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "slot " << i;
   }
 }
 
 TEST(ParallelForTest, PoolSurvivesAFailedLoop) {
-  ThreadPool pool(4);
-  EXPECT_THROW(pool.ParallelFor(8,
-                                [](std::size_t, std::size_t, std::size_t) {
-                                  throw std::runtime_error("boom");
-                                }),
+  EXPECT_THROW(ParallelFor(4, 8,
+                           [](std::size_t, std::size_t, std::size_t) {
+                             throw std::runtime_error("boom");
+                           }),
                std::runtime_error);
   // The pool is still usable afterwards.
   std::atomic<int> sum{0};
-  pool.ParallelFor(8, [&](std::size_t, std::size_t begin, std::size_t end) {
+  ParallelFor(4, 8, [&](std::size_t, std::size_t begin, std::size_t end) {
     sum += static_cast<int>(end - begin);
   });
   EXPECT_EQ(sum.load(), 8);
@@ -248,35 +264,51 @@ TEST(ParallelForTest, NestedParallelForFromAPoolTaskIsSafe) {
   }
 }
 
-TEST(ParallelForTest, NestedSubmitFromInsideALoopBody) {
-  ThreadPool pool(2);
-  std::atomic<int> nested{0};
-  pool.ParallelFor(4, [&](std::size_t, std::size_t, std::size_t) {
-    pool.Submit([&nested] { ++nested; });
+TEST(ParallelForTest, IdleParticipantsRunEverySlotABlockedOneCannot) {
+  // Self-balancing: with 2 contexts and 1-item morsels, slot 0 blocks
+  // until every other slot has run. Its participant cannot run them, so
+  // the other one must claim all of them. A partition fixed up front
+  // would hand half of the slots to the blocked participant and hit the
+  // deadline.
+  ScopedMorselItems force(1);
+  constexpr std::size_t kSlots = 64;
+  std::atomic<std::size_t> others_done{0};
+  std::atomic<bool> timed_out{false};
+  ParallelFor(2, kSlots, [&](std::size_t slot, std::size_t, std::size_t) {
+    if (slot != 0) {
+      others_done.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (others_done.load(std::memory_order_relaxed) < kSlots - 1) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        timed_out.store(true, std::memory_order_relaxed);
+        return;
+      }
+      std::this_thread::yield();
+    }
   });
-  pool.Wait();
-  EXPECT_EQ(nested.load(), 4);
+  EXPECT_FALSE(timed_out.load());
+  EXPECT_EQ(others_done.load(), kSlots - 1);
 }
 
-TEST(SchedulerStatsTest, CountsMorselsLoopsAndStealActivity) {
+TEST(SchedulerStatsTest, CountsMorselsAndLoops) {
   ScopedMorselItems force(1);
-  ThreadPool pool(4);
-  const SchedulerTotals before = pool.Stats().Totals();
-  const std::uint64_t loops_before = pool.Stats().loops;
+  const SchedulerTotals before = GlobalSchedulerTotals();
   std::atomic<int> calls{0};
   for (int repeat = 0; repeat < 5; ++repeat) {
-    pool.ParallelFor(100, [&](std::size_t, std::size_t, std::size_t) {
+    ParallelFor(4, 100, [&](std::size_t, std::size_t, std::size_t) {
       ++calls;
     });
   }
-  const SchedulerStats stats = pool.Stats();
+  const SchedulerStats stats = GlobalSchedulerStats();
   const SchedulerTotals delta = stats.Totals().Minus(before);
   EXPECT_EQ(calls.load(), 500);
   EXPECT_EQ(delta.morsels, 500u);  // every slot accounted exactly once
-  EXPECT_EQ(stats.loops - loops_before, 5u);
-  EXPECT_EQ(stats.workers, 4u);
-  // Each loop ends with every active participant failing a final scan.
-  EXPECT_GT(delta.steal_failures, 0u);
+  EXPECT_EQ(delta.loops, 5u);
+  EXPECT_EQ(delta.steals, 0u);
+  EXPECT_GE(stats.workers, 3u);  // 4 contexts = caller + 3 workers
 }
 
 TEST(SchedulerStatsTest, GlobalPoolIsPersistentAndObservable) {
@@ -285,13 +317,13 @@ TEST(SchedulerStatsTest, GlobalPoolIsPersistentAndObservable) {
   ParallelFor(3, 64, [&](std::size_t, std::size_t begin, std::size_t end) {
     sum += static_cast<int>(end - begin);
   });
-  const std::size_t workers_after_first = ThreadPool::Global().num_workers();
+  const std::size_t workers_after_first = GlobalSchedulerStats().workers;
   EXPECT_GE(workers_after_first, 2u);  // 3 contexts = caller + 2 workers
   ParallelFor(3, 64, [&](std::size_t, std::size_t begin, std::size_t end) {
     sum += static_cast<int>(end - begin);
   });
   // Reused, not respawned.
-  EXPECT_EQ(ThreadPool::Global().num_workers(), workers_after_first);
+  EXPECT_EQ(GlobalSchedulerStats().workers, workers_after_first);
   EXPECT_EQ(sum.load(), 128);
   const SchedulerTotals delta = GlobalSchedulerTotals().Minus(before);
   EXPECT_EQ(delta.loops, 2u);
@@ -301,72 +333,23 @@ TEST(SchedulerStatsTest, GlobalPoolIsPersistentAndObservable) {
   EXPECT_GT(stats.uptime_micros, 0u);
 }
 
-TEST(ThreadPoolTest, SubmitAndWaitRunsEveryTask) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { ++count; });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, NestedSubmitIsSafeAndWaited) {
-  ThreadPool pool(2);
-  std::atomic<int> outer{0};
-  std::atomic<int> inner{0};
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([&pool, &outer, &inner] {
-      ++outer;
-      pool.Submit([&inner] { ++inner; });
-    });
-  }
-  pool.Wait();
-  EXPECT_EQ(outer.load(), 10);
-  EXPECT_EQ(inner.load(), 10);
-}
-
-TEST(ThreadPoolTest, WaitRethrowsTaskExceptionOnce) {
-  ThreadPool pool(2);
-  pool.Submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  // The exception is consumed; a subsequent Wait succeeds.
-  pool.Submit([] {});
-  EXPECT_NO_THROW(pool.Wait());
-}
-
-TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&count] { ++count; });
-    }
-  }  // destructor joins after draining
-  EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPoolTest, ZeroWorkersClampsToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_workers(), 1u);
-  std::atomic<int> ran{0};
-  pool.Submit([&ran] { ++ran; });
-  pool.Wait();
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ThreadPoolTest, PinnedPoolStillComputesCorrectly) {
-  // Pinning is best-effort (Linux affinity call); the contract under test
-  // is that a pinned pool behaves identically.
-  ThreadPool pool(2, /*pin_threads=*/true);
+TEST(PinningTest, WorkersPinnedAtSpawnStillComputeCorrectly) {
+  // Pinning is best-effort (Linux affinity call) and applies to workers
+  // spawned after the flag is set; asking for two more contexts than the
+  // pool has workers spawns at least one. The contract under test is that
+  // a pinned worker behaves identically.
+  ScopedMorselItems force(1);
+  SetThreadPinning(true);
   std::atomic<int> sum{0};
-  pool.ParallelFor(100, [&](std::size_t, std::size_t begin, std::size_t end) {
-    sum += static_cast<int>(end - begin);
-  });
+  ParallelFor(GlobalSchedulerStats().workers + 2, 100,
+              [&](std::size_t, std::size_t begin, std::size_t end) {
+                sum += static_cast<int>(end - begin);
+              });
+  SetThreadPinning(false);
   EXPECT_EQ(sum.load(), 100);
 }
 
-TEST(ThreadPoolTest, PinningFlagRoundTrips) {
+TEST(PinningTest, FlagRoundTrips) {
   EXPECT_FALSE(ThreadPinningEnabled());
   SetThreadPinning(true);
   EXPECT_TRUE(ThreadPinningEnabled());
