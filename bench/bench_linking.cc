@@ -49,7 +49,8 @@ constexpr double kThreshold = 0.6;
 // Jaro-Winkler on the manufacturer name, whose values repeat across the
 // catalog, and an exact check that collapses to a value-id comparison.
 // Only the Monge-Elkan rule's repeated manufacturer values hit the score
-// memo; the Jaro-Winkler rule runs the bit-parallel kernel on every pair.
+// memo; the Jaro-Winkler rule runs the bit-parallel kernel on every pair
+// that reaches the scorer.
 linking::ItemMatcher PipelineMatcher() {
   return linking::ItemMatcher({
       {datagen::props::kPartNumber, datagen::props::kPartNumber,
@@ -334,6 +335,8 @@ std::string PrintStreamingReport() {
             << ", token count=" << streaming_stats.pruned_by_token_count
             << ", exact=" << streaming_stats.pruned_by_exact
             << ", distance cap=" << streaming_stats.pruned_by_distance_cap
+            << ", jaro=" << streaming_stats.pruned_by_jaro
+            << ", running best=" << streaming_stats.pruned_by_running_best
             << "; peak candidate run=" << streaming_stats.peak_candidate_run
             << "\n(links identical to the Linker::Run oracle; re-checked)\n"
             << "instrumentation overhead: "
@@ -355,6 +358,10 @@ std::string PrintStreamingReport() {
           std::to_string(streaming_stats.pruned_by_exact) + ",\n";
   json += "    \"pruned_by_distance_cap\": " +
           std::to_string(streaming_stats.pruned_by_distance_cap) + ",\n";
+  json += "    \"pruned_by_jaro\": " +
+          std::to_string(streaming_stats.pruned_by_jaro) + ",\n";
+  json += "    \"pruned_by_running_best\": " +
+          std::to_string(streaming_stats.pruned_by_running_best) + ",\n";
   json += "    \"peak_candidate_run\": " +
           std::to_string(streaming_stats.peak_candidate_run) + ",\n";
   json += "    \"links\": " + std::to_string(streaming_links.size()) + ",\n";

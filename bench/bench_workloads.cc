@@ -172,11 +172,7 @@ ReplayResult ReplayPoint(const SweepPoint& point,
     result.latency_ns.Observe(static_cast<std::uint64_t>(nanos));
   }
   result.replay_seconds = replay_timer.ElapsedSeconds();
-  result.stats.pairs_pruned_by_filter = filter_stats.pairs_pruned;
-  result.stats.pruned_by_length = filter_stats.by_length;
-  result.stats.pruned_by_token_count = filter_stats.by_token_count;
-  result.stats.pruned_by_exact = filter_stats.by_exact;
-  result.stats.pruned_by_distance_cap = filter_stats.by_distance_cap;
+  linking::AddFilterStats(filter_stats, &result.stats);
   result.links = replayed_links->size();
   result.stats.links_emitted = replayed_links->size();
 

@@ -13,6 +13,18 @@ namespace {
 // the cached measures are only byte-identical if tokenization matches.
 constexpr char kTokenSeparators[] = " \t\n\r";
 
+// Whether the filter cascade bounds one of `matcher`'s rules from the Jaro
+// lanes, which a cache then carries.
+bool HasJaroRule(const ItemMatcher& matcher) {
+  for (const AttributeRule& rule : matcher.rules()) {
+    if (rule.measure == SimilarityMeasure::kJaro ||
+        rule.measure == SimilarityMeasure::kJaroWinkler) {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 FeatureDictionary::FeatureDictionary(const FeatureDictionary* base)
@@ -184,6 +196,7 @@ FeatureCache FeatureCache::Build(const std::vector<core::Item>& items,
   FeatureCache cache;
   cache.dict_ = dict;
   cache.num_rules_ = matcher.rules().size();
+  cache.jaro_lanes_ = HasJaroRule(matcher);
   cache.Reserve(items.size());
   cache.offsets_.push_back(0);
   for (const core::Item& item : items) {
@@ -204,7 +217,8 @@ FeatureCache FeatureCache::ExtendFrom(const FeatureCache& base,
   // root) keeps every one of them resolvable without collisions.
   RL_CHECK(dict == &base.dict() || dict->base() == &base.dict())
       << "ExtendFrom needs base.dict() itself or a direct overlay over it";
-  RL_CHECK(matcher.rules().size() == base.num_rules_)
+  RL_CHECK(matcher.rules().size() == base.num_rules_ &&
+           HasJaroRule(matcher) == base.jaro_lanes_)
       << "ExtendFrom cannot change the rule slot layout";
   const obs::MetricsRegistry::StageScope stage(metrics,
                                                "linking/cache_extend");
@@ -218,6 +232,7 @@ FeatureCache FeatureCache::ExtendFrom(const FeatureCache& base,
   cache.dict_ = dict;
   cache.num_items_ = base.num_items_;
   cache.num_rules_ = base.num_rules_;
+  cache.jaro_lanes_ = base.jaro_lanes_;
   // Flat copies of the predecessor's CSR index and SoA lanes — O(catalog)
   // memcpy, no re-tokenization, no dictionary traffic — then the delta
   // items' slots, interned through `dict` (deltas are small by design).
@@ -228,6 +243,8 @@ FeatureCache FeatureCache::ExtendFrom(const FeatureCache& base,
   cache.lane_unique_tokens_ = base.lane_unique_tokens_;
   cache.lane_bigrams_ = base.lane_bigrams_;
   cache.lane_value_ids_ = base.lane_value_ids_;
+  cache.lane_jaro_signatures_ = base.lane_jaro_signatures_;
+  cache.lane_jaro_prefixes_ = base.lane_jaro_prefixes_;
   for (const core::Item& item : delta_items) {
     cache.AppendItem(item, matcher, side, dict);
   }
@@ -243,12 +260,15 @@ void FeatureCache::AssignSingle(const core::Item& item,
   dict_ = dict;
   num_items_ = 0;
   num_rules_ = matcher.rules().size();
+  jaro_lanes_ = HasJaroRule(matcher);
   offsets_.clear();
   value_ids_.clear();
   lane_lengths_.clear();
   lane_unique_tokens_.clear();
   lane_bigrams_.clear();
   lane_value_ids_.clear();
+  lane_jaro_signatures_.clear();
+  lane_jaro_prefixes_.clear();
   offsets_.push_back(0);
   AppendItem(item, matcher, side, dict);
 }
@@ -261,6 +281,10 @@ void FeatureCache::Reserve(std::size_t items) {
   lane_unique_tokens_.reserve(slots);
   lane_bigrams_.reserve(slots);
   lane_value_ids_.reserve(slots);
+  if (jaro_lanes_) {
+    lane_jaro_signatures_.reserve(slots * text::kJaroSignatureBytes);
+    lane_jaro_prefixes_.reserve(slots);
+  }
 }
 
 void FeatureCache::AppendItem(const core::Item& item,
@@ -283,6 +307,11 @@ void FeatureCache::AppendItem(const core::Item& item,
       lane_unique_tokens_.push_back(0);
       lane_bigrams_.push_back(0);
       lane_value_ids_.push_back(util::kInvalidSymbolId);
+      if (jaro_lanes_) {
+        lane_jaro_signatures_.resize(lane_jaro_signatures_.size() +
+                                     text::kJaroSignatureBytes);
+        lane_jaro_prefixes_.push_back(0);
+      }
       continue;
     }
     const ValueId id = value_ids_[begin];
@@ -291,6 +320,12 @@ void FeatureCache::AppendItem(const core::Item& item,
     lane_unique_tokens_.push_back(features.num_unique_tokens);
     lane_bigrams_.push_back(features.num_bigrams);
     lane_value_ids_.push_back(id);
+    if (jaro_lanes_) {
+      const std::size_t at = lane_jaro_signatures_.size();
+      lane_jaro_signatures_.resize(at + text::kJaroSignatureBytes);
+      text::JaroSignature(features.text, lane_jaro_signatures_.data() + at);
+      lane_jaro_prefixes_.push_back(text::JaroPrefixBytes(features.text));
+    }
   }
   ++num_items_;
 }
@@ -301,7 +336,9 @@ std::size_t FeatureCache::memory_bytes() const {
          (lane_lengths_.capacity() + lane_unique_tokens_.capacity() +
           lane_bigrams_.capacity()) *
              sizeof(std::uint32_t) +
-         lane_value_ids_.capacity() * sizeof(ValueId);
+         lane_value_ids_.capacity() * sizeof(ValueId) +
+         lane_jaro_signatures_.capacity() +
+         lane_jaro_prefixes_.capacity() * sizeof(std::uint32_t);
 }
 
 }  // namespace rulelink::linking

@@ -220,13 +220,14 @@ class FeatureCache {
   // --- SoA stage-A lanes (DESIGN.md §5h) --------------------------------
   // Contiguous per-slot arrays of exactly the scalars the filter
   // cascade's stage A consumes — byte length, unique-token count, bigram
-  // count and value id — so the batched cascade reads four flat arrays
-  // instead of chasing Spans structs and interner offsets per pair. Slots
-  // are indexed item * num_rules() + rule, the same addressing as
-  // Values(). A slot's lanes carry real data exactly when the slot holds
-  // one value (the overwhelmingly common shape); a missing or multi-valued
-  // slot's id lane is util::kInvalidSymbolId and its other lanes are 0, so
-  // readers take such a slot's values from Values().
+  // count and value id, plus the Jaro lanes below — so the batched cascade
+  // reads flat arrays instead of chasing Spans structs and interner
+  // offsets per pair. Slots are indexed item * num_rules() + rule, the
+  // same addressing as Values(). A slot's lanes carry real data exactly
+  // when the slot holds one value (the overwhelmingly common shape); a
+  // missing or multi-valued slot's id lane is util::kInvalidSymbolId and
+  // its other lanes are 0, so readers take such a slot's values from
+  // Values().
   const std::uint32_t* lane_byte_lengths() const {
     return lane_lengths_.data();
   }
@@ -235,6 +236,18 @@ class FeatureCache {
   }
   const std::uint32_t* lane_bigrams() const { return lane_bigrams_.data(); }
   const ValueId* lane_value_ids() const { return lane_value_ids_.data(); }
+  // The Jaro count-bound lanes, present only when the matcher has a Jaro
+  // or Jaro-Winkler rule (null otherwise): per slot, the value's
+  // text::JaroSignature (text::kJaroSignatureBytes bytes, so slot s starts
+  // at byte s * kJaroSignatureBytes) and its text::JaroPrefixBytes. A
+  // missing or multi-valued slot's entries are 0, like the other lanes.
+  const std::uint8_t* lane_jaro_signatures() const {
+    return lane_jaro_signatures_.empty() ? nullptr
+                                         : lane_jaro_signatures_.data();
+  }
+  const std::uint32_t* lane_jaro_prefixes() const {
+    return lane_jaro_prefixes_.empty() ? nullptr : lane_jaro_prefixes_.data();
+  }
 
   // Memory held by the CSR index plus the SoA lanes (the dictionary
   // reports its own pools separately).
@@ -246,7 +259,8 @@ class FeatureCache {
   void Reserve(std::size_t items);
   // Appends `item`'s slots, one per rule in rule order: interns the
   // slot's values into `dict`, closes the slot's CSR edge and appends its
-  // four SoA lanes. The only code that writes a slot.
+  // SoA lanes (the Jaro lanes when jaro_lanes_). The only code that writes
+  // a slot.
   void AppendItem(const core::Item& item, const ItemMatcher& matcher,
                   Side side, FeatureDictionary* dict);
 
@@ -260,6 +274,9 @@ class FeatureCache {
   std::vector<std::uint32_t> lane_unique_tokens_;
   std::vector<std::uint32_t> lane_bigrams_;
   std::vector<ValueId> lane_value_ids_;
+  bool jaro_lanes_ = false;  // the matcher has a Jaro or Jaro-Winkler rule
+  std::vector<std::uint8_t> lane_jaro_signatures_;
+  std::vector<std::uint32_t> lane_jaro_prefixes_;
 };
 
 }  // namespace rulelink::linking

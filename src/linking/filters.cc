@@ -1,6 +1,7 @@
 #include "linking/filters.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "text/similarity.h"
 #include "util/logging.h"
@@ -91,6 +92,35 @@ double DiceCountBound(const FeatureDictionary& dict, const ValueId* ext,
   return bound;
 }
 
+// Upper bound on the best Jaro or Jaro-Winkler similarity over the
+// value-id cross product: the lane kernel's bound, with each value's
+// signature and prefix computed from its string as AppendItem computes
+// the lanes.
+double JaroCountBound(const FeatureDictionary& dict, const ValueId* ext,
+                      std::size_t num_ext, const ValueId* loc,
+                      std::size_t num_loc, bool winkler) {
+  double bound = 0.0;
+  std::uint8_t sig_a[text::kJaroSignatureBytes];
+  std::uint8_t sig_b[text::kJaroSignatureBytes];
+  for (std::size_t i = 0; i < num_ext; ++i) {
+    const std::string_view va = dict.View(ext[i]);
+    text::JaroSignature(va, sig_a);
+    for (std::size_t j = 0; j < num_loc; ++j) {
+      const std::string_view vb = dict.View(loc[j]);
+      text::JaroSignature(vb, sig_b);
+      double pair = text::JaroSignatureBound(sig_a, va.size(), sig_b,
+                                             vb.size());
+      if (winkler) {
+        pair = text::JaroWinklerSignatureBound(
+            pair, text::JaroPrefixBytes(va), va.size(),
+            text::JaroPrefixBytes(vb), vb.size());
+      }
+      bound = std::max(bound, pair);
+    }
+  }
+  return bound;
+}
+
 // kExact over value ids is already cheaper than any bound, so the
 // "filter" computes the measure itself: 1.0 on any shared id, else 0.0.
 double ExactValue(const ValueId* ext, std::size_t num_ext,
@@ -119,6 +149,7 @@ double ExactValue(const ValueId* ext, std::size_t num_ext,
 constexpr std::uint8_t kFlagLength = 1;
 constexpr std::uint8_t kFlagToken = 2;
 constexpr std::uint8_t kFlagExact = 4;
+constexpr std::uint8_t kFlagJaro = 8;
 
 // Mirrors FilterCascade::Kind (private) for the free-function kernels.
 enum StageAKind : int {
@@ -127,6 +158,7 @@ enum StageAKind : int {
   kStageAJaccard,
   kStageADice,
   kStageAExact,
+  kStageAJaro,  // Jaro, and Jaro-Winkler when StageAArgs::winkler
 };
 
 struct StageAArgs {
@@ -134,8 +166,13 @@ struct StageAArgs {
   double weight = 1.0;
   std::uint32_t ext_scalar = 0;  // length / unique tokens / bigrams
   ValueId ext_id = util::kInvalidSymbolId;
+  const std::uint8_t* ext_signature = nullptr;  // kStageAJaro only
+  std::uint32_t ext_prefix = 0;                 // kStageAJaro only
+  bool winkler = false;                         // kStageAJaro only
   const std::uint32_t* loc_scalar = nullptr;  // gathered, one per pair
   const ValueId* loc_id = nullptr;            // gathered, one per pair
+  const std::uint8_t* loc_signature = nullptr;  // gathered, 16 B per pair
+  const std::uint32_t* loc_prefix = nullptr;    // gathered, one per pair
   std::size_t n = 0;
   double* bound_sum = nullptr;
   double* weight_total = nullptr;
@@ -215,6 +252,22 @@ __attribute__((always_inline)) inline void StageARuleImpl(
         a.weight_total[i] += active ? a.weight : 0.0;
       }
       break;
+    case kStageAJaro:
+      for (std::size_t i = 0; i < a.n; ++i) {
+        const bool active = a.loc_id[i] != util::kInvalidSymbolId;
+        double bound = text::JaroSignatureBound(
+            a.ext_signature, a.ext_scalar,
+            a.loc_signature + i * text::kJaroSignatureBytes, a.loc_scalar[i]);
+        if (a.winkler) {
+          bound = text::JaroWinklerSignatureBound(
+              bound, a.ext_prefix, a.ext_scalar, a.loc_prefix[i],
+              a.loc_scalar[i]);
+        }
+        if (active && bound < 1.0) a.flags[i] |= kFlagJaro;
+        a.bound_sum[i] += active ? a.weight * bound : 0.0;
+        a.weight_total[i] += active ? a.weight : 0.0;
+      }
+      break;
     default:
       break;
   }
@@ -273,6 +326,10 @@ void AddCrossProductBound(const FeatureDictionary& dict, const StageAArgs& a,
       bound = ExactValue(ext, num_ext, loc, num_loc);
       flag = kFlagExact;
       break;
+    case kStageAJaro:
+      bound = JaroCountBound(dict, ext, num_ext, loc, num_loc, a.winkler);
+      flag = kFlagJaro;
+      break;
     default:
       break;
   }
@@ -289,6 +346,7 @@ void RecordPruned(FilterStats* stats, std::uint8_t flags,
   if (flags & kFlagLength) ++stats->by_length;
   if (flags & kFlagToken) ++stats->by_token_count;
   if (flags & kFlagExact) ++stats->by_exact;
+  if (flags & kFlagJaro) ++stats->by_jaro;
   if (distance_cap) ++stats->by_distance_cap;
 }
 
@@ -316,7 +374,13 @@ FilterCascade::FilterCascade(const ItemMatcher* matcher, double threshold)
       case SimilarityMeasure::kExact:
         plan.kind = Kind::kExact;
         break;
-      default:
+      case SimilarityMeasure::kJaro:
+        plan.kind = Kind::kJaro;
+        break;
+      case SimilarityMeasure::kJaroWinkler:
+        plan.kind = Kind::kJaroWinkler;
+        break;
+      case SimilarityMeasure::kMongeElkan:
         plan.kind = Kind::kOptimistic;
         break;
     }
@@ -332,6 +396,7 @@ void FilterCascade::PruneBatch(const FeatureCache& external_features,
                                FilterBatchScratch* scratch) const {
   RL_DCHECK(scratch != nullptr);
   scratch->pruned.assign(count, 0);
+  scratch->bound.resize(count);
   if (count == 0) return;
 
   const FeatureDictionary& dict = external_features.dict();
@@ -355,6 +420,10 @@ void FilterCascade::PruneBatch(const FeatureCache& external_features,
   const std::uint32_t* loc_lengths = local_features.lane_byte_lengths();
   const std::uint32_t* loc_tokens = local_features.lane_unique_tokens();
   const std::uint32_t* loc_bigrams = local_features.lane_bigrams();
+  const std::uint8_t* ext_signatures = external_features.lane_jaro_signatures();
+  const std::uint32_t* ext_prefixes = external_features.lane_jaro_prefixes();
+  const std::uint8_t* loc_signatures = local_features.lane_jaro_signatures();
+  const std::uint32_t* loc_prefixes = local_features.lane_jaro_prefixes();
   const StageAKernel kernel = PickStageAKernel(util::ActiveSimdMode());
 
   // Stage A, rule-outer, in plan order (the scorer's rule order): gather
@@ -406,6 +475,22 @@ void FilterCascade::PruneBatch(const FeatureCache& external_features,
       case Kind::kExact:
         args.kind = kStageAExact;
         break;
+      case Kind::kJaro:
+      case Kind::kJaroWinkler:
+        RL_DCHECK(ext_signatures != nullptr && loc_signatures != nullptr)
+            << "caches built without the Jaro lanes";
+        args.kind = kStageAJaro;
+        args.winkler = plan.kind == Kind::kJaroWinkler;
+        args.ext_scalar = ext_lengths[ext_slot];
+        args.ext_signature =
+            ext_signatures + ext_slot * text::kJaroSignatureBytes;
+        args.ext_prefix = ext_prefixes[ext_slot];
+        gather_from = loc_lengths;
+        scratch->lane_signature.resize(count * text::kJaroSignatureBytes);
+        scratch->lane_prefix.resize(count);
+        args.loc_signature = scratch->lane_signature.data();
+        args.loc_prefix = scratch->lane_prefix.data();
+        break;
     }
     if (num_ext > 1) {
       for (std::size_t i = 0; i < count; ++i) {
@@ -424,6 +509,13 @@ void FilterCascade::PruneBatch(const FeatureCache& external_features,
       if (gather_from != nullptr) {
         scratch->lane_scalar[i] = gather_from[slot];
       }
+      if (args.kind == kStageAJaro) {
+        std::memcpy(scratch->lane_signature.data() +
+                        i * text::kJaroSignatureBytes,
+                    loc_signatures + slot * text::kJaroSignatureBytes,
+                    text::kJaroSignatureBytes);
+        scratch->lane_prefix[i] = loc_prefixes[slot];
+      }
       if (id == util::kInvalidSymbolId) {
         std::size_t num_loc = 0;
         local_features.Values(candidates[i], r, &num_loc);
@@ -438,15 +530,16 @@ void FilterCascade::PruneBatch(const FeatureCache& external_features,
     }
   }
 
-  // Stage-A decision: all-inactive pairs score 0.0, below any positive
-  // threshold, and a renormalized bound below the threshold proves the
-  // pair out.
+  // Stage-A decision: a renormalized bound below the threshold proves the
+  // pair out. All-inactive pairs score exactly 0.0, which is then their
+  // bound.
   for (std::size_t i = 0; i < count; ++i) {
-    const bool below =
+    const double bound =
         scratch->weight_total[i] == 0.0
-            ? threshold_ > 0.0
-            : scratch->bound_sum[i] / scratch->weight_total[i] < threshold_;
-    if (below) {
+            ? 0.0
+            : scratch->bound_sum[i] / scratch->weight_total[i];
+    scratch->bound[i] = bound;
+    if (bound < threshold_) {
       scratch->pruned[i] = 1;
       RecordPruned(stats, scratch->flags[i], false);
     }

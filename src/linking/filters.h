@@ -18,16 +18,20 @@
 
 namespace rulelink::linking {
 
-// Prune counters. A pruned pair increments every filter whose bound was
-// below the optimistic 1.0 for some active rule, so the per-filter
-// counters can sum to more than `pairs_pruned`. Folded into LinkerStats
-// by the streaming linker.
+// Prune counters. A pair the cascade prunes increments every filter whose
+// bound was below the optimistic 1.0 for some active rule, so the
+// per-filter counters can sum to more than `pairs_pruned`. A pair the
+// streaming linker's running-best floor drops counts in `pairs_pruned`
+// and `by_running_best` only. Folded into LinkerStats by AddFilterStats
+// (streaming_linker.h).
 struct FilterStats {
   std::uint64_t pairs_pruned = 0;
   std::uint64_t by_length = 0;        // Levenshtein length-difference bound
   std::uint64_t by_token_count = 0;   // Jaccard/Dice token/bigram counts
   std::uint64_t by_exact = 0;         // kExact id mismatch
   std::uint64_t by_distance_cap = 0;  // capped bit-parallel probe (stage B)
+  std::uint64_t by_jaro = 0;          // Jaro/Jaro-Winkler count bound
+  std::uint64_t by_running_best = 0;  // bound below the best-so-far score
 
   void Add(const FilterStats& other) {
     pairs_pruned += other.pairs_pruned;
@@ -35,14 +39,17 @@ struct FilterStats {
     by_token_count += other.by_token_count;
     by_exact += other.by_exact;
     by_distance_cap += other.by_distance_cap;
+    by_jaro += other.by_jaro;
+    by_running_best += other.by_running_best;
   }
 };
 
 // Reusable per-worker scratch for FilterCascade::PruneBatch: accumulator
-// lanes, gather buffers and stage-B probe staging, plus the output bitmap.
+// lanes, gather buffers and stage-B probe staging, plus the outputs.
 // Owned by the caller (one per streaming shard) so a run's batch pass
 // allocates nothing after warm-up. `pruned[i]` is 1 when candidate i of
-// the last PruneBatch call was pruned.
+// the last PruneBatch call was pruned, and `bound[i]` is its stage-A
+// bound on the aggregate score.
 struct FilterBatchScratch {
   // Per-candidate stage-A accumulators.
   std::vector<double> bound_sum;
@@ -53,6 +60,8 @@ struct FilterBatchScratch {
   // candidates whose slot under it holds several values.
   std::vector<std::uint32_t> lane_scalar;
   std::vector<ValueId> lane_id;
+  std::vector<std::uint8_t> lane_signature;  // Jaro signatures, 16 B each
+  std::vector<std::uint32_t> lane_prefix;    // Jaro prefix words
   std::vector<std::size_t> multi_valued;
   // The external item's values under the stage-B rule being probed.
   std::vector<std::string_view> external_views;
@@ -65,8 +74,9 @@ struct FilterBatchScratch {
   std::vector<std::size_t> probe_pair;     // candidate index per probe
   std::vector<std::size_t> probe_longest;  // max value length per probe
   std::vector<double> probe_floor;         // floor_cap per probe
-  // Output bitmap of the last call.
+  // Outputs of the last call.
   std::vector<std::uint8_t> pruned;
+  std::vector<double> bound;
 };
 
 class FilterCascade {
@@ -79,16 +89,20 @@ class FilterCascade {
   // scratch->pruned[i] to 1 exactly when candidate i's aggregate score is
   // provably below the threshold, and counts every prune in `stats`.
   // Stage A combines per-rule upper bounds (length gap for Levenshtein,
-  // count bounds for Jaccard/Dice, the exact id scan for kExact, 1.0 for
-  // everything else) with the matcher's weight renormalization, over the
+  // count bounds for Jaccard/Dice, the signature count bound for Jaro and
+  // Jaro-Winkler, the exact id scan for kExact, 1.0 for Monge-Elkan) with
+  // the matcher's weight renormalization, over the
   // FeatureCache SoA lanes through an ISA-dispatched elementwise kernel
   // (util::ActiveSimdMode()); a multi-valued slot on either side adds its
   // best bound over the value cross product in the same rule order.
   // Stage B spends one capped bit-parallel Levenshtein probe per value
   // pair of each surviving Levenshtein rule, batched through
-  // text::BoundedLevenshteinDistanceBatch. Decisions and counters do not
-  // depend on the dispatch mode (DESIGN.md §5e, §5h). Thread-safe as long
-  // as each worker owns its scratch.
+  // text::BoundedLevenshteinDistanceBatch. scratch->bound[i] is set to
+  // stage A's bound for every candidate: it is at least the score
+  // ItemMatcher::ScoreRun computes for the pair, as a double, which the
+  // streaming linker's running-best floor relies on. Decisions, bounds
+  // and counters do not depend on the dispatch mode (DESIGN.md §5e, §5h).
+  // Thread-safe as long as each worker owns its scratch.
   void PruneBatch(const FeatureCache& external_features,
                   std::size_t external_index,
                   const FeatureCache& local_features,
@@ -104,6 +118,8 @@ class FilterCascade {
     kJaccard,      // unique-token count bound
     kDice,         // bigram count bound
     kExact,        // evaluated exactly on value ids
+    kJaro,         // signature count bound
+    kJaroWinkler,  // the same, through the Winkler prefix step
   };
   struct Plan {
     Kind kind = Kind::kOptimistic;

@@ -40,15 +40,18 @@ struct LinkerStats {
   // consequence of the memo-hit exclusion; the scores never vary).
   std::uint64_t comparisons = 0;
   std::size_t links_emitted = 0;
-  // Streaming-path (StreamingLinker) filter cascade counters; zero for
-  // Linker::Run. A pruned pair increments every filter whose bound was
-  // below the optimistic 1.0, so the per-filter counters can sum to more
-  // than pairs_pruned_by_filter. All identical at every thread count.
+  // Streaming-path (StreamingLinker) prune counters; zero for
+  // Linker::Run. A pair the cascade prunes increments every filter whose
+  // bound was below the optimistic 1.0, so the per-filter counters can
+  // sum to more than pairs_pruned_by_filter; a running-best prune counts
+  // in pruned_by_running_best alone. All identical at every thread count.
   std::size_t pairs_pruned_by_filter = 0;
   std::size_t pruned_by_length = 0;       // Levenshtein length gap
   std::size_t pruned_by_token_count = 0;  // Jaccard/Dice count bounds
   std::size_t pruned_by_exact = 0;        // kExact id mismatch
   std::size_t pruned_by_distance_cap = 0; // capped Levenshtein probe
+  std::size_t pruned_by_jaro = 0;         // Jaro/Jaro-Winkler count bound
+  std::size_t pruned_by_running_best = 0; // cannot beat the best so far
   // Longest per-external candidate run the streaming path buffered — the
   // peak working-set size that replaces the materialized candidate vector.
   std::size_t peak_candidate_run = 0;

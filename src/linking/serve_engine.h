@@ -34,7 +34,10 @@
 // The per-query path reuses the streaming machinery end to end —
 // ItemCandidateIndex run -> FilterCascade::PruneBatch (SIMD) ->
 // ItemMatcher::ScoreRun over the survivors, one gather pass and one
-// score pass per rule against the query's values prepared once — with
+// score pass per rule against the query's values prepared once. A
+// best-per-external query does not score every survivor: it scores the
+// one with the highest cascade bound, then only those whose bound can
+// still beat that score (StreamingLinker::QueryRun). This runs with
 // per-session scratch (QueryScratch, an overlay FeatureDictionary for
 // novel query values, the single-item query FeatureCache, the
 // blocking-key buffer) allocated once and reused, so the steady-state

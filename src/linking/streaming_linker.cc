@@ -20,6 +20,16 @@ StreamingLinker::StreamingLinker(const ItemMatcher* matcher, double threshold,
   RL_CHECK(threshold_ >= 0.0 && threshold_ <= 1.0);
 }
 
+void AddFilterStats(const FilterStats& filters, LinkerStats* stats) {
+  stats->pairs_pruned_by_filter += filters.pairs_pruned;
+  stats->pruned_by_length += filters.by_length;
+  stats->pruned_by_token_count += filters.by_token_count;
+  stats->pruned_by_exact += filters.by_exact;
+  stats->pruned_by_distance_cap += filters.by_distance_cap;
+  stats->pruned_by_jaro += filters.by_jaro;
+  stats->pruned_by_running_best += filters.by_running_best;
+}
+
 void StreamingLinker::QueryRun(const FeatureCache& external_features,
                                std::size_t external_index,
                                const FeatureCache& local_features,
@@ -28,36 +38,83 @@ void StreamingLinker::QueryRun(const FeatureCache& external_features,
                                std::size_t* pairs_scored,
                                std::vector<Link>* links) const {
   const std::vector<std::size_t>& run = scratch->run;
-  if (!run.empty()) {
-    cascade_.PruneBatch(external_features, external_index, local_features,
-                        run.data(), run.size(), filters, &scratch->filter);
-  }
+  if (run.empty()) return;
+  cascade_.PruneBatch(external_features, external_index, local_features,
+                      run.data(), run.size(), filters, &scratch->filter);
+  const std::vector<std::uint8_t>& pruned = scratch->filter.pruned;
+  const std::vector<double>& bound = scratch->filter.bound;
+  const std::vector<double>& scores = scratch->score.scores;
   std::vector<std::size_t>& survivors = scratch->survivors;
   survivors.clear();
+
+  if (strategy_ == Linker::Strategy::kAllAboveThreshold) {
+    for (std::size_t idx = 0; idx < run.size(); ++idx) {
+      RL_DCHECK(run[idx] < local_features.num_items());
+      if (pruned[idx] == 0) survivors.push_back(run[idx]);
+    }
+    matcher_->ScoreRun(external_features, external_index, local_features,
+                       survivors.data(), survivors.size(), &scratch->memo,
+                       measures_computed, &scratch->score);
+    *pairs_scored += survivors.size();
+    for (std::size_t i = 0; i < survivors.size(); ++i) {
+      if (scores[i] >= threshold_) {
+        links->push_back({external_index, survivors[i], scores[i]});
+      }
+    }
+    return;
+  }
+
+  // Best per external, under a running-best floor (DESIGN.md §5e). The
+  // seed is the survivor with the highest bound, the earliest on ties;
+  // it is scored alone.
+  std::size_t seed = run.size();
   for (std::size_t idx = 0; idx < run.size(); ++idx) {
     RL_DCHECK(run[idx] < local_features.num_items());
-    if (scratch->filter.pruned[idx] == 0) survivors.push_back(run[idx]);
+    if (pruned[idx] == 0 && (seed == run.size() || bound[idx] > bound[seed])) {
+      seed = idx;
+    }
   }
+  if (seed == run.size()) return;
   matcher_->ScoreRun(external_features, external_index, local_features,
-                     survivors.data(), survivors.size(), &scratch->memo,
-                     measures_computed, &scratch->score);
-  *pairs_scored += survivors.size();
+                     &run[seed], 1, &scratch->memo, measures_computed,
+                     &scratch->score);
+  const double seed_score = scores[0];
+  // A bound is at least its pair's score, and the reduction keeps the
+  // highest score, the earliest in run order on ties. So only a survivor
+  // whose bound exceeds the seed's score, or equals it from an earlier
+  // position, can still displace the seed; the rest are dropped unscored.
+  std::size_t before_seed = 0;
+  for (std::size_t idx = 0; idx < run.size(); ++idx) {
+    if (pruned[idx] != 0 || idx == seed) continue;
+    if (bound[idx] > seed_score || (bound[idx] == seed_score && idx < seed)) {
+      survivors.push_back(run[idx]);
+      before_seed += idx < seed;
+    } else {
+      ++filters->pairs_pruned;
+      ++filters->by_running_best;
+    }
+  }
+  if (!survivors.empty()) {
+    matcher_->ScoreRun(external_features, external_index, local_features,
+                       survivors.data(), survivors.size(), &scratch->memo,
+                       measures_computed, &scratch->score);
+  }
+  *pairs_scored += 1 + survivors.size();
 
-  const bool keep_all = strategy_ == Linker::Strategy::kAllAboveThreshold;
+  // The survivors before the seed, the seed, then the rest: run order, so
+  // strict > keeps the earliest local on ties, matching Linker's serial
+  // tie-break.
   Link best;
   bool best_set = false;
-  for (std::size_t i = 0; i < survivors.size(); ++i) {
-    const double score = scratch->score.scores[i];
-    if (score < threshold_) continue;
-    const Link link{external_index, survivors[i], score};
-    if (keep_all) {
-      links->push_back(link);
-    } else if (!best_set || score > best.score) {
-      // Strict >: ties keep the earliest local in run order, matching
-      // Linker's serial tie-break.
-      best = link;
-      best_set = true;
-    }
+  const auto offer = [&](std::size_t local, double score) {
+    if (score < threshold_ || (best_set && score <= best.score)) return;
+    best = {external_index, local, score};
+    best_set = true;
+  };
+  for (std::size_t i = 0; i < before_seed; ++i) offer(survivors[i], scores[i]);
+  offer(run[seed], seed_score);
+  for (std::size_t i = before_seed; i < survivors.size(); ++i) {
+    offer(survivors[i], scores[i]);
   }
   if (best_set) links->push_back(best);
 }
@@ -120,11 +177,7 @@ std::vector<Link> StreamingLinker::Run(const blocking::CandidateIndex& index,
     if (observe) run_lengths.Merge(shard.run_lengths);
     total.pairs_scored += shard.pairs_scored;
     total.comparisons += shard.measures_computed;
-    total.pairs_pruned_by_filter += shard.filters.pairs_pruned;
-    total.pruned_by_length += shard.filters.by_length;
-    total.pruned_by_token_count += shard.filters.by_token_count;
-    total.pruned_by_exact += shard.filters.by_exact;
-    total.pruned_by_distance_cap += shard.filters.by_distance_cap;
+    AddFilterStats(shard.filters, &total);
     total.peak_candidate_run =
         std::max(total.peak_candidate_run, shard.peak_run);
     memo_total.Add(shard.memo);
@@ -146,6 +199,9 @@ std::vector<Link> StreamingLinker::Run(const blocking::CandidateIndex& index,
     metrics->AddCounter("linking/filter/by_exact", total.pruned_by_exact);
     metrics->AddCounter("linking/filter/by_distance_cap",
                         total.pruned_by_distance_cap);
+    metrics->AddCounter("linking/filter/by_jaro", total.pruned_by_jaro);
+    metrics->AddCounter("linking/filter/by_running_best",
+                        total.pruned_by_running_best);
     metrics->MergeHistogram("linking/stream/run_length", run_lengths);
   }
   if (stats != nullptr) *stats = total;

@@ -3,9 +3,11 @@
 // scoring. It walks a blocking::CandidateIndex external item by external
 // item, holds only the current per-external candidate run, and pushes
 // each run through a threshold-aware FilterCascade before the cached
-// run scorer sees it. Links are byte-identical to the string-path oracle
-// Linker::Run over the same candidate space at every thread count — the
-// cascade is a set of sound bounds, never a heuristic (DESIGN.md §5e).
+// run scorer sees it; under best-per-external a running-best floor then
+// drops the survivors that cannot beat the best score seen. Links are
+// byte-identical to the string-path oracle Linker::Run over the same
+// candidate space at every thread count — the cascade and the floor are
+// sound bounds, never a heuristic (DESIGN.md §5e).
 #ifndef RULELINK_LINKING_STREAMING_LINKER_H_
 #define RULELINK_LINKING_STREAMING_LINKER_H_
 
@@ -58,14 +60,18 @@ class StreamingLinker {
 
   // The per-external core both Run's workers and the serve engine's
   // sessions execute: pushes the already-fetched candidate run in
-  // scratch->run through the batched cascade, scores the cascade's
-  // survivors as one run (ItemMatcher::ScoreRun: gather every survivor's
-  // values, then score them against each external value prepared once),
-  // and appends this external's links to *links under the linker's
-  // strategy and tie-break. Scores, links and counters are those of
-  // ItemMatcher::Score called survivor by survivor in run order.
-  // Allocation-free once `scratch` and `links` are warm. Thread-safe
-  // across callers with distinct scratches.
+  // scratch->run through the batched cascade, scores the survivors
+  // through ItemMatcher::ScoreRun (gather every candidate's values, then
+  // score them against each external value prepared once), and appends
+  // this external's links to *links under the linker's strategy and
+  // tie-break. kAllAboveThreshold scores every survivor as one run.
+  // kBestPerExternal first scores the survivor with the highest cascade
+  // bound alone, then drops every survivor whose bound shows it cannot
+  // displace that one, and scores the rest as one run. Links and scores
+  // are those of ItemMatcher::Score called pair by pair in run order;
+  // every prune, the running-best drops included, is counted in
+  // *filters (non-null). Allocation-free once `scratch` and `links` are
+  // warm. Thread-safe across callers with distinct scratches.
   void QueryRun(const FeatureCache& external_features,
                 std::size_t external_index,
                 const FeatureCache& local_features, QueryScratch* scratch,
@@ -78,6 +84,10 @@ class StreamingLinker {
   Linker::Strategy strategy_;
   FilterCascade cascade_;
 };
+
+// Adds the cascade's and the running-best floor's prune counters to the
+// matching LinkerStats fields.
+void AddFilterStats(const FilterStats& filters, LinkerStats* stats);
 
 }  // namespace rulelink::linking
 

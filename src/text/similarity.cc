@@ -526,6 +526,24 @@ double JaroWinklerFromJaro(double jaro, std::string_view a,
   return jaro + static_cast<double>(prefix) * 0.1 * (1.0 - jaro);
 }
 
+// JaroSignature's bucket map (see similarity.h): digits take buckets 0-9,
+// the 26 letters of each case share buckets 10-31 with a lowercase letter
+// 11 buckets from its uppercase twin, and any other byte c takes c mod 32.
+constexpr std::array<std::uint8_t, 256> kJaroBuckets = [] {
+  std::array<std::uint8_t, 256> bucket{};
+  for (std::size_t c = 0; c < 256; ++c) {
+    bucket[c] = static_cast<std::uint8_t>(c % 32);
+  }
+  for (std::size_t d = 0; d < 10; ++d) {
+    bucket['0' + d] = static_cast<std::uint8_t>(d);
+  }
+  for (std::size_t l = 0; l < 26; ++l) {
+    bucket['A' + l] = static_cast<std::uint8_t>(10 + l % 22);
+    bucket['a' + l] = static_cast<std::uint8_t>(10 + (l + 11) % 22);
+  }
+  return bucket;
+}();
+
 }  // namespace
 
 double JaroSimilarity(std::string_view a, std::string_view b) {
@@ -618,6 +636,25 @@ void JaroWinklerSimilarityBatch(std::string_view a, const std::string_view* b,
   for (std::size_t i = 0; i < count; ++i) {
     out[i] = JaroWinklerFromJaro(out[i], a, b[i]);
   }
+}
+
+void JaroSignature(std::string_view s, std::uint8_t* out) {
+  std::uint8_t counts[2 * kJaroSignatureBytes] = {};
+  for (const char c : s) {
+    std::uint8_t& count = counts[kJaroBuckets[static_cast<unsigned char>(c)]];
+    count += count < 15;
+  }
+  for (std::size_t k = 0; k < kJaroSignatureBytes; ++k) {
+    out[k] = static_cast<std::uint8_t>(counts[2 * k] | counts[2 * k + 1] << 4);
+  }
+}
+
+std::uint32_t JaroPrefixBytes(std::string_view s) {
+  std::uint32_t prefix = 0;
+  for (std::size_t i = 0; i < 4 && i < s.size(); ++i) {
+    prefix |= std::uint32_t{static_cast<unsigned char>(s[i])} << (8 * i);
+  }
+  return prefix;
 }
 
 namespace {

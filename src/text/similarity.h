@@ -4,10 +4,16 @@
 #ifndef RULELINK_TEXT_SIMILARITY_H_
 #define RULELINK_TEXT_SIMILARITY_H_
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "util/interner.h"
 
@@ -82,6 +88,133 @@ void JaroSimilarityBatch(std::string_view a, const std::string_view* b,
                          std::size_t count, double* out);
 void JaroWinklerSimilarityBatch(std::string_view a, const std::string_view* b,
                                 std::size_t count, double* out);
+
+// --- Count bounds on Jaro and Jaro-Winkler (DESIGN.md §5e) --------------
+//
+// Jaro's match count is at most the two values' multiset byte overlap, so
+// per-value byte counts bound both measures without matching. A value's
+// signature holds 32 buckets of 4-bit byte counts, two buckets per byte
+// (bucket 2k in the low nibble of byte k). A bucket saturates at 15,
+// which means "at least 15". The bucket map gives each ASCII digit its own
+// bucket and spreads the letters over the other 22, a lowercase letter 11
+// buckets away from its uppercase twin, so a case-folded rendering of a
+// value does not share its letters' buckets.
+constexpr std::size_t kJaroSignatureBytes = 16;
+
+// Writes `s`'s signature to out[0, kJaroSignatureBytes).
+void JaroSignature(std::string_view s, std::uint8_t* out);
+
+// `s`'s first four bytes, byte i in bits [8i, 8i + 8), zero past its end.
+// Two of these and the lengths give a pair's Winkler prefix exactly.
+std::uint32_t JaroPrefixBytes(std::string_view s);
+
+// What JaroSignatureBound reads from two signatures: the overlap, the sum
+// over buckets of min(count_a, count_b), and whether some bucket is full
+// on both sides.
+struct JaroOverlap {
+  std::size_t overlap = 0;
+  bool both_full = false;
+};
+
+// The overlap as a plain byte loop, compiled on every platform: what
+// JaroSignatureBound runs where SSE2 is missing, and the reference
+// jaro_bitparallel_test checks JaroOverlapSse2 against.
+inline JaroOverlap JaroOverlapPortable(const std::uint8_t* sig_a,
+                                       const std::uint8_t* sig_b) {
+  JaroOverlap result;
+  for (std::size_t k = 0; k < kJaroSignatureBytes; ++k) {
+    const unsigned a_lo = sig_a[k] & 15u, a_hi = sig_a[k] >> 4;
+    const unsigned b_lo = sig_b[k] & 15u, b_hi = sig_b[k] >> 4;
+    result.overlap +=
+        (a_lo < b_lo ? a_lo : b_lo) + (a_hi < b_hi ? a_hi : b_hi);
+    result.both_full |= (a_lo & b_lo) == 15u || (a_hi & b_hi) == 15u;
+  }
+  return result;
+}
+
+#if defined(__SSE2__)
+// The same overlap from SSE2 byte-lane minimums and one sum of absolute
+// differences. GCC unrolls the plain loop into scalar code, which halved
+// serve_ingest's throughput (DESIGN.md §5h).
+inline JaroOverlap JaroOverlapSse2(const std::uint8_t* sig_a,
+                                   const std::uint8_t* sig_b) {
+  // Each side's 32 counts in two registers, one count per byte lane:
+  // the low nibbles, and the high nibbles shifted down.
+  const __m128i nibble = _mm_set1_epi8(15);
+  const __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(sig_a));
+  const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(sig_b));
+  const __m128i a_lo = _mm_and_si128(a, nibble);
+  const __m128i a_hi = _mm_and_si128(_mm_srli_epi16(a, 4), nibble);
+  const __m128i b_lo = _mm_and_si128(b, nibble);
+  const __m128i b_hi = _mm_and_si128(_mm_srli_epi16(b, 4), nibble);
+  const __m128i sums = _mm_sad_epu8(
+      _mm_add_epi8(_mm_min_epu8(a_lo, b_lo), _mm_min_epu8(a_hi, b_hi)),
+      _mm_setzero_si128());
+  JaroOverlap result;
+  result.overlap = static_cast<std::size_t>(_mm_cvtsi128_si32(sums)) +
+                   static_cast<std::size_t>(_mm_extract_epi16(sums, 4));
+  result.both_full =
+      _mm_movemask_epi8(_mm_or_si128(
+          _mm_cmpeq_epi8(_mm_and_si128(a_lo, b_lo), nibble),
+          _mm_cmpeq_epi8(_mm_and_si128(a_hi, b_hi), nibble))) != 0;
+  return result;
+}
+#endif
+
+// An upper bound on JaroSimilarity(a, b) as a double, from the values'
+// signatures and byte lengths: Jaro's closing expression with the match
+// count replaced by the signature overlap (at most min(|a|, |b|), as each
+// side's counts sum to at most its length), or by min(|a|, |b|) when some
+// bucket is full on both sides, and the transposition term
+// (m - t/2)/m by 1.0. Each replacement only raises a term and IEEE +, /
+// are monotone, so no slack is needed. Exactly 1.0 when both values are
+// empty and 0.0 when one is, or when no byte can match.
+inline double JaroSignatureBound(const std::uint8_t* sig_a, std::size_t len_a,
+                                 const std::uint8_t* sig_b,
+                                 std::size_t len_b) {
+  if (len_a == 0 || len_b == 0) return len_a == len_b ? 1.0 : 0.0;
+#if defined(__SSE2__)
+  const JaroOverlap o = JaroOverlapSse2(sig_a, sig_b);
+#else
+  const JaroOverlap o = JaroOverlapPortable(sig_a, sig_b);
+#endif
+  const std::size_t matches =
+      o.both_full ? (len_a < len_b ? len_a : len_b) : o.overlap;
+  if (matches == 0) return 0.0;
+  const double m = static_cast<double>(matches);
+  return (m / static_cast<double>(len_a) + m / static_cast<double>(len_b) +
+          1.0) /
+         3.0;
+}
+
+// Added to the Winkler step's result below: j + p·0.1·(1 - j) increases
+// with j in real arithmetic but not necessarily after rounding, so a
+// bound on j carries over only up to a few ulps. 1e-9 is orders of
+// magnitude above that noise and below any step between two scores.
+constexpr double kJaroWinklerBoundSlack = 1e-9;
+
+// An upper bound on JaroWinklerSimilarity(a, b), given `jaro_bound` from
+// JaroSignatureBound and the values' JaroPrefixBytes and byte lengths. The
+// prefix length is exact; the Winkler step applied to the Jaro bound
+// carries kJaroWinklerBoundSlack, capped at 1.0, which the measure never
+// exceeds. A Jaro bound of 0.0 or 1.0 passes through exactly: no byte
+// matching means no common prefix either.
+inline double JaroWinklerSignatureBound(double jaro_bound,
+                                        std::uint32_t prefix_a,
+                                        std::size_t len_a,
+                                        std::uint32_t prefix_b,
+                                        std::size_t len_b) {
+  if (jaro_bound == 0.0 || jaro_bound == 1.0) return jaro_bound;
+  const std::uint32_t differ = prefix_a ^ prefix_b;
+  std::size_t prefix =
+      differ == 0 ? 4 : static_cast<std::size_t>(std::countr_zero(differ)) / 8;
+  const std::size_t shorter = len_a < len_b ? len_a : len_b;
+  if (prefix > shorter) prefix = shorter;
+  const double bound =
+      jaro_bound + static_cast<double>(prefix) * 0.1 * (1.0 - jaro_bound) +
+      kJaroWinklerBoundSlack;
+  return bound < 1.0 ? bound : 1.0;
+}
 
 // Jaccard similarity over whitespace tokens.
 double JaccardTokenSimilarity(std::string_view a, std::string_view b);

@@ -3,11 +3,13 @@
 // oracle Linker::Run, and identical FilterStats, under both SIMD dispatch
 // modes — "scalar" (the batch layout at the baseline ISA) and AVX2 — at
 // every thread count, down to 1-item morsels, on the paper-shaped corpus
-// AND a dirty 50k workload catalog. PruneBatch is additionally pinned
+// AND a dirty 50k workload catalog, under a five-kind matcher and a
+// matcher of Jaro plans. PruneBatch is additionally pinned
 // pair-for-pair against PairwiseCascade, the per-pair reference below:
-// under a matcher with every kind of bound, over multi-valued slots on
-// both sides at three thresholds, and under a matcher with none, where
-// only the pairs with every rule inactive may be pruned.
+// under a matcher with every kind of bound but Jaro's, over multi-valued
+// slots on both sides at three thresholds, under a matcher of Jaro plans
+// and under a matcher with no bound, where only the pairs with every rule
+// inactive may be pruned.
 // A mode the CPU lacks clamps down, so the suite runs (possibly
 // redundantly) everywhere.
 #include <algorithm>
@@ -116,6 +118,30 @@ double DiceCountBound(const FeatureDictionary& dict, const ValueId* ext,
   return bound;
 }
 
+double JaroCountBound(const FeatureDictionary& dict, const ValueId* ext,
+                      std::size_t num_ext, const ValueId* loc,
+                      std::size_t num_loc, bool winkler) {
+  double bound = 0.0;
+  for (std::size_t i = 0; i < num_ext; ++i) {
+    const std::string_view va = dict.View(ext[i]);
+    std::uint8_t sig_a[text::kJaroSignatureBytes];
+    text::JaroSignature(va, sig_a);
+    for (std::size_t j = 0; j < num_loc; ++j) {
+      const std::string_view vb = dict.View(loc[j]);
+      std::uint8_t sig_b[text::kJaroSignatureBytes];
+      text::JaroSignature(vb, sig_b);
+      const double jaro =
+          text::JaroSignatureBound(sig_a, va.size(), sig_b, vb.size());
+      bound = std::max(
+          bound, winkler ? text::JaroWinklerSignatureBound(
+                               jaro, text::JaroPrefixBytes(va), va.size(),
+                               text::JaroPrefixBytes(vb), vb.size())
+                         : jaro);
+    }
+  }
+  return bound;
+}
+
 double ExactValue(const ValueId* ext, std::size_t num_ext,
                   const ValueId* loc, std::size_t num_loc) {
   for (std::size_t i = 0; i < num_ext; ++i) {
@@ -145,6 +171,7 @@ class PairwiseCascade {
     bool length_participated = false;
     bool token_participated = false;
     bool exact_participated = false;
+    bool jaro_participated = false;
     bool any_levenshtein_active = false;
     for (std::size_t r = 0; r < rules.size(); ++r) {
       std::size_t num_ext = 0, num_loc = 0;
@@ -171,7 +198,14 @@ class PairwiseCascade {
           bound = ExactValue(ext, num_ext, loc, num_loc);
           if (bound < 1.0) exact_participated = true;
           break;
-        default:  // no cheap bound: assume 1.0
+        case SimilarityMeasure::kJaro:
+        case SimilarityMeasure::kJaroWinkler:
+          bound = JaroCountBound(
+              dict, ext, num_ext, loc, num_loc,
+              rules[r].measure == SimilarityMeasure::kJaroWinkler);
+          if (bound < 1.0) jaro_participated = true;
+          break;
+        case SimilarityMeasure::kMongeElkan:  // no cheap bound: assume 1.0
           break;
       }
       bound_sum += rules[r].weight * bound;
@@ -183,6 +217,7 @@ class PairwiseCascade {
       if (length_participated) ++stats->by_length;
       if (token_participated) ++stats->by_token_count;
       if (exact_participated) ++stats->by_exact;
+      if (jaro_participated) ++stats->by_jaro;
       if (distance_cap) ++stats->by_distance_cap;
     };
 
@@ -262,6 +297,17 @@ linking::ItemMatcher FilteredMatcher() {
        linking::SimilarityMeasure::kExact, 0.5},
       {datagen::props::kManufacturer, datagen::props::kManufacturer,
        linking::SimilarityMeasure::kMongeElkan, 0.5},
+  });
+}
+
+// Jaro-Winkler on the part number and Jaro on the label: the two plans
+// the cascade bounds from the signature and prefix lanes.
+linking::ItemMatcher JaroMatcher() {
+  return linking::ItemMatcher({
+      {datagen::props::kPartNumber, datagen::props::kPartNumber,
+       linking::SimilarityMeasure::kJaroWinkler, 2.0},
+      {datagen::props::kLabel, datagen::props::kLabel,
+       linking::SimilarityMeasure::kJaro, 1.0},
   });
 }
 
@@ -355,17 +401,19 @@ void ExpectFilterStatsIdentical(const linking::LinkerStats& actual,
   EXPECT_EQ(actual.pruned_by_token_count, expected.pruned_by_token_count);
   EXPECT_EQ(actual.pruned_by_exact, expected.pruned_by_exact);
   EXPECT_EQ(actual.pruned_by_distance_cap, expected.pruned_by_distance_cap);
+  EXPECT_EQ(actual.pruned_by_jaro, expected.pruned_by_jaro);
+  EXPECT_EQ(actual.pruned_by_running_best, expected.pruned_by_running_best);
   EXPECT_EQ(actual.links_emitted, expected.links_emitted);
 }
 
 // Streaming links under every mode x thread count must be byte-identical
 // to the Linker::Run oracle over the blocker's candidates, and FilterStats
 // identical to the first (scalar, serial) run's.
-void RunModeDifferential(const std::vector<core::Item>& external_items,
+void RunModeDifferential(const linking::ItemMatcher& matcher,
+                         const std::vector<core::Item>& external_items,
                          const std::vector<core::Item>& local_items,
-                         std::size_t blocker_prefix,
-                         bool one_item_morsels) {
-  const linking::ItemMatcher matcher = FilteredMatcher();
+                         std::size_t blocker_prefix, bool one_item_morsels) {
+  SCOPED_TRACE(linking::SimilarityMeasureName(matcher.rules()[0].measure));
   const blocking::StandardBlocker blocker(datagen::props::kPartNumber,
                                           blocker_prefix);
   const auto candidates = blocker.Generate(external_items, local_items);
@@ -406,6 +454,17 @@ void RunModeDifferential(const std::vector<core::Item>& external_items,
       }
       ExpectFilterStatsIdentical(stats, reference_stats);
     }
+  }
+}
+
+// The mode differential under the five-kind matcher and the Jaro matcher.
+void RunModeDifferential(const std::vector<core::Item>& external_items,
+                         const std::vector<core::Item>& local_items,
+                         std::size_t blocker_prefix, bool one_item_morsels) {
+  for (const linking::ItemMatcher& matcher :
+       {FilteredMatcher(), JaroMatcher()}) {
+    RunModeDifferential(matcher, external_items, local_items, blocker_prefix,
+                        one_item_morsels);
   }
 }
 
@@ -478,6 +537,7 @@ void ExpectPruneBatchMatchesPrune(const linking::ItemMatcher& matcher,
     EXPECT_EQ(batch_stats.by_token_count, pair_stats.by_token_count);
     EXPECT_EQ(batch_stats.by_exact, pair_stats.by_exact);
     EXPECT_EQ(batch_stats.by_distance_cap, pair_stats.by_distance_cap);
+    EXPECT_EQ(batch_stats.by_jaro, pair_stats.by_jaro);
     *pruned_pairs = batch_stats.pairs_pruned;
   }
 }
@@ -512,17 +572,21 @@ TEST(FilterBatchDifferential, PruneBatchMatchesPrunePairwise) {
                                kThreshold, &pruned, &candidates);
   EXPECT_GT(pruned, 0u);
 
-  // A matcher with no bound at all (every plan optimistic), over
-  // candidates of which some have every rule inactive: provider documents
-  // carry no label, every fifth one loses its part number, and so does
-  // every third catalog item, while every seventh catalog item holds two
-  // part numbers (a multi-valued slot). Blocking on the manufacturer
-  // keeps all of them candidates.
+  // Two more matchers, over candidates of which some have every rule
+  // inactive: provider documents carry no label, every fifth one loses its
+  // part number, and so does every third catalog item, while every
+  // seventh catalog item holds two part numbers (a multi-valued slot).
+  // Blocking on the manufacturer keeps all of them candidates. The Jaro
+  // plans bound a pair from the signature lanes, and a multi-valued slot
+  // through the cross-product helper. The Monge-Elkan matcher has no bound
+  // at all (every plan optimistic), so only the pairs with every rule
+  // inactive may be pruned.
+  const linking::ItemMatcher jaro = JaroMatcher();
   const linking::ItemMatcher optimistic({
       {datagen::props::kPartNumber, datagen::props::kPartNumber,
-       linking::SimilarityMeasure::kJaroWinkler, 2.0},
+       linking::SimilarityMeasure::kMongeElkan, 2.0},
       {datagen::props::kLabel, datagen::props::kLabel,
-       linking::SimilarityMeasure::kJaro, 1.0},
+       linking::SimilarityMeasure::kMongeElkan, 1.0},
   });
   std::vector<core::Item> external = dataset.external_items;
   for (std::size_t e = 0; e < external.size(); e += 5) {
@@ -539,14 +603,16 @@ TEST(FilterBatchDifferential, PruneBatchMatchesPrunePairwise) {
   }
   const blocking::StandardBlocker mfr_blocker(datagen::props::kManufacturer,
                                               /*prefix_length=*/3);
-  ExpectPruneBatchMatchesPrune(optimistic, external, local, mfr_blocker,
-                               kThreshold, &pruned, &candidates);
-  EXPECT_GT(pruned, 0u);
-  EXPECT_LT(pruned, candidates);
-  // At threshold 0 a pair scoring 0.0 still links, so nothing is pruned.
-  ExpectPruneBatchMatchesPrune(optimistic, external, local, mfr_blocker, 0.0,
-                               &pruned, &candidates);
-  EXPECT_EQ(pruned, 0u);
+  for (const linking::ItemMatcher* matcher : {&jaro, &optimistic}) {
+    ExpectPruneBatchMatchesPrune(*matcher, external, local, mfr_blocker,
+                                 kThreshold, &pruned, &candidates);
+    EXPECT_GT(pruned, 0u);
+    EXPECT_LT(pruned, candidates);
+    // At threshold 0 a pair scoring 0.0 still links, so nothing is pruned.
+    ExpectPruneBatchMatchesPrune(*matcher, external, local, mfr_blocker, 0.0,
+                                 &pruned, &candidates);
+    EXPECT_EQ(pruned, 0u);
+  }
 
   // The five-kind matcher over multi-valued slots on both sides: a second
   // part number (a near copy, so either value's probe can decide) on
@@ -598,6 +664,15 @@ TEST(FilterBatchDifferential, PruneBatchMatchesPrunePairwise) {
   EXPECT_GT(pruned_at[1], pruned_at[0]);
   EXPECT_GT(pruned_at[2], pruned_at[1]);
   EXPECT_LT(pruned_at[2], candidates);
+  // The Jaro plans over the same slots: a multi-valued external slot
+  // takes the cross-product helper for every candidate. Candidates share
+  // a 3-byte prefix here, which lifts every Jaro-Winkler bound to at
+  // least 0.3 + 0.7 * Jaro's, so only a high threshold prunes.
+  ExpectPruneBatchMatchesPrune(jaro, multi_external, multi_local,
+                               part_blocker, thresholds[2], &pruned,
+                               &candidates);
+  EXPECT_GT(pruned, 0u);
+  EXPECT_LT(pruned, candidates);
 }
 
 }  // namespace

@@ -7,7 +7,10 @@
 // points (JaroSimilarityBatch, JaroWinklerSimilarityBatch) walk the other
 // string against the first one's masks, so they are checked against the
 // oracle in both orientations: Jaro's greedy matching must pair the same
-// positions whichever string is walked.
+// positions whichever string is walked. The count bounds the filter
+// cascade takes from each value's signature and prefix lanes must never
+// fall below either measure, and must equal it where it is exact; the
+// portable overlap loop behind them must agree with the SSE2 one.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -359,6 +362,147 @@ TEST_P(JaroBitParallelTest, BatchWalksLongTextsAgainstShortPatterns) {
     }
   }
   EXPECT_EQ(differences, 0u) << "seed=" << GetParam();
+}
+
+// --- The signature count bounds (DESIGN.md §5e) --------------------------
+
+// Counts the signature pairs where the portable overlap loop disagrees
+// with the SSE2 one JaroSignatureBound runs; none where SSE2 is missing,
+// as the bound runs the portable loop itself there.
+std::size_t CountOverlapMismatches(const std::uint8_t* sig_a,
+                                   const std::uint8_t* sig_b) {
+#if defined(__SSE2__)
+  const JaroOverlap portable = JaroOverlapPortable(sig_a, sig_b);
+  const JaroOverlap sse2 = JaroOverlapSse2(sig_a, sig_b);
+  if (portable.overlap == sse2.overlap &&
+      portable.both_full == sse2.both_full) {
+    return 0;
+  }
+  ADD_FAILURE() << "portable overlap " << portable.overlap << " vs SSE2 "
+                << sse2.overlap << ", both full " << portable.both_full
+                << " vs " << sse2.both_full;
+  return 1;
+#else
+  (void)sig_a;
+  (void)sig_b;
+  return 0;
+#endif
+}
+
+// Counts the pairs where a signature bound, as the cascade's lane kernel
+// evaluates it from each value's lanes, falls below its measure as a
+// double, or differs from it in any bit where the measure is exact (one
+// or both values empty); reports the first few.
+std::size_t CountUnsoundBounds(std::string_view a, std::string_view b) {
+  std::uint8_t sig_a[kJaroSignatureBytes];
+  std::uint8_t sig_b[kJaroSignatureBytes];
+  JaroSignature(a, sig_a);
+  JaroSignature(b, sig_b);
+  const double jaro = JaroSignatureBound(sig_a, a.size(), sig_b, b.size());
+  const double winkler = JaroWinklerSignatureBound(
+      jaro, JaroPrefixBytes(a), a.size(), JaroPrefixBytes(b), b.size());
+  const bool exact = a.empty() || b.empty();
+  std::size_t failures = CountOverlapMismatches(sig_a, sig_b);
+  const auto check = [&](const char* what, double bound, double measure) {
+    if (exact ? SameBits(bound, measure) : bound >= measure) return;
+    ++failures;
+    ADD_FAILURE() << what << " bound " << bound << " vs measure " << measure
+                  << " |a|=" << a.size() << " |b|=" << b.size();
+  };
+  check("jaro", jaro, JaroSimilarity(a, b));
+  check("jaro-winkler", winkler, JaroWinklerSimilarity(a, b));
+  return failures;
+}
+
+// `s` with each ASCII letter's case flipped with probability 1/2: the
+// case-folded renderings a served query stream mixes with the catalog's.
+std::string FlipSomeCase(util::Rng& rng, std::string s) {
+  for (char& c : s) {
+    const bool letter = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+    if (letter && rng.Bernoulli(0.5)) c = static_cast<char>(c ^ 0x20);
+  }
+  return s;
+}
+
+TEST_P(JaroBitParallelTest, SignatureBoundsDominateTheMeasures) {
+  util::Rng rng(0x5164u + static_cast<std::uint64_t>(GetParam()));
+  constexpr std::string_view kMixedCase = "abcdxyzABCDXYZ0189-/";
+  std::size_t failures = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    // Lengths 0..300 on each side: both Jaro kernels, and values long
+    // enough to fill a bucket.
+    const std::size_t la = rng.UniformUint64(301);
+    const std::size_t lb = rng.UniformUint64(301);
+    std::string a, b;
+    switch (iter % 5) {
+      case 0:  // small alphabets: full buckets on both sides
+        a = RandomOver(rng, la, kSmallAlphabets[iter % 3]);
+        b = RandomOver(rng, lb, kSmallAlphabets[iter % 3]);
+        break;
+      case 1:  // mixed case
+        a = RandomOver(rng, la, kMixedCase);
+        b = RandomOver(rng, lb, kMixedCase);
+        break;
+      default:  // part-number ASCII, raw bytes, UTF-8
+        a = RandomString(rng, la, iter % 5 - 2);
+        b = RandomString(rng, lb, iter % 5 - 2);
+        break;
+    }
+    if (rng.Bernoulli(0.4)) b = Perturb(rng, a);
+    if (rng.Bernoulli(0.3)) b = FlipSomeCase(rng, b);
+    if (rng.Bernoulli(0.05)) a.clear();
+    failures += CountUnsoundBounds(a, b);
+    failures += CountUnsoundBounds(b, a);
+  }
+  EXPECT_EQ(failures, 0u) << "seed=" << GetParam();
+}
+
+TEST(JaroSignatureBoundTest, SaturatedBucketsAndEmptyValues) {
+  std::size_t failures = 0;
+  // One byte repeated around and past a bucket's capacity of 15 on each
+  // side; past it, only the both-full fallback keeps the bound sound. 'A'
+  // and 'W' share a bucket, so a bucket can also fill from two bytes.
+  for (const std::size_t la : {1u, 14u, 15u, 16u, 17u, 30u, 64u, 65u, 300u}) {
+    for (const std::size_t lb : {1u, 14u, 15u, 16u, 17u, 30u, 64u, 65u}) {
+      failures += CountUnsoundBounds(std::string(la, 'q'),
+                                     std::string(lb, 'q'));
+      failures += CountUnsoundBounds(std::string(la, 'A'),
+                                     std::string(lb, 'W'));
+      failures += CountUnsoundBounds(std::string(la, '7') + "X-1",
+                                     "X-1" + std::string(lb, '7'));
+      failures += CountUnsoundBounds(std::string(la, 'A') + std::string(lb, 'W'),
+                                     std::string(lb, 'W') + std::string(la, 'A'));
+    }
+  }
+  // The measures are exact where a value is empty: 1.0 for two empty
+  // values, 0.0 against an empty one.
+  for (const std::string_view other : {"", "a", "T3170/TH23", "\xff\x80"}) {
+    failures += CountUnsoundBounds("", other);
+    failures += CountUnsoundBounds(other, "");
+  }
+  EXPECT_EQ(failures, 0u);
+}
+
+// Random signatures rather than those of strings: every count in every
+// bucket, and buckets full on one side, on the other or on both.
+TEST(JaroSignatureBoundTest, PortableOverlapMatchesSse2) {
+  util::Rng rng(0x0e51u);
+  const auto count = [&rng] {
+    return static_cast<std::uint8_t>(rng.Bernoulli(0.25)
+                                         ? 15
+                                         : rng.UniformUint64(16));
+  };
+  std::size_t failures = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    std::uint8_t sig_a[kJaroSignatureBytes];
+    std::uint8_t sig_b[kJaroSignatureBytes];
+    for (std::size_t k = 0; k < kJaroSignatureBytes; ++k) {
+      sig_a[k] = static_cast<std::uint8_t>(count() | count() << 4);
+      sig_b[k] = static_cast<std::uint8_t>(count() | count() << 4);
+    }
+    failures += CountOverlapMismatches(sig_a, sig_b);
+  }
+  EXPECT_EQ(failures, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JaroBitParallelTest,

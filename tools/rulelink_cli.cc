@@ -51,6 +51,7 @@
 #include "eval/table1.h"
 #include "io/item_loader.h"
 #include "linking/dedup.h"
+#include "linking/filters.h"
 #include "linking/serve_engine.h"
 #include "obs/metrics.h"
 #include "ontology/instance_index.h"
@@ -629,30 +630,38 @@ int RunServe(const Args& args, rulelink::obs::MetricsRegistry* metrics) {
   const std::size_t clients =
       std::max<std::size_t>(1, Count(args, "clients", 1));
   std::vector<std::vector<linking::Link>> answers(queries.size());
+  // Per-query sums, so the same at any client count.
   std::size_t pairs_scored = 0;
+  linking::FilterStats pruned;
   {
     const rulelink::obs::MetricsRegistry::StageScope stage(metrics,
                                                            "serve/queries");
     std::atomic<std::size_t> ticket{0};
-    std::atomic<std::size_t> total_pairs{0};
-    auto client = [&] {
+    std::vector<std::size_t> client_pairs(clients, 0);
+    std::vector<linking::FilterStats> client_pruned(clients);
+    auto client = [&](std::size_t c) {
       linking::ServeEngine::Session session(&engine);
       std::size_t q;
       while ((q = ticket.fetch_add(1, std::memory_order_relaxed)) <
              queries.size()) {
         session.Query(queries[q], &answers[q], q);
       }
-      total_pairs.fetch_add(session.pairs_scored(),
-                            std::memory_order_relaxed);
+      client_pairs[c] = session.pairs_scored();
+      client_pruned[c] = session.filter_stats();
     };
     if (clients == 1) {
-      client();
+      client(0);
     } else {
       std::vector<std::thread> workers;
-      for (std::size_t c = 0; c < clients; ++c) workers.emplace_back(client);
+      for (std::size_t c = 0; c < clients; ++c) {
+        workers.emplace_back(client, c);
+      }
       for (std::thread& worker : workers) worker.join();
     }
-    pairs_scored = total_pairs.load(std::memory_order_relaxed);
+    for (std::size_t c = 0; c < clients; ++c) {
+      pairs_scored += client_pairs[c];
+      pruned.Add(client_pruned[c]);
+    }
   }
 
   // Answers print in query order whatever the client count — sessions
@@ -671,11 +680,18 @@ int RunServe(const Args& args, rulelink::obs::MetricsRegistry* metrics) {
     metrics->AddCounter("serve/queries", queries.size());
     metrics->AddCounter("serve/links", num_links);
     metrics->AddCounter("serve/pairs_scored", pairs_scored);
+    metrics->AddCounter("serve/pairs_pruned", pruned.pairs_pruned);
+    metrics->AddCounter("serve/pruned_by_jaro", pruned.by_jaro);
+    metrics->AddCounter("serve/pruned_by_running_best",
+                        pruned.by_running_best);
     metrics->AddCounter("serve/epoch_pins", epochs.pins);
     metrics->AddCounter("serve/epoch_pin_retries", epochs.pin_retries);
   }
   std::cerr << queries.size() << " queries -> " << num_links << " links ("
-            << pairs_scored << " pairs scored, " << clients << " client(s), "
+            << pairs_scored << " pairs scored, " << pruned.pairs_pruned
+            << " pruned: " << pruned.by_jaro << " by the Jaro bound, "
+            << pruned.by_running_best << " by the running best; " << clients
+            << " client(s), "
             << "epoch pins " << epochs.pins << ", retries "
             << epochs.pin_retries << ", reader blocks "
             << epochs.reader_blocks << ")\n";
