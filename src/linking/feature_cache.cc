@@ -13,8 +13,17 @@ namespace {
 // the cached measures are only byte-identical if tokenization matches.
 constexpr char kTokenSeparators[] = " \t\n\r";
 
-// Whether the filter cascade bounds one of `matcher`'s rules from the Jaro
-// lanes, which a cache then carries.
+// Whether a cache for `matcher` carries the signature lane: some rule
+// has a SlotSignature.
+bool HasSignatureRule(const ItemMatcher& matcher) {
+  std::uint8_t unused[text::kSignatureBytes];
+  for (const AttributeRule& rule : matcher.rules()) {
+    if (SlotSignature(rule.measure, {}, unused)) return true;
+  }
+  return false;
+}
+
+// Whether a cache for `matcher` carries the Jaro prefix lane.
 bool HasJaroRule(const ItemMatcher& matcher) {
   for (const AttributeRule& rule : matcher.rules()) {
     if (rule.measure == SimilarityMeasure::kJaro ||
@@ -26,6 +35,27 @@ bool HasJaroRule(const ItemMatcher& matcher) {
 }
 
 }  // namespace
+
+bool SlotSignature(SimilarityMeasure measure, std::string_view value,
+                   std::uint8_t* out) {
+  switch (measure) {
+    case SimilarityMeasure::kLevenshtein:
+    case SimilarityMeasure::kJaro:
+    case SimilarityMeasure::kJaroWinkler:
+      text::ByteSignature(value, out);
+      return true;
+    case SimilarityMeasure::kDiceBigram:
+      text::BigramSignature(value, out);
+      return true;
+    case SimilarityMeasure::kJaccardTokens:
+      text::TokenSetSignature(value, out);
+      return true;
+    case SimilarityMeasure::kExact:
+    case SimilarityMeasure::kMongeElkan:
+      break;
+  }
+  return false;
+}
 
 FeatureDictionary::FeatureDictionary(const FeatureDictionary* base)
     : base_(base) {
@@ -196,7 +226,8 @@ FeatureCache FeatureCache::Build(const std::vector<core::Item>& items,
   FeatureCache cache;
   cache.dict_ = dict;
   cache.num_rules_ = matcher.rules().size();
-  cache.jaro_lanes_ = HasJaroRule(matcher);
+  cache.signature_lane_ = HasSignatureRule(matcher);
+  cache.prefix_lane_ = HasJaroRule(matcher);
   cache.Reserve(items.size());
   cache.offsets_.push_back(0);
   for (const core::Item& item : items) {
@@ -218,7 +249,8 @@ FeatureCache FeatureCache::ExtendFrom(const FeatureCache& base,
   RL_CHECK(dict == &base.dict() || dict->base() == &base.dict())
       << "ExtendFrom needs base.dict() itself or a direct overlay over it";
   RL_CHECK(matcher.rules().size() == base.num_rules_ &&
-           HasJaroRule(matcher) == base.jaro_lanes_)
+           HasSignatureRule(matcher) == base.signature_lane_ &&
+           HasJaroRule(matcher) == base.prefix_lane_)
       << "ExtendFrom cannot change the rule slot layout";
   const obs::MetricsRegistry::StageScope stage(metrics,
                                                "linking/cache_extend");
@@ -232,7 +264,8 @@ FeatureCache FeatureCache::ExtendFrom(const FeatureCache& base,
   cache.dict_ = dict;
   cache.num_items_ = base.num_items_;
   cache.num_rules_ = base.num_rules_;
-  cache.jaro_lanes_ = base.jaro_lanes_;
+  cache.signature_lane_ = base.signature_lane_;
+  cache.prefix_lane_ = base.prefix_lane_;
   // Flat copies of the predecessor's CSR index and SoA lanes — O(catalog)
   // memcpy, no re-tokenization, no dictionary traffic — then the delta
   // items' slots, interned through `dict` (deltas are small by design).
@@ -243,7 +276,7 @@ FeatureCache FeatureCache::ExtendFrom(const FeatureCache& base,
   cache.lane_unique_tokens_ = base.lane_unique_tokens_;
   cache.lane_bigrams_ = base.lane_bigrams_;
   cache.lane_value_ids_ = base.lane_value_ids_;
-  cache.lane_jaro_signatures_ = base.lane_jaro_signatures_;
+  cache.lane_signatures_ = base.lane_signatures_;
   cache.lane_jaro_prefixes_ = base.lane_jaro_prefixes_;
   for (const core::Item& item : delta_items) {
     cache.AppendItem(item, matcher, side, dict);
@@ -260,14 +293,15 @@ void FeatureCache::AssignSingle(const core::Item& item,
   dict_ = dict;
   num_items_ = 0;
   num_rules_ = matcher.rules().size();
-  jaro_lanes_ = HasJaroRule(matcher);
+  signature_lane_ = HasSignatureRule(matcher);
+  prefix_lane_ = HasJaroRule(matcher);
   offsets_.clear();
   value_ids_.clear();
   lane_lengths_.clear();
   lane_unique_tokens_.clear();
   lane_bigrams_.clear();
   lane_value_ids_.clear();
-  lane_jaro_signatures_.clear();
+  lane_signatures_.clear();
   lane_jaro_prefixes_.clear();
   offsets_.push_back(0);
   AppendItem(item, matcher, side, dict);
@@ -281,10 +315,8 @@ void FeatureCache::Reserve(std::size_t items) {
   lane_unique_tokens_.reserve(slots);
   lane_bigrams_.reserve(slots);
   lane_value_ids_.reserve(slots);
-  if (jaro_lanes_) {
-    lane_jaro_signatures_.reserve(slots * text::kJaroSignatureBytes);
-    lane_jaro_prefixes_.reserve(slots);
-  }
+  if (signature_lane_) lane_signatures_.reserve(slots * text::kSignatureBytes);
+  if (prefix_lane_) lane_jaro_prefixes_.reserve(slots);
 }
 
 void FeatureCache::AppendItem(const core::Item& item,
@@ -301,17 +333,21 @@ void FeatureCache::AppendItem(const core::Item& item,
     }
     RL_CHECK(value_ids_.size() < std::numeric_limits<std::uint32_t>::max());
     offsets_.push_back(static_cast<std::uint32_t>(value_ids_.size()));
+    // The signature lane's bytes for this slot start zeroed: a missing or
+    // multi-valued slot, and a rule without a signature, keep them so.
+    std::uint8_t* signature = nullptr;
+    if (signature_lane_) {
+      const std::size_t at = lane_signatures_.size();
+      lane_signatures_.resize(at + text::kSignatureBytes);
+      signature = lane_signatures_.data() + at;
+    }
     // A missing or multi-valued slot gets empty lanes.
     if (value_ids_.size() - begin != 1) {
       lane_lengths_.push_back(0);
       lane_unique_tokens_.push_back(0);
       lane_bigrams_.push_back(0);
       lane_value_ids_.push_back(util::kInvalidSymbolId);
-      if (jaro_lanes_) {
-        lane_jaro_signatures_.resize(lane_jaro_signatures_.size() +
-                                     text::kJaroSignatureBytes);
-        lane_jaro_prefixes_.push_back(0);
-      }
+      if (prefix_lane_) lane_jaro_prefixes_.push_back(0);
       continue;
     }
     const ValueId id = value_ids_[begin];
@@ -320,10 +356,10 @@ void FeatureCache::AppendItem(const core::Item& item,
     lane_unique_tokens_.push_back(features.num_unique_tokens);
     lane_bigrams_.push_back(features.num_bigrams);
     lane_value_ids_.push_back(id);
-    if (jaro_lanes_) {
-      const std::size_t at = lane_jaro_signatures_.size();
-      lane_jaro_signatures_.resize(at + text::kJaroSignatureBytes);
-      text::JaroSignature(features.text, lane_jaro_signatures_.data() + at);
+    if (signature != nullptr) {
+      SlotSignature(rule.measure, features.text, signature);
+    }
+    if (prefix_lane_) {
       lane_jaro_prefixes_.push_back(text::JaroPrefixBytes(features.text));
     }
   }
@@ -337,7 +373,7 @@ std::size_t FeatureCache::memory_bytes() const {
           lane_bigrams_.capacity()) *
              sizeof(std::uint32_t) +
          lane_value_ids_.capacity() * sizeof(ValueId) +
-         lane_jaro_signatures_.capacity() +
+         lane_signatures_.capacity() +
          lane_jaro_prefixes_.capacity() * sizeof(std::uint32_t);
 }
 

@@ -34,6 +34,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "core/item.h"
@@ -160,6 +161,14 @@ class FeatureDictionary {
   std::size_t values_reused_ = 0;
 };
 
+// Writes `value`'s count signature for a rule of `measure` to
+// out[0, text::kSignatureBytes) and returns true: text::ByteSignature for
+// Levenshtein, Jaro and Jaro-Winkler, text::BigramSignature for Dice and
+// text::TokenSetSignature for Jaccard. Returns false, writing nothing, for
+// a measure the filter cascade bounds without a signature.
+bool SlotSignature(SimilarityMeasure measure, std::string_view value,
+                   std::uint8_t* out);
+
 // Per-source index: for every (item, attribute-rule) slot, the ids of the
 // item's values under that rule's property on this cache's side.
 class FeatureCache {
@@ -220,14 +229,14 @@ class FeatureCache {
   // --- SoA stage-A lanes (DESIGN.md §5h) --------------------------------
   // Contiguous per-slot arrays of exactly the scalars the filter
   // cascade's stage A consumes — byte length, unique-token count, bigram
-  // count and value id, plus the Jaro lanes below — so the batched cascade
-  // reads flat arrays instead of chasing Spans structs and interner
-  // offsets per pair. Slots are indexed item * num_rules() + rule, the
-  // same addressing as Values(). A slot's lanes carry real data exactly
-  // when the slot holds one value (the overwhelmingly common shape); a
-  // missing or multi-valued slot's id lane is util::kInvalidSymbolId and
-  // its other lanes are 0, so readers take such a slot's values from
-  // Values().
+  // count and value id, plus the signature and prefix lanes below — so
+  // the batched cascade reads flat arrays instead of chasing Spans structs
+  // and interner offsets per pair. Slots are indexed item * num_rules() +
+  // rule, the same addressing as Values(). A slot's lanes carry real data
+  // exactly when the slot holds one value (the overwhelmingly common
+  // shape); a missing or multi-valued slot's id lane is
+  // util::kInvalidSymbolId and its other lanes are 0, so readers take
+  // such a slot's values from Values().
   const std::uint32_t* lane_byte_lengths() const {
     return lane_lengths_.data();
   }
@@ -236,15 +245,18 @@ class FeatureCache {
   }
   const std::uint32_t* lane_bigrams() const { return lane_bigrams_.data(); }
   const ValueId* lane_value_ids() const { return lane_value_ids_.data(); }
-  // The Jaro count-bound lanes, present only when the matcher has a Jaro
-  // or Jaro-Winkler rule (null otherwise): per slot, the value's
-  // text::JaroSignature (text::kJaroSignatureBytes bytes, so slot s starts
-  // at byte s * kJaroSignatureBytes) and its text::JaroPrefixBytes. A
-  // missing or multi-valued slot's entries are 0, like the other lanes.
-  const std::uint8_t* lane_jaro_signatures() const {
-    return lane_jaro_signatures_.empty() ? nullptr
-                                         : lane_jaro_signatures_.data();
+  // The count-signature lane, present only when the matcher has a
+  // Levenshtein, Jaro, Jaro-Winkler, Dice or Jaccard rule (null
+  // otherwise): text::kSignatureBytes bytes per slot, so slot s starts at
+  // byte s * kSignatureBytes. A slot holds its value's signature for the
+  // slot's rule (SlotSignature); a slot under any other rule, and a
+  // missing or multi-valued slot, holds zeros.
+  const std::uint8_t* lane_signatures() const {
+    return lane_signatures_.empty() ? nullptr : lane_signatures_.data();
   }
+  // The Jaro prefix lane, present only when the matcher has a Jaro or
+  // Jaro-Winkler rule (null otherwise): per slot, the value's
+  // text::JaroPrefixBytes, 0 for a missing or multi-valued slot.
   const std::uint32_t* lane_jaro_prefixes() const {
     return lane_jaro_prefixes_.empty() ? nullptr : lane_jaro_prefixes_.data();
   }
@@ -259,8 +271,8 @@ class FeatureCache {
   void Reserve(std::size_t items);
   // Appends `item`'s slots, one per rule in rule order: interns the
   // slot's values into `dict`, closes the slot's CSR edge and appends its
-  // SoA lanes (the Jaro lanes when jaro_lanes_). The only code that writes
-  // a slot.
+  // SoA lanes (the signature and prefix lanes when the matcher needs
+  // them). The only code that writes a slot.
   void AppendItem(const core::Item& item, const ItemMatcher& matcher,
                   Side side, FeatureDictionary* dict);
 
@@ -274,8 +286,9 @@ class FeatureCache {
   std::vector<std::uint32_t> lane_unique_tokens_;
   std::vector<std::uint32_t> lane_bigrams_;
   std::vector<ValueId> lane_value_ids_;
-  bool jaro_lanes_ = false;  // the matcher has a Jaro or Jaro-Winkler rule
-  std::vector<std::uint8_t> lane_jaro_signatures_;
+  bool signature_lane_ = false;  // the matcher has a rule SlotSignature builds
+  bool prefix_lane_ = false;     // the matcher has a Jaro or Jaro-Winkler rule
+  std::vector<std::uint8_t> lane_signatures_;
   std::vector<std::uint32_t> lane_jaro_prefixes_;
 };
 

@@ -29,91 +29,50 @@ namespace {
 // borderline pair on the "score it" side.
 constexpr double kStageBSlack = 1e-9;
 
-// Upper bound on the best Levenshtein similarity over the value-id cross
-// product, from lengths alone: the distance is at least |len(a)-len(b)|.
-// Shares LevenshteinSimilarityFromDistance with the real measure so the
-// bound is the same expression, just with a smaller distance.
-double LevenshteinLengthBound(const FeatureDictionary& dict,
-                              const ValueId* ext, std::size_t num_ext,
-                              const ValueId* loc, std::size_t num_loc) {
+// Upper bound on a signature plan's best similarity over the value-id
+// cross product of a multi-valued slot: the lane kernel's bound per value
+// pair, with each value's signature, counts and prefix computed from its
+// string as FeatureCache computes the lanes.
+double SignatureCrossProductBound(const FeatureDictionary& dict,
+                                  SimilarityMeasure measure,
+                                  const ValueId* ext, std::size_t num_ext,
+                                  const ValueId* loc, std::size_t num_loc) {
   double bound = 0.0;
-  for (std::size_t i = 0; i < num_ext; ++i) {
-    const std::size_t la = dict.View(ext[i]).size();
-    for (std::size_t j = 0; j < num_loc; ++j) {
-      const std::size_t lb = dict.View(loc[j]).size();
-      const std::size_t longest = std::max(la, lb);
-      bound = std::max(bound, text::LevenshteinSimilarityFromDistance(
-                                  longest - std::min(la, lb), longest));
-    }
-  }
-  return bound;
-}
-
-// Upper bound on the best CachedJaccard: the intersection can be at most
-// min(|unique(a)|, |unique(b)|). Same division expression as the measure.
-double JaccardCountBound(const FeatureDictionary& dict, const ValueId* ext,
-                         std::size_t num_ext, const ValueId* loc,
-                         std::size_t num_loc) {
-  double bound = 0.0;
+  std::uint8_t sig_a[text::kSignatureBytes];
+  std::uint8_t sig_b[text::kSignatureBytes];
   for (std::size_t i = 0; i < num_ext; ++i) {
     const auto fa = dict.Features(ext[i]);
+    SlotSignature(measure, fa.text, sig_a);
     for (std::size_t j = 0; j < num_loc; ++j) {
       const auto fb = dict.Features(loc[j]);
-      if (fa.num_tokens == 0 && fb.num_tokens == 0) return 1.0;
-      const std::size_t mn =
-          std::min(fa.num_unique_tokens, fb.num_unique_tokens);
-      bound = std::max(
-          bound, static_cast<double>(mn) /
-                     static_cast<double>(fa.num_unique_tokens +
-                                         fb.num_unique_tokens - mn));
-    }
-  }
-  return bound;
-}
-
-// Upper bound on the best CachedDice: the multiset overlap can be at most
-// min(|bigrams(a)|, |bigrams(b)|).
-double DiceCountBound(const FeatureDictionary& dict, const ValueId* ext,
-                      std::size_t num_ext, const ValueId* loc,
-                      std::size_t num_loc) {
-  double bound = 0.0;
-  for (std::size_t i = 0; i < num_ext; ++i) {
-    const auto fa = dict.Features(ext[i]);
-    for (std::size_t j = 0; j < num_loc; ++j) {
-      const auto fb = dict.Features(loc[j]);
-      if (fa.num_bigrams == 0 && fb.num_bigrams == 0) return 1.0;
-      const std::size_t mn = std::min(fa.num_bigrams, fb.num_bigrams);
-      bound = std::max(bound,
-                       2.0 * static_cast<double>(mn) /
-                           static_cast<double>(fa.num_bigrams +
-                                               fb.num_bigrams));
-    }
-  }
-  return bound;
-}
-
-// Upper bound on the best Jaro or Jaro-Winkler similarity over the
-// value-id cross product: the lane kernel's bound, with each value's
-// signature and prefix computed from its string as AppendItem computes
-// the lanes.
-double JaroCountBound(const FeatureDictionary& dict, const ValueId* ext,
-                      std::size_t num_ext, const ValueId* loc,
-                      std::size_t num_loc, bool winkler) {
-  double bound = 0.0;
-  std::uint8_t sig_a[text::kJaroSignatureBytes];
-  std::uint8_t sig_b[text::kJaroSignatureBytes];
-  for (std::size_t i = 0; i < num_ext; ++i) {
-    const std::string_view va = dict.View(ext[i]);
-    text::JaroSignature(va, sig_a);
-    for (std::size_t j = 0; j < num_loc; ++j) {
-      const std::string_view vb = dict.View(loc[j]);
-      text::JaroSignature(vb, sig_b);
-      double pair = text::JaroSignatureBound(sig_a, va.size(), sig_b,
-                                             vb.size());
-      if (winkler) {
-        pair = text::JaroWinklerSignatureBound(
-            pair, text::JaroPrefixBytes(va), va.size(),
-            text::JaroPrefixBytes(vb), vb.size());
+      SlotSignature(measure, fb.text, sig_b);
+      const std::size_t la = fa.text.size();
+      const std::size_t lb = fb.text.size();
+      double pair = 1.0;
+      switch (measure) {
+        case SimilarityMeasure::kLevenshtein:
+          pair = text::LevenshteinSignatureBound(sig_a, la, sig_b, lb);
+          break;
+        case SimilarityMeasure::kJaccardTokens:
+          pair = text::JaccardSignatureBound(sig_a, fa.num_unique_tokens,
+                                             sig_b, fb.num_unique_tokens);
+          break;
+        case SimilarityMeasure::kDiceBigram:
+          pair = text::DiceSignatureBound(sig_a, fa.num_bigrams, sig_b,
+                                          fb.num_bigrams);
+          break;
+        case SimilarityMeasure::kJaro:
+        case SimilarityMeasure::kJaroWinkler:
+          pair = text::JaroSignatureBound(sig_a, la, sig_b, lb);
+          if (measure == SimilarityMeasure::kJaroWinkler) {
+            pair = text::JaroWinklerSignatureBound(
+                pair, text::JaroPrefixBytes(fa.text), la,
+                text::JaroPrefixBytes(fb.text), lb);
+          }
+          break;
+        case SimilarityMeasure::kExact:
+        case SimilarityMeasure::kMongeElkan:
+          break;
       }
       bound = std::max(bound, pair);
     }
@@ -166,7 +125,7 @@ struct StageAArgs {
   double weight = 1.0;
   std::uint32_t ext_scalar = 0;  // length / unique tokens / bigrams
   ValueId ext_id = util::kInvalidSymbolId;
-  const std::uint8_t* ext_signature = nullptr;  // kStageAJaro only
+  const std::uint8_t* ext_signature = nullptr;  // the signature kinds only
   std::uint32_t ext_prefix = 0;                 // kStageAJaro only
   bool winkler = false;                         // kStageAJaro only
   const std::uint32_t* loc_scalar = nullptr;  // gathered, one per pair
@@ -196,15 +155,9 @@ __attribute__((always_inline)) inline void StageARuleImpl(
     case kStageALevenshtein:
       for (std::size_t i = 0; i < a.n; ++i) {
         const bool active = a.loc_id[i] != util::kInvalidSymbolId;
-        const std::uint32_t la = a.ext_scalar;
-        const std::uint32_t lb = a.loc_scalar[i];
-        const std::uint32_t longest = std::max(la, lb);
-        // LevenshteinSimilarityFromDistance(longest - min, longest).
-        const double bound =
-            longest == 0 ? 1.0
-                         : 1.0 - static_cast<double>(
-                                     longest - std::min(la, lb)) /
-                                     static_cast<double>(longest);
+        const double bound = text::LevenshteinSignatureBound(
+            a.ext_signature, a.ext_scalar,
+            a.loc_signature + i * text::kSignatureBytes, a.loc_scalar[i]);
         if (active && bound < 1.0) a.flags[i] |= kFlagLength;
         a.lev_bound[i] = active ? bound : -1.0;
         a.bound_sum[i] += active ? a.weight * bound : 0.0;
@@ -214,14 +167,9 @@ __attribute__((always_inline)) inline void StageARuleImpl(
     case kStageAJaccard:
       for (std::size_t i = 0; i < a.n; ++i) {
         const bool active = a.loc_id[i] != util::kInvalidSymbolId;
-        const std::uint32_t ua = a.ext_scalar;
-        const std::uint32_t ub = a.loc_scalar[i];
-        double bound = 1.0;  // both token sets empty (== no tokens at all)
-        if (ua != 0 || ub != 0) {
-          const std::size_t mn = std::min(ua, ub);
-          bound = static_cast<double>(mn) /
-                  static_cast<double>(ua + ub - mn);
-        }
+        const double bound = text::JaccardSignatureBound(
+            a.ext_signature, a.ext_scalar,
+            a.loc_signature + i * text::kSignatureBytes, a.loc_scalar[i]);
         if (active && bound < 1.0) a.flags[i] |= kFlagToken;
         a.bound_sum[i] += active ? a.weight * bound : 0.0;
         a.weight_total[i] += active ? a.weight : 0.0;
@@ -230,14 +178,9 @@ __attribute__((always_inline)) inline void StageARuleImpl(
     case kStageADice:
       for (std::size_t i = 0; i < a.n; ++i) {
         const bool active = a.loc_id[i] != util::kInvalidSymbolId;
-        const std::uint32_t ba = a.ext_scalar;
-        const std::uint32_t bb = a.loc_scalar[i];
-        double bound = 1.0;  // both bigram multisets empty
-        if (ba != 0 || bb != 0) {
-          const std::size_t mn = std::min(ba, bb);
-          bound = 2.0 * static_cast<double>(mn) /
-                  static_cast<double>(ba + bb);
-        }
+        const double bound = text::DiceSignatureBound(
+            a.ext_signature, a.ext_scalar,
+            a.loc_signature + i * text::kSignatureBytes, a.loc_scalar[i]);
         if (active && bound < 1.0) a.flags[i] |= kFlagToken;
         a.bound_sum[i] += active ? a.weight * bound : 0.0;
         a.weight_total[i] += active ? a.weight : 0.0;
@@ -257,7 +200,7 @@ __attribute__((always_inline)) inline void StageARuleImpl(
         const bool active = a.loc_id[i] != util::kInvalidSymbolId;
         double bound = text::JaroSignatureBound(
             a.ext_signature, a.ext_scalar,
-            a.loc_signature + i * text::kJaroSignatureBytes, a.loc_scalar[i]);
+            a.loc_signature + i * text::kSignatureBytes, a.loc_scalar[i]);
         if (a.winkler) {
           bound = text::JaroWinklerSignatureBound(
               bound, a.ext_prefix, a.ext_scalar, a.loc_prefix[i],
@@ -303,23 +246,22 @@ StageAKernel PickStageAKernel(util::SimdMode mode) {
 // kernel pass (which added +0.0 for the slot's invalid id lane), so each
 // candidate's sums still see the rules in the scorer's order.
 void AddCrossProductBound(const FeatureDictionary& dict, const StageAArgs& a,
-                          const ValueId* ext, std::size_t num_ext,
-                          const ValueId* loc, std::size_t num_loc,
-                          std::size_t i) {
+                          SimilarityMeasure measure, const ValueId* ext,
+                          std::size_t num_ext, const ValueId* loc,
+                          std::size_t num_loc, std::size_t i) {
   double bound = 1.0;
   std::uint8_t flag = 0;
   switch (a.kind) {
     case kStageALevenshtein:
-      bound = LevenshteinLengthBound(dict, ext, num_ext, loc, num_loc);
+      bound = SignatureCrossProductBound(dict, measure, ext, num_ext, loc,
+                                         num_loc);
       flag = kFlagLength;
       a.lev_bound[i] = bound;
       break;
     case kStageAJaccard:
-      bound = JaccardCountBound(dict, ext, num_ext, loc, num_loc);
-      flag = kFlagToken;
-      break;
     case kStageADice:
-      bound = DiceCountBound(dict, ext, num_ext, loc, num_loc);
+      bound = SignatureCrossProductBound(dict, measure, ext, num_ext, loc,
+                                         num_loc);
       flag = kFlagToken;
       break;
     case kStageAExact:
@@ -327,7 +269,8 @@ void AddCrossProductBound(const FeatureDictionary& dict, const StageAArgs& a,
       flag = kFlagExact;
       break;
     case kStageAJaro:
-      bound = JaroCountBound(dict, ext, num_ext, loc, num_loc, a.winkler);
+      bound = SignatureCrossProductBound(dict, measure, ext, num_ext, loc,
+                                         num_loc);
       flag = kFlagJaro;
       break;
     default:
@@ -420,9 +363,9 @@ void FilterCascade::PruneBatch(const FeatureCache& external_features,
   const std::uint32_t* loc_lengths = local_features.lane_byte_lengths();
   const std::uint32_t* loc_tokens = local_features.lane_unique_tokens();
   const std::uint32_t* loc_bigrams = local_features.lane_bigrams();
-  const std::uint8_t* ext_signatures = external_features.lane_jaro_signatures();
+  const std::uint8_t* ext_signatures = external_features.lane_signatures();
   const std::uint32_t* ext_prefixes = external_features.lane_jaro_prefixes();
-  const std::uint8_t* loc_signatures = local_features.lane_jaro_signatures();
+  const std::uint8_t* loc_signatures = local_features.lane_signatures();
   const std::uint32_t* loc_prefixes = local_features.lane_jaro_prefixes();
   const StageAKernel kernel = PickStageAKernel(util::ActiveSimdMode());
 
@@ -434,6 +377,7 @@ void FilterCascade::PruneBatch(const FeatureCache& external_features,
   std::size_t lev_row = 0;
   for (std::size_t r = 0; r < num_rules; ++r) {
     const Plan& plan = plans_[r];
+    const SimilarityMeasure measure = matcher_->rules()[r].measure;
     const std::size_t row =
         plan.kind == Kind::kLevenshtein ? lev_row++ : 0;
     std::size_t num_ext = 0;
@@ -477,27 +421,33 @@ void FilterCascade::PruneBatch(const FeatureCache& external_features,
         break;
       case Kind::kJaro:
       case Kind::kJaroWinkler:
-        RL_DCHECK(ext_signatures != nullptr && loc_signatures != nullptr)
-            << "caches built without the Jaro lanes";
+        RL_DCHECK(ext_prefixes != nullptr && loc_prefixes != nullptr)
+            << "caches built without the Jaro prefix lane";
         args.kind = kStageAJaro;
         args.winkler = plan.kind == Kind::kJaroWinkler;
         args.ext_scalar = ext_lengths[ext_slot];
-        args.ext_signature =
-            ext_signatures + ext_slot * text::kJaroSignatureBytes;
         args.ext_prefix = ext_prefixes[ext_slot];
         gather_from = loc_lengths;
-        scratch->lane_signature.resize(count * text::kJaroSignatureBytes);
         scratch->lane_prefix.resize(count);
-        args.loc_signature = scratch->lane_signature.data();
         args.loc_prefix = scratch->lane_prefix.data();
         break;
+    }
+    // Every plan with a scalar lane also reads the slots' signatures.
+    const bool signature = gather_from != nullptr;
+    if (signature) {
+      RL_DCHECK(ext_signatures != nullptr && loc_signatures != nullptr)
+          << "caches built without the signature lane";
+      args.ext_signature = ext_signatures + ext_slot * text::kSignatureBytes;
+      scratch->lane_signature.resize(count * text::kSignatureBytes);
+      args.loc_signature = scratch->lane_signature.data();
     }
     if (num_ext > 1) {
       for (std::size_t i = 0; i < count; ++i) {
         std::size_t num_loc = 0;
         const ValueId* loc = local_features.Values(candidates[i], r, &num_loc);
         if (num_loc == 0) continue;
-        AddCrossProductBound(dict, args, ext, num_ext, loc, num_loc, i);
+        AddCrossProductBound(dict, args, measure, ext, num_ext, loc, num_loc,
+                             i);
       }
       continue;
     }
@@ -506,14 +456,13 @@ void FilterCascade::PruneBatch(const FeatureCache& external_features,
       const std::size_t slot = candidates[i] * num_rules + r;
       const ValueId id = loc_ids[slot];
       scratch->lane_id[i] = id;
-      if (gather_from != nullptr) {
+      if (signature) {
         scratch->lane_scalar[i] = gather_from[slot];
+        std::memcpy(scratch->lane_signature.data() + i * text::kSignatureBytes,
+                    loc_signatures + slot * text::kSignatureBytes,
+                    text::kSignatureBytes);
       }
       if (args.kind == kStageAJaro) {
-        std::memcpy(scratch->lane_signature.data() +
-                        i * text::kJaroSignatureBytes,
-                    loc_signatures + slot * text::kJaroSignatureBytes,
-                    text::kJaroSignatureBytes);
         scratch->lane_prefix[i] = loc_prefixes[slot];
       }
       if (id == util::kInvalidSymbolId) {
@@ -526,7 +475,7 @@ void FilterCascade::PruneBatch(const FeatureCache& external_features,
     for (const std::size_t i : scratch->multi_valued) {
       std::size_t num_loc = 0;
       const ValueId* loc = local_features.Values(candidates[i], r, &num_loc);
-      AddCrossProductBound(dict, args, ext, 1, loc, num_loc, i);
+      AddCrossProductBound(dict, args, measure, ext, 1, loc, num_loc, i);
     }
   }
 

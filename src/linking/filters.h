@@ -26,8 +26,8 @@ namespace rulelink::linking {
 // (streaming_linker.h).
 struct FilterStats {
   std::uint64_t pairs_pruned = 0;
-  std::uint64_t by_length = 0;        // Levenshtein length-difference bound
-  std::uint64_t by_token_count = 0;   // Jaccard/Dice token/bigram counts
+  std::uint64_t by_length = 0;        // Levenshtein bag-distance bound
+  std::uint64_t by_token_count = 0;   // Jaccard/Dice signature counts
   std::uint64_t by_exact = 0;         // kExact id mismatch
   std::uint64_t by_distance_cap = 0;  // capped bit-parallel probe (stage B)
   std::uint64_t by_jaro = 0;          // Jaro/Jaro-Winkler count bound
@@ -60,7 +60,7 @@ struct FilterBatchScratch {
   // candidates whose slot under it holds several values.
   std::vector<std::uint32_t> lane_scalar;
   std::vector<ValueId> lane_id;
-  std::vector<std::uint8_t> lane_signature;  // Jaro signatures, 16 B each
+  std::vector<std::uint8_t> lane_signature;  // count signatures, 16 B each
   std::vector<std::uint32_t> lane_prefix;    // Jaro prefix words
   std::vector<std::size_t> multi_valued;
   // The external item's values under the stage-B rule being probed.
@@ -88,9 +88,10 @@ class FilterCascade {
   // Prunes one external item's whole candidate run: sets
   // scratch->pruned[i] to 1 exactly when candidate i's aggregate score is
   // provably below the threshold, and counts every prune in `stats`.
-  // Stage A combines per-rule upper bounds (length gap for Levenshtein,
-  // count bounds for Jaccard/Dice, the signature count bound for Jaro and
-  // Jaro-Winkler, the exact id scan for kExact, 1.0 for Monge-Elkan) with
+  // Stage A combines per-rule upper bounds (from each slot's count
+  // signature: the bag distance for Levenshtein, the hashed bigram and
+  // token overlaps for Dice and Jaccard, the byte overlap for Jaro and
+  // Jaro-Winkler; the exact id scan for kExact, 1.0 for Monge-Elkan) with
   // the matcher's weight renormalization, over the
   // FeatureCache SoA lanes through an ISA-dispatched elementwise kernel
   // (util::ActiveSimdMode()); a multi-valued slot on either side adds its
@@ -114,11 +115,11 @@ class FilterCascade {
  private:
   enum class Kind : std::uint8_t {
     kOptimistic,   // no cheap bound: assume 1.0
-    kLevenshtein,  // length-difference bound + capped probe
-    kJaccard,      // unique-token count bound
-    kDice,         // bigram count bound
+    kLevenshtein,  // bag-distance bound + capped probe
+    kJaccard,      // token-set signature bound
+    kDice,         // bigram signature bound
     kExact,        // evaluated exactly on value ids
-    kJaro,         // signature count bound
+    kJaro,         // byte signature bound
     kJaroWinkler,  // the same, through the Winkler prefix step
   };
   struct Plan {

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/simd.h"
 #include "util/string_util.h"
@@ -526,10 +527,10 @@ double JaroWinklerFromJaro(double jaro, std::string_view a,
   return jaro + static_cast<double>(prefix) * 0.1 * (1.0 - jaro);
 }
 
-// JaroSignature's bucket map (see similarity.h): digits take buckets 0-9,
+// ByteSignature's bucket map (see similarity.h): digits take buckets 0-9,
 // the 26 letters of each case share buckets 10-31 with a lowercase letter
 // 11 buckets from its uppercase twin, and any other byte c takes c mod 32.
-constexpr std::array<std::uint8_t, 256> kJaroBuckets = [] {
+constexpr std::array<std::uint8_t, 256> kByteBuckets = [] {
   std::array<std::uint8_t, 256> bucket{};
   for (std::size_t c = 0; c < 256; ++c) {
     bucket[c] = static_cast<std::uint8_t>(c % 32);
@@ -638,15 +639,91 @@ void JaroWinklerSimilarityBatch(std::string_view a, const std::string_view* b,
   }
 }
 
-void JaroSignature(std::string_view s, std::uint8_t* out) {
-  std::uint8_t counts[2 * kJaroSignatureBytes] = {};
-  for (const char c : s) {
-    std::uint8_t& count = counts[kJaroBuckets[static_cast<unsigned char>(c)]];
-    count += count < 15;
-  }
-  for (std::size_t k = 0; k < kJaroSignatureBytes; ++k) {
+namespace {
+
+// One more item in a signature bucket, saturating at 15.
+void BumpBucket(std::uint8_t* counts, std::size_t bucket) {
+  counts[bucket] += counts[bucket] < 15;
+}
+
+// Packs 32 bucket counts into a signature, bucket 2k in the low nibble of
+// byte k.
+void PackSignature(const std::uint8_t* counts, std::uint8_t* out) {
+  for (std::size_t k = 0; k < kSignatureBytes; ++k) {
     out[k] = static_cast<std::uint8_t>(counts[2 * k] | counts[2 * k + 1] << 4);
   }
+}
+
+// BigramSignature's bucket of a gram key (two bytes, or a one-byte value
+// keyed apart from every bigram): the top five bits of a Fibonacci hash.
+std::size_t GramBucket(std::uint32_t key) {
+  return (key * 0x9E3779B1u) >> 27;
+}
+
+// TokenSetSignature's bucket of a token.
+std::size_t TokenBucket(std::string_view token) {
+  return util::Mix64(util::Fnv1a64(token)) >> 59;
+}
+
+// The separators JaccardTokenSimilarity splits on.
+bool IsTokenSeparator(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\r';
+}
+
+}  // namespace
+
+void ByteSignature(std::string_view s, std::uint8_t* out) {
+  std::uint8_t counts[2 * kSignatureBytes] = {};
+  for (const char c : s) {
+    BumpBucket(counts, kByteBuckets[static_cast<unsigned char>(c)]);
+  }
+  PackSignature(counts, out);
+}
+
+void BigramSignature(std::string_view s, std::uint8_t* out) {
+  std::uint8_t counts[2 * kSignatureBytes] = {};
+  const auto byte = [s](std::size_t i) {
+    return std::uint32_t{static_cast<unsigned char>(s[i])};
+  };
+  if (s.size() == 1) BumpBucket(counts, GramBucket(0x10000u | byte(0)));
+  for (std::size_t i = 0; i + 1 < s.size(); ++i) {
+    BumpBucket(counts, GramBucket(byte(i) << 8 | byte(i + 1)));
+  }
+  PackSignature(counts, out);
+}
+
+void TokenSetSignature(std::string_view s, std::uint8_t* out) {
+  std::uint8_t counts[2 * kSignatureBytes] = {};
+  // The first kTracked distinct tokens, against which each token is
+  // checked for a repeat. A token past them counts at every occurrence,
+  // which can only raise its bucket: sound, if looser.
+  constexpr std::size_t kTracked = 32;
+  std::string_view tracked[kTracked];
+  std::size_t tracked_bucket[kTracked] = {};
+  std::size_t num_tracked = 0;
+  std::size_t i = 0;
+  while (i < s.size()) {
+    if (IsTokenSeparator(s[i])) {
+      ++i;
+      continue;
+    }
+    std::size_t end = i + 1;
+    while (end < s.size() && !IsTokenSeparator(s[end])) ++end;
+    const std::string_view token = s.substr(i, end - i);
+    i = end;
+    const std::size_t bucket = TokenBucket(token);
+    bool repeat = false;
+    for (std::size_t k = 0; k < num_tracked && !repeat; ++k) {
+      repeat = tracked_bucket[k] == bucket && tracked[k] == token;
+    }
+    if (repeat) continue;
+    if (num_tracked < kTracked) {
+      tracked[num_tracked] = token;
+      tracked_bucket[num_tracked++] = bucket;
+    }
+    BumpBucket(counts, bucket);
+  }
+  PackSignature(counts, out);
 }
 
 std::uint32_t JaroPrefixBytes(std::string_view s) {

@@ -89,40 +89,52 @@ void JaroSimilarityBatch(std::string_view a, const std::string_view* b,
 void JaroWinklerSimilarityBatch(std::string_view a, const std::string_view* b,
                                 std::size_t count, double* out);
 
-// --- Count bounds on Jaro and Jaro-Winkler (DESIGN.md §5e) --------------
+// --- Count signatures and the bounds they give (DESIGN.md §5e) ---------
 //
-// Jaro's match count is at most the two values' multiset byte overlap, so
-// per-value byte counts bound both measures without matching. A value's
-// signature holds 32 buckets of 4-bit byte counts, two buckets per byte
-// (bucket 2k in the low nibble of byte k). A bucket saturates at 15,
-// which means "at least 15". The bucket map gives each ASCII digit its own
-// bucket and spreads the letters over the other 22, a lowercase letter 11
-// buckets away from its uppercase twin, so a case-folded rendering of a
-// value does not share its letters' buckets.
-constexpr std::size_t kJaroSignatureBytes = 16;
+// A value's count signature holds 32 hashed buckets of 4-bit counts in
+// kSignatureBytes bytes, two buckets per byte (bucket 2k in the low nibble
+// of byte k). A bucket saturates at 15, which means "at least 15". What a
+// bucket counts depends on the measure the signature bounds:
+//   * ByteSignature: the value's bytes (Levenshtein, Jaro, Jaro-Winkler).
+//     Each ASCII digit has its own bucket and the letters spread over the
+//     other 22, a lowercase letter 11 buckets away from its uppercase
+//     twin, so a case-folded rendering of a value does not share its
+//     letters' buckets.
+//   * BigramSignature: the value's character bigrams, the multiset
+//     DiceBigramSimilarity compares (a value shorter than two bytes is its
+//     own gram), hashed from the two bytes in place.
+//   * TokenSetSignature: the value's distinct whitespace tokens, the set
+//     JaccardTokenSimilarity compares, hashed from their bytes in place.
+// Each builder is a pure function of the value's bytes and allocates
+// nothing. For two values, the sum over buckets of min(count_a, count_b)
+// is at least the overlap of what the buckets count (shared items share a
+// bucket), unless some bucket is full on both sides.
+constexpr std::size_t kSignatureBytes = 16;
 
-// Writes `s`'s signature to out[0, kJaroSignatureBytes).
-void JaroSignature(std::string_view s, std::uint8_t* out);
+// Write `s`'s signature to out[0, kSignatureBytes).
+void ByteSignature(std::string_view s, std::uint8_t* out);
+void BigramSignature(std::string_view s, std::uint8_t* out);
+void TokenSetSignature(std::string_view s, std::uint8_t* out);
 
 // `s`'s first four bytes, byte i in bits [8i, 8i + 8), zero past its end.
 // Two of these and the lengths give a pair's Winkler prefix exactly.
 std::uint32_t JaroPrefixBytes(std::string_view s);
 
-// What JaroSignatureBound reads from two signatures: the overlap, the sum
-// over buckets of min(count_a, count_b), and whether some bucket is full
-// on both sides.
-struct JaroOverlap {
+// What the bounds read from two signatures: the overlap, the sum over
+// buckets of min(count_a, count_b), and whether some bucket is full on
+// both sides.
+struct SignatureOverlap {
   std::size_t overlap = 0;
   bool both_full = false;
 };
 
 // The overlap as a plain byte loop, compiled on every platform: what
-// JaroSignatureBound runs where SSE2 is missing, and the reference
-// jaro_bitparallel_test checks JaroOverlapSse2 against.
-inline JaroOverlap JaroOverlapPortable(const std::uint8_t* sig_a,
-                                       const std::uint8_t* sig_b) {
-  JaroOverlap result;
-  for (std::size_t k = 0; k < kJaroSignatureBytes; ++k) {
+// SignatureMatchBound runs where SSE2 is missing, and the reference
+// jaro_bitparallel_test checks SignatureOverlapSse2 against.
+inline SignatureOverlap SignatureOverlapPortable(const std::uint8_t* sig_a,
+                                                 const std::uint8_t* sig_b) {
+  SignatureOverlap result;
+  for (std::size_t k = 0; k < kSignatureBytes; ++k) {
     const unsigned a_lo = sig_a[k] & 15u, a_hi = sig_a[k] >> 4;
     const unsigned b_lo = sig_b[k] & 15u, b_hi = sig_b[k] >> 4;
     result.overlap +=
@@ -136,8 +148,8 @@ inline JaroOverlap JaroOverlapPortable(const std::uint8_t* sig_a,
 // The same overlap from SSE2 byte-lane minimums and one sum of absolute
 // differences. GCC unrolls the plain loop into scalar code, which halved
 // serve_ingest's throughput (DESIGN.md §5h).
-inline JaroOverlap JaroOverlapSse2(const std::uint8_t* sig_a,
-                                   const std::uint8_t* sig_b) {
+inline SignatureOverlap SignatureOverlapSse2(const std::uint8_t* sig_a,
+                                             const std::uint8_t* sig_b) {
   // Each side's 32 counts in two registers, one count per byte lane:
   // the low nibbles, and the high nibbles shifted down.
   const __m128i nibble = _mm_set1_epi8(15);
@@ -150,7 +162,7 @@ inline JaroOverlap JaroOverlapSse2(const std::uint8_t* sig_a,
   const __m128i sums = _mm_sad_epu8(
       _mm_add_epi8(_mm_min_epu8(a_lo, b_lo), _mm_min_epu8(a_hi, b_hi)),
       _mm_setzero_si128());
-  JaroOverlap result;
+  SignatureOverlap result;
   result.overlap = static_cast<std::size_t>(_mm_cvtsi128_si32(sums)) +
                    static_cast<std::size_t>(_mm_extract_epi16(sums, 4));
   result.both_full =
@@ -161,25 +173,73 @@ inline JaroOverlap JaroOverlapSse2(const std::uint8_t* sig_a,
 }
 #endif
 
-// An upper bound on JaroSimilarity(a, b) as a double, from the values'
-// signatures and byte lengths: Jaro's closing expression with the match
-// count replaced by the signature overlap (at most min(|a|, |b|), as each
-// side's counts sum to at most its length), or by min(|a|, |b|) when some
-// bucket is full on both sides, and the transposition term
-// (m - t/2)/m by 1.0. Each replacement only raises a term and IEEE +, /
-// are monotone, so no slack is needed. Exactly 1.0 when both values are
-// empty and 0.0 when one is, or when no byte can match.
+// An integer at least the true overlap of two values whose signatures
+// these are, given `shorter`, the smaller of the two sides' item counts
+// (bytes, bigrams or distinct tokens): the signature overlap, or
+// `shorter` when some bucket is full on both sides, capped at `shorter`.
+inline std::size_t SignatureMatchBound(const std::uint8_t* sig_a,
+                                       const std::uint8_t* sig_b,
+                                       std::size_t shorter) {
+  if (shorter == 0) return 0;
+#if defined(__SSE2__)
+  const SignatureOverlap o = SignatureOverlapSse2(sig_a, sig_b);
+#else
+  const SignatureOverlap o = SignatureOverlapPortable(sig_a, sig_b);
+#endif
+  return o.both_full || o.overlap > shorter ? shorter : o.overlap;
+}
+
+// The bounds below evaluate their measure's closing expression with the
+// true overlap replaced by SignatureMatchBound's integer, which is at
+// least as large. Every replacement only raises the result and IEEE -, /
+// are monotone per argument, so no slack is needed. Each is exact where
+// the measure is: 1.0 when both sides are empty and the measure's value,
+// 0.0, when one is.
+
+// An upper bound on LevenshteinSimilarity(a, b) from the values'
+// ByteSignatures and byte lengths: the bag distance max(|a|, |b|) - M
+// (Bartolini, Ciaccia & Patella, SPIRE 2002) is at most the edit
+// distance, through LevenshteinSimilarityFromDistance like the measure.
+inline double LevenshteinSignatureBound(const std::uint8_t* sig_a,
+                                        std::size_t len_a,
+                                        const std::uint8_t* sig_b,
+                                        std::size_t len_b) {
+  const std::size_t longest = len_a < len_b ? len_b : len_a;
+  const std::size_t shorter = len_a < len_b ? len_a : len_b;
+  return LevenshteinSimilarityFromDistance(
+      longest - SignatureMatchBound(sig_a, sig_b, shorter), longest);
+}
+
+// An upper bound on DiceBigramSimilarity(a, b) from the values'
+// BigramSignatures and bigram counts: 2M / (na + nb).
+inline double DiceSignatureBound(const std::uint8_t* sig_a, std::size_t na,
+                                 const std::uint8_t* sig_b, std::size_t nb) {
+  if (na == 0 && nb == 0) return 1.0;
+  const std::size_t m = SignatureMatchBound(sig_a, sig_b, na < nb ? na : nb);
+  return 2.0 * static_cast<double>(m) / static_cast<double>(na + nb);
+}
+
+// An upper bound on JaccardTokenSimilarity(a, b) from the values'
+// TokenSetSignatures and distinct-token counts: M / (ua + ub - M). M is at
+// most min(ua, ub), so the denominator is at least max(ua, ub).
+inline double JaccardSignatureBound(const std::uint8_t* sig_a, std::size_t ua,
+                                    const std::uint8_t* sig_b,
+                                    std::size_t ub) {
+  if (ua == 0 && ub == 0) return 1.0;
+  const std::size_t m = SignatureMatchBound(sig_a, sig_b, ua < ub ? ua : ub);
+  return static_cast<double>(m) / static_cast<double>(ua + ub - m);
+}
+
+// An upper bound on JaroSimilarity(a, b) from the values' ByteSignatures
+// and byte lengths: Jaro's closing expression with the match count
+// replaced by M and the transposition term (m - t/2)/m by 1.0. Exactly
+// 0.0 when no byte can match.
 inline double JaroSignatureBound(const std::uint8_t* sig_a, std::size_t len_a,
                                  const std::uint8_t* sig_b,
                                  std::size_t len_b) {
   if (len_a == 0 || len_b == 0) return len_a == len_b ? 1.0 : 0.0;
-#if defined(__SSE2__)
-  const JaroOverlap o = JaroOverlapSse2(sig_a, sig_b);
-#else
-  const JaroOverlap o = JaroOverlapPortable(sig_a, sig_b);
-#endif
   const std::size_t matches =
-      o.both_full ? (len_a < len_b ? len_a : len_b) : o.overlap;
+      SignatureMatchBound(sig_a, sig_b, len_a < len_b ? len_a : len_b);
   if (matches == 0) return 0.0;
   const double m = static_cast<double>(matches);
   return (m / static_cast<double>(len_a) + m / static_cast<double>(len_b) +

@@ -63,17 +63,22 @@ using linking::ValueId;
 // Mirrors the cascade's stage-B rounding slack (DESIGN.md §5e).
 constexpr double kStageBSlack = 1e-9;
 
-double LevenshteinLengthBound(const FeatureDictionary& dict,
-                              const ValueId* ext, std::size_t num_ext,
-                              const ValueId* loc, std::size_t num_loc) {
+// Each value's count signature is built from its string, as FeatureCache
+// builds the lanes, and the bound is taken per value pair.
+double LevenshteinBagBound(const FeatureDictionary& dict, const ValueId* ext,
+                           std::size_t num_ext, const ValueId* loc,
+                           std::size_t num_loc) {
   double bound = 0.0;
   for (std::size_t i = 0; i < num_ext; ++i) {
-    const std::size_t la = dict.View(ext[i]).size();
+    const std::string_view va = dict.View(ext[i]);
+    std::uint8_t sig_a[text::kSignatureBytes];
+    text::ByteSignature(va, sig_a);
     for (std::size_t j = 0; j < num_loc; ++j) {
-      const std::size_t lb = dict.View(loc[j]).size();
-      const std::size_t longest = std::max(la, lb);
-      bound = std::max(bound, text::LevenshteinSimilarityFromDistance(
-                                  longest - std::min(la, lb), longest));
+      const std::string_view vb = dict.View(loc[j]);
+      std::uint8_t sig_b[text::kSignatureBytes];
+      text::ByteSignature(vb, sig_b);
+      bound = std::max(bound, text::LevenshteinSignatureBound(
+                                  sig_a, va.size(), sig_b, vb.size()));
     }
   }
   return bound;
@@ -85,15 +90,15 @@ double JaccardCountBound(const FeatureDictionary& dict, const ValueId* ext,
   double bound = 0.0;
   for (std::size_t i = 0; i < num_ext; ++i) {
     const auto fa = dict.Features(ext[i]);
+    std::uint8_t sig_a[text::kSignatureBytes];
+    text::TokenSetSignature(fa.text, sig_a);
     for (std::size_t j = 0; j < num_loc; ++j) {
       const auto fb = dict.Features(loc[j]);
-      if (fa.num_tokens == 0 && fb.num_tokens == 0) return 1.0;
-      const std::size_t mn =
-          std::min(fa.num_unique_tokens, fb.num_unique_tokens);
-      bound = std::max(
-          bound, static_cast<double>(mn) /
-                     static_cast<double>(fa.num_unique_tokens +
-                                         fb.num_unique_tokens - mn));
+      std::uint8_t sig_b[text::kSignatureBytes];
+      text::TokenSetSignature(fb.text, sig_b);
+      bound = std::max(bound, text::JaccardSignatureBound(
+                                  sig_a, fa.num_unique_tokens, sig_b,
+                                  fb.num_unique_tokens));
     }
   }
   return bound;
@@ -105,14 +110,15 @@ double DiceCountBound(const FeatureDictionary& dict, const ValueId* ext,
   double bound = 0.0;
   for (std::size_t i = 0; i < num_ext; ++i) {
     const auto fa = dict.Features(ext[i]);
+    std::uint8_t sig_a[text::kSignatureBytes];
+    text::BigramSignature(fa.text, sig_a);
     for (std::size_t j = 0; j < num_loc; ++j) {
       const auto fb = dict.Features(loc[j]);
-      if (fa.num_bigrams == 0 && fb.num_bigrams == 0) return 1.0;
-      const std::size_t mn = std::min(fa.num_bigrams, fb.num_bigrams);
+      std::uint8_t sig_b[text::kSignatureBytes];
+      text::BigramSignature(fb.text, sig_b);
       bound = std::max(bound,
-                       2.0 * static_cast<double>(mn) /
-                           static_cast<double>(fa.num_bigrams +
-                                               fb.num_bigrams));
+                       text::DiceSignatureBound(sig_a, fa.num_bigrams, sig_b,
+                                                fb.num_bigrams));
     }
   }
   return bound;
@@ -124,12 +130,12 @@ double JaroCountBound(const FeatureDictionary& dict, const ValueId* ext,
   double bound = 0.0;
   for (std::size_t i = 0; i < num_ext; ++i) {
     const std::string_view va = dict.View(ext[i]);
-    std::uint8_t sig_a[text::kJaroSignatureBytes];
-    text::JaroSignature(va, sig_a);
+    std::uint8_t sig_a[text::kSignatureBytes];
+    text::ByteSignature(va, sig_a);
     for (std::size_t j = 0; j < num_loc; ++j) {
       const std::string_view vb = dict.View(loc[j]);
-      std::uint8_t sig_b[text::kJaroSignatureBytes];
-      text::JaroSignature(vb, sig_b);
+      std::uint8_t sig_b[text::kSignatureBytes];
+      text::ByteSignature(vb, sig_b);
       const double jaro =
           text::JaroSignatureBound(sig_a, va.size(), sig_b, vb.size());
       bound = std::max(
@@ -182,7 +188,7 @@ class PairwiseCascade {
       double bound = 1.0;
       switch (rules[r].measure) {
         case SimilarityMeasure::kLevenshtein:
-          bound = LevenshteinLengthBound(dict, ext, num_ext, loc, num_loc);
+          bound = LevenshteinBagBound(dict, ext, num_ext, loc, num_loc);
           any_levenshtein_active = true;
           if (bound < 1.0) length_participated = true;
           break;
@@ -243,7 +249,7 @@ class PairwiseCascade {
       if (num_ext == 0 || num_loc == 0) continue;
       const double own =
           rules[r].weight *
-          LevenshteinLengthBound(dict, ext, num_ext, loc, num_loc);
+          LevenshteinBagBound(dict, ext, num_ext, loc, num_loc);
       const double floor =
           (threshold_weight - (bound_sum - own)) / rules[r].weight;
       const double floor_cap = floor - kStageBSlack;
@@ -282,9 +288,10 @@ class PairwiseCascade {
 };
 
 // Exercises every filter in the cascade at once, like the streaming
-// differential suite: Levenshtein (length bound + capped probe), Jaccard
-// and Dice (count bounds), kExact (id equality) and Monge-Elkan as the
-// unboundable measure the cascade treats optimistically.
+// differential suite: Levenshtein (bag-distance bound + capped probe),
+// Jaccard and Dice (signature count bounds), kExact (id equality) and
+// Monge-Elkan as the unboundable measure the cascade treats
+// optimistically.
 linking::ItemMatcher FilteredMatcher() {
   return linking::ItemMatcher({
       {datagen::props::kPartNumber, datagen::props::kPartNumber,

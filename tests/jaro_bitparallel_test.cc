@@ -9,8 +9,9 @@
 // oracle in both orientations: Jaro's greedy matching must pair the same
 // positions whichever string is walked. The count bounds the filter
 // cascade takes from each value's signature and prefix lanes must never
-// fall below either measure, and must equal it where it is exact; the
-// portable overlap loop behind them must agree with the SSE2 one.
+// fall below their measures (Jaro, Jaro-Winkler, Levenshtein, Dice and
+// Jaccard), and must equal them where they are exact; the portable
+// overlap loop behind them must agree with the SSE2 one.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -367,13 +368,13 @@ TEST_P(JaroBitParallelTest, BatchWalksLongTextsAgainstShortPatterns) {
 // --- The signature count bounds (DESIGN.md §5e) --------------------------
 
 // Counts the signature pairs where the portable overlap loop disagrees
-// with the SSE2 one JaroSignatureBound runs; none where SSE2 is missing,
+// with the SSE2 one SignatureMatchBound runs; none where SSE2 is missing,
 // as the bound runs the portable loop itself there.
 std::size_t CountOverlapMismatches(const std::uint8_t* sig_a,
                                    const std::uint8_t* sig_b) {
 #if defined(__SSE2__)
-  const JaroOverlap portable = JaroOverlapPortable(sig_a, sig_b);
-  const JaroOverlap sse2 = JaroOverlapSse2(sig_a, sig_b);
+  const SignatureOverlap portable = SignatureOverlapPortable(sig_a, sig_b);
+  const SignatureOverlap sse2 = SignatureOverlapSse2(sig_a, sig_b);
   if (portable.overlap == sse2.overlap &&
       portable.both_full == sse2.both_full) {
     return 0;
@@ -389,28 +390,58 @@ std::size_t CountOverlapMismatches(const std::uint8_t* sig_a,
 #endif
 }
 
+// The item counts the Dice and Jaccard bounds take beside the signatures,
+// as FeatureCache's bigram and unique-token lanes hold them.
+std::size_t BigramCount(std::string_view s) {
+  return s.size() < 2 ? s.size() : s.size() - 1;
+}
+std::size_t DistinctTokenCount(std::string_view s) {
+  auto tokens = util::SplitAny(s, " \t\n\r");
+  std::sort(tokens.begin(), tokens.end());
+  return static_cast<std::size_t>(
+      std::unique(tokens.begin(), tokens.end()) - tokens.begin());
+}
+
 // Counts the pairs where a signature bound, as the cascade's lane kernel
 // evaluates it from each value's lanes, falls below its measure as a
-// double, or differs from it in any bit where the measure is exact (one
-// or both values empty); reports the first few.
+// double, or differs from it in any bit where the measure is exact (a
+// value with nothing to count: empty, or for Jaccard without tokens);
+// reports the first few.
 std::size_t CountUnsoundBounds(std::string_view a, std::string_view b) {
-  std::uint8_t sig_a[kJaroSignatureBytes];
-  std::uint8_t sig_b[kJaroSignatureBytes];
-  JaroSignature(a, sig_a);
-  JaroSignature(b, sig_b);
-  const double jaro = JaroSignatureBound(sig_a, a.size(), sig_b, b.size());
+  std::uint8_t bytes_a[kSignatureBytes], bytes_b[kSignatureBytes];
+  std::uint8_t grams_a[kSignatureBytes], grams_b[kSignatureBytes];
+  std::uint8_t tokens_a[kSignatureBytes], tokens_b[kSignatureBytes];
+  ByteSignature(a, bytes_a);
+  ByteSignature(b, bytes_b);
+  BigramSignature(a, grams_a);
+  BigramSignature(b, grams_b);
+  TokenSetSignature(a, tokens_a);
+  TokenSetSignature(b, tokens_b);
+  const double jaro = JaroSignatureBound(bytes_a, a.size(), bytes_b, b.size());
   const double winkler = JaroWinklerSignatureBound(
       jaro, JaroPrefixBytes(a), a.size(), JaroPrefixBytes(b), b.size());
-  const bool exact = a.empty() || b.empty();
-  std::size_t failures = CountOverlapMismatches(sig_a, sig_b);
-  const auto check = [&](const char* what, double bound, double measure) {
+  const std::size_t ua = DistinctTokenCount(a), ub = DistinctTokenCount(b);
+  const bool empty = a.empty() || b.empty();
+  std::size_t failures = CountOverlapMismatches(bytes_a, bytes_b) +
+                         CountOverlapMismatches(grams_a, grams_b) +
+                         CountOverlapMismatches(tokens_a, tokens_b);
+  const auto check = [&](const char* what, double bound, double measure,
+                         bool exact) {
     if (exact ? SameBits(bound, measure) : bound >= measure) return;
     ++failures;
     ADD_FAILURE() << what << " bound " << bound << " vs measure " << measure
                   << " |a|=" << a.size() << " |b|=" << b.size();
   };
-  check("jaro", jaro, JaroSimilarity(a, b));
-  check("jaro-winkler", winkler, JaroWinklerSimilarity(a, b));
+  check("jaro", jaro, JaroSimilarity(a, b), empty);
+  check("jaro-winkler", winkler, JaroWinklerSimilarity(a, b), empty);
+  check("levenshtein",
+        LevenshteinSignatureBound(bytes_a, a.size(), bytes_b, b.size()),
+        LevenshteinSimilarity(a, b), empty);
+  check("dice",
+        DiceSignatureBound(grams_a, BigramCount(a), grams_b, BigramCount(b)),
+        DiceBigramSimilarity(a, b), empty);
+  check("jaccard", JaccardSignatureBound(tokens_a, ua, tokens_b, ub),
+        JaccardTokenSimilarity(a, b), ua == 0 || ub == 0);
   return failures;
 }
 
@@ -457,7 +488,7 @@ TEST_P(JaroBitParallelTest, SignatureBoundsDominateTheMeasures) {
   EXPECT_EQ(failures, 0u) << "seed=" << GetParam();
 }
 
-TEST(JaroSignatureBoundTest, SaturatedBucketsAndEmptyValues) {
+TEST(SignatureBoundTest, SaturatedBucketsAndEmptyValues) {
   std::size_t failures = 0;
   // One byte repeated around and past a bucket's capacity of 15 on each
   // side; past it, only the both-full fallback keeps the bound sound. 'A'
@@ -483,9 +514,119 @@ TEST(JaroSignatureBoundTest, SaturatedBucketsAndEmptyValues) {
   EXPECT_EQ(failures, 0u);
 }
 
+// A list of up to `max_tokens` tokens drawn from a vocabulary of
+// `vocabulary` words, separated by runs of the four separators, which may
+// also lead or trail. A small vocabulary repeats tokens within a value
+// and shares them across values; more than 32 tokens pass the distinct
+// tokens TokenSetSignature checks repeats against.
+std::string RandomTokenList(util::Rng& rng, std::size_t max_tokens,
+                            std::size_t vocabulary) {
+  constexpr std::string_view kSeparators = " \t\n\r";
+  const auto separators = [&](std::size_t at_least) {
+    std::string run;
+    const std::size_t n = at_least + rng.UniformUint64(3);
+    for (std::size_t i = 0; i < n; ++i) {
+      run.push_back(kSeparators[rng.UniformUint64(kSeparators.size())]);
+    }
+    return run;
+  };
+  std::string s = separators(0);
+  const std::size_t n = rng.UniformUint64(max_tokens + 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0) s += separators(1);
+    s += "w" + std::to_string(rng.UniformUint64(vocabulary));
+  }
+  return s + separators(0);
+}
+
+TEST_P(JaroBitParallelTest, SetBoundsDominateOnTokenLists) {
+  util::Rng rng(0x70c5u + static_cast<std::uint64_t>(GetParam()));
+  std::size_t failures = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    const std::size_t vocabulary = iter % 2 == 0 ? 6 : 1000;
+    const std::size_t max_tokens = iter % 3 == 0 ? 80 : 8;
+    std::string a = RandomTokenList(rng, max_tokens, vocabulary);
+    std::string b = RandomTokenList(rng, max_tokens, vocabulary);
+    if (rng.Bernoulli(0.3)) b = Perturb(rng, a);
+    failures += CountUnsoundBounds(a, b);
+    failures += CountUnsoundBounds(b, a);
+  }
+  EXPECT_EQ(failures, 0u) << "seed=" << GetParam();
+}
+
+// The bucket a one-token value's token-set signature counts it in.
+std::size_t TokenBucketOf(std::string_view token) {
+  std::uint8_t sig[kSignatureBytes];
+  TokenSetSignature(token, sig);
+  for (std::size_t k = 0; k < kSignatureBytes; ++k) {
+    if ((sig[k] & 15u) != 0) return 2 * k;
+    if ((sig[k] >> 4) != 0) return 2 * k + 1;
+  }
+  return kSignatureBytes * 2;
+}
+
+TEST(SignatureBoundTest, SetBoundsOnSaturatedBucketsAndEdgeValues) {
+  std::size_t failures = 0;
+  // Two alternating bigrams repeated around and past a bucket's capacity
+  // on each side (SaturatedBucketsAndEmptyValues repeats one).
+  for (const std::size_t la : {2u, 15u, 16u, 17u, 31u, 64u, 300u}) {
+    for (const std::size_t lb : {2u, 15u, 16u, 17u, 31u, 64u}) {
+      std::string alt_a, alt_b;
+      for (std::size_t i = 0; i < la; ++i) alt_a += i % 2 ? "b" : "a";
+      for (std::size_t i = 0; i < lb; ++i) alt_b += i % 2 ? "a" : "b";
+      failures += CountUnsoundBounds(alt_a, alt_b);
+    }
+  }
+  // Distinct tokens that all land in one bucket, shared by both sides
+  // past the bucket's capacity: only the both-full fallback covers the
+  // true intersection.
+  std::vector<std::string> same_bucket;
+  const std::size_t bucket = TokenBucketOf("w0");
+  for (std::size_t k = 0; same_bucket.size() < 40; ++k) {
+    std::string token = "w" + std::to_string(k);
+    if (TokenBucketOf(token) == bucket) same_bucket.push_back(token);
+  }
+  for (const std::size_t na : {1u, 14u, 15u, 16u, 17u, 30u, 40u}) {
+    for (const std::size_t nb : {1u, 15u, 16u, 20u, 40u}) {
+      std::string a, b;
+      for (std::size_t i = 0; i < na; ++i) a += same_bucket[i] + " ";
+      for (std::size_t i = 0; i < nb; ++i) b += "\t" + same_bucket[i];
+      failures += CountUnsoundBounds(a, b);
+      // The same tokens in the other order, each twice on one side.
+      std::string twice;
+      for (std::size_t i = nb; i-- > 0;) {
+        twice += same_bucket[i] + " " + same_bucket[i] + "\n";
+      }
+      failures += CountUnsoundBounds(a, twice);
+    }
+  }
+  // One token repeated after 32 distinct ones, so that its repeats count
+  // in its bucket until it is full, on both sides.
+  std::string filler;
+  for (std::size_t k = 100; k < 132; ++k) {
+    filler += "f" + std::to_string(k) + " ";
+  }
+  for (const std::size_t repeats : {1u, 15u, 16u, 40u}) {
+    std::string a = filler, b = filler;
+    for (std::size_t i = 0; i < repeats; ++i) a += " q";
+    for (std::size_t i = 0; i < repeats + 3; ++i) b += "q\r";
+    failures += CountUnsoundBounds(a, b);
+  }
+  // One-byte values (their own bigram) and whitespace-only values (no
+  // token, so Jaccard's exact 1.0 or 0.0), against each other and more.
+  for (const std::string_view a : {"a", "b", " ", "\t", "  \n\r ", "ab"}) {
+    for (const std::string_view b :
+         {"a", "b", " ", "\r\n", "a b", "ba", "aaaa", ""}) {
+      failures += CountUnsoundBounds(a, b);
+      failures += CountUnsoundBounds(b, a);
+    }
+  }
+  EXPECT_EQ(failures, 0u);
+}
+
 // Random signatures rather than those of strings: every count in every
 // bucket, and buckets full on one side, on the other or on both.
-TEST(JaroSignatureBoundTest, PortableOverlapMatchesSse2) {
+TEST(SignatureBoundTest, PortableOverlapMatchesSse2) {
   util::Rng rng(0x0e51u);
   const auto count = [&rng] {
     return static_cast<std::uint8_t>(rng.Bernoulli(0.25)
@@ -494,9 +635,9 @@ TEST(JaroSignatureBoundTest, PortableOverlapMatchesSse2) {
   };
   std::size_t failures = 0;
   for (int iter = 0; iter < 20000; ++iter) {
-    std::uint8_t sig_a[kJaroSignatureBytes];
-    std::uint8_t sig_b[kJaroSignatureBytes];
-    for (std::size_t k = 0; k < kJaroSignatureBytes; ++k) {
+    std::uint8_t sig_a[kSignatureBytes];
+    std::uint8_t sig_b[kSignatureBytes];
+    for (std::size_t k = 0; k < kSignatureBytes; ++k) {
       sig_a[k] = static_cast<std::uint8_t>(count() | count() << 4);
       sig_b[k] = static_cast<std::uint8_t>(count() | count() << 4);
     }

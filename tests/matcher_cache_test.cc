@@ -16,6 +16,7 @@
 #include <numeric>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "linking/feature_cache.h"
 #include "linking/matcher.h"
 #include "linking/query_scratch.h"
+#include "text/similarity.h"
 
 namespace rulelink::linking {
 namespace {
@@ -109,8 +111,22 @@ double ScoreOne(const ItemMatcher& matcher, const BuiltCaches& caches,
   return scratch.scores[0];
 }
 
+// The signature-lane bytes of `cache`'s slot `slot` (empty when the cache
+// has no signature lane), and its Jaro prefix word (0 without that lane).
+std::string_view SignatureLane(const FeatureCache& cache, std::size_t slot) {
+  if (cache.lane_signatures() == nullptr) return {};
+  return {reinterpret_cast<const char*>(cache.lane_signatures()) +
+              slot * text::kSignatureBytes,
+          text::kSignatureBytes};
+}
+std::uint32_t PrefixLane(const FeatureCache& cache, std::size_t slot) {
+  return cache.lane_jaro_prefixes() == nullptr
+             ? 0
+             : cache.lane_jaro_prefixes()[slot];
+}
+
 // Asserts `got` holds the slots of `want`: per slot the same values, by
-// string (and by id when `same_ids`), and the same four lanes.
+// string (and by id when `same_ids`), and the same lanes.
 void ExpectSameSlots(const FeatureCache& want, const FeatureCache& got,
                      bool same_ids) {
   ASSERT_EQ(got.num_items(), want.num_items());
@@ -140,7 +156,9 @@ void ExpectSameSlots(const FeatureCache& want, const FeatureCache& got,
                  got.lane_unique_tokens()[slot] &&
              want.lane_bigrams()[slot] == got.lane_bigrams()[slot] &&
              same_value(want.lane_value_ids()[slot],
-                        got.lane_value_ids()[slot]);
+                        got.lane_value_ids()[slot]) &&
+             SignatureLane(want, slot) == SignatureLane(got, slot) &&
+             PrefixLane(want, slot) == PrefixLane(got, slot);
       if (!same && ++differences <= 5) {
         ADD_FAILURE() << "item " << item << " rule " << rule << " differs";
       }
@@ -150,9 +168,24 @@ void ExpectSameSlots(const FeatureCache& want, const FeatureCache& got,
 }
 
 // Asserts every slot's lanes follow its values: a single-valued slot
-// carries that value's byte length, unique-token and bigram counts and
-// id; a missing or multi-valued slot carries zeros and an invalid id.
-void ExpectLanesFollowValues(const FeatureCache& cache) {
+// carries that value's byte length, unique-token and bigram counts, id,
+// its count signature for the slot's rule (zeros under a rule without
+// one) and its Jaro prefix; a missing or multi-valued slot carries zeros
+// and an invalid id. The signature lane exists exactly when some rule of
+// `matcher` has a signature, the prefix lane when some rule is Jaro or
+// Jaro-Winkler.
+void ExpectLanesFollowValues(const FeatureCache& cache,
+                             const ItemMatcher& matcher) {
+  bool any_signature = false;
+  bool any_jaro = false;
+  std::uint8_t unused[text::kSignatureBytes];
+  for (const AttributeRule& rule : matcher.rules()) {
+    any_signature |= linking::SlotSignature(rule.measure, "", unused);
+    any_jaro |= rule.measure == SimilarityMeasure::kJaro ||
+                rule.measure == SimilarityMeasure::kJaroWinkler;
+  }
+  EXPECT_EQ(cache.lane_signatures() != nullptr, any_signature);
+  EXPECT_EQ(cache.lane_jaro_prefixes() != nullptr, any_jaro);
   std::size_t differences = 0;
   for (std::size_t item = 0; item < cache.num_items(); ++item) {
     for (std::size_t rule = 0; rule < cache.num_rules(); ++rule) {
@@ -163,17 +196,29 @@ void ExpectLanesFollowValues(const FeatureCache& cache) {
       std::uint32_t unique_tokens = 0;
       std::uint32_t bigrams = 0;
       ValueId id = util::kInvalidSymbolId;
+      std::uint8_t signature[text::kSignatureBytes] = {};
+      std::uint32_t prefix = 0;
       if (count == 1) {
         const auto features = cache.dict().Features(ids[0]);
         length = static_cast<std::uint32_t>(features.text.size());
         unique_tokens = features.num_unique_tokens;
         bigrams = features.num_bigrams;
         id = ids[0];
+        linking::SlotSignature(matcher.rules()[rule].measure, features.text,
+                               signature);
+        if (any_jaro) prefix = text::JaroPrefixBytes(features.text);
       }
+      const std::string_view want_signature =
+          any_signature
+              ? std::string_view(reinterpret_cast<const char*>(signature),
+                                 text::kSignatureBytes)
+              : std::string_view();
       if ((cache.lane_byte_lengths()[slot] != length ||
            cache.lane_unique_tokens()[slot] != unique_tokens ||
            cache.lane_bigrams()[slot] != bigrams ||
-           cache.lane_value_ids()[slot] != id) &&
+           cache.lane_value_ids()[slot] != id ||
+           SignatureLane(cache, slot) != want_signature ||
+           PrefixLane(cache, slot) != prefix) &&
           ++differences <= 5) {
         ADD_FAILURE() << "item " << item << " rule " << rule << " ("
                       << count << " values): lanes do not follow them";
@@ -395,8 +440,12 @@ TEST(FeatureCacheTest, SlotsFollowRuleOrderAndMissingPropertiesAreEmpty) {
 }
 
 TEST(FeatureCacheTest, ExtendFromAndAssignSingleAppendLikeBuild) {
+  // Every kind of signature lane slot: bigram, token-set and byte
+  // signatures, the Jaro prefix, and a rule without a signature.
   const ItemMatcher matcher({
-      {"pn", "pn", SimilarityMeasure::kExact, 1.0},
+      {"pn", "pn", SimilarityMeasure::kDiceBigram, 1.0},
+      {"mfr", "mfr", SimilarityMeasure::kJaccardTokens, 1.0},
+      {"pn", "pn", SimilarityMeasure::kJaroWinkler, 1.0},
       {"mfr", "mfr", SimilarityMeasure::kExact, 1.0},
   });
   const auto side = FeatureCache::Side::kLocal;
@@ -409,7 +458,7 @@ TEST(FeatureCacheTest, ExtendFromAndAssignSingleAppendLikeBuild) {
   FeatureDictionary whole_dict;
   const FeatureCache whole =
       FeatureCache::Build(both, matcher, side, &whole_dict, 1);
-  ExpectLanesFollowValues(whole);
+  ExpectLanesFollowValues(whole, matcher);
 
   // Over a direct overlay, as a delta publish extends: the same values by
   // string.
@@ -418,7 +467,7 @@ TEST(FeatureCacheTest, ExtendFromAndAssignSingleAppendLikeBuild) {
   FeatureDictionary overlay(&root);
   const FeatureCache extended =
       FeatureCache::ExtendFrom(base, appended, matcher, side, &overlay);
-  ExpectLanesFollowValues(extended);
+  ExpectLanesFollowValues(extended, matcher);
   ExpectSameSlots(whole, extended, /*same_ids=*/false);
 
   // Over the base's own root: the same ids and dictionary counts too.
@@ -426,7 +475,7 @@ TEST(FeatureCacheTest, ExtendFromAndAssignSingleAppendLikeBuild) {
   const FeatureCache grown = FeatureCache::ExtendFrom(
       FeatureCache::Build(first, matcher, side, &grown_dict), appended,
       matcher, side, &grown_dict);
-  ExpectLanesFollowValues(grown);
+  ExpectLanesFollowValues(grown, matcher);
   ExpectSameSlots(whole, grown, /*same_ids=*/true);
   EXPECT_EQ(grown_dict.num_symbols(), whole_dict.num_symbols());
   EXPECT_EQ(grown_dict.num_values(), whole_dict.num_values());
@@ -444,7 +493,7 @@ TEST(FeatureCacheTest, ExtendFromAndAssignSingleAppendLikeBuild) {
     const FeatureCache alone =
         FeatureCache::Build({item}, matcher, FeatureCache::Side::kExternal,
                             &alone_dict);
-    ExpectLanesFollowValues(single);
+    ExpectLanesFollowValues(single, matcher);
     ExpectSameSlots(alone, single, /*same_ids=*/false);
   }
 }

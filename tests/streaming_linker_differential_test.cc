@@ -174,10 +174,10 @@ double JaroBound(const linking::ItemMatcher& matcher,
     double best = 0.0;
     for (const std::string& a : ext_values) {
       for (const std::string& b : local_values) {
-        std::uint8_t sig_a[text::kJaroSignatureBytes];
-        std::uint8_t sig_b[text::kJaroSignatureBytes];
-        text::JaroSignature(a, sig_a);
-        text::JaroSignature(b, sig_b);
+        std::uint8_t sig_a[text::kSignatureBytes];
+        std::uint8_t sig_b[text::kSignatureBytes];
+        text::ByteSignature(a, sig_a);
+        text::ByteSignature(b, sig_b);
         double pair =
             text::JaroSignatureBound(sig_a, a.size(), sig_b, b.size());
         if (winkler) {
@@ -509,11 +509,11 @@ TEST_P(StreamingLinkerDifferential, StreamingPipelineMatchesOracle) {
 
 // The running-best floor's tie rule, on a run built so the seed (the
 // highest bound) scores exactly what another candidate's exact bound
-// allows. Against "ABCD", a Levenshtein rule bounds "ABCE" at 1.0 (the
-// seed) but scores it 0.75, and bounds "ABC" at exactly its score, 0.75.
-// Equal scores go to the earlier local, as in Linker::Run: before the
-// seed, "ABC" must still be scored and win; after it, it cannot win and
-// is dropped unscored.
+// allows. Against "ABCD", a Levenshtein rule bounds "ABDC" at 1.0 (the
+// same bytes, so a bag distance of 0: the seed) but scores it 0.5, and
+// bounds "AB" at exactly its score, 0.5. Equal scores go to the earlier
+// local, as in Linker::Run: before the seed, "AB" must still be scored
+// and win; after it, it cannot win and is dropped unscored.
 TEST(StreamingLinkerTieTest, RunningBestKeepsOnlyEarlierTies) {
   const std::string part = datagen::props::kPartNumber;
   const linking::ItemMatcher matcher(
@@ -526,8 +526,8 @@ TEST(StreamingLinkerTieTest, RunningBestKeepsOnlyEarlierTies) {
   for (const bool tie_first : {true, false}) {
     SCOPED_TRACE(tie_first);
     const std::vector<core::Item> local =
-        tie_first ? std::vector<core::Item>{item("ABC"), item("ABCE")}
-                  : std::vector<core::Item>{item("ABCE"), item("ABC")};
+        tie_first ? std::vector<core::Item>{item("AB"), item("ABDC")}
+                  : std::vector<core::Item>{item("ABDC"), item("AB")};
     const auto reference =
         linking::Linker(&matcher, 0.5)
             .Run(external, local, blocker.Generate(external, local));
