@@ -12,6 +12,7 @@
 // streaming_linker_differential_test) and re-checked here; this binary
 // records the wall-time and memo economics to BENCH_linking.json.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <iostream>
 #include <memory>
@@ -274,52 +275,89 @@ std::string PrintStreamingReport() {
 
   // The instrumentation budget (DESIGN.md §5f): the same streaming run
   // with a live MetricsRegistry must stay within 2% of the uninstrumented
-  // one. The two legs alternate rep by rep, the first leg swapping each
-  // rep, so host drift lands on both; each takes its best of 5. The
-  // registry is rebuilt per rep so every rep records the same work.
+  // one. One pass's timing noise is larger than that, so each leg times
+  // back-to-back passes lasting at least kLegMillis, and the overhead is
+  // the median over kOverheadReps reps of the paired ratio, clamped at 0.
+  // A rep runs half of one leg's passes, the other leg, then the rest of
+  // the first (A B A), so drift within the rep lands on both legs; the
+  // split leg swaps each rep. Every instrumented pass records into a
+  // fresh registry, made before its timer starts.
+  constexpr double kLegMillis = 250.0;
+  constexpr int kOverheadReps = 21;
   double streaming_ms = 0.0;
   double instrumented_ms = 0.0;
   linking::LinkerStats streaming_stats;
   std::vector<linking::Link> streaming_links;
   obs::MetricsSnapshot snapshot;
-  const auto plain_leg = [&](int rep) {
-    util::Stopwatch timer;
+  const auto plain_pass = [&] {
     const auto index =
         blocker.BuildIndex(dataset.external_items, dataset.catalog_items);
-    auto links = streaming.Run(*index, external, local, &streaming_stats,
-                               /*num_threads=*/1);
-    const double ms = timer.ElapsedMillis();
-    if (rep < 0) return;
-    if (rep == 0 || ms < streaming_ms) streaming_ms = ms;
-    streaming_links = std::move(links);
+    streaming_links = streaming.Run(*index, external, local,
+                                    &streaming_stats, /*num_threads=*/1);
   };
-  const auto instrumented_leg = [&](int rep) {
-    obs::MetricsRegistry registry;
-    util::Stopwatch timer;
+  const auto instrumented_pass = [&](obs::MetricsRegistry* registry) {
     const auto index =
         blocker.BuildIndex(dataset.external_items, dataset.catalog_items);
-    auto links = streaming.Run(*index, external, local, nullptr,
-                               /*num_threads=*/1, nullptr, &registry);
-    const double ms = timer.ElapsedMillis();
-    if (rep < 0) return;
+    const auto links = streaming.Run(*index, external, local, nullptr,
+                                     /*num_threads=*/1, nullptr, registry);
     RL_CHECK(links.size() == streaming_links.size());
-    if (rep == 0 || ms < instrumented_ms) instrumented_ms = ms;
-    snapshot = registry.Snapshot();
   };
-  for (int rep = -1; rep < 5; ++rep) {  // rep -1 warms both legs up
+  // Warm-up, which also sizes the legs.
+  util::Stopwatch warm_up;
+  plain_pass();
+  const std::size_t passes = std::max<std::size_t>(
+      2, static_cast<std::size_t>(std::ceil(
+             kLegMillis / std::max(1.0, warm_up.ElapsedMillis()))));
+  {
+    obs::MetricsRegistry registry;
+    instrumented_pass(&registry);
+  }
+  const auto plain_leg = [&](std::size_t count) {
+    util::Stopwatch timer;
+    for (std::size_t p = 0; p < count; ++p) plain_pass();
+    return timer.ElapsedMillis();
+  };
+  const auto instrumented_leg = [&](std::size_t count) {
+    std::vector<std::unique_ptr<obs::MetricsRegistry>> registries;
+    for (std::size_t p = 0; p < count; ++p) {
+      registries.push_back(std::make_unique<obs::MetricsRegistry>());
+    }
+    util::Stopwatch timer;
+    for (std::size_t p = 0; p < count; ++p) {
+      instrumented_pass(registries[p].get());
+    }
+    const double ms = timer.ElapsedMillis();
+    snapshot = registries.back()->Snapshot();
+    return ms;
+  };
+  const std::size_t half = passes / 2;
+  std::vector<double> ratios;
+  for (int rep = 0; rep < kOverheadReps; ++rep) {
+    double plain = 0.0;
+    double instrumented = 0.0;
     if (rep % 2 == 0) {
-      plain_leg(rep);
-      instrumented_leg(rep);
+      plain = plain_leg(half);
+      instrumented = instrumented_leg(passes);
+      plain += plain_leg(passes - half);
     } else {
-      instrumented_leg(rep);
-      plain_leg(rep);
+      instrumented = instrumented_leg(half);
+      plain = plain_leg(passes);
+      instrumented += instrumented_leg(passes - half);
+    }
+    ratios.push_back(instrumented / plain - 1.0);
+    const double per_pass = plain / static_cast<double>(passes);
+    const double instrumented_per_pass =
+        instrumented / static_cast<double>(passes);
+    if (rep == 0 || per_pass < streaming_ms) streaming_ms = per_pass;
+    if (rep == 0 || instrumented_per_pass < instrumented_ms) {
+      instrumented_ms = instrumented_per_pass;
     }
   }
+  std::sort(ratios.begin(), ratios.end());
   const double overhead_pct =
-      streaming_ms > 0.0
-          ? std::max(0.0, (instrumented_ms - streaming_ms) / streaming_ms) *
-                100.0
-          : 0.0;
+      std::max(0.0, ratios[ratios.size() / 2]) * 100.0;
+  const double ratio_q1_pct = ratios[ratios.size() / 4] * 100.0;
+  const double ratio_q3_pct = ratios[ratios.size() * 3 / 4] * 100.0;
   if (auto s = snapshot.WriteJsonFile("BENCH_linking_metrics.json");
       !s.ok()) {
     std::cerr << "metrics snapshot: " << s << "\n";
@@ -349,8 +387,12 @@ std::string PrintStreamingReport() {
             << "; peak candidate run=" << streaming_stats.peak_candidate_run
             << "\n(links identical to the Linker::Run oracle; re-checked)\n"
             << "instrumentation overhead: "
-            << util::FormatDouble(overhead_pct, 2)
-            << "% (snapshot written to BENCH_linking_metrics.json)\n\n";
+            << util::FormatDouble(overhead_pct, 2) << "% (median of "
+            << kOverheadReps << " paired reps of " << passes
+            << " passes per leg, quartiles "
+            << util::FormatDouble(ratio_q1_pct, 2) << "% / "
+            << util::FormatDouble(ratio_q3_pct, 2)
+            << "%; snapshot written to BENCH_linking_metrics.json)\n\n";
 
   std::string json = "  \"streaming\": {\n";
   json += "    \"candidates\": " +
@@ -378,6 +420,8 @@ std::string PrintStreamingReport() {
           ",\n";
   json += "    \"instrumented_ms\": " +
           util::FormatDouble(instrumented_ms, 3) + ",\n";
+  json += "    \"overhead_reps\": " + std::to_string(kOverheadReps) + ",\n";
+  json += "    \"passes_per_leg\": " + std::to_string(passes) + ",\n";
   json += "    \"instrumentation_overhead_pct\": " +
           util::FormatDouble(overhead_pct, 3) + "\n  },\n";
   return json;
@@ -482,11 +526,11 @@ const ProbeSet& GetProbeSet() {
 // E6d: the batched SIMD cascade (DESIGN.md §5h) at the baseline ISA vs
 // the active dispatch, links byte-identical by construction (differential-
 // tested; re-checked every rep here). The baseline-ISA leg
-// (ScopedSimdMode(kScalar): the batch layout compiled without wide
-// registers) is the floor, so speedup_vs_scalar is the gain the
-// wide-register kernels add to the whole streaming pass. The signature
-// bounds leave stage B about 1% of the probes it once ran, so that pass
-// is gather-bound and the ratio reads about 1.0. The kernel microbench
+// (ScopedSimdMode(kScalar): stage B's probes through the single-pair
+// kernel) is the floor, so speedup_vs_scalar is the gain the interleaved
+// Myers tier adds to the whole streaming pass. Stage A has one loop at
+// every mode, and the signature bounds leave stage B about 1% of the
+// probes it once ran, so the ratio reads about 1.0. The kernel microbench
 // on stage-B-shaped probes isolates the wide-register kernel
 // (kernel.speedup_vs_scalar) and answers the EXPERIMENTS.md roofline
 // question: pairs/sec and bytes touched per pair, single-pair kernel vs
@@ -882,9 +926,9 @@ BENCHMARK(BM_RunStreamingThreads)
     ->Unit(benchmark::kMillisecond);
 
 // PruneBatch over every candidate run: arg 0 at the baseline ISA (the
-// scalar floor), arg 1 under the active dispatch. Items = candidate
-// pairs, bytes untouched (stage A reads SoA lanes, not strings — that
-// asymmetry is the point).
+// scalar floor), arg 1 under the active dispatch (only stage B's probe
+// kernel differs). Items = candidate pairs, bytes untouched (stage A reads
+// 32-byte slot records, not strings — that asymmetry is the point).
 void BM_FilterCascade(benchmark::State& state) {
   const StreamingFixture& fixture = GetStreamingFixture();
   const linking::FilterCascade cascade(&fixture.matcher, kThreshold);

@@ -26,13 +26,17 @@ class RuleBlocker : public CandidateGenerator {
               double min_confidence = 0.0,
               bool compare_all_when_unclassified = false);
 
+  // Every run of BuildIndex's index, in external order.
   std::vector<CandidatePair> Generate(
       const std::vector<core::Item>& external,
       const std::vector<core::Item>& local) const override;
-  // Keeps the class extents and classifies each external item on demand,
-  // so no pair list is ever materialized. The returned index borrows
-  // `external` (items are re-classified per probe) and this blocker's
-  // classifier/ontology; all must outlive it.
+  // Keeps one ascending row per class, holding the locals of the class's
+  // subtree, and classifies each external item on demand: a run is the
+  // row of each predicted class no other predicted class subsumes, merged
+  // when there are several, so no pair list is ever materialized and no
+  // run is sorted. The returned index borrows `external` (items are
+  // re-classified per probe) and this blocker's classifier/ontology; all
+  // must outlive it.
   std::unique_ptr<CandidateIndex> BuildIndex(
       const std::vector<core::Item>& external,
       const std::vector<core::Item>& local) const override;

@@ -13,25 +13,24 @@ namespace {
 // the cached measures are only byte-identical if tokenization matches.
 constexpr char kTokenSeparators[] = " \t\n\r";
 
-// Whether a cache for `matcher` carries the signature lane: some rule
-// has a SlotSignature.
-bool HasSignatureRule(const ItemMatcher& matcher) {
-  std::uint8_t unused[text::kSignatureBytes];
-  for (const AttributeRule& rule : matcher.rules()) {
-    if (SlotSignature(rule.measure, {}, unused)) return true;
+// The count a `measure` rule's stage-A bound reads of a value
+// (SlotRecord::count).
+std::uint32_t SlotCount(SimilarityMeasure measure,
+                        const FeatureDictionary::ValueFeatures& features) {
+  switch (measure) {
+    case SimilarityMeasure::kLevenshtein:
+    case SimilarityMeasure::kJaro:
+    case SimilarityMeasure::kJaroWinkler:
+      return static_cast<std::uint32_t>(features.text.size());
+    case SimilarityMeasure::kDiceBigram:
+      return features.num_bigrams;
+    case SimilarityMeasure::kJaccardTokens:
+      return features.num_unique_tokens;
+    case SimilarityMeasure::kExact:
+    case SimilarityMeasure::kMongeElkan:
+      break;
   }
-  return false;
-}
-
-// Whether a cache for `matcher` carries the Jaro prefix lane.
-bool HasJaroRule(const ItemMatcher& matcher) {
-  for (const AttributeRule& rule : matcher.rules()) {
-    if (rule.measure == SimilarityMeasure::kJaro ||
-        rule.measure == SimilarityMeasure::kJaroWinkler) {
-      return true;
-    }
-  }
-  return false;
+  return 0;
 }
 
 }  // namespace
@@ -226,8 +225,6 @@ FeatureCache FeatureCache::Build(const std::vector<core::Item>& items,
   FeatureCache cache;
   cache.dict_ = dict;
   cache.num_rules_ = matcher.rules().size();
-  cache.signature_lane_ = HasSignatureRule(matcher);
-  cache.prefix_lane_ = HasJaroRule(matcher);
   cache.Reserve(items.size());
   cache.offsets_.push_back(0);
   for (const core::Item& item : items) {
@@ -248,9 +245,7 @@ FeatureCache FeatureCache::ExtendFrom(const FeatureCache& base,
   // root) keeps every one of them resolvable without collisions.
   RL_CHECK(dict == &base.dict() || dict->base() == &base.dict())
       << "ExtendFrom needs base.dict() itself or a direct overlay over it";
-  RL_CHECK(matcher.rules().size() == base.num_rules_ &&
-           HasSignatureRule(matcher) == base.signature_lane_ &&
-           HasJaroRule(matcher) == base.prefix_lane_)
+  RL_CHECK(matcher.rules().size() == base.num_rules_)
       << "ExtendFrom cannot change the rule slot layout";
   const obs::MetricsRegistry::StageScope stage(metrics,
                                                "linking/cache_extend");
@@ -264,20 +259,13 @@ FeatureCache FeatureCache::ExtendFrom(const FeatureCache& base,
   cache.dict_ = dict;
   cache.num_items_ = base.num_items_;
   cache.num_rules_ = base.num_rules_;
-  cache.signature_lane_ = base.signature_lane_;
-  cache.prefix_lane_ = base.prefix_lane_;
-  // Flat copies of the predecessor's CSR index and SoA lanes — O(catalog)
+  // Flat copies of the predecessor's CSR index and records — O(catalog)
   // memcpy, no re-tokenization, no dictionary traffic — then the delta
   // items' slots, interned through `dict` (deltas are small by design).
   cache.Reserve(base.num_items_ + delta_items.size());
   cache.offsets_ = base.offsets_;
   cache.value_ids_ = base.value_ids_;
-  cache.lane_lengths_ = base.lane_lengths_;
-  cache.lane_unique_tokens_ = base.lane_unique_tokens_;
-  cache.lane_bigrams_ = base.lane_bigrams_;
-  cache.lane_value_ids_ = base.lane_value_ids_;
-  cache.lane_signatures_ = base.lane_signatures_;
-  cache.lane_jaro_prefixes_ = base.lane_jaro_prefixes_;
+  cache.records_ = base.records_;
   for (const core::Item& item : delta_items) {
     cache.AppendItem(item, matcher, side, dict);
   }
@@ -293,16 +281,9 @@ void FeatureCache::AssignSingle(const core::Item& item,
   dict_ = dict;
   num_items_ = 0;
   num_rules_ = matcher.rules().size();
-  signature_lane_ = HasSignatureRule(matcher);
-  prefix_lane_ = HasJaroRule(matcher);
   offsets_.clear();
   value_ids_.clear();
-  lane_lengths_.clear();
-  lane_unique_tokens_.clear();
-  lane_bigrams_.clear();
-  lane_value_ids_.clear();
-  lane_signatures_.clear();
-  lane_jaro_prefixes_.clear();
+  records_.clear();
   offsets_.push_back(0);
   AppendItem(item, matcher, side, dict);
 }
@@ -311,12 +292,7 @@ void FeatureCache::Reserve(std::size_t items) {
   const std::size_t slots = items * num_rules_;
   offsets_.reserve(slots + 1);
   value_ids_.reserve(slots);
-  lane_lengths_.reserve(slots);
-  lane_unique_tokens_.reserve(slots);
-  lane_bigrams_.reserve(slots);
-  lane_value_ids_.reserve(slots);
-  if (signature_lane_) lane_signatures_.reserve(slots * text::kSignatureBytes);
-  if (prefix_lane_) lane_jaro_prefixes_.reserve(slots);
+  records_.reserve(slots);
 }
 
 void FeatureCache::AppendItem(const core::Item& item,
@@ -333,35 +309,16 @@ void FeatureCache::AppendItem(const core::Item& item,
     }
     RL_CHECK(value_ids_.size() < std::numeric_limits<std::uint32_t>::max());
     offsets_.push_back(static_cast<std::uint32_t>(value_ids_.size()));
-    // The signature lane's bytes for this slot start zeroed: a missing or
-    // multi-valued slot, and a rule without a signature, keep them so.
-    std::uint8_t* signature = nullptr;
-    if (signature_lane_) {
-      const std::size_t at = lane_signatures_.size();
-      lane_signatures_.resize(at + text::kSignatureBytes);
-      signature = lane_signatures_.data() + at;
-    }
-    // A missing or multi-valued slot gets empty lanes.
-    if (value_ids_.size() - begin != 1) {
-      lane_lengths_.push_back(0);
-      lane_unique_tokens_.push_back(0);
-      lane_bigrams_.push_back(0);
-      lane_value_ids_.push_back(util::kInvalidSymbolId);
-      if (prefix_lane_) lane_jaro_prefixes_.push_back(0);
-      continue;
-    }
-    const ValueId id = value_ids_[begin];
-    const FeatureDictionary::ValueFeatures features = dict->Features(id);
-    lane_lengths_.push_back(static_cast<std::uint32_t>(features.text.size()));
-    lane_unique_tokens_.push_back(features.num_unique_tokens);
-    lane_bigrams_.push_back(features.num_bigrams);
-    lane_value_ids_.push_back(id);
-    if (signature != nullptr) {
-      SlotSignature(rule.measure, features.text, signature);
-    }
-    if (prefix_lane_) {
-      lane_jaro_prefixes_.push_back(text::JaroPrefixBytes(features.text));
-    }
+    // A missing or multi-valued slot keeps the invalid id and zeros.
+    SlotRecord& record = records_.emplace_back();
+    record.num_values = static_cast<std::uint32_t>(value_ids_.size() - begin);
+    if (record.num_values != 1) continue;
+    record.value_id = value_ids_[begin];
+    const FeatureDictionary::ValueFeatures features =
+        dict->Features(record.value_id);
+    record.count = SlotCount(rule.measure, features);
+    record.jaro_prefix = text::JaroPrefixBytes(features.text);
+    SlotSignature(rule.measure, features.text, record.signature);
   }
   ++num_items_;
 }
@@ -369,12 +326,7 @@ void FeatureCache::AppendItem(const core::Item& item,
 std::size_t FeatureCache::memory_bytes() const {
   return offsets_.capacity() * sizeof(std::uint32_t) +
          value_ids_.capacity() * sizeof(ValueId) +
-         (lane_lengths_.capacity() + lane_unique_tokens_.capacity() +
-          lane_bigrams_.capacity()) *
-             sizeof(std::uint32_t) +
-         lane_value_ids_.capacity() * sizeof(ValueId) +
-         lane_signatures_.capacity() +
-         lane_jaro_prefixes_.capacity() * sizeof(std::uint32_t);
+         records_.capacity() * sizeof(SlotRecord);
 }
 
 }  // namespace rulelink::linking

@@ -169,6 +169,24 @@ class FeatureDictionary {
 bool SlotSignature(SimilarityMeasure measure, std::string_view value,
                    std::uint8_t* out);
 
+// One (item, rule) slot's stage-A record (DESIGN.md §5d): everything the
+// filter cascade's stage A reads of a slot, in one 32-byte record. A slot
+// holding exactly one value carries its id, the count the slot rule's
+// bound reads (bytes under Levenshtein, Jaro and Jaro-Winkler, bigrams
+// under Dice, distinct tokens under Jaccard, 0 under any other rule), its
+// text::JaroPrefixBytes and its SlotSignature for the slot rule (zeros
+// under a rule without one). A missing or multi-valued slot carries an
+// invalid id and zeros, so readers take its values from
+// FeatureCache::Values(); `num_values` tells the two apart.
+struct alignas(32) SlotRecord {
+  ValueId value_id = util::kInvalidSymbolId;
+  std::uint32_t count = 0;
+  std::uint32_t jaro_prefix = 0;
+  std::uint32_t num_values = 0;
+  std::uint8_t signature[text::kSignatureBytes] = {};
+};
+static_assert(sizeof(SlotRecord) == 32, "one record per half cache line");
+
 // Per-source index: for every (item, attribute-rule) slot, the ids of the
 // item's values under that rule's property on this cache's side.
 class FeatureCache {
@@ -189,8 +207,8 @@ class FeatureCache {
                             obs::MetricsRegistry* metrics = nullptr);
 
   // Builds a cache over `base`'s items plus `delta_items` appended after
-  // them, without re-featurizing the base: the CSR index and SoA lanes are
-  // flat-copied and only the delta items' slots are appended, through the
+  // them, without re-featurizing the base: the CSR index and the records
+  // are flat-copied and only the delta items' slots are appended, through the
   // same routine as Build, interning their values through `dict`. `dict`
   // must be an overlay directly over `base.dict()` (or `&base.dict()`
   // itself, for a root that may still grow) so every copied id stays
@@ -205,7 +223,7 @@ class FeatureCache {
 
   // Rebuilds this cache in place over exactly one item — the serving
   // engine's per-query external cache. Allocation-free at steady state:
-  // the index and lane vectors reuse their capacity and dict->AddValue of
+  // the index and record vectors reuse their capacity and dict->AddValue of
   // an already-known value is one hash lookup (only a never-seen value
   // string allocates, in the overlay dictionary).
   void AssignSingle(const core::Item& item, const ItemMatcher& matcher,
@@ -226,53 +244,21 @@ class FeatureCache {
   std::size_t num_items() const { return num_items_; }
   std::size_t num_rules() const { return num_rules_; }
 
-  // --- SoA stage-A lanes (DESIGN.md §5h) --------------------------------
-  // Contiguous per-slot arrays of exactly the scalars the filter
-  // cascade's stage A consumes — byte length, unique-token count, bigram
-  // count and value id, plus the signature and prefix lanes below — so
-  // the batched cascade reads flat arrays instead of chasing Spans structs
-  // and interner offsets per pair. Slots are indexed item * num_rules() +
-  // rule, the same addressing as Values(). A slot's lanes carry real data
-  // exactly when the slot holds one value (the overwhelmingly common
-  // shape); a missing or multi-valued slot's id lane is
-  // util::kInvalidSymbolId and its other lanes are 0, so readers take
-  // such a slot's values from Values().
-  const std::uint32_t* lane_byte_lengths() const {
-    return lane_lengths_.data();
-  }
-  const std::uint32_t* lane_unique_tokens() const {
-    return lane_unique_tokens_.data();
-  }
-  const std::uint32_t* lane_bigrams() const { return lane_bigrams_.data(); }
-  const ValueId* lane_value_ids() const { return lane_value_ids_.data(); }
-  // The count-signature lane, present only when the matcher has a
-  // Levenshtein, Jaro, Jaro-Winkler, Dice or Jaccard rule (null
-  // otherwise): text::kSignatureBytes bytes per slot, so slot s starts at
-  // byte s * kSignatureBytes. A slot holds its value's signature for the
-  // slot's rule (SlotSignature); a slot under any other rule, and a
-  // missing or multi-valued slot, holds zeros.
-  const std::uint8_t* lane_signatures() const {
-    return lane_signatures_.empty() ? nullptr : lane_signatures_.data();
-  }
-  // The Jaro prefix lane, present only when the matcher has a Jaro or
-  // Jaro-Winkler rule (null otherwise): per slot, the value's
-  // text::JaroPrefixBytes, 0 for a missing or multi-valued slot.
-  const std::uint32_t* lane_jaro_prefixes() const {
-    return lane_jaro_prefixes_.empty() ? nullptr : lane_jaro_prefixes_.data();
-  }
+  // The stage-A records, slot-major: slot s = item * num_rules() + rule,
+  // the same addressing as Values(), so one item's records are adjacent.
+  const SlotRecord* records() const { return records_.data(); }
 
-  // Memory held by the CSR index plus the SoA lanes (the dictionary
+  // Memory held by the CSR index plus the records (the dictionary
   // reports its own pools separately).
   std::size_t memory_bytes() const;
 
  private:
-  // Reserves the CSR index, the value pool and the lanes for `items`
+  // Reserves the CSR index, the value pool and the records for `items`
   // items' slots (one value per slot).
   void Reserve(std::size_t items);
   // Appends `item`'s slots, one per rule in rule order: interns the
   // slot's values into `dict`, closes the slot's CSR edge and appends its
-  // SoA lanes (the signature and prefix lanes when the matcher needs
-  // them). The only code that writes a slot.
+  // record. The only code that writes a slot.
   void AppendItem(const core::Item& item, const ItemMatcher& matcher,
                   Side side, FeatureDictionary* dict);
 
@@ -281,15 +267,7 @@ class FeatureCache {
   std::size_t num_rules_ = 0;
   std::vector<std::uint32_t> offsets_;  // num_items * num_rules + 1 edges
   std::vector<ValueId> value_ids_;      // pooled per-slot value ids
-  // SoA lanes, one entry per (item, rule) slot; see the accessors above.
-  std::vector<std::uint32_t> lane_lengths_;
-  std::vector<std::uint32_t> lane_unique_tokens_;
-  std::vector<std::uint32_t> lane_bigrams_;
-  std::vector<ValueId> lane_value_ids_;
-  bool signature_lane_ = false;  // the matcher has a rule SlotSignature builds
-  bool prefix_lane_ = false;     // the matcher has a Jaro or Jaro-Winkler rule
-  std::vector<std::uint8_t> lane_signatures_;
-  std::vector<std::uint32_t> lane_jaro_prefixes_;
+  std::vector<SlotRecord> records_;    // one per (item, rule) slot
 };
 
 }  // namespace rulelink::linking

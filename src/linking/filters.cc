@@ -2,18 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "text/similarity.h"
 #include "util/logging.h"
-#include "util/simd.h"
-
-// Stage A's elementwise kernels are compiled once per ISA via per-function
-// target attributes; only x86 has the multi-versioned clones.
-#if defined(__x86_64__) || defined(__i386__)
-#define RULELINK_X86_TARGETS 1
-#else
-#define RULELINK_X86_TARGETS 0
-#endif
 
 namespace rulelink::linking {
 namespace {
@@ -30,9 +22,9 @@ namespace {
 constexpr double kStageBSlack = 1e-9;
 
 // Upper bound on a signature plan's best similarity over the value-id
-// cross product of a multi-valued slot: the lane kernel's bound per value
-// pair, with each value's signature, counts and prefix computed from its
-// string as FeatureCache computes the lanes.
+// cross product of a multi-valued slot: stage A's bound per value pair,
+// with each value's signature, counts and prefix computed from its string
+// as FeatureCache computes the records.
 double SignatureCrossProductBound(const FeatureDictionary& dict,
                                   SimilarityMeasure measure,
                                   const ValueId* ext, std::size_t num_ext,
@@ -92,194 +84,16 @@ double ExactValue(const ValueId* ext, std::size_t num_ext,
   return 0.0;
 }
 
-// --- Batched stage A (DESIGN.md §5h) -----------------------------------
-//
-// One elementwise pass per rule over the whole candidate run, reading the
-// FeatureCache SoA lanes. Every lane evaluates the very expression the
-// cross-product helpers above evaluate for a single value on each side —
-// same integer widths in the denominators, same comparison order — so a
-// slot's term does not depend on which of the two computed it. Inactive
-// lanes (an invalid id: a missing or multi-valued local slot) contribute
-// +0.0, which is an IEEE identity here because the accumulators start at
-// +0.0 and only ever add non-negative products; a multi-valued slot's
-// cross-product term is added right after the pass (AddCrossProductBound).
+// Stage A's block of candidates evaluated side by side, and how many
+// candidates ahead it prefetches a candidate's records.
+constexpr std::size_t kBlock = 4;
+constexpr std::size_t kPrefetchAhead = 16;
 
 // Participation bits, folded into FilterStats when a pair is pruned.
 constexpr std::uint8_t kFlagLength = 1;
 constexpr std::uint8_t kFlagToken = 2;
 constexpr std::uint8_t kFlagExact = 4;
 constexpr std::uint8_t kFlagJaro = 8;
-
-// Mirrors FilterCascade::Kind (private) for the free-function kernels.
-enum StageAKind : int {
-  kStageAOptimistic = 0,
-  kStageALevenshtein,
-  kStageAJaccard,
-  kStageADice,
-  kStageAExact,
-  kStageAJaro,  // Jaro, and Jaro-Winkler when StageAArgs::winkler
-};
-
-struct StageAArgs {
-  int kind = kStageAOptimistic;
-  double weight = 1.0;
-  std::uint32_t ext_scalar = 0;  // length / unique tokens / bigrams
-  ValueId ext_id = util::kInvalidSymbolId;
-  const std::uint8_t* ext_signature = nullptr;  // the signature kinds only
-  std::uint32_t ext_prefix = 0;                 // kStageAJaro only
-  bool winkler = false;                         // kStageAJaro only
-  const std::uint32_t* loc_scalar = nullptr;  // gathered, one per pair
-  const ValueId* loc_id = nullptr;            // gathered, one per pair
-  const std::uint8_t* loc_signature = nullptr;  // gathered, 16 B per pair
-  const std::uint32_t* loc_prefix = nullptr;    // gathered, one per pair
-  std::size_t n = 0;
-  double* bound_sum = nullptr;
-  double* weight_total = nullptr;
-  double* lev_bound = nullptr;  // this rule's row; only for kLevenshtein
-  std::uint8_t* flags = nullptr;
-};
-
-// The shared elementwise body; always_inline so each target-attributed
-// wrapper below compiles its own copy at its own ISA.
-__attribute__((always_inline)) inline void StageARuleImpl(
-    const StageAArgs& a) {
-  switch (a.kind) {
-    case kStageAOptimistic:
-      for (std::size_t i = 0; i < a.n; ++i) {
-        const bool active = a.loc_id[i] != util::kInvalidSymbolId;
-        // bound = 1.0, and weight * 1.0 == weight exactly.
-        a.bound_sum[i] += active ? a.weight : 0.0;
-        a.weight_total[i] += active ? a.weight : 0.0;
-      }
-      break;
-    case kStageALevenshtein:
-      for (std::size_t i = 0; i < a.n; ++i) {
-        const bool active = a.loc_id[i] != util::kInvalidSymbolId;
-        const double bound = text::LevenshteinSignatureBound(
-            a.ext_signature, a.ext_scalar,
-            a.loc_signature + i * text::kSignatureBytes, a.loc_scalar[i]);
-        if (active && bound < 1.0) a.flags[i] |= kFlagLength;
-        a.lev_bound[i] = active ? bound : -1.0;
-        a.bound_sum[i] += active ? a.weight * bound : 0.0;
-        a.weight_total[i] += active ? a.weight : 0.0;
-      }
-      break;
-    case kStageAJaccard:
-      for (std::size_t i = 0; i < a.n; ++i) {
-        const bool active = a.loc_id[i] != util::kInvalidSymbolId;
-        const double bound = text::JaccardSignatureBound(
-            a.ext_signature, a.ext_scalar,
-            a.loc_signature + i * text::kSignatureBytes, a.loc_scalar[i]);
-        if (active && bound < 1.0) a.flags[i] |= kFlagToken;
-        a.bound_sum[i] += active ? a.weight * bound : 0.0;
-        a.weight_total[i] += active ? a.weight : 0.0;
-      }
-      break;
-    case kStageADice:
-      for (std::size_t i = 0; i < a.n; ++i) {
-        const bool active = a.loc_id[i] != util::kInvalidSymbolId;
-        const double bound = text::DiceSignatureBound(
-            a.ext_signature, a.ext_scalar,
-            a.loc_signature + i * text::kSignatureBytes, a.loc_scalar[i]);
-        if (active && bound < 1.0) a.flags[i] |= kFlagToken;
-        a.bound_sum[i] += active ? a.weight * bound : 0.0;
-        a.weight_total[i] += active ? a.weight : 0.0;
-      }
-      break;
-    case kStageAExact:
-      for (std::size_t i = 0; i < a.n; ++i) {
-        const bool active = a.loc_id[i] != util::kInvalidSymbolId;
-        const double bound = a.loc_id[i] == a.ext_id ? 1.0 : 0.0;
-        if (active && bound < 1.0) a.flags[i] |= kFlagExact;
-        a.bound_sum[i] += active ? a.weight * bound : 0.0;
-        a.weight_total[i] += active ? a.weight : 0.0;
-      }
-      break;
-    case kStageAJaro:
-      for (std::size_t i = 0; i < a.n; ++i) {
-        const bool active = a.loc_id[i] != util::kInvalidSymbolId;
-        double bound = text::JaroSignatureBound(
-            a.ext_signature, a.ext_scalar,
-            a.loc_signature + i * text::kSignatureBytes, a.loc_scalar[i]);
-        if (a.winkler) {
-          bound = text::JaroWinklerSignatureBound(
-              bound, a.ext_prefix, a.ext_scalar, a.loc_prefix[i],
-              a.loc_scalar[i]);
-        }
-        if (active && bound < 1.0) a.flags[i] |= kFlagJaro;
-        a.bound_sum[i] += active ? a.weight * bound : 0.0;
-        a.weight_total[i] += active ? a.weight : 0.0;
-      }
-      break;
-    default:
-      break;
-  }
-}
-
-void StageARuleBaseline(const StageAArgs& a) { StageARuleImpl(a); }
-
-#if RULELINK_X86_TARGETS
-__attribute__((target("avx2"))) void StageARuleAvx2(const StageAArgs& a) {
-  StageARuleImpl(a);
-}
-#endif  // RULELINK_X86_TARGETS
-
-using StageAKernel = void (*)(const StageAArgs&);
-
-StageAKernel PickStageAKernel(util::SimdMode mode) {
-#if RULELINK_X86_TARGETS
-  switch (mode) {
-    case util::SimdMode::kAVX2:
-      return StageARuleAvx2;
-    default:
-      return StageARuleBaseline;
-  }
-#else
-  (void)mode;
-  return StageARuleBaseline;
-#endif
-}
-
-// One rule's term for candidate i when a slot holds several values: the
-// best bound over the value-id cross product, through the helpers above,
-// with the lane kernel's bookkeeping. It runs right after the rule's
-// kernel pass (which added +0.0 for the slot's invalid id lane), so each
-// candidate's sums still see the rules in the scorer's order.
-void AddCrossProductBound(const FeatureDictionary& dict, const StageAArgs& a,
-                          SimilarityMeasure measure, const ValueId* ext,
-                          std::size_t num_ext, const ValueId* loc,
-                          std::size_t num_loc, std::size_t i) {
-  double bound = 1.0;
-  std::uint8_t flag = 0;
-  switch (a.kind) {
-    case kStageALevenshtein:
-      bound = SignatureCrossProductBound(dict, measure, ext, num_ext, loc,
-                                         num_loc);
-      flag = kFlagLength;
-      a.lev_bound[i] = bound;
-      break;
-    case kStageAJaccard:
-    case kStageADice:
-      bound = SignatureCrossProductBound(dict, measure, ext, num_ext, loc,
-                                         num_loc);
-      flag = kFlagToken;
-      break;
-    case kStageAExact:
-      bound = ExactValue(ext, num_ext, loc, num_loc);
-      flag = kFlagExact;
-      break;
-    case kStageAJaro:
-      bound = SignatureCrossProductBound(dict, measure, ext, num_ext, loc,
-                                         num_loc);
-      flag = kFlagJaro;
-      break;
-    default:
-      break;
-  }
-  if (bound < 1.0) a.flags[i] |= flag;
-  a.bound_sum[i] += a.weight * bound;
-  a.weight_total[i] += a.weight;
-}
 
 // Counts a pruned pair under every filter its participation bits name.
 void RecordPruned(FilterStats* stats, std::uint8_t flags,
@@ -306,22 +120,28 @@ FilterCascade::FilterCascade(const ItemMatcher* matcher, double threshold)
     switch (rule.measure) {
       case SimilarityMeasure::kLevenshtein:
         plan.kind = Kind::kLevenshtein;
-        any_levenshtein_ = true;
+        plan.flag = kFlagLength;
+        ++num_levenshtein_;
         break;
       case SimilarityMeasure::kJaccardTokens:
         plan.kind = Kind::kJaccard;
+        plan.flag = kFlagToken;
         break;
       case SimilarityMeasure::kDiceBigram:
         plan.kind = Kind::kDice;
+        plan.flag = kFlagToken;
         break;
       case SimilarityMeasure::kExact:
         plan.kind = Kind::kExact;
+        plan.flag = kFlagExact;
         break;
       case SimilarityMeasure::kJaro:
         plan.kind = Kind::kJaro;
+        plan.flag = kFlagJaro;
         break;
       case SimilarityMeasure::kJaroWinkler:
         plan.kind = Kind::kJaroWinkler;
+        plan.flag = kFlagJaro;
         break;
       case SimilarityMeasure::kMongeElkan:
         plan.kind = Kind::kOptimistic;
@@ -344,155 +164,183 @@ void FilterCascade::PruneBatch(const FeatureCache& external_features,
 
   const FeatureDictionary& dict = external_features.dict();
   const std::size_t num_rules = plans_.size();
-  std::size_t num_lev = 0;
-  for (const Plan& plan : plans_) {
-    if (plan.kind == Kind::kLevenshtein) ++num_lev;
-  }
+  RL_DCHECK(local_features.num_rules() == num_rules);
 
-  scratch->bound_sum.assign(count, 0.0);
-  scratch->weight_total.assign(count, 0.0);
-  scratch->flags.assign(count, 0);
-  scratch->lev_bound.assign(num_lev * count, -1.0);
-  scratch->lane_scalar.resize(count);
-  scratch->lane_id.resize(count);
-
-  const std::uint32_t* ext_lengths = external_features.lane_byte_lengths();
-  const std::uint32_t* ext_tokens = external_features.lane_unique_tokens();
-  const std::uint32_t* ext_bigrams = external_features.lane_bigrams();
-  const ValueId* loc_ids = local_features.lane_value_ids();
-  const std::uint32_t* loc_lengths = local_features.lane_byte_lengths();
-  const std::uint32_t* loc_tokens = local_features.lane_unique_tokens();
-  const std::uint32_t* loc_bigrams = local_features.lane_bigrams();
-  const std::uint8_t* ext_signatures = external_features.lane_signatures();
-  const std::uint32_t* ext_prefixes = external_features.lane_jaro_prefixes();
-  const std::uint8_t* loc_signatures = local_features.lane_signatures();
-  const std::uint32_t* loc_prefixes = local_features.lane_jaro_prefixes();
-  const StageAKernel kernel = PickStageAKernel(util::ActiveSimdMode());
-
-  // Stage A, rule-outer, in plan order (the scorer's rule order): gather
-  // the local lanes this rule's bound reads into contiguous scratch, run
-  // one elementwise kernel pass, then add the cross-product terms of the
-  // multi-valued slots. An external item with several values under the
-  // rule takes the cross product for every candidate instead.
+  // The external item's active rules, in plan order (the scorer's rule
+  // order): the rules whose external slot holds a value. Every other rule
+  // is inactive for the whole run.
+  // Stage B reads one row of Levenshtein bounds per Levenshtein rule;
+  // the row of a rule that is inactive for the whole run is never read.
+  std::vector<FilterBatchScratch::ActiveRule>& active = scratch->active_rules;
+  active.clear();
+  scratch->lev_bound.resize(num_levenshtein_ * count);
   std::size_t lev_row = 0;
+  const SlotRecord* external_records =
+      external_features.records() + external_index * num_rules;
   for (std::size_t r = 0; r < num_rules; ++r) {
     const Plan& plan = plans_[r];
-    const SimilarityMeasure measure = matcher_->rules()[r].measure;
-    const std::size_t row =
-        plan.kind == Kind::kLevenshtein ? lev_row++ : 0;
-    std::size_t num_ext = 0;
-    const ValueId* ext =
-        external_features.Values(external_index, r, &num_ext);
-    if (num_ext == 0) continue;  // property missing
-
-    const std::size_t ext_slot = external_index * num_rules + r;
-    StageAArgs args;
-    args.weight = plan.weight;
-    args.ext_id = ext[0];
-    args.n = count;
-    args.bound_sum = scratch->bound_sum.data();
-    args.weight_total = scratch->weight_total.data();
-    args.flags = scratch->flags.data();
-    args.loc_scalar = scratch->lane_scalar.data();
-    args.loc_id = scratch->lane_id.data();
-    const std::uint32_t* gather_from = nullptr;
-    switch (plan.kind) {
-      case Kind::kOptimistic:
-        args.kind = kStageAOptimistic;
-        break;
-      case Kind::kLevenshtein:
-        args.kind = kStageALevenshtein;
-        args.ext_scalar = ext_lengths[ext_slot];
-        args.lev_bound = scratch->lev_bound.data() + row * count;
-        gather_from = loc_lengths;
-        break;
-      case Kind::kJaccard:
-        args.kind = kStageAJaccard;
-        args.ext_scalar = ext_tokens[ext_slot];
-        gather_from = loc_tokens;
-        break;
-      case Kind::kDice:
-        args.kind = kStageADice;
-        args.ext_scalar = ext_bigrams[ext_slot];
-        gather_from = loc_bigrams;
-        break;
-      case Kind::kExact:
-        args.kind = kStageAExact;
-        break;
-      case Kind::kJaro:
-      case Kind::kJaroWinkler:
-        RL_DCHECK(ext_prefixes != nullptr && loc_prefixes != nullptr)
-            << "caches built without the Jaro prefix lane";
-        args.kind = kStageAJaro;
-        args.winkler = plan.kind == Kind::kJaroWinkler;
-        args.ext_scalar = ext_lengths[ext_slot];
-        args.ext_prefix = ext_prefixes[ext_slot];
-        gather_from = loc_lengths;
-        scratch->lane_prefix.resize(count);
-        args.loc_prefix = scratch->lane_prefix.data();
-        break;
+    double* lev_bound = nullptr;
+    if (plan.kind == Kind::kLevenshtein) {
+      lev_bound = scratch->lev_bound.data() + lev_row++ * count;
     }
-    // Every plan with a scalar lane also reads the slots' signatures.
-    const bool signature = gather_from != nullptr;
-    if (signature) {
-      RL_DCHECK(ext_signatures != nullptr && loc_signatures != nullptr)
-          << "caches built without the signature lane";
-      args.ext_signature = ext_signatures + ext_slot * text::kSignatureBytes;
-      scratch->lane_signature.resize(count * text::kSignatureBytes);
-      args.loc_signature = scratch->lane_signature.data();
-    }
-    if (num_ext > 1) {
-      for (std::size_t i = 0; i < count; ++i) {
-        std::size_t num_loc = 0;
-        const ValueId* loc = local_features.Values(candidates[i], r, &num_loc);
-        if (num_loc == 0) continue;
-        AddCrossProductBound(dict, args, measure, ext, num_ext, loc, num_loc,
-                             i);
-      }
-      continue;
-    }
-    scratch->multi_valued.clear();
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t slot = candidates[i] * num_rules + r;
-      const ValueId id = loc_ids[slot];
-      scratch->lane_id[i] = id;
-      if (signature) {
-        scratch->lane_scalar[i] = gather_from[slot];
-        std::memcpy(scratch->lane_signature.data() + i * text::kSignatureBytes,
-                    loc_signatures + slot * text::kSignatureBytes,
-                    text::kSignatureBytes);
-      }
-      if (args.kind == kStageAJaro) {
-        scratch->lane_prefix[i] = loc_prefixes[slot];
-      }
-      if (id == util::kInvalidSymbolId) {
-        std::size_t num_loc = 0;
-        local_features.Values(candidates[i], r, &num_loc);
-        if (num_loc > 1) scratch->multi_valued.push_back(i);
-      }
-    }
-    kernel(args);
-    for (const std::size_t i : scratch->multi_valued) {
-      std::size_t num_loc = 0;
-      const ValueId* loc = local_features.Values(candidates[i], r, &num_loc);
-      AddCrossProductBound(dict, args, measure, ext, 1, loc, num_loc, i);
-    }
+    FilterBatchScratch::ActiveRule rule;
+    rule.external_values = external_features.Values(
+        external_index, r, &rule.num_external_values);
+    if (rule.num_external_values == 0) continue;  // property missing
+    rule.rule = static_cast<std::uint32_t>(r);
+    rule.kind = static_cast<std::uint8_t>(plan.kind);
+    rule.flag = plan.flag;
+    rule.multi_valued = rule.num_external_values > 1;
+    rule.weight = plan.weight;
+    rule.external = external_records + r;
+    rule.lev_bound = lev_bound;
+    active.push_back(rule);
   }
 
-  // Stage-A decision: a renormalized bound below the threshold proves the
-  // pair out. All-inactive pairs score exactly 0.0, which is then their
-  // bound.
-  for (std::size_t i = 0; i < count; ++i) {
-    const double bound =
-        scratch->weight_total[i] == 0.0
-            ? 0.0
-            : scratch->bound_sum[i] / scratch->weight_total[i];
-    scratch->bound[i] = bound;
-    if (bound < threshold_) {
-      scratch->pruned[i] = 1;
-      RecordPruned(stats, scratch->flags[i], false);
+  // Stage A walks the run kBlock candidates at a time, and for each block
+  // the active rules in rule order, so every candidate's sum takes its
+  // terms in the scorer's order while the block's sums, weight totals and
+  // participation bits stay in registers and the block's records, read in
+  // place, stay in L1. A rule whose local slot is missing is skipped where
+  // the scorer skips it (adding +0.0 instead would leave the non-negative
+  // sums unchanged). Each term is the expression the cross-product helpers
+  // evaluate for one value per side, over the same integers, so a slot's
+  // term does not depend on which of the two computed it.
+  scratch->bound_sum.resize(count);
+  scratch->weight_total.resize(count);
+  scratch->flags.resize(count);
+  const SlotRecord* local_records = local_features.records();
+  const std::size_t item_bytes = num_rules * sizeof(SlotRecord);
+  FilterStats pruned;  // stage A's prunes, added to `stats` at the end
+  const auto evaluate = [&](auto width, std::size_t first) {
+    constexpr std::size_t kWidth = decltype(width)::value;
+    const SlotRecord* loc[kWidth];
+    double bound_sum[kWidth] = {};
+    double weight_total[kWidth] = {};
+    std::uint8_t flags[kWidth] = {};
+    for (std::size_t j = 0; j < kWidth; ++j) {
+      // The records of a candidate further on, whose address is
+      // scattered, are fetched while this block computes.
+      if (first + j + kPrefetchAhead < count) {
+        const char* ahead = reinterpret_cast<const char*>(
+            local_records + candidates[first + j + kPrefetchAhead] * num_rules);
+        for (std::size_t at = 0; at < item_bytes; at += 64) {
+          __builtin_prefetch(ahead + at);
+        }
+        __builtin_prefetch(ahead + item_bytes - 1);
+      }
+      loc[j] = local_records + candidates[first + j] * num_rules;
     }
+    for (const FilterBatchScratch::ActiveRule& rule : active) {
+      const SlotRecord& ext = *rule.external;
+      const Kind kind = static_cast<Kind>(rule.kind);
+      // Adds the rule's term for each candidate of the block; `single`
+      // bounds a pair of single-valued slots from their records.
+      const auto add_terms = [&](const auto& single)
+                                 __attribute__((always_inline)) {
+        // Stage B's per-rule bounds are stored after the loop, so no store
+        // in it can alias the external record and the compiler keeps that
+        // record's fields in registers.
+        double lev_bound[kWidth];
+        for (std::size_t j = 0; j < kWidth; ++j) {
+          const SlotRecord& local = loc[j][rule.rule];
+          double bound = 1.0;
+          lev_bound[j] = -1.0;
+          if (local.num_values == 1 && !rule.multi_valued) {
+            bound = single(local);
+          } else if (local.num_values == 0) {  // property missing
+            continue;
+          } else {
+            std::size_t num_loc = 0;
+            const ValueId* values =
+                local_features.Values(candidates[first + j], rule.rule,
+                                      &num_loc);
+            if (kind == Kind::kExact) {
+              bound = ExactValue(rule.external_values,
+                                 rule.num_external_values, values, num_loc);
+            } else if (kind != Kind::kOptimistic) {
+              bound = SignatureCrossProductBound(
+                  dict, matcher_->rules()[rule.rule].measure,
+                  rule.external_values, rule.num_external_values, values,
+                  num_loc);
+            }
+          }
+          if (bound < 1.0) flags[j] |= rule.flag;
+          lev_bound[j] = bound;
+          bound_sum[j] += rule.weight * bound;
+          weight_total[j] += rule.weight;
+        }
+        if (rule.lev_bound != nullptr) {
+          std::memcpy(rule.lev_bound + first, lev_bound, sizeof(lev_bound));
+        }
+      };
+      switch (kind) {
+        case Kind::kOptimistic:
+          add_terms([](const SlotRecord&) { return 1.0; });
+          break;
+        case Kind::kLevenshtein:
+          add_terms([&](const SlotRecord& local) {
+            return text::LevenshteinSignatureBound(
+                ext.signature, ext.count, local.signature, local.count);
+          });
+          break;
+        case Kind::kJaccard:
+          add_terms([&](const SlotRecord& local) {
+            return text::JaccardSignatureBound(ext.signature, ext.count,
+                                               local.signature, local.count);
+          });
+          break;
+        case Kind::kDice:
+          add_terms([&](const SlotRecord& local) {
+            return text::DiceSignatureBound(ext.signature, ext.count,
+                                            local.signature, local.count);
+          });
+          break;
+        case Kind::kExact:
+          add_terms([&](const SlotRecord& local) {
+            return local.value_id == ext.value_id ? 1.0 : 0.0;
+          });
+          break;
+        case Kind::kJaro:
+          add_terms([&](const SlotRecord& local) {
+            return text::JaroSignatureBound(ext.signature, ext.count,
+                                            local.signature, local.count);
+          });
+          break;
+        case Kind::kJaroWinkler:
+          add_terms([&](const SlotRecord& local) {
+            return text::JaroWinklerSignatureBound(
+                text::JaroSignatureBound(ext.signature, ext.count,
+                                         local.signature, local.count),
+                ext.jaro_prefix, ext.count, local.jaro_prefix, local.count);
+          });
+          break;
+      }
+    }
+    // A renormalized bound below the threshold proves the pair out. An
+    // all-inactive pair scores exactly 0.0, which is then its bound.
+    for (std::size_t j = 0; j < kWidth; ++j) {
+      const std::size_t i = first + j;
+      scratch->bound_sum[i] = bound_sum[j];
+      scratch->weight_total[i] = weight_total[j];
+      scratch->flags[i] = flags[j];
+      const double bound =
+          weight_total[j] == 0.0 ? 0.0 : bound_sum[j] / weight_total[j];
+      scratch->bound[i] = bound;
+      if (bound < threshold_) {
+        scratch->pruned[i] = 1;
+        RecordPruned(&pruned, flags[j], false);
+      }
+    }
+  };
+  std::size_t first = 0;
+  for (; first + kBlock <= count; first += kBlock) {
+    evaluate(std::integral_constant<std::size_t, kBlock>(), first);
   }
+  for (; first < count; ++first) {
+    evaluate(std::integral_constant<std::size_t, 1>(), first);
+  }
+  if (stats != nullptr) stats->Add(pruned);
 
   // Stage B: the length bound survived, but capped bit-parallel probes may
   // still prove every Levenshtein value pair sits below the similarity
@@ -501,7 +349,7 @@ void FilterCascade::PruneBatch(const FeatureCache& external_features,
   // and queue one capped probe per value pair, then run them all through
   // the interleaved kernel. A pair pruned by an earlier rule skips the
   // later ones.
-  if (!any_levenshtein_ || threshold_ <= 0.0) return;
+  if (num_levenshtein_ == 0 || threshold_ <= 0.0) return;
   lev_row = 0;
   for (std::size_t r = 0; r < num_rules; ++r) {
     if (plans_[r].kind != Kind::kLevenshtein) continue;
@@ -534,10 +382,11 @@ void FilterCascade::PruneBatch(const FeatureCache& external_features,
                            weight;
       const double floor_cap = floor - kStageBSlack;
       if (floor_cap <= 0.0) continue;  // any similarity could suffice
-      const std::size_t slot = candidates[i] * num_rules + r;
+      const SlotRecord& record =
+          local_records[candidates[i] * num_rules + r];
       std::size_t num_loc = 1;
-      const ValueId* loc = loc_ids + slot;
-      if (*loc == util::kInvalidSymbolId) {
+      const ValueId* loc = &record.value_id;
+      if (record.num_values != 1) {
         loc = local_features.Values(candidates[i], r, &num_loc);
       }
       for (const std::string_view va : ext_views) {

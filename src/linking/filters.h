@@ -44,25 +44,31 @@ struct FilterStats {
   }
 };
 
-// Reusable per-worker scratch for FilterCascade::PruneBatch: accumulator
-// lanes, gather buffers and stage-B probe staging, plus the outputs.
-// Owned by the caller (one per streaming shard) so a run's batch pass
-// allocates nothing after warm-up. `pruned[i]` is 1 when candidate i of
-// the last PruneBatch call was pruned, and `bound[i]` is its stage-A
-// bound on the aggregate score.
+// Reusable per-worker scratch for FilterCascade::PruneBatch: the external
+// item's active rules, the per-candidate stage-A sums stage B reads, and
+// stage-B probe staging, plus the outputs. Owned by the caller (one per
+// streaming shard) so a run's batch pass allocates nothing after warm-up.
+// `pruned[i]` is 1 when candidate i of the last PruneBatch call was
+// pruned, and `bound[i]` is its stage-A bound on the aggregate score.
 struct FilterBatchScratch {
-  // Per-candidate stage-A accumulators.
+  // One rule whose external slot holds a value, in rule order.
+  struct ActiveRule {
+    std::uint32_t rule = 0;
+    std::uint8_t kind = 0;   // FilterCascade's plan kind
+    std::uint8_t flag = 0;   // participation bit for FilterStats
+    bool multi_valued = false;  // the external slot holds several values
+    double weight = 1.0;
+    const SlotRecord* external = nullptr;
+    const ValueId* external_values = nullptr;
+    std::size_t num_external_values = 0;
+    double* lev_bound = nullptr;  // the rule's row, for a Levenshtein rule
+  };
+  std::vector<ActiveRule> active_rules;
+  // Per-candidate stage-A results stage B reads.
   std::vector<double> bound_sum;
   std::vector<double> weight_total;
-  std::vector<double> lev_bound;  // num-Levenshtein-rules rows of n lanes
+  std::vector<double> lev_bound;  // one row of n per Levenshtein rule
   std::vector<std::uint8_t> flags;  // participation bits for FilterStats
-  // Gathered local-side lanes for the rule being evaluated, and the
-  // candidates whose slot under it holds several values.
-  std::vector<std::uint32_t> lane_scalar;
-  std::vector<ValueId> lane_id;
-  std::vector<std::uint8_t> lane_signature;  // count signatures, 16 B each
-  std::vector<std::uint32_t> lane_prefix;    // Jaro prefix words
-  std::vector<std::size_t> multi_valued;
   // The external item's values under the stage-B rule being probed.
   std::vector<std::string_view> external_views;
   // Stage-B probe staging for BoundedLevenshteinDistanceBatch, one entry
@@ -92,18 +98,19 @@ class FilterCascade {
   // signature: the bag distance for Levenshtein, the hashed bigram and
   // token overlaps for Dice and Jaccard, the byte overlap for Jaro and
   // Jaro-Winkler; the exact id scan for kExact, 1.0 for Monge-Elkan) with
-  // the matcher's weight renormalization, over the
-  // FeatureCache SoA lanes through an ISA-dispatched elementwise kernel
-  // (util::ActiveSimdMode()); a multi-valued slot on either side adds its
-  // best bound over the value cross product in the same rule order.
-  // Stage B spends one capped bit-parallel Levenshtein probe per value
-  // pair of each surviving Levenshtein rule, batched through
+  // the matcher's weight renormalization. It walks the run a few
+  // candidates at a time, reading each candidate's adjacent FeatureCache
+  // slot records in place and summing the external item's active rules
+  // in rule order; a multi-valued slot on either side adds its best bound
+  // over the value cross product in its place. Stage B spends one capped
+  // bit-parallel Levenshtein probe per value pair of each surviving
+  // Levenshtein rule, batched through
   // text::BoundedLevenshteinDistanceBatch. scratch->bound[i] is set to
   // stage A's bound for every candidate: it is at least the score
   // ItemMatcher::ScoreRun computes for the pair, as a double, which the
   // streaming linker's running-best floor relies on. Decisions, bounds
-  // and counters do not depend on the dispatch mode (DESIGN.md §5e, §5h).
-  // Thread-safe as long as each worker owns its scratch.
+  // and counters do not depend on the SIMD dispatch mode (DESIGN.md §5e,
+  // §5h). Thread-safe as long as each worker owns its scratch.
   void PruneBatch(const FeatureCache& external_features,
                   std::size_t external_index,
                   const FeatureCache& local_features,
@@ -124,13 +131,14 @@ class FilterCascade {
   };
   struct Plan {
     Kind kind = Kind::kOptimistic;
+    std::uint8_t flag = 0;  // the FilterStats participation bit it sets
     double weight = 1.0;
   };
 
   const ItemMatcher* matcher_;
   double threshold_;
   std::vector<Plan> plans_;  // positional, parallel to matcher_->rules()
-  bool any_levenshtein_ = false;
+  std::size_t num_levenshtein_ = 0;
 };
 
 }  // namespace rulelink::linking

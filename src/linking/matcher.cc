@@ -165,21 +165,21 @@ double CachedMongeElkanOneWay(const FeatureDictionary& dict,
 
 // Gathers every candidate's local values under rule slot `rule`:
 // candidate c's ids land in value_ids[value_begin[c], value_begin[c + 1]).
-// A single-valued slot reads the SoA id lane, the lane the cascade reads;
-// an invalid lane id (missing property or multi-valued slot) falls back to
-// the CSR slot. The loads of different candidates do not depend on each
-// other, so they overlap instead of stalling one kernel each.
+// A single-valued slot reads the id in its record, the record the cascade
+// reads; an invalid id (missing property or multi-valued slot) falls back
+// to the CSR slot. The loads of different candidates do not depend on
+// each other, so they overlap instead of stalling one kernel each.
 void GatherValues(const FeatureCache& local_features, std::size_t rule,
                   const std::size_t* candidates, std::size_t count,
                   ScoreRunScratch* scratch) {
   const std::size_t num_rules = local_features.num_rules();
-  const ValueId* lane_ids = local_features.lane_value_ids();
+  const SlotRecord* records = local_features.records();
   std::vector<ValueId>& ids = scratch->value_ids;
   scratch->value_begin.resize(count + 1);
   ids.clear();
   for (std::size_t c = 0; c < count; ++c) {
     scratch->value_begin[c] = ids.size();
-    const ValueId id = lane_ids[candidates[c] * num_rules + rule];
+    const ValueId id = records[candidates[c] * num_rules + rule].value_id;
     if (id != util::kInvalidSymbolId) {
       ids.push_back(id);
       continue;

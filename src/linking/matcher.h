@@ -105,8 +105,8 @@ class ItemMatcher {
   // caches were built from, for every i < count. Both caches must have
   // been built against this matcher and share one FeatureDictionary root.
   // Rule by rule, a gather pass resolves every candidate's local values
-  // into the scratch (single-valued slots through the SoA id lane), then a
-  // score pass runs the rule's kernel over the gathered values against
+  // into the scratch (single-valued slots through their record's id),
+  // then a score pass runs the rule's kernel over the gathered values against
   // each external value, prepared once per run (DESIGN.md §5d); token
   // measures run as sort-merges over dense ids instead of re-tokenizing
   // strings. Each candidate adds weight * best in rule order, exactly as

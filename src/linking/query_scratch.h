@@ -39,7 +39,7 @@ struct ScoreRunScratch {
 
 struct QueryScratch {
   ScoreMemo memo;             // (value-id, value-id) Monge-Elkan replay
-  FilterBatchScratch filter;  // PruneBatch lanes, gathers, probe staging
+  FilterBatchScratch filter;  // PruneBatch sums and probe staging
   std::vector<std::size_t> run;        // current per-external candidate run
   std::vector<std::size_t> survivors;  // the run's unpruned candidates
   ScoreRunScratch score;               // the survivors' scores and staging

@@ -270,7 +270,7 @@ class ServeEngine {
   util::EpochStats epoch_stats() const { return epochs_.Stats(); }
 
   // One worker's query context: an epoch reader slot plus all per-query
-  // scratch — the candidate run, the cascade's lanes, the run scorer's
+  // scratch — the candidate run, the cascade's sums, the run scorer's
   // gather buffers — allocated once and reused so steady-state queries
   // are allocation-free (known values of at most 64 bytes, no
   // Monge-Elkan).

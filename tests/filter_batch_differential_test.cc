@@ -1,7 +1,7 @@
 // Differential tests for the batched SIMD filter cascade (DESIGN.md §5h):
 // StreamingLinker must emit links byte-identical to the string-path
 // oracle Linker::Run, and identical FilterStats, under both SIMD dispatch
-// modes — "scalar" (the batch layout at the baseline ISA) and AVX2 — at
+// modes — "scalar" (stage B's probes one pair at a time) and AVX2 — at
 // every thread count, down to 1-item morsels, on the paper-shaped corpus
 // AND a dirty 50k workload catalog, under a five-kind matcher and a
 // matcher of Jaro plans. PruneBatch is additionally pinned
@@ -9,7 +9,8 @@
 // under a matcher with every kind of bound but Jaro's, over multi-valued
 // slots on both sides at three thresholds, under a matcher of Jaro plans
 // and under a matcher with no bound, where only the pairs with every rule
-// inactive may be pruned.
+// inactive may be pruned, plus a one-rule Jaccard fixture on which the
+// distinct-token count decides a pair, single- and multi-valued.
 // A mode the CPU lacks clamps down, so the suite runs (possibly
 // redundantly) everywhere.
 #include <algorithm>
@@ -23,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "blocking/blocker.h"
 #include "blocking/standard_blocking.h"
 #include "datagen/generator.h"
 #include "datagen/workload.h"
@@ -680,6 +682,61 @@ TEST(FilterBatchDifferential, PruneBatchMatchesPrunePairwise) {
                                &candidates);
   EXPECT_GT(pruned, 0u);
   EXPECT_LT(pruned, candidates);
+}
+
+// Both Jaccard paths must read each value's distinct-token count, the set
+// TokenSetSignature hashes: the slot record's count for single values and
+// the cross-product helper's for several. Here the only values that share
+// a token repeat it: "AB AB CD" holds 3 tokens but 2 distinct ones, so
+// against "AB AB EF" the bound is 1 / (2 + 2 - 1) = 1/3, while the token
+// counts would give 1 / (3 + 3 - 1) = 1/5. At threshold 0.25 the two
+// counts decide the pair differently. A two-valued slot sends the pair
+// through the helper, on the local side and then on the external side.
+TEST(FilterBatchDifferential, JaccardBoundsReadDistinctTokens) {
+  const char* part = datagen::props::kPartNumber;
+  constexpr double kJaccardThreshold = 0.25;
+  const linking::ItemMatcher matcher(
+      {{part, part, linking::SimilarityMeasure::kJaccardTokens, 1.0}});
+  core::Item single;
+  single.iri = "single";
+  AddFact(&single, part, "AB AB CD");
+  core::Item repeated;
+  repeated.iri = "repeated";
+  AddFact(&repeated, part, "AB AB EF");
+  AddFact(&repeated, part, "CD CD GH");
+  core::Item repeated_once;
+  repeated_once.iri = "repeated_once";
+  AddFact(&repeated_once, part, "AB AB EF");
+
+  // The premise, from the signatures themselves: each value pair shares
+  // one token, and only the distinct counts keep its bound at the
+  // threshold or above.
+  const auto bound = [](std::string_view a, std::string_view b,
+                        bool distinct) {
+    std::uint8_t sig_a[text::kSignatureBytes];
+    std::uint8_t sig_b[text::kSignatureBytes];
+    text::TokenSetSignature(a, sig_a);
+    text::TokenSetSignature(b, sig_b);
+    return distinct ? text::JaccardSignatureBound(sig_a, 2, sig_b, 2)
+                    : text::JaccardSignatureBound(sig_a, 3, sig_b, 3);
+  };
+  for (const std::string_view other : {"AB AB EF", "CD CD GH"}) {
+    ASSERT_EQ(bound("AB AB CD", other, true), 1.0 / 3.0) << other;
+    ASSERT_LT(bound("AB AB CD", other, false), kJaccardThreshold) << other;
+  }
+
+  const blocking::CartesianBlocker every_pair;
+  const std::pair<core::Item, core::Item> pairs[] = {
+      {single, repeated_once}, {single, repeated}, {repeated, single}};
+  for (const auto& [external, local] : pairs) {
+    SCOPED_TRACE(external.iri + " vs " + local.iri);
+    std::uint64_t pruned = 0;
+    std::size_t candidates = 0;
+    ExpectPruneBatchMatchesPrune(matcher, {external}, {local}, every_pair,
+                                 kJaccardThreshold, &pruned, &candidates);
+    EXPECT_EQ(candidates, 1u);
+    EXPECT_EQ(pruned, 0u);
+  }
 }
 
 }  // namespace

@@ -111,54 +111,51 @@ double ScoreOne(const ItemMatcher& matcher, const BuiltCaches& caches,
   return scratch.scores[0];
 }
 
-// The signature-lane bytes of `cache`'s slot `slot` (empty when the cache
-// has no signature lane), and its Jaro prefix word (0 without that lane).
-std::string_view SignatureLane(const FeatureCache& cache, std::size_t slot) {
-  if (cache.lane_signatures() == nullptr) return {};
-  return {reinterpret_cast<const char*>(cache.lane_signatures()) +
-              slot * text::kSignatureBytes,
-          text::kSignatureBytes};
+// The record of `cache`'s slot (item, rule).
+const SlotRecord& RecordOf(const FeatureCache& cache, std::size_t item,
+                           std::size_t rule) {
+  return cache.records()[item * cache.num_rules() + rule];
 }
-std::uint32_t PrefixLane(const FeatureCache& cache, std::size_t slot) {
-  return cache.lane_jaro_prefixes() == nullptr
-             ? 0
-             : cache.lane_jaro_prefixes()[slot];
+
+// Whether two records hold the same fields; value ids compare by string
+// unless `same_ids` (an invalid id only equals an invalid id).
+bool SameRecord(const FeatureCache& want_cache, const SlotRecord& want,
+                const FeatureCache& got_cache, const SlotRecord& got,
+                bool same_ids) {
+  const bool compare_ids = same_ids ||
+                           want.value_id == util::kInvalidSymbolId ||
+                           got.value_id == util::kInvalidSymbolId;
+  const bool same_id = compare_ids ? want.value_id == got.value_id
+                                   : want_cache.dict().View(want.value_id) ==
+                                         got_cache.dict().View(got.value_id);
+  return same_id && want.count == got.count &&
+         want.jaro_prefix == got.jaro_prefix &&
+         want.num_values == got.num_values &&
+         std::memcmp(want.signature, got.signature, text::kSignatureBytes) ==
+             0;
 }
 
 // Asserts `got` holds the slots of `want`: per slot the same values, by
-// string (and by id when `same_ids`), and the same lanes.
+// string (and by id when `same_ids`), and the same record.
 void ExpectSameSlots(const FeatureCache& want, const FeatureCache& got,
                      bool same_ids) {
   ASSERT_EQ(got.num_items(), want.num_items());
   ASSERT_EQ(got.num_rules(), want.num_rules());
-  const auto same_value = [&](ValueId w, ValueId g) {
-    if (same_ids || w == util::kInvalidSymbolId ||
-        g == util::kInvalidSymbolId) {
-      return w == g;
-    }
-    return want.dict().View(w) == got.dict().View(g);
-  };
   std::size_t differences = 0;
   for (std::size_t item = 0; item < want.num_items(); ++item) {
     for (std::size_t rule = 0; rule < want.num_rules(); ++rule) {
-      const std::size_t slot = item * want.num_rules() + rule;
       std::size_t want_count = 0;
       std::size_t got_count = 0;
       const ValueId* want_ids = want.Values(item, rule, &want_count);
       const ValueId* got_ids = got.Values(item, rule, &got_count);
       bool same = want_count == got_count;
       for (std::size_t k = 0; same && k < want_count; ++k) {
-        same = same_value(want_ids[k], got_ids[k]);
+        same = same_ids ? want_ids[k] == got_ids[k]
+                        : want.dict().View(want_ids[k]) ==
+                              got.dict().View(got_ids[k]);
       }
-      same = same &&
-             want.lane_byte_lengths()[slot] == got.lane_byte_lengths()[slot] &&
-             want.lane_unique_tokens()[slot] ==
-                 got.lane_unique_tokens()[slot] &&
-             want.lane_bigrams()[slot] == got.lane_bigrams()[slot] &&
-             same_value(want.lane_value_ids()[slot],
-                        got.lane_value_ids()[slot]) &&
-             SignatureLane(want, slot) == SignatureLane(got, slot) &&
-             PrefixLane(want, slot) == PrefixLane(got, slot);
+      same = same && SameRecord(want, RecordOf(want, item, rule), got,
+                                RecordOf(got, item, rule), same_ids);
       if (!same && ++differences <= 5) {
         ADD_FAILURE() << "item " << item << " rule " << rule << " differs";
       }
@@ -167,61 +164,50 @@ void ExpectSameSlots(const FeatureCache& want, const FeatureCache& got,
   EXPECT_EQ(differences, 0u);
 }
 
-// Asserts every slot's lanes follow its values: a single-valued slot
-// carries that value's byte length, unique-token and bigram counts, id,
-// its count signature for the slot's rule (zeros under a rule without
-// one) and its Jaro prefix; a missing or multi-valued slot carries zeros
-// and an invalid id. The signature lane exists exactly when some rule of
-// `matcher` has a signature, the prefix lane when some rule is Jaro or
-// Jaro-Winkler.
-void ExpectLanesFollowValues(const FeatureCache& cache,
-                             const ItemMatcher& matcher) {
-  bool any_signature = false;
-  bool any_jaro = false;
-  std::uint8_t unused[text::kSignatureBytes];
-  for (const AttributeRule& rule : matcher.rules()) {
-    any_signature |= linking::SlotSignature(rule.measure, "", unused);
-    any_jaro |= rule.measure == SimilarityMeasure::kJaro ||
-                rule.measure == SimilarityMeasure::kJaroWinkler;
-  }
-  EXPECT_EQ(cache.lane_signatures() != nullptr, any_signature);
-  EXPECT_EQ(cache.lane_jaro_prefixes() != nullptr, any_jaro);
+// Asserts every slot's record follows its values, field by field: a
+// single-valued slot holds that value's id, the count its rule's bound
+// reads (bytes under Levenshtein, Jaro and Jaro-Winkler, bigrams under
+// Dice, distinct tokens under Jaccard, 0 otherwise), its Jaro prefix, a
+// value count of 1 and its count signature for the slot's rule (zeros
+// under a rule without one); a missing or multi-valued slot holds its
+// value count, an invalid id and zeros.
+void ExpectRecordsFollowValues(const FeatureCache& cache,
+                               const ItemMatcher& matcher) {
   std::size_t differences = 0;
   for (std::size_t item = 0; item < cache.num_items(); ++item) {
     for (std::size_t rule = 0; rule < cache.num_rules(); ++rule) {
-      const std::size_t slot = item * cache.num_rules() + rule;
       std::size_t count = 0;
       const ValueId* ids = cache.Values(item, rule, &count);
-      std::uint32_t length = 0;
-      std::uint32_t unique_tokens = 0;
-      std::uint32_t bigrams = 0;
-      ValueId id = util::kInvalidSymbolId;
-      std::uint8_t signature[text::kSignatureBytes] = {};
-      std::uint32_t prefix = 0;
+      SlotRecord want;
+      want.num_values = static_cast<std::uint32_t>(count);
       if (count == 1) {
+        const SimilarityMeasure measure = matcher.rules()[rule].measure;
         const auto features = cache.dict().Features(ids[0]);
-        length = static_cast<std::uint32_t>(features.text.size());
-        unique_tokens = features.num_unique_tokens;
-        bigrams = features.num_bigrams;
-        id = ids[0];
-        linking::SlotSignature(matcher.rules()[rule].measure, features.text,
-                               signature);
-        if (any_jaro) prefix = text::JaroPrefixBytes(features.text);
+        want.value_id = ids[0];
+        switch (measure) {
+          case SimilarityMeasure::kLevenshtein:
+          case SimilarityMeasure::kJaro:
+          case SimilarityMeasure::kJaroWinkler:
+            want.count = static_cast<std::uint32_t>(features.text.size());
+            break;
+          case SimilarityMeasure::kDiceBigram:
+            want.count = features.num_bigrams;
+            break;
+          case SimilarityMeasure::kJaccardTokens:
+            want.count = features.num_unique_tokens;
+            break;
+          case SimilarityMeasure::kExact:
+          case SimilarityMeasure::kMongeElkan:
+            break;
+        }
+        want.jaro_prefix = text::JaroPrefixBytes(features.text);
+        linking::SlotSignature(measure, features.text, want.signature);
       }
-      const std::string_view want_signature =
-          any_signature
-              ? std::string_view(reinterpret_cast<const char*>(signature),
-                                 text::kSignatureBytes)
-              : std::string_view();
-      if ((cache.lane_byte_lengths()[slot] != length ||
-           cache.lane_unique_tokens()[slot] != unique_tokens ||
-           cache.lane_bigrams()[slot] != bigrams ||
-           cache.lane_value_ids()[slot] != id ||
-           SignatureLane(cache, slot) != want_signature ||
-           PrefixLane(cache, slot) != prefix) &&
+      if (!SameRecord(cache, want, cache, RecordOf(cache, item, rule),
+                      /*same_ids=*/true) &&
           ++differences <= 5) {
         ADD_FAILURE() << "item " << item << " rule " << rule << " ("
-                      << count << " values): lanes do not follow them";
+                      << count << " values): the record does not follow them";
       }
     }
   }
@@ -342,7 +328,7 @@ TEST(ScoreRunOfOneTest, ParallelCacheBuildGivesIdenticalScores) {
       {part, part, SimilarityMeasure::kDiceBigram, 1.0},
       {maker, maker, SimilarityMeasure::kMongeElkan, 1.0},
   });
-  // The build is serial at every thread count: the same ids, lanes and
+  // The build is serial at every thread count: the same ids, records and
   // dictionary counts, and so the same scores.
   const auto serial = BuildCaches(external, local, matcher, 1);
   for (std::size_t threads : {std::size_t{1}, std::size_t{2},
@@ -440,13 +426,16 @@ TEST(FeatureCacheTest, SlotsFollowRuleOrderAndMissingPropertiesAreEmpty) {
 }
 
 TEST(FeatureCacheTest, ExtendFromAndAssignSingleAppendLikeBuild) {
-  // Every kind of signature lane slot: bigram, token-set and byte
-  // signatures, the Jaro prefix, and a rule without a signature.
+  // Every kind of record: bigram, token-set and byte signatures and
+  // counts, the Jaro prefix, and a rule without a signature or count.
+  // "a b a" under the Jaccard rule has fewer distinct tokens than tokens.
   const ItemMatcher matcher({
       {"pn", "pn", SimilarityMeasure::kDiceBigram, 1.0},
-      {"mfr", "mfr", SimilarityMeasure::kJaccardTokens, 1.0},
+      {"pn", "pn", SimilarityMeasure::kJaccardTokens, 1.0},
       {"pn", "pn", SimilarityMeasure::kJaroWinkler, 1.0},
       {"mfr", "mfr", SimilarityMeasure::kExact, 1.0},
+      {"pn", "pn", SimilarityMeasure::kLevenshtein, 1.0},
+      {"mfr", "mfr", SimilarityMeasure::kMongeElkan, 1.0},
   });
   const auto side = FeatureCache::Side::kLocal;
   // The appended items hold multi-valued, duplicated, empty and missing
@@ -458,7 +447,7 @@ TEST(FeatureCacheTest, ExtendFromAndAssignSingleAppendLikeBuild) {
   FeatureDictionary whole_dict;
   const FeatureCache whole =
       FeatureCache::Build(both, matcher, side, &whole_dict, 1);
-  ExpectLanesFollowValues(whole, matcher);
+  ExpectRecordsFollowValues(whole, matcher);
 
   // Over a direct overlay, as a delta publish extends: the same values by
   // string.
@@ -467,7 +456,7 @@ TEST(FeatureCacheTest, ExtendFromAndAssignSingleAppendLikeBuild) {
   FeatureDictionary overlay(&root);
   const FeatureCache extended =
       FeatureCache::ExtendFrom(base, appended, matcher, side, &overlay);
-  ExpectLanesFollowValues(extended, matcher);
+  ExpectRecordsFollowValues(extended, matcher);
   ExpectSameSlots(whole, extended, /*same_ids=*/false);
 
   // Over the base's own root: the same ids and dictionary counts too.
@@ -475,7 +464,7 @@ TEST(FeatureCacheTest, ExtendFromAndAssignSingleAppendLikeBuild) {
   const FeatureCache grown = FeatureCache::ExtendFrom(
       FeatureCache::Build(first, matcher, side, &grown_dict), appended,
       matcher, side, &grown_dict);
-  ExpectLanesFollowValues(grown, matcher);
+  ExpectRecordsFollowValues(grown, matcher);
   ExpectSameSlots(whole, grown, /*same_ids=*/true);
   EXPECT_EQ(grown_dict.num_symbols(), whole_dict.num_symbols());
   EXPECT_EQ(grown_dict.num_values(), whole_dict.num_values());
@@ -493,7 +482,7 @@ TEST(FeatureCacheTest, ExtendFromAndAssignSingleAppendLikeBuild) {
     const FeatureCache alone =
         FeatureCache::Build({item}, matcher, FeatureCache::Side::kExternal,
                             &alone_dict);
-    ExpectLanesFollowValues(single, matcher);
+    ExpectRecordsFollowValues(single, matcher);
     ExpectSameSlots(alone, single, /*same_ids=*/false);
   }
 }
