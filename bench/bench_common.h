@@ -18,7 +18,6 @@
 #include "datagen/generator.h"
 #include "text/segmenter.h"
 #include "util/logging.h"
-#include "util/simd.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 
@@ -35,26 +34,22 @@ inline void ApplyPinningFromEnv() {
 }
 
 // One measured point of a thread-count sweep, with the scheduler-counter
-// delta (loops, morsels, busy time) and the SIMD batch-counter delta
-// (Levenshtein probes taken batched vs per-pair) observed during the
-// best-of run.
+// delta (loops, morsels, busy time) observed during the best-of run.
 struct ThreadSweepPoint {
   std::size_t num_threads = 0;
   double millis = 0.0;
   util::SchedulerTotals scheduler;
-  util::SimdTotals simd;
 };
 
 // Records a thread-count speedup trajectory as BENCH_<name>.json in the
 // working directory (git-ignored), so successive runs on different
 // hardware can be compared: {"bench": ..., "hardware_concurrency": ...,
 // "points": [{"threads": t, "ms": m, "speedup_vs_1": s,
-// "scheduler": {...}, "simd": {...}}, ...]}. Points whose thread count
-// exceeds the hardware get "oversubscribed": true so downstream tooling
-// can drop them from scaling fits; the per-point "scheduler" object
-// (loop/morsel counts from the process pool) and "simd" object
-// (batched vs per-pair probe counts) make scaling regressions
-// diagnosable from the artifact alone.
+// "scheduler": {...}}, ...]}. Points whose thread count exceeds the
+// hardware get "oversubscribed": true so downstream tooling can drop them
+// from scaling fits; the per-point "scheduler" object (loop/morsel counts
+// from the process pool) makes scaling regressions diagnosable from the
+// artifact alone.
 // `extra_sections`, when non-empty, is spliced verbatim as additional
 // top-level JSON members (e.g. "\"interning\": {...},\n").
 inline void WriteThreadSweepJson(const std::string& bench_name,
@@ -87,9 +82,6 @@ inline void WriteThreadSweepJson(const std::string& bench_name,
     out << ", \"scheduler\": {\"loops\": " << p.scheduler.loops
         << ", \"morsels\": " << p.scheduler.morsels
         << ", \"busy_micros\": " << p.scheduler.busy_micros << "}";
-    out << ", \"simd\": {\"kernel_batched_pairs\": "
-        << p.simd.kernel_batched_pairs << ", \"kernel_remainder_pairs\": "
-        << p.simd.kernel_remainder_pairs << "}";
     out << "}" << (i + 1 < points.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";

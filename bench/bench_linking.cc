@@ -17,7 +17,6 @@
 #include <iostream>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -33,9 +32,7 @@
 #include "linking/query_scratch.h"
 #include "linking/streaming_linker.h"
 #include "obs/metrics.h"
-#include "text/similarity.h"
 #include "util/interner.h"
-#include "util/simd.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 #include "util/table.h"
@@ -98,12 +95,11 @@ void CheckLinksIdentical(const std::vector<linking::Link>& actual,
 
 // The full streaming pipeline (cache build, index build, cascade and
 // scoring) at `threads` workers, best of 3 after a warm-up; the scheduler
-// and SIMD counter deltas cover the timed reps only.
+// counter delta covers the timed reps only.
 struct PipelineTiming {
   double ms = 0.0;
   linking::LinkagePipelineResult result;
   util::SchedulerTotals scheduler;
-  util::SimdTotals simd;
 };
 
 PipelineTiming TimePipeline(const Fixture& fixture, std::size_t threads) {
@@ -117,7 +113,6 @@ PipelineTiming TimePipeline(const Fixture& fixture, std::size_t threads) {
   PipelineTiming timing;
   timing.result = run();  // warm-up
   const util::SchedulerTotals sched_before = util::GlobalSchedulerTotals();
-  const util::SimdTotals simd_before = util::GlobalSimdTotals();
   for (int rep = 0; rep < 3; ++rep) {
     util::Stopwatch timer;
     auto result = run();
@@ -128,7 +123,6 @@ PipelineTiming TimePipeline(const Fixture& fixture, std::size_t threads) {
     }
   }
   timing.scheduler = util::GlobalSchedulerTotals().Minus(sched_before);
-  timing.simd = util::GlobalSimdTotals().Minus(simd_before);
   return timing;
 }
 
@@ -427,10 +421,9 @@ std::string PrintStreamingReport() {
   return json;
 }
 
-// Shared fixture for the batched-cascade report and the kernel
-// microbenches below: StreamingMatcher feature caches and the blocker's
-// inverted index over the paper corpus, plus the total candidate-pair
-// count the throughput numbers divide by.
+// BM_FilterCascade's fixture: StreamingMatcher feature caches and the
+// blocker's inverted index over the paper corpus, plus the total
+// candidate-pair count the throughput divides by.
 struct StreamingFixture {
   linking::ItemMatcher matcher;
   linking::FeatureDictionary dict;
@@ -464,243 +457,6 @@ const StreamingFixture& GetStreamingFixture() {
   return *fixture;
 }
 
-// Stage-B-shaped probe workload for the bounded-Levenshtein kernel
-// microbench: the part-number strings of every blocked candidate pair,
-// capped at about a third of the longest string — the tight caps the
-// cascade typically derives. Each external's value is stored once and
-// every probe of its run points at that one copy, mirroring how the
-// cascade stages probes from the feature cache (one external value per
-// candidate run); this is what lets the batch entry form shared-pattern
-// segments. Real strings, real length mix; the roofline numbers in
-// EXPERIMENTS.md come from this set.
-struct ProbeSet {
-  std::vector<std::string> a_storage, b_storage;
-  std::vector<std::size_t> a_of;  // per probe: index into a_storage
-  std::vector<std::string_view> a, b;
-  std::vector<std::size_t> caps;
-  std::size_t bytes = 0;
-
-  ProbeSet() {
-    const datagen::Dataset& dataset = PaperDataset();
-    const StreamingFixture& fixture = GetStreamingFixture();
-    constexpr std::size_t kMaxPairs = 60000;
-    std::vector<std::size_t> run;
-    for (std::size_t e = 0;
-         e < fixture.index->num_external() && b_storage.size() < kMaxPairs;
-         ++e) {
-      const auto external_values =
-          dataset.external_items[e].ValuesOf(datagen::props::kPartNumber);
-      if (external_values.empty()) continue;
-      fixture.index->CandidatesOf(e, &run);
-      bool stored = false;
-      for (const std::size_t local : run) {
-        if (b_storage.size() >= kMaxPairs) break;
-        const auto local_values = dataset.catalog_items[local].ValuesOf(
-            datagen::props::kPartNumber);
-        if (local_values.empty()) continue;
-        if (!stored) {
-          a_storage.push_back(external_values.front());
-          stored = true;
-        }
-        a_of.push_back(a_storage.size() - 1);
-        b_storage.push_back(local_values.front());
-      }
-    }
-    a.reserve(b_storage.size());
-    b.reserve(b_storage.size());
-    caps.reserve(b_storage.size());
-    for (std::size_t i = 0; i < b_storage.size(); ++i) {
-      a.emplace_back(a_storage[a_of[i]]);
-      b.emplace_back(b_storage[i]);
-      caps.push_back(std::max(a[i].size(), b[i].size()) / 3 + 1);
-      bytes += a[i].size() + b[i].size();
-    }
-  }
-};
-
-const ProbeSet& GetProbeSet() {
-  static const ProbeSet* probes = new ProbeSet();
-  return *probes;
-}
-
-// E6d: the batched SIMD cascade (DESIGN.md §5h) at the baseline ISA vs
-// the active dispatch, links byte-identical by construction (differential-
-// tested; re-checked every rep here). The baseline-ISA leg
-// (ScopedSimdMode(kScalar): stage B's probes through the single-pair
-// kernel) is the floor, so speedup_vs_scalar is the gain the interleaved
-// Myers tier adds to the whole streaming pass. Stage A has one loop at
-// every mode, and the signature bounds leave stage B about 1% of the
-// probes it once ran, so the ratio reads about 1.0. The kernel microbench
-// on stage-B-shaped probes isolates the wide-register kernel
-// (kernel.speedup_vs_scalar) and answers the EXPERIMENTS.md roofline
-// question: pairs/sec and bytes touched per pair, single-pair kernel vs
-// batched.
-std::string PrintBatchedReport() {
-  const StreamingFixture& fixture = GetStreamingFixture();
-  const linking::StreamingLinker streaming(&fixture.matcher, kThreshold);
-  const util::SimdMode active = util::ActiveSimdMode();
-  std::cout << "=== E6d: batched SIMD filter cascade ("
-            << fixture.candidate_pairs << " candidate pairs, dispatch "
-            << util::SimdModeName(active) << ") ===\n";
-
-  struct ModeTiming {
-    double ms = 0.0;
-    util::SimdTotals simd;
-    linking::LinkerStats stats;
-  };
-  // The two legs alternate rep by rep, the first leg swapping each rep,
-  // so host drift lands on both; each takes its best of 5.
-  std::vector<linking::Link> reference;
-  const auto time_mode = [&](util::SimdMode mode, int rep, ModeTiming* best) {
-    const util::ScopedSimdMode scoped(mode);
-    const util::SimdTotals before = util::GlobalSimdTotals();
-    linking::LinkerStats stats;
-    util::Stopwatch timer;
-    const auto links =
-        streaming.Run(*fixture.index, fixture.external, fixture.local,
-                      &stats, /*num_threads=*/1);
-    const double ms = timer.ElapsedMillis();
-    if (reference.empty()) {
-      reference = links;
-    } else {
-      RL_CHECK(links.size() == reference.size());
-      for (std::size_t i = 0; i < links.size(); ++i) {
-        RL_CHECK(links[i].external_index == reference[i].external_index &&
-                 links[i].local_index == reference[i].local_index &&
-                 links[i].score == reference[i].score);
-      }
-    }
-    if (rep < 0) return;
-    if (rep == 0 || ms < best->ms) {
-      best->ms = ms;
-      best->simd = util::GlobalSimdTotals().Minus(before);
-      best->stats = stats;
-    }
-  };
-  ModeTiming layout;
-  ModeTiming batched;
-  for (int rep = -1; rep < 5; ++rep) {  // rep -1 warms both legs up
-    if (rep % 2 == 0) {
-      time_mode(util::SimdMode::kScalar, rep, &layout);
-      time_mode(active, rep, &batched);
-    } else {
-      time_mode(active, rep, &batched);
-      time_mode(util::SimdMode::kScalar, rep, &layout);
-    }
-  }
-  const auto pairs_per_sec = [&](double ms) {
-    return ms > 0.0
-               ? static_cast<double>(fixture.candidate_pairs) / (ms / 1000.0)
-               : 0.0;
-  };
-  const double speedup = batched.ms > 0.0 ? layout.ms / batched.ms : 0.0;
-
-  util::TextTable table({"cascade", "time (ms)", "Mpairs/s",
-                         "interleaved probes", "single-pair probes"});
-  const auto row = [&](const char* name, const ModeTiming& t) {
-    table.AddRow({name, util::FormatDouble(t.ms, 2),
-                  util::FormatDouble(pairs_per_sec(t.ms) / 1e6, 2),
-                  std::to_string(t.simd.kernel_batched_pairs),
-                  std::to_string(t.simd.kernel_remainder_pairs)});
-  };
-  row("batch layout (baseline ISA)", layout);
-  row("batched (active dispatch)", batched);
-  std::cout << table.ToText() << "streaming speedup vs baseline ISA: "
-            << util::FormatDouble(speedup, 2)
-            << "x (identical links at every mode; differential-tested)\n";
-
-  // Kernel microbench: the same probe set through the single-pair kernel
-  // and through the batch entry point under the active dispatch.
-  const ProbeSet& probes = GetProbeSet();
-  std::vector<std::size_t> out(probes.a.size());
-  double kernel_scalar_ms = 0.0;
-  for (int rep = -1; rep < 5; ++rep) {
-    util::Stopwatch timer;
-    std::size_t checksum = 0;
-    for (std::size_t i = 0; i < probes.a.size(); ++i) {
-      checksum += text::BoundedLevenshteinDistance(probes.a[i], probes.b[i],
-                                                   probes.caps[i]);
-    }
-    benchmark::DoNotOptimize(checksum);
-    const double ms = timer.ElapsedMillis();
-    if (rep < 0) continue;
-    if (rep == 0 || ms < kernel_scalar_ms) kernel_scalar_ms = ms;
-  }
-  double kernel_batched_ms = 0.0;
-  for (int rep = -1; rep < 5; ++rep) {
-    util::Stopwatch timer;
-    text::BoundedLevenshteinDistanceBatch(probes.a.data(), probes.b.data(),
-                                          probes.caps.data(),
-                                          probes.a.size(), out.data());
-    benchmark::DoNotOptimize(out.data());
-    const double ms = timer.ElapsedMillis();
-    if (rep < 0) continue;
-    if (rep == 0 || ms < kernel_batched_ms) kernel_batched_ms = ms;
-  }
-  for (std::size_t i = 0; i < probes.a.size(); ++i) {
-    RL_CHECK(out[i] == text::BoundedLevenshteinDistance(
-                           probes.a[i], probes.b[i], probes.caps[i]));
-  }
-  const double bytes_per_pair =
-      probes.a.empty() ? 0.0
-                       : static_cast<double>(probes.bytes) /
-                             static_cast<double>(probes.a.size());
-  const auto kernel_pairs_per_sec = [&](double ms) {
-    return ms > 0.0 ? static_cast<double>(probes.a.size()) / (ms / 1000.0)
-                    : 0.0;
-  };
-  const double kernel_speedup =
-      kernel_batched_ms > 0.0 ? kernel_scalar_ms / kernel_batched_ms : 0.0;
-  std::cout << "levenshtein kernel: " << probes.a.size()
-            << " stage-B probes, "
-            << util::FormatDouble(bytes_per_pair, 1) << " bytes/pair; "
-            << util::FormatDouble(kernel_pairs_per_sec(kernel_scalar_ms) /
-                                      1e6, 2)
-            << " Mpairs/s scalar -> "
-            << util::FormatDouble(kernel_pairs_per_sec(kernel_batched_ms) /
-                                      1e6, 2)
-            << " Mpairs/s batched ("
-            << util::FormatDouble(kernel_speedup, 2) << "x)\n\n";
-
-  std::string json = "  \"batched\": {\n";
-  json += "    \"dispatch\": \"" +
-          std::string(util::SimdModeName(active)) + "\",\n";
-  json += "    \"candidates\": " + std::to_string(fixture.candidate_pairs) +
-          ",\n";
-  json += "    \"links\": " + std::to_string(reference.size()) + ",\n";
-  json += "    \"batch_baseline_isa_ms\": " +
-          util::FormatDouble(layout.ms, 3) + ",\n";
-  json += "    \"batched_ms\": " + util::FormatDouble(batched.ms, 3) + ",\n";
-  json += "    \"pairs_per_sec_baseline_isa\": " +
-          util::FormatDouble(pairs_per_sec(layout.ms), 1) + ",\n";
-  json += "    \"pairs_per_sec_batched\": " +
-          util::FormatDouble(pairs_per_sec(batched.ms), 1) + ",\n";
-  json += "    \"speedup_vs_scalar\": " + util::FormatDouble(speedup, 3) +
-          ",\n";
-  json += "    \"kernel_batched_pairs\": " +
-          std::to_string(batched.simd.kernel_batched_pairs) + ",\n";
-  json += "    \"kernel_remainder_pairs\": " +
-          std::to_string(batched.simd.kernel_remainder_pairs) + ",\n";
-  json += "    \"kernel\": {\n";
-  json += "      \"probe_pairs\": " + std::to_string(probes.a.size()) +
-          ",\n";
-  json += "      \"bytes_per_pair\": " +
-          util::FormatDouble(bytes_per_pair, 2) + ",\n";
-  json += "      \"scalar_ms\": " + util::FormatDouble(kernel_scalar_ms, 3) +
-          ",\n";
-  json += "      \"batched_ms\": " +
-          util::FormatDouble(kernel_batched_ms, 3) + ",\n";
-  json += "      \"pairs_per_sec_scalar\": " +
-          util::FormatDouble(kernel_pairs_per_sec(kernel_scalar_ms), 1) +
-          ",\n";
-  json += "      \"pairs_per_sec_batched\": " +
-          util::FormatDouble(kernel_pairs_per_sec(kernel_batched_ms), 1) +
-          ",\n";
-  json += "      \"speedup_vs_scalar\": " +
-          util::FormatDouble(kernel_speedup, 3) + "\n    }\n  },\n";
-  return json;
-}
-
 // Thread-count sweep of the full streaming pipeline (cache build
 // included), recorded to BENCH_linking.json. Oversubscribed points (beyond
 // the hardware) are flagged in the JSON; the morsel scheduler keeps them
@@ -717,7 +473,7 @@ void PrintThreadSweepReport(const std::string& pipeline_json) {
   for (std::size_t threads : {1u, 2u, 4u, 8u}) {
     const PipelineTiming t = TimePipeline(fixture, threads);
     if (threads == 1) serial_ms = t.ms;
-    points.push_back({threads, t.ms, t.scheduler, t.simd});
+    points.push_back({threads, t.ms, t.scheduler});
     table.AddRow({std::to_string(threads), util::FormatDouble(t.ms, 1),
                   serial_ms > 0.0
                       ? util::FormatDouble(serial_ms / t.ms, 2) + "x"
@@ -925,16 +681,12 @@ BENCHMARK(BM_RunStreamingThreads)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// PruneBatch over every candidate run: arg 0 at the baseline ISA (the
-// scalar floor), arg 1 under the active dispatch (only stage B's probe
-// kernel differs). Items = candidate pairs, bytes untouched (stage A reads
-// 32-byte slot records, not strings — that asymmetry is the point).
+// PruneBatch over every candidate run, stage A and stage B. Items =
+// candidate pairs, bytes untouched (stage A reads 32-byte slot records,
+// not strings — that asymmetry is the point).
 void BM_FilterCascade(benchmark::State& state) {
   const StreamingFixture& fixture = GetStreamingFixture();
   const linking::FilterCascade cascade(&fixture.matcher, kThreshold);
-  const util::ScopedSimdMode scoped(state.range(0) != 0
-                                        ? util::ActiveSimdMode()
-                                        : util::SimdMode::kScalar);
   linking::FilterBatchScratch scratch;
   std::vector<std::size_t> run;
   for (auto _ : state) {
@@ -951,38 +703,7 @@ void BM_FilterCascade(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(fixture.candidate_pairs));
 }
-BENCHMARK(BM_FilterCascade)
-    ->Arg(0)   // baseline ISA
-    ->Arg(1)   // active dispatch
-    ->Unit(benchmark::kMillisecond);
-
-// The bounded-Levenshtein probe kernel on the harvested stage-B probe
-// set: arg 0 runs the batch entry point at the baseline ISA (width 1:
-// single-pair Myers per probe), arg 1 under the active dispatch
-// (interleaved lanes). bytes_per_second is the roofline axis: bytes
-// actually read per probe.
-void BM_BoundedLevenshteinBatch(benchmark::State& state) {
-  const ProbeSet& probes = GetProbeSet();
-  const util::ScopedSimdMode scoped(state.range(0) != 0
-                                        ? util::ActiveSimdMode()
-                                        : util::SimdMode::kScalar);
-  std::vector<std::size_t> out(probes.a.size());
-  for (auto _ : state) {
-    text::BoundedLevenshteinDistanceBatch(probes.a.data(), probes.b.data(),
-                                          probes.caps.data(),
-                                          probes.a.size(), out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(probes.a.size()));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(probes.bytes));
-}
-BENCHMARK(BM_BoundedLevenshteinBatch)
-    ->Arg(0)   // single-pair Myers per probe
-    ->Arg(1)   // interleaved lanes, active dispatch
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FilterCascade)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace rulelink::bench
@@ -991,7 +712,6 @@ int main(int argc, char** argv) {
   rulelink::bench::ApplyPinningFromEnv();
   std::string pipeline_json = rulelink::bench::PrintPipelineReport();
   pipeline_json += rulelink::bench::PrintStreamingReport();
-  pipeline_json += rulelink::bench::PrintBatchedReport();
   rulelink::bench::PrintThreadSweepReport(pipeline_json);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -3,8 +3,8 @@
 // published once; N closed-loop client threads (one ServeEngine::Session
 // each) drain the PR 6 query stream through Session::Query and the bench
 // reports QPS plus p50/p95/p99/p999 per-request latency from merged log2
-// obs::Histograms, with the per-point scheduler and SIMD counter deltas
-// the other sweep benches carry. Every served answer is checked against a
+// obs::Histograms, with the per-point scheduler counter deltas the other
+// sweep benches carry. Every served answer is checked against a
 // batch StreamingLinker::Run over the same catalog — byte-identical links,
 // at every client count.
 //
@@ -42,7 +42,6 @@
 #include "linking/streaming_linker.h"
 #include "obs/metrics.h"
 #include "util/epoch.h"
-#include "util/simd.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 #include "util/table.h"
@@ -143,7 +142,6 @@ struct PointResult {
   std::size_t mismatches = 0;
   obs::Histogram latency_ns;
   util::SchedulerTotals scheduler;
-  util::SimdTotals simd;
 };
 
 // One closed-loop replay: `clients` sessions race an atomic ticket over
@@ -157,7 +155,6 @@ PointResult ReplayPoint(linking::ServeEngine* engine, const ServeWorkload& w,
   result.queries = w.queries.size();
 
   const util::SchedulerTotals sched_before = util::GlobalSchedulerTotals();
-  const util::SimdTotals simd_before = util::GlobalSimdTotals();
   std::atomic<std::size_t> ticket{0};
   std::atomic<std::size_t> mismatches{0};
   std::atomic<std::size_t> pairs{0};
@@ -196,7 +193,6 @@ PointResult ReplayPoint(linking::ServeEngine* engine, const ServeWorkload& w,
   result.mismatches = mismatches.load(std::memory_order_relaxed);
   result.pairs_scored = pairs.load(std::memory_order_relaxed);
   result.scheduler = util::GlobalSchedulerTotals().Minus(sched_before);
-  result.simd = util::GlobalSimdTotals().Minus(simd_before);
   return result;
 }
 
@@ -425,11 +421,7 @@ std::string PointJson(const PointResult& r, double serial_qps) {
           util::FormatDouble(
               static_cast<double>(r.latency_ns.max()) / 1000.0, 3) +
           ",\n";
-  json += "     \"scheduler\": " + SchedulerJson(r.scheduler) + ",\n";
-  json += "     \"simd\": {\"kernel_batched_pairs\": " +
-          std::to_string(r.simd.kernel_batched_pairs) +
-          ", \"kernel_remainder_pairs\": " +
-          std::to_string(r.simd.kernel_remainder_pairs) + "}}";
+  json += "     \"scheduler\": " + SchedulerJson(r.scheduler) + "}";
   return json;
 }
 

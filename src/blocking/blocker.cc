@@ -72,6 +72,16 @@ class CartesianItemIndex : public ItemCandidateIndex {
 
 }  // namespace
 
+std::vector<CandidatePair> FlattenRuns(const CandidateIndex& index) {
+  std::vector<CandidatePair> pairs;
+  std::vector<std::size_t> run;
+  for (std::size_t e = 0; e < index.num_external(); ++e) {
+    index.CandidatesOf(e, &run);
+    for (const std::size_t l : run) pairs.push_back(CandidatePair{e, l});
+  }
+  return pairs;
+}
+
 std::unique_ptr<CandidateIndex> CandidateGenerator::BuildIndex(
     const std::vector<core::Item>& external,
     const std::vector<core::Item>& local) const {
@@ -123,14 +133,7 @@ std::unique_ptr<ItemCandidateIndex> CartesianBlocker::ExtendItemIndex(
 std::vector<CandidatePair> CartesianBlocker::Generate(
     const std::vector<core::Item>& external,
     const std::vector<core::Item>& local) const {
-  std::vector<CandidatePair> pairs;
-  pairs.reserve(external.size() * local.size());
-  for (std::size_t e = 0; e < external.size(); ++e) {
-    for (std::size_t l = 0; l < local.size(); ++l) {
-      pairs.push_back(CandidatePair{e, l});
-    }
-  }
-  return pairs;
+  return FlattenRuns(*BuildIndex(external, local));
 }
 
 std::string BlockingKey(const core::Item& item, const std::string& property,

@@ -74,6 +74,11 @@ class ItemCandidateIndex {
   virtual std::size_t num_local() const = 0;
 };
 
+// Every run of `index`, in external order: the sorted, duplicate-free
+// pair list Generate returns for a blocker whose BuildIndex answers runs
+// from its own inverted structure.
+std::vector<CandidatePair> FlattenRuns(const CandidateIndex& index);
+
 class CandidateGenerator {
  public:
   virtual ~CandidateGenerator() = default;
@@ -122,6 +127,7 @@ class CandidateGenerator {
 // The naive |S_E| x |S_L| space (§3): every pair is a candidate.
 class CartesianBlocker : public CandidateGenerator {
  public:
+  // FlattenRuns over BuildIndex.
   std::vector<CandidatePair> Generate(
       const std::vector<core::Item>& external,
       const std::vector<core::Item>& local) const override;

@@ -26,14 +26,7 @@ RuleBlocker::RuleBlocker(const core::RuleClassifier* classifier,
 std::vector<CandidatePair> RuleBlocker::Generate(
     const std::vector<core::Item>& external,
     const std::vector<core::Item>& local) const {
-  const auto index = BuildIndex(external, local);
-  std::vector<CandidatePair> pairs;
-  std::vector<std::size_t> run;
-  for (std::size_t e = 0; e < external.size(); ++e) {
-    index->CandidatesOf(e, &run);
-    for (const std::size_t l : run) pairs.push_back(CandidatePair{e, l});
-  }
-  return pairs;
+  return FlattenRuns(*BuildIndex(external, local));
 }
 
 namespace {

@@ -26,7 +26,7 @@ class RuleBlocker : public CandidateGenerator {
               double min_confidence = 0.0,
               bool compare_all_when_unclassified = false);
 
-  // Every run of BuildIndex's index, in external order.
+  // FlattenRuns over BuildIndex.
   std::vector<CandidatePair> Generate(
       const std::vector<core::Item>& external,
       const std::vector<core::Item>& local) const override;

@@ -1,6 +1,5 @@
 #include "blocking/standard_blocking.h"
 
-#include <algorithm>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -124,25 +123,14 @@ class StandardItemIndex : public ItemCandidateIndex {
 std::vector<CandidatePair> StandardBlocker::Generate(
     const std::vector<core::Item>& external,
     const std::vector<core::Item>& local) const {
-  const KeyBlocks table =
-      BuildKeyBlocks(local, property_, prefix_length_, /*offset=*/0);
-  std::vector<CandidatePair> pairs;
-  std::string key;
-  for (std::size_t e = 0; e < external.size(); ++e) {
-    AppendBlockingKey(external[e], property_, prefix_length_, &key);
-    const std::vector<std::size_t>* block = table.Find(key);
-    if (block == nullptr) continue;
-    for (std::size_t l : *block) pairs.push_back(CandidatePair{e, l});
-  }
-  std::sort(pairs.begin(), pairs.end());
-  return pairs;
+  return FlattenRuns(*BuildIndex(external, local));
 }
 
 std::unique_ptr<CandidateIndex> StandardBlocker::BuildIndex(
     const std::vector<core::Item>& external,
     const std::vector<core::Item>& local) const {
-  // Generate's blocks, kept instead of expanding the cross product, plus
-  // each external item's key id.
+  // The blocks, kept instead of expanding the cross product, plus each
+  // external item's key id.
   KeyBlocks table =
       BuildKeyBlocks(local, property_, prefix_length_, /*offset=*/0);
   std::vector<util::SymbolId> external_key(external.size());

@@ -17,6 +17,7 @@ class StandardBlocker : public CandidateGenerator {
   // `property`. Items with an empty key are never candidates.
   StandardBlocker(std::string property, std::size_t prefix_length);
 
+  // FlattenRuns over BuildIndex.
   std::vector<CandidatePair> Generate(
       const std::vector<core::Item>& external,
       const std::vector<core::Item>& local) const override;

@@ -1,7 +1,7 @@
 #include "linking/filters.h"
 
 #include <algorithm>
-#include <cstring>
+#include <string_view>
 #include <type_traits>
 
 #include "text/similarity.h"
@@ -98,7 +98,6 @@ constexpr std::uint8_t kFlagJaro = 8;
 // Counts a pruned pair under every filter its participation bits name.
 void RecordPruned(FilterStats* stats, std::uint8_t flags,
                   bool distance_cap) {
-  if (stats == nullptr) return;
   ++stats->pairs_pruned;
   if (flags & kFlagLength) ++stats->by_length;
   if (flags & kFlagToken) ++stats->by_token_count;
@@ -121,7 +120,6 @@ FilterCascade::FilterCascade(const ItemMatcher* matcher, double threshold)
       case SimilarityMeasure::kLevenshtein:
         plan.kind = Kind::kLevenshtein;
         plan.flag = kFlagLength;
-        ++num_levenshtein_;
         break;
       case SimilarityMeasure::kJaccardTokens:
         plan.kind = Kind::kJaccard;
@@ -151,6 +149,65 @@ FilterCascade::FilterCascade(const ItemMatcher* matcher, double threshold)
   }
 }
 
+// Kept out of stage A's loop: stage A decides all but a small share of
+// the candidates (DESIGN.md §5h).
+__attribute__((noinline)) bool FilterCascade::FailsDistanceCap(
+    const FilterBatchScratch& scratch, const FeatureDictionary& dict,
+    const FeatureCache& local_features, std::size_t local_index,
+    const SlotRecord* loc, double bound_sum, double weight_total) const {
+  for (const FilterBatchScratch::ActiveRule& rule : scratch.active_rules) {
+    if (static_cast<Kind>(rule.kind) != Kind::kLevenshtein) continue;
+    const SlotRecord& local = loc[rule.rule];
+    if (local.num_values == 0) continue;  // rule inactive for this pair
+    std::size_t num_loc = 1;
+    const ValueId* values = &local.value_id;
+    if (local.num_values != 1) {
+      values = local_features.Values(local_index, rule.rule, &num_loc);
+    }
+    // The rule's own stage-A term, by the call stage A made.
+    const double own_bound =
+        local.num_values == 1 && !rule.multi_valued
+            ? text::LevenshteinSignatureBound(rule.external->signature,
+                                              rule.external->count,
+                                              local.signature, local.count)
+            : SignatureCrossProductBound(dict, SimilarityMeasure::kLevenshtein,
+                                         rule.external_values,
+                                         rule.num_external_values, values,
+                                         num_loc);
+    // Bound on every other rule's contribution = stage A's sum minus this
+    // rule's own term; the subtraction's rounding is what kStageBSlack is
+    // for.
+    const double own = rule.weight * own_bound;
+    const double floor =
+        (threshold_ * weight_total - (bound_sum - own)) / rule.weight;
+    const double floor_cap = floor - kStageBSlack;
+    if (floor_cap <= 0.0) continue;  // any similarity could suffice
+    double best = -1.0;
+    for (std::size_t k = 0; k < rule.num_external_values; ++k) {
+      const std::string_view va = dict.View(rule.external_values[k]);
+      for (std::size_t j = 0; j < num_loc; ++j) {
+        const std::string_view vb = dict.View(values[j]);
+        const std::size_t longest = std::max(va.size(), vb.size());
+        // Distances above this cap put the pair's similarity strictly
+        // below floor_cap (the +1 absorbs the product's rounding). Two
+        // empty values probe as distance 0, similarity 1.0.
+        double allowed = (1.0 - floor_cap) * static_cast<double>(longest);
+        if (allowed < 0.0) allowed = 0.0;
+        const std::size_t cap = static_cast<std::size_t>(allowed) + 1;
+        const std::size_t distance =
+            text::BoundedLevenshteinDistance(va, vb, cap);
+        if (distance <= cap) {
+          best = std::max(best, text::LevenshteinSimilarityFromDistance(
+                                    distance, longest));
+        }
+      }
+    }
+    // The pair is pruned when its best value pair stays below its floor.
+    if (best < floor_cap) return true;
+  }
+  return false;
+}
+
 void FilterCascade::PruneBatch(const FeatureCache& external_features,
                                std::size_t external_index,
                                const FeatureCache& local_features,
@@ -168,21 +225,15 @@ void FilterCascade::PruneBatch(const FeatureCache& external_features,
 
   // The external item's active rules, in plan order (the scorer's rule
   // order): the rules whose external slot holds a value. Every other rule
-  // is inactive for the whole run.
-  // Stage B reads one row of Levenshtein bounds per Levenshtein rule;
-  // the row of a rule that is inactive for the whole run is never read.
+  // is inactive for the whole run. Stage B runs only when one of them is
+  // a Levenshtein rule and some similarity floor can be positive.
   std::vector<FilterBatchScratch::ActiveRule>& active = scratch->active_rules;
   active.clear();
-  scratch->lev_bound.resize(num_levenshtein_ * count);
-  std::size_t lev_row = 0;
+  bool stage_b = false;
   const SlotRecord* external_records =
       external_features.records() + external_index * num_rules;
   for (std::size_t r = 0; r < num_rules; ++r) {
     const Plan& plan = plans_[r];
-    double* lev_bound = nullptr;
-    if (plan.kind == Kind::kLevenshtein) {
-      lev_bound = scratch->lev_bound.data() + lev_row++ * count;
-    }
     FilterBatchScratch::ActiveRule rule;
     rule.external_values = external_features.Values(
         external_index, r, &rule.num_external_values);
@@ -193,9 +244,10 @@ void FilterCascade::PruneBatch(const FeatureCache& external_features,
     rule.multi_valued = rule.num_external_values > 1;
     rule.weight = plan.weight;
     rule.external = external_records + r;
-    rule.lev_bound = lev_bound;
     active.push_back(rule);
+    stage_b |= plan.kind == Kind::kLevenshtein;
   }
+  stage_b &= threshold_ > 0.0;
 
   // Stage A walks the run kBlock candidates at a time, and for each block
   // the active rules in rule order, so every candidate's sum takes its
@@ -206,12 +258,9 @@ void FilterCascade::PruneBatch(const FeatureCache& external_features,
   // sums unchanged). Each term is the expression the cross-product helpers
   // evaluate for one value per side, over the same integers, so a slot's
   // term does not depend on which of the two computed it.
-  scratch->bound_sum.resize(count);
-  scratch->weight_total.resize(count);
-  scratch->flags.resize(count);
   const SlotRecord* local_records = local_features.records();
   const std::size_t item_bytes = num_rules * sizeof(SlotRecord);
-  FilterStats pruned;  // stage A's prunes, added to `stats` at the end
+  FilterStats pruned;  // the run's prunes, added to `stats` at the end
   const auto evaluate = [&](auto width, std::size_t first) {
     constexpr std::size_t kWidth = decltype(width)::value;
     const SlotRecord* loc[kWidth];
@@ -238,14 +287,9 @@ void FilterCascade::PruneBatch(const FeatureCache& external_features,
       // bounds a pair of single-valued slots from their records.
       const auto add_terms = [&](const auto& single)
                                  __attribute__((always_inline)) {
-        // Stage B's per-rule bounds are stored after the loop, so no store
-        // in it can alias the external record and the compiler keeps that
-        // record's fields in registers.
-        double lev_bound[kWidth];
         for (std::size_t j = 0; j < kWidth; ++j) {
           const SlotRecord& local = loc[j][rule.rule];
           double bound = 1.0;
-          lev_bound[j] = -1.0;
           if (local.num_values == 1 && !rule.multi_valued) {
             bound = single(local);
           } else if (local.num_values == 0) {  // property missing
@@ -266,12 +310,8 @@ void FilterCascade::PruneBatch(const FeatureCache& external_features,
             }
           }
           if (bound < 1.0) flags[j] |= rule.flag;
-          lev_bound[j] = bound;
           bound_sum[j] += rule.weight * bound;
           weight_total[j] += rule.weight;
-        }
-        if (rule.lev_bound != nullptr) {
-          std::memcpy(rule.lev_bound + first, lev_bound, sizeof(lev_bound));
         }
       };
       switch (kind) {
@@ -317,19 +357,23 @@ void FilterCascade::PruneBatch(const FeatureCache& external_features,
           break;
       }
     }
-    // A renormalized bound below the threshold proves the pair out. An
-    // all-inactive pair scores exactly 0.0, which is then its bound.
+    // A renormalized bound below the threshold proves the pair out, and
+    // so does stage B on a pair the bound keeps. An all-inactive pair
+    // scores exactly 0.0, which is then its bound.
     for (std::size_t j = 0; j < kWidth; ++j) {
       const std::size_t i = first + j;
-      scratch->bound_sum[i] = bound_sum[j];
-      scratch->weight_total[i] = weight_total[j];
-      scratch->flags[i] = flags[j];
       const double bound =
           weight_total[j] == 0.0 ? 0.0 : bound_sum[j] / weight_total[j];
       scratch->bound[i] = bound;
       if (bound < threshold_) {
         scratch->pruned[i] = 1;
         RecordPruned(&pruned, flags[j], false);
+      } else if (stage_b &&
+                 FailsDistanceCap(*scratch, dict, local_features,
+                                  candidates[i], loc[j], bound_sum[j],
+                                  weight_total[j])) {
+        scratch->pruned[i] = 1;
+        RecordPruned(&pruned, flags[j], true);
       }
     }
   };
@@ -341,97 +385,6 @@ void FilterCascade::PruneBatch(const FeatureCache& external_features,
     evaluate(std::integral_constant<std::size_t, 1>(), first);
   }
   if (stats != nullptr) stats->Add(pruned);
-
-  // Stage B: the length bound survived, but capped bit-parallel probes may
-  // still prove every Levenshtein value pair sits below the similarity
-  // floor that rule would need for the aggregate to reach the threshold.
-  // Per Levenshtein rule in plan order, derive each surviving pair's floor
-  // and queue one capped probe per value pair, then run them all through
-  // the interleaved kernel. A pair pruned by an earlier rule skips the
-  // later ones.
-  if (num_levenshtein_ == 0 || threshold_ <= 0.0) return;
-  lev_row = 0;
-  for (std::size_t r = 0; r < num_rules; ++r) {
-    if (plans_[r].kind != Kind::kLevenshtein) continue;
-    const std::size_t row = lev_row++;
-    std::size_t num_ext = 0;
-    const ValueId* ext =
-        external_features.Values(external_index, r, &num_ext);
-    if (num_ext == 0) continue;
-    std::vector<std::string_view>& ext_views = scratch->external_views;
-    ext_views.resize(num_ext);
-    for (std::size_t k = 0; k < num_ext; ++k) ext_views[k] = dict.View(ext[k]);
-    const double weight = plans_[r].weight;
-    const double* lev_bounds = scratch->lev_bound.data() + row * count;
-    scratch->probe_a.clear();
-    scratch->probe_b.clear();
-    scratch->probe_cap.clear();
-    scratch->probe_pair.clear();
-    scratch->probe_longest.clear();
-    scratch->probe_floor.clear();
-    for (std::size_t i = 0; i < count; ++i) {
-      if (scratch->pruned[i] != 0) continue;
-      const double own_bound = lev_bounds[i];
-      if (own_bound < 0.0) continue;  // rule inactive for this pair
-      // Bound on every other rule's contribution = stage A's sum minus
-      // this rule's own term; the subtraction's rounding is what
-      // kStageBSlack is for.
-      const double own = weight * own_bound;
-      const double floor = (threshold_ * scratch->weight_total[i] -
-                            (scratch->bound_sum[i] - own)) /
-                           weight;
-      const double floor_cap = floor - kStageBSlack;
-      if (floor_cap <= 0.0) continue;  // any similarity could suffice
-      const SlotRecord& record =
-          local_records[candidates[i] * num_rules + r];
-      std::size_t num_loc = 1;
-      const ValueId* loc = &record.value_id;
-      if (record.num_values != 1) {
-        loc = local_features.Values(candidates[i], r, &num_loc);
-      }
-      for (const std::string_view va : ext_views) {
-        for (std::size_t j = 0; j < num_loc; ++j) {
-          const std::string_view vb = dict.View(loc[j]);
-          const std::size_t longest = std::max(va.size(), vb.size());
-          // Distances above this cap put the pair's similarity strictly
-          // below floor_cap (the +1 absorbs the product's rounding). Two
-          // empty values probe as distance 0, similarity 1.0.
-          double allowed = (1.0 - floor_cap) * static_cast<double>(longest);
-          if (allowed < 0.0) allowed = 0.0;
-          scratch->probe_a.push_back(va);
-          scratch->probe_b.push_back(vb);
-          scratch->probe_cap.push_back(static_cast<std::size_t>(allowed) +
-                                       1);
-          scratch->probe_pair.push_back(i);
-          scratch->probe_longest.push_back(longest);
-          scratch->probe_floor.push_back(floor_cap);
-        }
-      }
-    }
-    const std::size_t num_probes = scratch->probe_a.size();
-    if (num_probes == 0) continue;
-    scratch->probe_out.resize(num_probes);
-    text::BoundedLevenshteinDistanceBatch(
-        scratch->probe_a.data(), scratch->probe_b.data(),
-        scratch->probe_cap.data(), num_probes, scratch->probe_out.data());
-    // A pair is pruned when its best value pair stays below its floor.
-    for (std::size_t p = 0; p < num_probes;) {
-      const std::size_t i = scratch->probe_pair[p];
-      const double floor_cap = scratch->probe_floor[p];
-      double best = -1.0;
-      for (; p < num_probes && scratch->probe_pair[p] == i; ++p) {
-        if (scratch->probe_out[p] <= scratch->probe_cap[p]) {
-          best = std::max(best, text::LevenshteinSimilarityFromDistance(
-                                    scratch->probe_out[p],
-                                    scratch->probe_longest[p]));
-        }
-      }
-      if (best < floor_cap) {
-        scratch->pruned[i] = 1;
-        RecordPruned(stats, scratch->flags[i], true);
-      }
-    }
-  }
 }
 
 }  // namespace rulelink::linking

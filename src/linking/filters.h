@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "linking/feature_cache.h"
@@ -45,8 +44,7 @@ struct FilterStats {
 };
 
 // Reusable per-worker scratch for FilterCascade::PruneBatch: the external
-// item's active rules, the per-candidate stage-A sums stage B reads, and
-// stage-B probe staging, plus the outputs. Owned by the caller (one per
+// item's active rules, plus the outputs. Owned by the caller (one per
 // streaming shard) so a run's batch pass allocates nothing after warm-up.
 // `pruned[i]` is 1 when candidate i of the last PruneBatch call was
 // pruned, and `bound[i]` is its stage-A bound on the aggregate score.
@@ -61,25 +59,8 @@ struct FilterBatchScratch {
     const SlotRecord* external = nullptr;
     const ValueId* external_values = nullptr;
     std::size_t num_external_values = 0;
-    double* lev_bound = nullptr;  // the rule's row, for a Levenshtein rule
   };
   std::vector<ActiveRule> active_rules;
-  // Per-candidate stage-A results stage B reads.
-  std::vector<double> bound_sum;
-  std::vector<double> weight_total;
-  std::vector<double> lev_bound;  // one row of n per Levenshtein rule
-  std::vector<std::uint8_t> flags;  // participation bits for FilterStats
-  // The external item's values under the stage-B rule being probed.
-  std::vector<std::string_view> external_views;
-  // Stage-B probe staging for BoundedLevenshteinDistanceBatch, one entry
-  // per value pair; a candidate's probes are consecutive.
-  std::vector<std::string_view> probe_a;
-  std::vector<std::string_view> probe_b;
-  std::vector<std::size_t> probe_cap;
-  std::vector<std::size_t> probe_out;
-  std::vector<std::size_t> probe_pair;     // candidate index per probe
-  std::vector<std::size_t> probe_longest;  // max value length per probe
-  std::vector<double> probe_floor;         // floor_cap per probe
   // Outputs of the last call.
   std::vector<std::uint8_t> pruned;
   std::vector<double> bound;
@@ -102,14 +83,13 @@ class FilterCascade {
   // candidates at a time, reading each candidate's adjacent FeatureCache
   // slot records in place and summing the external item's active rules
   // in rule order; a multi-valued slot on either side adds its best bound
-  // over the value cross product in its place. Stage B spends one capped
-  // bit-parallel Levenshtein probe per value pair of each surviving
-  // Levenshtein rule, batched through
-  // text::BoundedLevenshteinDistanceBatch. scratch->bound[i] is set to
-  // stage A's bound for every candidate: it is at least the score
-  // ItemMatcher::ScoreRun computes for the pair, as a double, which the
-  // streaming linker's running-best floor relies on. Decisions, bounds
-  // and counters do not depend on the SIMD dispatch mode (DESIGN.md §5e,
+  // over the value cross product in its place. Stage B checks each
+  // candidate stage A keeps, where stage A keeps it: per active
+  // Levenshtein rule, one capped bit-parallel probe
+  // (text::BoundedLevenshteinDistance) per value pair. scratch->bound[i]
+  // is set to stage A's bound for every candidate: it is at least the
+  // score ItemMatcher::ScoreRun computes for the pair, as a double, which
+  // the streaming linker's running-best floor relies on (DESIGN.md §5e,
   // §5h). Thread-safe as long as each worker owns its scratch.
   void PruneBatch(const FeatureCache& external_features,
                   std::size_t external_index,
@@ -135,10 +115,19 @@ class FilterCascade {
     double weight = 1.0;
   };
 
+  // Stage B for one candidate stage A kept: true when some active
+  // Levenshtein rule's probes prove the pair below the threshold. `loc` is
+  // the candidate's slot records; `bound_sum` and `weight_total` are
+  // stage A's sums for it.
+  bool FailsDistanceCap(const FilterBatchScratch& scratch,
+                        const FeatureDictionary& dict,
+                        const FeatureCache& local_features,
+                        std::size_t local_index, const SlotRecord* loc,
+                        double bound_sum, double weight_total) const;
+
   const ItemMatcher* matcher_;
   double threshold_;
   std::vector<Plan> plans_;  // positional, parallel to matcher_->rules()
-  std::size_t num_levenshtein_ = 0;
 };
 
 }  // namespace rulelink::linking

@@ -32,7 +32,7 @@
 // tombstones out of each candidate run.
 //
 // The per-query path reuses the streaming machinery end to end —
-// ItemCandidateIndex run -> FilterCascade::PruneBatch (SIMD) ->
+// ItemCandidateIndex run -> FilterCascade::PruneBatch ->
 // ItemMatcher::ScoreRun over the survivors, one gather pass and one
 // score pass per rule against the query's values prepared once. A
 // best-per-external query does not score every survivor: it scores the

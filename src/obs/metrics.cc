@@ -166,7 +166,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   snapshot.stages.insert(stages_.begin(), stages_.end());
   snapshot.trace = trace_;
   snapshot.scheduler = util::GlobalSchedulerStats();
-  snapshot.simd = util::GlobalSimdStats();
   return snapshot;
 }
 
@@ -277,14 +276,6 @@ std::string MetricsSnapshot::ToJson(bool include_timings) const {
     }
     out += first ? "]" : "\n    ]";
     out += "\n  }";
-
-    // SIMD dispatch is host/CPU-dependent, so it stays out of the
-    // deterministic document too.
-    out += ",\n  \"simd\": {\"dispatch\": \"" + std::string(simd.dispatch) +
-           "\", \"kernel_batched_pairs\": " +
-           std::to_string(simd.totals.kernel_batched_pairs) +
-           ", \"kernel_remainder_pairs\": " +
-           std::to_string(simd.totals.kernel_remainder_pairs) + "}";
   }
   out += "\n}\n";
   return out;

@@ -34,7 +34,6 @@
 #include <string_view>
 #include <vector>
 
-#include "util/simd.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -122,20 +121,15 @@ struct MetricsSnapshot {
   // this section renders only in the full document, never the
   // deterministic one.
   util::SchedulerStats scheduler;
-  // SIMD dispatch target and batched/remainder Levenshtein probe
-  // counters at snapshot time (DESIGN.md §5h). Dispatch-variant (depends
-  // on the host CPU), so it renders alongside "scheduler" in the full
-  // document only.
-  util::SimdStats simd;
 
   // Full document: {"counters": {...}, "gauges": {...},
   // "histograms": {...}, "stages": {...}, "trace": [...],
-  // "scheduler": {...}, "simd": {...}}. Doubles are written with shortest round-trip
+  // "scheduler": {...}}. Doubles are written with shortest round-trip
   // formatting, histogram buckets as [lower_bound, count] pairs for the
   // non-empty buckets only.
   std::string ToJson(bool include_timings = true) const;
 
-  // The thread-invariant sections only (no stages/trace/scheduler/simd)
+  // The thread-invariant sections only (no stages/trace/scheduler)
   // — byte-identical at every thread count for the same input.
   std::string DeterministicJson() const { return ToJson(false); }
 

@@ -8,18 +8,7 @@
 
 #include "util/hash.h"
 #include "util/logging.h"
-#include "util/simd.h"
 #include "util/string_util.h"
-
-// The interleaved Myers kernel below is compiled once per ISA via
-// per-function target attributes; only x86 has the multi-versioned
-// wrappers (elsewhere the batch API degrades to single-pair calls).
-#if defined(__x86_64__) || defined(__i386__)
-#define RULELINK_X86_TARGETS 1
-#include <immintrin.h>
-#else
-#define RULELINK_X86_TARGETS 0
-#endif
 
 namespace rulelink::text {
 
@@ -133,144 +122,6 @@ std::size_t MyersDistance(std::string_view a, std::string_view b,
   return MyersDistanceBlocked(a, b, cap);
 }
 
-// --- Interleaved multi-pair Myers (DESIGN.md §5h) ----------------------
-//
-// Four independent single-word Myers computations advancing in lockstep
-// in the 64-bit lanes of one AVX2 register set, all probing the SAME
-// pattern against their own texts — the shape the filter cascade
-// produces, where every stage-B probe of a candidate run shares the
-// external item's value. Sharing the pattern lets one match-mask table
-// serve every lane and be built once per segment instead of once per
-// group, which removes the dominant per-group cost (2m table writes per
-// pattern).
-//
-// Each lane is value-identical to BoundedLevenshteinDistance on its pair
-// without replaying the scalar kernel's control flow. The kernel
-// advances lane k through all n[k] columns (state updates masked off
-// once its text is exhausted) and derives the result afterwards as
-// score > cap ? cap + 1 : score. That is exactly what the scalar kernel
-// returns: its early exit fires at column j only if
-// score_j > cap + (n-1-j), which forces the final score above cap (the
-// score drops by at most one per column), and conversely a final score
-// <= cap means the exit condition can never have held — so both compute
-// d <= cap ? d : cap + 1, a value that does not depend on orientation or
-// on when the exit is detected. The per-column early exit is therefore
-// pure throughput, and the lockstep kernel recovers it in bulk: every 8
-// columns it stops if every lane is finished or provably past its cap.
-
-// Per-thread match-mask table for the shared-pattern kernel; entries
-// touched by a pattern are cleared again after each segment, the same
-// discipline as the single-pair kernel's table.
-std::uint64_t* InterleavedPeq() {
-  static thread_local std::vector<std::uint64_t> table(256, 0);
-  return table.data();
-}
-
-#if RULELINK_X86_TARGETS
-
-// Runs one shared pattern (1..64 bytes) against `count` texts, four at a
-// time; texts must be non-empty. The final partial group is padded with
-// the group's own first element — the padded lanes compute a real value
-// that is simply not written back, and reusing an in-group text keeps
-// the padding from stretching the group's column count.
-__attribute__((target("avx2"))) void MyersInterleavedShared4Avx2(
-    std::string_view pattern, const std::string_view* text,
-    const std::size_t* cap, std::size_t count, std::size_t* result) {
-  std::uint64_t* table = InterleavedPeq();
-  const std::size_t m = pattern.size();
-  for (std::size_t i = 0; i < m; ++i) {
-    table[static_cast<unsigned char>(pattern[i])] |= std::uint64_t{1} << i;
-  }
-  const auto i64 = [](std::uint64_t v) {
-    return static_cast<long long>(v);
-  };
-  const __m256i lr = _mm256_set1_epi64x(i64(std::uint64_t{1} << (m - 1)));
-  const __m256i m_vec = _mm256_set1_epi64x(i64(m));
-  const __m256i ones = _mm256_set1_epi64x(-1);
-  const __m256i one = _mm256_set1_epi64x(1);
-  const __m256i zero = _mm256_setzero_si256();
-  for (std::size_t g = 0; g < count; g += 4) {
-    const unsigned char* txt[4];
-    std::size_t last_col[4];
-    std::size_t idx[4];
-    std::size_t max_n = 0;
-    for (int k = 0; k < 4; ++k) {
-      idx[k] = g + k < count ? g + k : g;
-      txt[k] = reinterpret_cast<const unsigned char*>(text[idx[k]].data());
-      last_col[k] = text[idx[k]].size() - 1;
-      max_n = std::max(max_n, text[idx[k]].size());
-    }
-    const __m256i n_vec = _mm256_set_epi64x(
-        i64(last_col[3] + 1), i64(last_col[2] + 1), i64(last_col[1] + 1),
-        i64(last_col[0] + 1));
-    // cap + n per lane, for the bulk form of the early-exit predicate:
-    // score_j > cap + (n-1-j)  <=>  score_j + (j+1) > cap + n.
-    const __m256i cap_n = _mm256_set_epi64x(
-        i64(cap[idx[3]] + last_col[3] + 1),
-        i64(cap[idx[2]] + last_col[2] + 1),
-        i64(cap[idx[1]] + last_col[1] + 1),
-        i64(cap[idx[0]] + last_col[0] + 1));
-    __m256i score = m_vec;
-    __m256i pv = ones;
-    __m256i mv = zero;
-    __m256i j_vec = zero;
-    for (std::size_t j = 0; j < max_n; ++j) {
-      // Exhausted lanes read their last byte again (always in bounds);
-      // the resulting eq is harmless because their updates are masked.
-      const __m256i eq = _mm256_set_epi64x(
-          i64(table[txt[3][std::min(j, last_col[3])]]),
-          i64(table[txt[2][std::min(j, last_col[2])]]),
-          i64(table[txt[1][std::min(j, last_col[1])]]),
-          i64(table[txt[0][std::min(j, last_col[0])]]));
-      const __m256i active = _mm256_cmpgt_epi64(n_vec, j_vec);
-      const __m256i xv = _mm256_or_si256(eq, mv);
-      const __m256i xh = _mm256_or_si256(
-          _mm256_xor_si256(_mm256_add_epi64(_mm256_and_si256(eq, pv), pv),
-                           pv),
-          eq);
-      __m256i ph = _mm256_or_si256(
-          mv, _mm256_andnot_si256(_mm256_or_si256(xh, pv), ones));
-      __m256i mh = _mm256_and_si256(pv, xh);
-      // +1 where ph has the last-row bit, -1 where mh does: cmpeq-to-zero
-      // yields -1 for "bit clear", adding one flips it into a 0/1 lane.
-      const __m256i incp = _mm256_add_epi64(
-          one, _mm256_cmpeq_epi64(_mm256_and_si256(ph, lr), zero));
-      const __m256i incm = _mm256_add_epi64(
-          one, _mm256_cmpeq_epi64(_mm256_and_si256(mh, lr), zero));
-      score = _mm256_add_epi64(
-          score, _mm256_and_si256(_mm256_sub_epi64(incp, incm), active));
-      ph = _mm256_or_si256(_mm256_slli_epi64(ph, 1), one);
-      mh = _mm256_slli_epi64(mh, 1);
-      const __m256i pv_new = _mm256_or_si256(
-          mh, _mm256_andnot_si256(_mm256_or_si256(xv, ph), ones));
-      const __m256i mv_new = _mm256_and_si256(ph, xv);
-      pv = _mm256_blendv_epi8(pv, pv_new, active);
-      mv = _mm256_blendv_epi8(mv, mv_new, active);
-      j_vec = _mm256_add_epi64(j_vec, one);
-      if ((j & 7) == 7) {
-        const __m256i finished =
-            _mm256_cmpeq_epi64(_mm256_cmpgt_epi64(n_vec, j_vec), zero);
-        const __m256i past_cap =
-            _mm256_cmpgt_epi64(_mm256_add_epi64(score, j_vec), cap_n);
-        if (_mm256_movemask_epi8(_mm256_or_si256(finished, past_cap)) ==
-            -1) {
-          break;
-        }
-      }
-    }
-    alignas(32) std::uint64_t fin[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(fin), score);
-    for (int k = 0; k < 4 && g + k < count; ++k) {
-      result[g + k] = fin[k] > cap[g + k] ? cap[g + k] + 1 : fin[k];
-    }
-  }
-  for (std::size_t i = 0; i < m; ++i) {
-    table[static_cast<unsigned char>(pattern[i])] = 0;
-  }
-}
-
-#endif  // RULELINK_X86_TARGETS
-
 }  // namespace
 
 std::size_t LevenshteinDistance(std::string_view a, std::string_view b) {
@@ -291,142 +142,6 @@ std::size_t BoundedLevenshteinDistance(std::string_view a, std::string_view b,
   cap = std::min(cap, m + n);
   if (m <= 64) return MyersDistance64(a, b, cap);
   return MyersDistanceBlocked(a, b, cap);
-}
-
-void BoundedLevenshteinDistanceBatch(const std::string_view* a,
-                                     const std::string_view* b,
-                                     const std::size_t* caps,
-                                     std::size_t count, std::size_t* out) {
-#if RULELINK_X86_TARGETS
-  const bool interleave = util::ActiveSimdMode() == util::SimdMode::kAVX2;
-#else
-  const bool interleave = false;
-#endif
-  std::uint64_t batched = 0;
-  std::uint64_t remainder = 0;
-  // Pairs the interleaved kernel can take (a one-word pattern, nonzero
-  // cap) are staged with the a-side kept as the pattern whenever it fits,
-  // so that consecutive probes sharing their a-side — the cascade's
-  // shape, one external value per candidate run — form shared-pattern
-  // segments for the kernel above. The prologue mirrors
-  // BoundedLevenshteinDistance but is written orientation-free, which is
-  // sound because every return value (exact distance, cap + 1, the
-  // prologue shortcuts) is symmetric in the two strings.
-  static thread_local std::vector<std::string_view> staged_pat;
-  static thread_local std::vector<std::string_view> staged_txt;
-  static thread_local std::vector<std::size_t> staged_cap;
-  static thread_local std::vector<std::size_t> staged_index;
-  staged_pat.clear();
-  staged_txt.clear();
-  staged_cap.clear();
-  staged_index.clear();
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::string_view x = a[i];
-    const std::string_view y = b[i];
-    std::size_t cap = caps[i];
-    const std::size_t mn = std::min(x.size(), y.size());
-    const std::size_t mx = std::max(x.size(), y.size());
-    if (mx - mn > cap) {
-      out[i] = cap + 1;
-      continue;
-    }
-    if (cap == 0) {
-      out[i] = x == y ? 0 : 1;
-      continue;
-    }
-    if (mn == 0) {
-      out[i] = mx;
-      continue;
-    }
-    cap = std::min(cap, mn + mx);
-    const std::string_view shorter = x.size() <= y.size() ? x : y;
-    const std::string_view longer = x.size() <= y.size() ? y : x;
-    if (mn > 64) {
-      out[i] = MyersDistanceBlocked(shorter, longer, cap);
-      ++remainder;
-      continue;
-    }
-    if (!interleave) {
-      out[i] = MyersDistance64(shorter, longer, cap);
-      ++remainder;
-      continue;
-    }
-    if (x.size() <= 64) {
-      staged_pat.push_back(x);
-      staged_txt.push_back(y);
-    } else {
-      staged_pat.push_back(y);
-      staged_txt.push_back(x);
-    }
-    staged_cap.push_back(cap);
-    staged_index.push_back(i);
-  }
-#if RULELINK_X86_TARGETS
-  if (!staged_pat.empty()) {
-    static thread_local std::vector<std::string_view> seg_txt;
-    static thread_local std::vector<std::size_t> seg_cap;
-    static thread_local std::vector<std::size_t> seg_out;
-    static thread_local std::vector<std::uint32_t> seg_src;
-    std::size_t s = 0;
-    while (s < staged_pat.size()) {
-      const std::string_view pat = staged_pat[s];
-      std::size_t e = s + 1;
-      while (e < staged_pat.size() && staged_pat[e].data() == pat.data() &&
-             staged_pat[e].size() == pat.size()) {
-        ++e;
-      }
-      const std::size_t len = e - s;
-      if (len < 2) {
-        // A lone pattern would pay the shared kernel's table build for
-        // one lane; the single-pair kernel computes the identical value.
-        out[staged_index[s]] =
-            MyersDistance64(pat, staged_txt[s], staged_cap[s]);
-        ++remainder;
-        s = e;
-        continue;
-      }
-      seg_src.resize(len);
-      if (len <= 4) {  // one lane group: nothing to sort
-        for (std::size_t i = 0; i < len; ++i) {
-          seg_src[i] = static_cast<std::uint32_t>(s + i);
-        }
-      } else {
-        // Counting sort on min(text length, 255): the lanes of a group
-        // run in lockstep to the group's longest text, so grouping
-        // similar lengths turns masked idle columns into useful ones.
-        // Stable and O(segment), where a comparison sort is not. Results
-        // are exact regardless of grouping — ordering is pure throughput.
-        std::uint32_t counts[257] = {0};
-        const auto length_key = [](std::string_view t) {
-          return std::min<std::size_t>(t.size(), 255);
-        };
-        for (std::size_t i = s; i < e; ++i) {
-          ++counts[length_key(staged_txt[i]) + 1];
-        }
-        for (std::size_t k = 1; k < 257; ++k) counts[k] += counts[k - 1];
-        for (std::size_t i = s; i < e; ++i) {
-          seg_src[counts[length_key(staged_txt[i])]++] =
-              static_cast<std::uint32_t>(i);
-        }
-      }
-      seg_txt.resize(len);
-      seg_cap.resize(len);
-      seg_out.resize(len);
-      for (std::size_t i = 0; i < len; ++i) {
-        seg_txt[i] = staged_txt[seg_src[i]];
-        seg_cap[i] = staged_cap[seg_src[i]];
-      }
-      MyersInterleavedShared4Avx2(pat, seg_txt.data(), seg_cap.data(), len,
-                                  seg_out.data());
-      for (std::size_t i = 0; i < len; ++i) {
-        out[staged_index[seg_src[i]]] = seg_out[i];
-      }
-      batched += static_cast<std::uint64_t>(len);
-      s = e;
-    }
-  }
-#endif
-  util::AddSimdKernelPairs(batched, remainder);
 }
 
 std::size_t DamerauLevenshteinDistance(std::string_view a,

@@ -35,21 +35,6 @@ std::size_t LevenshteinDistance(std::string_view a, std::string_view b);
 std::size_t BoundedLevenshteinDistance(std::string_view a, std::string_view b,
                                        std::size_t cap);
 
-// Batched capped Levenshtein: out[i] = BoundedLevenshteinDistance(a[i],
-// b[i], caps[i]) for every i < count — the same values exactly, including
-// the cap+1 early-exit results. Pairs whose shorter string fits one
-// 64-bit word run through a multi-pair interleaved Myers kernel under
-// util::ActiveSimdMode() == kAVX2: four independent bit-parallel
-// computations advance in lockstep across SIMD lanes, with the
-// single-pair kernel as remainder and long-pattern fallback (and as the
-// whole batch in scalar mode). The streaming cascade's stage-B probes are
-// the intended caller: one external value against the surviving locals of
-// a candidate run (DESIGN.md §5h).
-void BoundedLevenshteinDistanceBatch(const std::string_view* a,
-                                     const std::string_view* b,
-                                     const std::size_t* caps,
-                                     std::size_t count, std::size_t* out);
-
 // The similarity LevenshteinSimilarity derives from an already-known
 // distance: 1 - distance / longest (1.0 when longest == 0). Exposed so
 // callers that computed the distance themselves reproduce the exact same

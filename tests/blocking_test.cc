@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +10,7 @@
 #include "blocking/metrics.h"
 #include "blocking/sorted_neighbourhood.h"
 #include "blocking/standard_blocking.h"
+#include "util/rng.h"
 
 namespace rulelink::blocking {
 namespace {
@@ -71,6 +74,96 @@ TEST(StandardBlockerTest, EmptyKeysNeverMatch) {
   const auto pairs = StandardBlocker("pn", 3).Generate(
       {MakeItem("e0", "")}, {MakeItem("l0", "")});
   EXPECT_TRUE(pairs.empty());
+}
+
+// A random part number over a few letters in both cases, digits and a
+// dash, so keys collide at short prefixes and case folding matters.
+std::string RandomPartNumber(util::Rng& rng) {
+  static constexpr char kAlphabet[] = "aAbBc1-";
+  std::string value(rng.UniformUint64(7), ' ');
+  for (char& c : value) {
+    c = kAlphabet[rng.UniformUint64(sizeof(kAlphabet) - 1)];
+  }
+  return value;
+}
+
+// An item with, in turn: no part number, an empty one, one random value,
+// or two, of which only the first keys the item; some carry another
+// property first.
+core::Item RandomItem(util::Rng& rng, std::size_t i) {
+  core::Item item;
+  item.iri = "i" + std::to_string(i);
+  if (rng.Bernoulli(0.3)) item.facts.push_back({"label", "x"});
+  switch (rng.UniformUint64(8)) {
+    case 0:
+      break;  // missing
+    case 1:
+      item.facts.push_back({"pn", ""});
+      break;
+    case 2:
+      item.facts.push_back({"pn", RandomPartNumber(rng)});
+      item.facts.push_back({"pn", RandomPartNumber(rng)});
+      break;
+    default:
+      item.facts.push_back({"pn", RandomPartNumber(rng)});
+      break;
+  }
+  return item;
+}
+
+// The brute-force reference: e and l pair when the lowercased first
+// "pn" values agree on their first `prefix` bytes (all of them at 0), and
+// that key is not empty.
+std::string ReferenceKey(const core::Item& item, std::size_t prefix) {
+  for (const core::PropertyValue& pv : item.facts) {
+    if (pv.property != "pn") continue;
+    std::string key = prefix == 0 ? pv.value : pv.value.substr(0, prefix);
+    for (char& c : key) {
+      if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+    }
+    return key;
+  }
+  return "";
+}
+
+TEST(StandardBlockerTest, RunsMatchBruteForceKeyPrefixes) {
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    util::Rng rng(seed);
+    std::vector<core::Item> external;
+    std::vector<core::Item> local;
+    for (std::size_t i = 0; i < 60; ++i) {
+      external.push_back(RandomItem(rng, i));
+    }
+    for (std::size_t i = 0; i < 200; ++i) {
+      local.push_back(RandomItem(rng, i));
+    }
+    for (std::size_t prefix = 0; prefix <= 5; ++prefix) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " prefix " +
+                   std::to_string(prefix));
+      const StandardBlocker blocker("pn", prefix);
+      const auto index = blocker.BuildIndex(external, local);
+      const auto item_index = blocker.BuildItemIndex(local);
+      std::vector<CandidatePair> expected_pairs;
+      std::vector<std::size_t> run;
+      std::string key_scratch;
+      for (std::size_t e = 0; e < external.size(); ++e) {
+        const std::string key = ReferenceKey(external[e], prefix);
+        std::vector<std::size_t> expected;
+        for (std::size_t l = 0; l < local.size(); ++l) {
+          if (!key.empty() && ReferenceKey(local[l], prefix) == key) {
+            expected.push_back(l);
+            expected_pairs.push_back({e, l});
+          }
+        }
+        index->CandidatesOf(e, &run);
+        EXPECT_EQ(run, expected) << "external " << e;
+        item_index->CandidatesOfItem(external[e], &key_scratch, &run);
+        EXPECT_EQ(run, expected) << "external " << e;
+      }
+      EXPECT_EQ(blocker.Generate(external, local), expected_pairs);
+      EXPECT_FALSE(expected_pairs.empty());
+    }
+  }
 }
 
 TEST(SortedNeighbourhoodTest, AdjacentKeysPaired) {

@@ -1,18 +1,16 @@
-// Differential tests for the batched SIMD filter cascade (DESIGN.md §5h):
+// Differential tests for the batched filter cascade (DESIGN.md §5h):
 // StreamingLinker must emit links byte-identical to the string-path
-// oracle Linker::Run, and identical FilterStats, under both SIMD dispatch
-// modes — "scalar" (stage B's probes one pair at a time) and AVX2 — at
-// every thread count, down to 1-item morsels, on the paper-shaped corpus
-// AND a dirty 50k workload catalog, under a five-kind matcher and a
-// matcher of Jaro plans. PruneBatch is additionally pinned
-// pair-for-pair against PairwiseCascade, the per-pair reference below:
-// under a matcher with every kind of bound but Jaro's, over multi-valued
-// slots on both sides at three thresholds, under a matcher of Jaro plans
-// and under a matcher with no bound, where only the pairs with every rule
-// inactive may be pruned, plus a one-rule Jaccard fixture on which the
-// distinct-token count decides a pair, single- and multi-valued.
-// A mode the CPU lacks clamps down, so the suite runs (possibly
-// redundantly) everywhere.
+// oracle Linker::Run, and identical FilterStats, at every thread count,
+// down to 1-item morsels, on the paper-shaped corpus AND a dirty 50k
+// workload catalog, under a five-kind matcher and a matcher of Jaro
+// plans. PruneBatch is additionally pinned pair-for-pair against
+// PairwiseCascade, the per-pair reference below: under a matcher with
+// every kind of bound but Jaro's, over multi-valued slots on both sides
+// at three thresholds (where stage B's capped probe must prune some
+// pairs), under a matcher of Jaro plans and under a matcher with no
+// bound, where only the pairs with every rule inactive may be pruned,
+// plus a one-rule Jaccard fixture on which the distinct-token count
+// decides a pair, single- and multi-valued.
 #include <algorithm>
 #include <cstdint>
 #include <map>
@@ -35,7 +33,6 @@
 #include "linking/streaming_linker.h"
 #include "text/similarity.h"
 #include "util/logging.h"
-#include "util/simd.h"
 #include "util/thread_pool.h"
 
 namespace rulelink {
@@ -43,10 +40,6 @@ namespace {
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 8};
 constexpr double kThreshold = 0.6;
-constexpr util::SimdMode kModes[] = {
-    util::SimdMode::kScalar,  // batch layout, baseline ISA
-    util::SimdMode::kAVX2,    // 256-bit lanes (clamped where unavailable)
-};
 
 using linking::FeatureCache;
 using linking::FeatureDictionary;
@@ -415,13 +408,14 @@ void ExpectFilterStatsIdentical(const linking::LinkerStats& actual,
   EXPECT_EQ(actual.links_emitted, expected.links_emitted);
 }
 
-// Streaming links under every mode x thread count must be byte-identical
-// to the Linker::Run oracle over the blocker's candidates, and FilterStats
-// identical to the first (scalar, serial) run's.
-void RunModeDifferential(const linking::ItemMatcher& matcher,
-                         const std::vector<core::Item>& external_items,
-                         const std::vector<core::Item>& local_items,
-                         std::size_t blocker_prefix, bool one_item_morsels) {
+// Streaming links at every thread count must be byte-identical to the
+// Linker::Run oracle over the blocker's candidates, and FilterStats
+// identical to the first (serial) run's.
+void RunThreadDifferential(const linking::ItemMatcher& matcher,
+                           const std::vector<core::Item>& external_items,
+                           const std::vector<core::Item>& local_items,
+                           std::size_t blocker_prefix,
+                           bool one_item_morsels) {
   SCOPED_TRACE(linking::SimilarityMeasureName(matcher.rules()[0].measure));
   const blocking::StandardBlocker blocker(datagen::props::kPartNumber,
                                           blocker_prefix);
@@ -443,44 +437,41 @@ void RunModeDifferential(const linking::ItemMatcher& matcher,
     SCOPED_TRACE(threads);
     // Caches are rebuilt per thread count on purpose: the build takes the
     // thread count too, and neither it nor the links may depend on it.
-    // Modes share one build — dispatch cannot touch the cache contents.
     const Caches caches(external_items, local_items, matcher, threads);
-    for (const util::SimdMode mode : kModes) {
-      SCOPED_TRACE(util::SimdModeName(mode));
-      const util::ScopedSimdMode scoped(mode);
-      std::unique_ptr<util::ScopedMorselItems> morsels;
-      if (one_item_morsels) {
-        morsels = std::make_unique<util::ScopedMorselItems>(1);
-      }
-      linking::LinkerStats stats;
-      const auto links = streaming.Run(*index, caches.external,
-                                       caches.local, &stats, threads);
-      ExpectLinksIdentical(links, reference);
-      if (!have_reference_stats) {
-        reference_stats = stats;
-        have_reference_stats = true;
-        continue;
-      }
-      ExpectFilterStatsIdentical(stats, reference_stats);
+    std::unique_ptr<util::ScopedMorselItems> morsels;
+    if (one_item_morsels) {
+      morsels = std::make_unique<util::ScopedMorselItems>(1);
     }
+    linking::LinkerStats stats;
+    const auto links = streaming.Run(*index, caches.external, caches.local,
+                                     &stats, threads);
+    ExpectLinksIdentical(links, reference);
+    if (!have_reference_stats) {
+      reference_stats = stats;
+      have_reference_stats = true;
+      continue;
+    }
+    ExpectFilterStatsIdentical(stats, reference_stats);
   }
 }
 
-// The mode differential under the five-kind matcher and the Jaro matcher.
-void RunModeDifferential(const std::vector<core::Item>& external_items,
-                         const std::vector<core::Item>& local_items,
-                         std::size_t blocker_prefix, bool one_item_morsels) {
+// The thread differential under the five-kind matcher and the Jaro
+// matcher.
+void RunThreadDifferential(const std::vector<core::Item>& external_items,
+                           const std::vector<core::Item>& local_items,
+                           std::size_t blocker_prefix,
+                           bool one_item_morsels) {
   for (const linking::ItemMatcher& matcher :
        {FilteredMatcher(), JaroMatcher()}) {
-    RunModeDifferential(matcher, external_items, local_items, blocker_prefix,
-                        one_item_morsels);
+    RunThreadDifferential(matcher, external_items, local_items,
+                          blocker_prefix, one_item_morsels);
   }
 }
 
-TEST(FilterBatchDifferential, PaperCorpusAllModesAllThreadCounts) {
+TEST(FilterBatchDifferential, PaperCorpusAllThreadCounts) {
   const datagen::Dataset& dataset = PaperCorpus();
-  RunModeDifferential(dataset.external_items, dataset.catalog_items,
-                      /*blocker_prefix=*/3, /*one_item_morsels=*/false);
+  RunThreadDifferential(dataset.external_items, dataset.catalog_items,
+                        /*blocker_prefix=*/3, /*one_item_morsels=*/false);
 }
 
 TEST(FilterBatchDifferential, PaperCorpusOneItemMorsels) {
@@ -488,67 +479,60 @@ TEST(FilterBatchDifferential, PaperCorpusOneItemMorsels) {
   // put every item's run in its own scratch epoch — the adversarial
   // chunking for the batch path.
   const datagen::Dataset& dataset = PaperCorpus();
-  RunModeDifferential(dataset.external_items, dataset.catalog_items,
-                      /*blocker_prefix=*/3, /*one_item_morsels=*/true);
+  RunThreadDifferential(dataset.external_items, dataset.catalog_items,
+                        /*blocker_prefix=*/3, /*one_item_morsels=*/true);
 }
 
-TEST(FilterBatchDifferential, DirtyWorkloadAllModesAllThreadCounts) {
+TEST(FilterBatchDifferential, DirtyWorkloadAllThreadCounts) {
   const Workload& workload = DirtyWorkload();
-  RunModeDifferential(workload.stream.queries, workload.catalog.items,
-                      /*blocker_prefix=*/4, /*one_item_morsels=*/false);
+  RunThreadDifferential(workload.stream.queries, workload.catalog.items,
+                        /*blocker_prefix=*/4, /*one_item_morsels=*/false);
 }
 
 // PruneBatch pinned pair-for-pair against PairwiseCascade over every
-// candidate run of `blocker`, per mode: decisions and FilterStats must
-// replicate the per-pair cascade exactly, run by run. Sets *pruned_pairs
-// and *candidates to the pairs pruned and checked (both per mode).
+// candidate run of `blocker`: decisions and FilterStats must replicate
+// the per-pair cascade exactly, run by run. Sets *stats to PruneBatch's
+// counters and *candidates to the pairs checked.
 void ExpectPruneBatchMatchesPrune(const linking::ItemMatcher& matcher,
                                   const std::vector<core::Item>& external,
                                   const std::vector<core::Item>& local,
                                   const blocking::CandidateGenerator& blocker,
-                                  double threshold,
-                                  std::uint64_t* pruned_pairs,
+                                  double threshold, FilterStats* stats,
                                   std::size_t* candidates) {
   const Caches caches(external, local, matcher, /*num_threads=*/1);
   const auto index = blocker.BuildIndex(external, local);
   const linking::FilterCascade cascade(&matcher, threshold);
   const PairwiseCascade reference(&matcher, threshold);
 
-  *pruned_pairs = 0;
-  for (const util::SimdMode mode : kModes) {
-    SCOPED_TRACE(util::SimdModeName(mode));
-    const util::ScopedSimdMode scoped(mode);
-    linking::FilterBatchScratch scratch;
-    FilterStats batch_stats;
-    FilterStats pair_stats;
-    std::vector<std::size_t> run;
-    std::size_t runs_checked = 0;
-    *candidates = 0;
-    for (std::size_t e = 0; e < index->num_external(); ++e) {
-      index->CandidatesOf(e, &run);
-      if (run.empty()) continue;
-      cascade.PruneBatch(caches.external, e, caches.local, run.data(),
-                         run.size(), &batch_stats, &scratch);
-      ASSERT_EQ(scratch.pruned.size(), run.size());
-      for (std::size_t i = 0; i < run.size(); ++i) {
-        const bool pruned = reference.Prune(caches.external, e,
-                                            caches.local, run[i],
-                                            &pair_stats);
-        ASSERT_EQ(scratch.pruned[i] != 0, pruned)
-            << "external=" << e << " local=" << run[i];
-      }
-      *candidates += run.size();
-      ++runs_checked;
+  linking::FilterBatchScratch scratch;
+  FilterStats batch_stats;
+  FilterStats pair_stats;
+  std::vector<std::size_t> run;
+  std::size_t runs_checked = 0;
+  *candidates = 0;
+  for (std::size_t e = 0; e < index->num_external(); ++e) {
+    index->CandidatesOf(e, &run);
+    if (run.empty()) continue;
+    cascade.PruneBatch(caches.external, e, caches.local, run.data(),
+                       run.size(), &batch_stats, &scratch);
+    ASSERT_EQ(scratch.pruned.size(), run.size());
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      const bool pruned = reference.Prune(caches.external, e, caches.local,
+                                          run[i], &pair_stats);
+      ASSERT_EQ(scratch.pruned[i] != 0, pruned)
+          << "external=" << e << " local=" << run[i];
     }
-    EXPECT_GT(runs_checked, 0u);
-    EXPECT_EQ(batch_stats.pairs_pruned, pair_stats.pairs_pruned);
-    EXPECT_EQ(batch_stats.by_length, pair_stats.by_length);
-    EXPECT_EQ(batch_stats.by_token_count, pair_stats.by_token_count);
-    EXPECT_EQ(batch_stats.by_exact, pair_stats.by_exact);
-    EXPECT_EQ(batch_stats.by_distance_cap, pair_stats.by_distance_cap);
-    EXPECT_EQ(batch_stats.by_jaro, pair_stats.by_jaro);
-    *pruned_pairs = batch_stats.pairs_pruned;
+    *candidates += run.size();
+    ++runs_checked;
   }
+  EXPECT_GT(runs_checked, 0u);
+  EXPECT_EQ(batch_stats.pairs_pruned, pair_stats.pairs_pruned);
+  EXPECT_EQ(batch_stats.by_length, pair_stats.by_length);
+  EXPECT_EQ(batch_stats.by_token_count, pair_stats.by_token_count);
+  EXPECT_EQ(batch_stats.by_exact, pair_stats.by_exact);
+  EXPECT_EQ(batch_stats.by_distance_cap, pair_stats.by_distance_cap);
+  EXPECT_EQ(batch_stats.by_jaro, pair_stats.by_jaro);
+  *stats = batch_stats;
 }
 
 void AddFact(core::Item* item, const char* property, std::string value) {
@@ -574,12 +558,15 @@ TEST(FilterBatchDifferential, PruneBatchMatchesPrunePairwise) {
   const datagen::Dataset& dataset = PaperCorpus();
   const blocking::StandardBlocker part_blocker(datagen::props::kPartNumber,
                                                /*prefix_length=*/3);
-  std::uint64_t pruned = 0;
+  FilterStats stats;
   std::size_t candidates = 0;
   ExpectPruneBatchMatchesPrune(FilteredMatcher(), dataset.external_items,
                                dataset.catalog_items, part_blocker,
-                               kThreshold, &pruned, &candidates);
-  EXPECT_GT(pruned, 0u);
+                               kThreshold, &stats, &candidates);
+  EXPECT_GT(stats.pairs_pruned, 0u);
+  // Stage B must see work here, or the pair-for-pair check above would
+  // not exercise the capped probe at all.
+  EXPECT_GT(stats.by_distance_cap, 0u);
 
   // Two more matchers, over candidates of which some have every rule
   // inactive: provider documents carry no label, every fifth one loses its
@@ -614,13 +601,13 @@ TEST(FilterBatchDifferential, PruneBatchMatchesPrunePairwise) {
                                               /*prefix_length=*/3);
   for (const linking::ItemMatcher* matcher : {&jaro, &optimistic}) {
     ExpectPruneBatchMatchesPrune(*matcher, external, local, mfr_blocker,
-                                 kThreshold, &pruned, &candidates);
-    EXPECT_GT(pruned, 0u);
-    EXPECT_LT(pruned, candidates);
+                                 kThreshold, &stats, &candidates);
+    EXPECT_GT(stats.pairs_pruned, 0u);
+    EXPECT_LT(stats.pairs_pruned, candidates);
     // At threshold 0 a pair scoring 0.0 still links, so nothing is pruned.
     ExpectPruneBatchMatchesPrune(*matcher, external, local, mfr_blocker, 0.0,
-                                 &pruned, &candidates);
-    EXPECT_EQ(pruned, 0u);
+                                 &stats, &candidates);
+    EXPECT_EQ(stats.pairs_pruned, 0u);
   }
 
   // The five-kind matcher over multi-valued slots on both sides: a second
@@ -662,26 +649,29 @@ TEST(FilterBatchDifferential, PruneBatchMatchesPrunePairwise) {
       }
     }
   }
-  std::uint64_t pruned_at[3] = {0, 0, 0};
+  FilterStats at[3];
   const double thresholds[3] = {0.3, 0.6, 0.85};
   for (int t = 0; t < 3; ++t) {
     SCOPED_TRACE(thresholds[t]);
     ExpectPruneBatchMatchesPrune(FilteredMatcher(), multi_external,
                                  multi_local, part_blocker, thresholds[t],
-                                 &pruned_at[t], &candidates);
+                                 &at[t], &candidates);
   }
-  EXPECT_GT(pruned_at[1], pruned_at[0]);
-  EXPECT_GT(pruned_at[2], pruned_at[1]);
-  EXPECT_LT(pruned_at[2], candidates);
+  EXPECT_GT(at[1].pairs_pruned, at[0].pairs_pruned);
+  EXPECT_GT(at[2].pairs_pruned, at[1].pairs_pruned);
+  EXPECT_LT(at[2].pairs_pruned, candidates);
+  // Stage B probes multi-valued slots here, on both sides.
+  EXPECT_GT(at[0].by_distance_cap, 0u);
+  EXPECT_GT(at[1].by_distance_cap, 0u);
   // The Jaro plans over the same slots: a multi-valued external slot
   // takes the cross-product helper for every candidate. Candidates share
   // a 3-byte prefix here, which lifts every Jaro-Winkler bound to at
   // least 0.3 + 0.7 * Jaro's, so only a high threshold prunes.
   ExpectPruneBatchMatchesPrune(jaro, multi_external, multi_local,
-                               part_blocker, thresholds[2], &pruned,
+                               part_blocker, thresholds[2], &stats,
                                &candidates);
-  EXPECT_GT(pruned, 0u);
-  EXPECT_LT(pruned, candidates);
+  EXPECT_GT(stats.pairs_pruned, 0u);
+  EXPECT_LT(stats.pairs_pruned, candidates);
 }
 
 // Both Jaccard paths must read each value's distinct-token count, the set
@@ -730,12 +720,12 @@ TEST(FilterBatchDifferential, JaccardBoundsReadDistinctTokens) {
       {single, repeated_once}, {single, repeated}, {repeated, single}};
   for (const auto& [external, local] : pairs) {
     SCOPED_TRACE(external.iri + " vs " + local.iri);
-    std::uint64_t pruned = 0;
+    FilterStats stats;
     std::size_t candidates = 0;
     ExpectPruneBatchMatchesPrune(matcher, {external}, {local}, every_pair,
-                                 kJaccardThreshold, &pruned, &candidates);
+                                 kJaccardThreshold, &stats, &candidates);
     EXPECT_EQ(candidates, 1u);
-    EXPECT_EQ(pruned, 0u);
+    EXPECT_EQ(stats.pairs_pruned, 0u);
   }
 }
 
