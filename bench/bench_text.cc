@@ -7,7 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "text/normalize.h"
 #include "text/segmenter.h"
 #include "text/similarity.h"
 #include "util/rng.h"
@@ -90,17 +89,6 @@ BENCHMARK(BM_Similarity<&JaroWinklerSimilarity>)->Name("BM_JaroWinkler");
 BENCHMARK(BM_Similarity<&JaccardTokenSimilarity>)->Name("BM_JaccardTokens");
 BENCHMARK(BM_Similarity<&DiceBigramSimilarity>)->Name("BM_DiceBigram");
 BENCHMARK(BM_Similarity<&MongeElkanSimilarity>)->Name("BM_MongeElkan");
-
-void BM_Normalize(benchmark::State& state) {
-  const auto& corpus = Corpus();
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(NormalizeDefault(corpus[i % corpus.size()]));
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_Normalize);
 
 }  // namespace
 }  // namespace rulelink::text

@@ -1,6 +1,7 @@
 #include "blocking/blocker.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/string_util.h"
 
@@ -37,21 +38,26 @@ class MaterializedCandidateIndex : public CandidateIndex {
   std::vector<std::size_t> locals_;
 };
 
-class CartesianCandidateIndex : public CandidateIndex {
+// An item index bound to an external list: run e is the item index's
+// probe of external[e]. Each probing thread keeps its own key buffer, so
+// concurrent streams share the index and a warm probe reuses the key's
+// capacity.
+class ItemProbeIndex : public CandidateIndex {
  public:
-  CartesianCandidateIndex(std::size_t num_external, std::size_t num_local)
-      : num_external_(num_external), num_local_(num_local) {}
+  ItemProbeIndex(std::unique_ptr<ItemCandidateIndex> items,
+                 const std::vector<core::Item>* external)
+      : items_(std::move(items)), external_(external) {}
 
-  void CandidatesOf(std::size_t,
+  void CandidatesOf(std::size_t external_index,
                     std::vector<std::size_t>* out) const override {
-    out->resize(num_local_);
-    for (std::size_t l = 0; l < num_local_; ++l) (*out)[l] = l;
+    thread_local std::string key_scratch;
+    items_->CandidatesOfItem((*external_)[external_index], &key_scratch, out);
   }
-  std::size_t num_external() const override { return num_external_; }
+  std::size_t num_external() const override { return external_->size(); }
 
  private:
-  std::size_t num_external_;
-  std::size_t num_local_;
+  std::unique_ptr<ItemCandidateIndex> items_;
+  const std::vector<core::Item>* external_;
 };
 
 class CartesianItemIndex : public ItemCandidateIndex {
@@ -85,6 +91,9 @@ std::vector<CandidatePair> FlattenRuns(const CandidateIndex& index) {
 std::unique_ptr<CandidateIndex> CandidateGenerator::BuildIndex(
     const std::vector<core::Item>& external,
     const std::vector<core::Item>& local) const {
+  if (std::unique_ptr<ItemCandidateIndex> items = BuildItemIndex(local)) {
+    return std::make_unique<ItemProbeIndex>(std::move(items), &external);
+  }
   return std::make_unique<MaterializedCandidateIndex>(
       Generate(external, local), external.size());
 }
@@ -93,7 +102,7 @@ std::unique_ptr<ItemCandidateIndex> CandidateGenerator::BuildItemIndex(
     const std::vector<core::Item>&) const {
   // Most generators resolve candidates from the external *list* (sorting,
   // windowing, cross-item statistics) and cannot probe one unseen item;
-  // the ones that can (key-based, cartesian) override this.
+  // the ones that can (key-based, cartesian, rule) override this.
   return nullptr;
 }
 
@@ -104,13 +113,6 @@ std::unique_ptr<ItemCandidateIndex> CandidateGenerator::ExtendItemIndex(
   // and even an item-capable generator can only extend indexes built with
   // its own key scheme — overrides check and fall back to null.
   return nullptr;
-}
-
-std::unique_ptr<CandidateIndex> CartesianBlocker::BuildIndex(
-    const std::vector<core::Item>& external,
-    const std::vector<core::Item>& local) const {
-  return std::make_unique<CartesianCandidateIndex>(external.size(),
-                                                   local.size());
 }
 
 std::unique_ptr<ItemCandidateIndex> CartesianBlocker::BuildItemIndex(

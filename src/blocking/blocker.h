@@ -52,20 +52,21 @@ class CandidateIndex {
 };
 
 // A local-only candidate index probed with an arbitrary query item rather
-// than a pre-registered external index — the serving engine's interface.
-// CandidateIndex precomputes each external item's key at build time, so it
-// cannot answer items it has never seen; an ItemCandidateIndex keeps the
-// inverted structure over the locals only and resolves the probe's key per
-// call. Immutable once built and safe to probe from many threads; the
-// caller passes its own key scratch so a warm probe allocates nothing.
+// than a pre-registered external index: the one index an index-backed
+// blocker builds. It keeps the inverted structure over the locals only and
+// resolves the probe's key per call, so it answers items it has never
+// seen; the serving engine probes it directly, and BuildIndex binds it to
+// an external list. Immutable once built and safe to probe from many
+// threads; the caller passes its own key scratch so a warm probe of a
+// key-based or cartesian index allocates nothing.
 class ItemCandidateIndex {
  public:
   virtual ~ItemCandidateIndex() = default;
 
   // Replaces `out` with the local candidates of `item`, ascending with no
-  // duplicates — exactly what BuildIndex({item}, local)->CandidatesOf(0)
-  // would return. `key_scratch` is a caller-owned reusable buffer for key
-  // extraction (contents unspecified afterwards).
+  // duplicates — the locals Generate({item}, local) pairs it with.
+  // `key_scratch` is a caller-owned reusable buffer for key extraction
+  // (contents unspecified afterwards).
   virtual void CandidatesOfItem(const core::Item& item,
                                 std::string* key_scratch,
                                 std::vector<std::size_t>* out) const = 0;
@@ -76,7 +77,7 @@ class ItemCandidateIndex {
 
 // Every run of `index`, in external order: the sorted, duplicate-free
 // pair list Generate returns for a blocker whose BuildIndex answers runs
-// from its own inverted structure.
+// from its own item index.
 std::vector<CandidatePair> FlattenRuns(const CandidateIndex& index);
 
 class CandidateGenerator {
@@ -90,19 +91,19 @@ class CandidateGenerator {
 
   // Builds a candidate index equivalent to Generate: for every e,
   // CandidatesOf(e) returns exactly the locals Generate would pair with e.
-  // The base implementation materializes Generate's output into CSR form
-  // (correct for any generator, but still O(candidates) memory once);
-  // blockers that already hold an inverted structure override it to answer
-  // runs directly. Item vectors may be borrowed by the returned index and
-  // must outlive it.
-  virtual std::unique_ptr<CandidateIndex> BuildIndex(
+  // A generator with an item index answers through it, run e being
+  // BuildItemIndex(local)'s probe of external[e]; the list-based
+  // generators, whose BuildItemIndex is null, get Generate's output in CSR
+  // form (O(candidates) memory once). `external`, and whatever the item
+  // index borrows, must outlive the returned index.
+  std::unique_ptr<CandidateIndex> BuildIndex(
       const std::vector<core::Item>& external,
       const std::vector<core::Item>& local) const;
 
   // Builds a probe-by-item index over `local` (see ItemCandidateIndex).
   // Returns null when this generator cannot probe item-at-a-time (the
-  // base behaviour); key-based blockers override it. `local` may be
-  // borrowed by the returned index and must outlive it.
+  // base behaviour); the key-based, cartesian and rule blockers override
+  // it. `local` may be borrowed by the returned index and must outlive it.
   virtual std::unique_ptr<ItemCandidateIndex> BuildItemIndex(
       const std::vector<core::Item>& local) const;
 
@@ -111,9 +112,11 @@ class CandidateGenerator {
   // re-inverting the base catalog: the returned index answers with
   // global indices, the base's candidates first and then the delta's
   // (delta locals are numbered base->num_local() + j, so the combined
-  // run stays ascending and duplicate-free). Returns null when `base`
-  // was built by a different generator or with different key parameters
-  // (the base behaviour — extension would be unsound). The returned
+  // run stays ascending and duplicate-free). Returns null when this
+  // generator cannot extend an index (the base behaviour, which
+  // RuleBlocker keeps for now), or when `base` was built by a different
+  // generator or with different key parameters (extension would be
+  // unsound). The returned
   // index shares ownership of `base` and copies what it needs from
   // `delta`; `delta` is not borrowed. This is the serving engine's
   // delta publish path (DESIGN.md §5j).
@@ -132,9 +135,6 @@ class CartesianBlocker : public CandidateGenerator {
       const std::vector<core::Item>& external,
       const std::vector<core::Item>& local) const override;
   // Every run is 0..|local|-1; nothing to materialize.
-  std::unique_ptr<CandidateIndex> BuildIndex(
-      const std::vector<core::Item>& external,
-      const std::vector<core::Item>& local) const override;
   std::unique_ptr<ItemCandidateIndex> BuildItemIndex(
       const std::vector<core::Item>& local) const override;
   std::unique_ptr<ItemCandidateIndex> ExtendItemIndex(

@@ -41,7 +41,7 @@ struct RowCursor {
 // (none of which subsumes another) spill the cursors to the heap.
 constexpr std::size_t kInlineRows = 16;
 
-class RuleBlockIndex : public CandidateIndex {
+class RuleItemIndex : public ItemCandidateIndex {
  public:
   // Row c of the CSR (`row_offsets_`, `row_ids_`) holds, ascending, every
   // typed local whose class is c or a descendant of c: the extent a
@@ -49,14 +49,12 @@ class RuleBlockIndex : public CandidateIndex {
   // order and appending each to its class's row and to the row of each of
   // that class's ancestors (Ontology keeps them deduplicated) writes every
   // row in ascending order without a sort.
-  RuleBlockIndex(const core::RuleClassifier* classifier,
-                 const ontology::Ontology* onto,
-                 const std::vector<ontology::ClassId>& local_classes,
-                 const std::vector<core::Item>* external,
-                 double min_confidence, bool compare_all_when_unclassified)
+  RuleItemIndex(const core::RuleClassifier* classifier,
+                const ontology::Ontology* onto,
+                const std::vector<ontology::ClassId>& local_classes,
+                double min_confidence, bool compare_all_when_unclassified)
       : classifier_(classifier),
         onto_(onto),
-        external_(external),
         num_local_(local_classes.size()),
         min_confidence_(min_confidence),
         compare_all_when_unclassified_(compare_all_when_unclassified) {
@@ -89,11 +87,10 @@ class RuleBlockIndex : public CandidateIndex {
     }
   }
 
-  void CandidatesOf(std::size_t external_index,
-                    std::vector<std::size_t>* out) const override {
+  void CandidatesOfItem(const core::Item& item, std::string*,
+                        std::vector<std::size_t>* out) const override {
     out->clear();
-    const auto predictions =
-        classifier_->Classify((*external_)[external_index], min_confidence_);
+    const auto predictions = classifier_->Classify(item, min_confidence_);
     if (predictions.empty()) {
       if (compare_all_when_unclassified_) {
         out->resize(num_local_);
@@ -150,12 +147,11 @@ class RuleBlockIndex : public CandidateIndex {
     }
     out->resize(static_cast<std::size_t>(written - first));
   }
-  std::size_t num_external() const override { return external_->size(); }
+  std::size_t num_local() const override { return num_local_; }
 
  private:
   const core::RuleClassifier* classifier_;
   const ontology::Ontology* onto_;
-  const std::vector<core::Item>* external_;
   std::size_t num_local_;
   double min_confidence_;
   bool compare_all_when_unclassified_;
@@ -165,14 +161,13 @@ class RuleBlockIndex : public CandidateIndex {
 
 }  // namespace
 
-std::unique_ptr<CandidateIndex> RuleBlocker::BuildIndex(
-    const std::vector<core::Item>& external,
+std::unique_ptr<ItemCandidateIndex> RuleBlocker::BuildItemIndex(
     const std::vector<core::Item>& local) const {
   RL_CHECK(local_classes_->size() == local.size())
       << "local_classes must parallel the local item list";
-  return std::make_unique<RuleBlockIndex>(
-      classifier_, onto_, *local_classes_, &external, min_confidence_,
-      compare_all_when_unclassified_);
+  return std::make_unique<RuleItemIndex>(classifier_, onto_, *local_classes_,
+                                         min_confidence_,
+                                         compare_all_when_unclassified_);
 }
 
 std::string RuleBlocker::name() const {

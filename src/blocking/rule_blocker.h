@@ -31,14 +31,15 @@ class RuleBlocker : public CandidateGenerator {
       const std::vector<core::Item>& external,
       const std::vector<core::Item>& local) const override;
   // Keeps one ascending row per class, holding the locals of the class's
-  // subtree, and classifies each external item on demand: a run is the
-  // row of each predicted class no other predicted class subsumes, merged
+  // subtree, and classifies each probed item on demand: a run is the row
+  // of each predicted class no other predicted class subsumes, merged
   // when there are several, so no pair list is ever materialized and no
-  // run is sorted. The returned index borrows `external` (items are
-  // re-classified per probe) and this blocker's classifier/ontology; all
-  // must outlive it.
-  std::unique_ptr<CandidateIndex> BuildIndex(
-      const std::vector<core::Item>& external,
+  // run is sorted. The key scratch is unused; a probe allocates inside
+  // the classifier. The returned index borrows this blocker's
+  // classifier/ontology, which must outlive it. There is no
+  // ExtendItemIndex yet, so a served catalog under this blocker cannot
+  // take appended items.
+  std::unique_ptr<ItemCandidateIndex> BuildItemIndex(
       const std::vector<core::Item>& local) const override;
   std::string name() const override;
 

@@ -47,30 +47,6 @@ KeyBlocks BuildKeyBlocks(const std::vector<core::Item>& items,
   return table;
 }
 
-class StandardBlockIndex : public CandidateIndex {
- public:
-  StandardBlockIndex(std::vector<std::vector<std::size_t>> blocks,
-                     std::vector<util::SymbolId> external_key)
-      : blocks_(std::move(blocks)), external_key_(std::move(external_key)) {}
-
-  void CandidatesOf(std::size_t external_index,
-                    std::vector<std::size_t>* out) const override {
-    const util::SymbolId id = external_key_[external_index];
-    if (id == util::kInvalidSymbolId) {
-      out->clear();
-      return;
-    }
-    // Locals were inserted in ascending order, so each block already is a
-    // sorted-unique run.
-    out->assign(blocks_[id].begin(), blocks_[id].end());
-  }
-  std::size_t num_external() const override { return external_key_.size(); }
-
- private:
-  std::vector<std::vector<std::size_t>> blocks_;  // by key id
-  std::vector<util::SymbolId> external_key_;      // by external index
-};
-
 // The probe-by-item index: the blocks of one run of locals over a base
 // layer with the same key scheme that holds every earlier local — null at
 // the root, one more layer per delta publish. A probe derives the query's
@@ -124,23 +100,6 @@ std::vector<CandidatePair> StandardBlocker::Generate(
     const std::vector<core::Item>& external,
     const std::vector<core::Item>& local) const {
   return FlattenRuns(*BuildIndex(external, local));
-}
-
-std::unique_ptr<CandidateIndex> StandardBlocker::BuildIndex(
-    const std::vector<core::Item>& external,
-    const std::vector<core::Item>& local) const {
-  // The blocks, kept instead of expanding the cross product, plus each
-  // external item's key id.
-  KeyBlocks table =
-      BuildKeyBlocks(local, property_, prefix_length_, /*offset=*/0);
-  std::vector<util::SymbolId> external_key(external.size());
-  std::string key;
-  for (std::size_t e = 0; e < external.size(); ++e) {
-    AppendBlockingKey(external[e], property_, prefix_length_, &key);
-    external_key[e] = table.keys.Find(key);
-  }
-  return std::make_unique<StandardBlockIndex>(std::move(table.blocks),
-                                              std::move(external_key));
 }
 
 std::unique_ptr<ItemCandidateIndex> StandardBlocker::BuildItemIndex(

@@ -22,15 +22,10 @@ class StandardBlocker : public CandidateGenerator {
       const std::vector<core::Item>& external,
       const std::vector<core::Item>& local) const override;
   // The block structure already is an inverted index over keys, so the
-  // index stores it directly (plus each external item's resolved key id)
-  // instead of materializing the pair list. Borrows nothing.
-  std::unique_ptr<CandidateIndex> BuildIndex(
-      const std::vector<core::Item>& external,
-      const std::vector<core::Item>& local) const override;
-  // Probe-by-item form: keeps the blocks plus the key interner and
-  // resolves each query item's key at probe time with a read-only Find —
-  // no allocation beyond the caller's key scratch. Runs are identical to
-  // BuildIndex's for the same item.
+  // index keeps the blocks plus the key interner instead of materializing
+  // the pair list, and resolves each probed item's key at probe time with
+  // a read-only Find: no allocation beyond the caller's key scratch.
+  // Borrows nothing.
   std::unique_ptr<ItemCandidateIndex> BuildItemIndex(
       const std::vector<core::Item>& local) const override;
   // Extends a BuildItemIndex/ExtendItemIndex result of a StandardBlocker

@@ -38,7 +38,8 @@ ServeSnapshot::ServeSnapshot(std::vector<core::Item> catalog,
   RL_CHECK(index_ != nullptr)
       << "blocker '" << blocker.name()
       << "' cannot build a probe-by-item index (BuildItemIndex returned "
-         "null); serving needs a key-based or cartesian blocker";
+         "null); serving needs a key-based, cartesian or rule blocker, not "
+         "a list-based one";
 }
 
 std::unique_ptr<ServeSnapshot> ServeSnapshot::BuildDelta(
@@ -106,8 +107,9 @@ std::unique_ptr<ServeSnapshot> ServeSnapshot::BuildDelta(
     RL_CHECK(next->index_ != nullptr)
         << "blocker '" << blocker.name()
         << "' cannot extend the base snapshot's candidate index "
-           "(ExtendItemIndex returned null); delta publishes need the same "
-           "generator and key parameters that built the base";
+           "(ExtendItemIndex returned null); a delta that appends needs a "
+           "key-based or cartesian blocker, the same generator and key "
+           "parameters that built the base";
   }
   return next;
 }

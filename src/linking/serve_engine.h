@@ -40,14 +40,15 @@
 // still beat that score (StreamingLinker::QueryRun). This runs with
 // per-session scratch (QueryScratch, an overlay FeatureDictionary for
 // novel query values, the single-item query FeatureCache, the
-// blocking-key buffer) allocated once and reused, so the steady-state
-// query path performs zero heap allocations on values the session
-// already knows, of at most 64 bytes, under measures other than
-// Monge-Elkan, whose new value pairs insert memo entries (asserted by the
-// serve differential test). Served answers are byte-identical to batch
-// StreamingLinker::Run over the same snapshot, and a snapshot reached via
-// K delta publishes answers byte-identically to a from-scratch snapshot of
-// the same final catalog + rules (the delta differential test).
+// blocking-key buffer) allocated once and reused, so under a key-based
+// or cartesian blocker the steady-state query path performs zero heap
+// allocations on values the session already knows, of at most 64 bytes,
+// under measures other than Monge-Elkan, whose new value pairs insert
+// memo entries (asserted by the serve differential test). Served answers
+// are byte-identical to batch StreamingLinker::Run over the same
+// snapshot, and a snapshot reached via K delta publishes answers
+// byte-identically to a from-scratch snapshot of the same final catalog +
+// rules (the delta differential test).
 #ifndef RULELINK_LINKING_SERVE_ENGINE_H_
 #define RULELINK_LINKING_SERVE_ENGINE_H_
 
@@ -101,7 +102,12 @@ struct ServePolicy {
 class ServeSnapshot {
  public:
   // Takes ownership of `catalog` and a copy of the rule set. `blocker`
-  // must support BuildItemIndex (key-based and cartesian blockers do).
+  // must support BuildItemIndex: the key-based, cartesian and rule
+  // blockers do, the list-based ones do not. A RuleBlocker snapshot
+  // cannot yet take appended items (it has no ExtendItemIndex, so a
+  // BuildDelta that appends aborts), and its probe allocates inside
+  // RuleClassifier::Classify, so the zero-allocation query path holds
+  // under the key-based and cartesian blockers only.
   // `threshold`/`strategy` have Linker semantics and are part of the
   // snapshot: a republish can change rules and policy atomically.
   // `rules`, when given, is the learned rule set this serving

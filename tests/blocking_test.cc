@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "blocking/sorted_neighbourhood.h"
 #include "blocking/standard_blocking.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace rulelink::blocking {
 namespace {
@@ -144,6 +146,7 @@ TEST(StandardBlockerTest, RunsMatchBruteForceKeyPrefixes) {
       const auto index = blocker.BuildIndex(external, local);
       const auto item_index = blocker.BuildItemIndex(local);
       std::vector<CandidatePair> expected_pairs;
+      std::vector<std::vector<std::size_t>> expected_runs;
       std::vector<std::size_t> run;
       std::string key_scratch;
       for (std::size_t e = 0; e < external.size(); ++e) {
@@ -159,9 +162,26 @@ TEST(StandardBlockerTest, RunsMatchBruteForceKeyPrefixes) {
         EXPECT_EQ(run, expected) << "external " << e;
         item_index->CandidatesOfItem(external[e], &key_scratch, &run);
         EXPECT_EQ(run, expected) << "external " << e;
+        expected_runs.push_back(std::move(expected));
       }
       EXPECT_EQ(blocker.Generate(external, local), expected_pairs);
       EXPECT_FALSE(expected_pairs.empty());
+      // BuildIndex probed from concurrent workers, one external per
+      // morsel, as streaming shards share it: each thread derives keys
+      // into its own buffer.
+      std::vector<char> same(external.size(), 0);
+      util::ParallelFor(
+          4, external.size(),
+          [&](std::size_t, std::size_t begin, std::size_t end) {
+            std::vector<std::size_t> own;
+            for (std::size_t e = begin; e < end; ++e) {
+              index->CandidatesOf(e, &own);
+              same[e] = own == expected_runs[e];
+            }
+          },
+          1);
+      EXPECT_EQ(std::count(same.begin(), same.end(), 1),
+                static_cast<std::ptrdiff_t>(external.size()));
     }
   }
 }

@@ -313,15 +313,21 @@ TEST(RuleBlockerDifferential, MergedRunsEqualSortUniqueOnRandomOntologies) {
                                   fallback);
         const auto index = blocker.BuildIndex(world.external, world.local);
         ASSERT_EQ(index->num_external(), world.external.size());
+        const auto item_index = blocker.BuildItemIndex(world.local);
+        ASSERT_NE(item_index, nullptr);
+        ASSERT_EQ(item_index->num_local(), world.local.size());
         std::vector<CandidatePair> want_pairs;
         std::vector<std::vector<std::size_t>> want_runs;
         std::vector<std::size_t> run;
+        std::string key_scratch;
         for (std::size_t e = 0; e < world.external.size(); ++e) {
           bool shared = false;
           const auto want = SortUniqueRun(world, world.external[e],
                                           min_confidence, fallback, &shared);
           index->CandidatesOf(e, &run);
           ASSERT_EQ(run, want) << "external " << e;
+          item_index->CandidatesOfItem(world.external[e], &key_scratch, &run);
+          ASSERT_EQ(run, want) << "external " << e << " probed by item";
           want_runs.push_back(want);
           for (const std::size_t l : want) want_pairs.push_back({e, l});
           ++runs;
@@ -333,16 +339,20 @@ TEST(RuleBlockerDifferential, MergedRunsEqualSortUniqueOnRandomOntologies) {
                            want.size() == world.local.size();
         }
         EXPECT_EQ(blocker.Generate(world.external, world.local), want_pairs);
-        // The same index probed from concurrent workers, one external per
-        // morsel, as streaming shards share it.
+        // The same indexes probed from concurrent workers, one external
+        // per morsel, as streaming shards and serving sessions share them.
         std::vector<char> same(world.external.size(), 0);
         util::ParallelFor(
             4, world.external.size(),
             [&](std::size_t, std::size_t begin, std::size_t end) {
               std::vector<std::size_t> own;
+              std::string own_key;
               for (std::size_t e = begin; e < end; ++e) {
                 index->CandidatesOf(e, &own);
-                same[e] = own == want_runs[e];
+                const bool by_index = own == want_runs[e];
+                item_index->CandidatesOfItem(world.external[e], &own_key,
+                                             &own);
+                same[e] = by_index && own == want_runs[e];
               }
             },
             1);

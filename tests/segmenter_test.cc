@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "text/normalize.h"
 #include "util/string_util.h"
 
 namespace rulelink::text {
@@ -142,23 +141,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("", "a", "CRCW0805-4K7-ohm", "  spaces  everywhere  ",
                       "...", "T83.106.16V", "a1-b2_c3/d4.e5 f6",
                       "UPPER lower 0123456789"));
-
-TEST(NormalizeTest, DefaultTrimsAndCollapses) {
-  EXPECT_EQ(NormalizeDefault("  a   b \t c  "), "a b c");
-  EXPECT_EQ(NormalizeDefault(""), "");
-}
-
-TEST(NormalizeTest, LowercaseOption) {
-  NormalizeOptions options;
-  options.lowercase = true;
-  EXPECT_EQ(Normalize("CRCW0805 Ohm", options), "crcw0805 ohm");
-}
-
-TEST(NormalizeTest, NoCollapseKeepsInternalRuns) {
-  NormalizeOptions options;
-  options.collapse_spaces = false;
-  EXPECT_EQ(Normalize(" a  b ", options), "a  b");
-}
 
 }  // namespace
 }  // namespace rulelink::text

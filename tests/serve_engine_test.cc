@@ -28,7 +28,11 @@
 #include <gtest/gtest.h>
 
 #include "blocking/blocker.h"
+#include "blocking/rule_blocker.h"
 #include "blocking/standard_blocking.h"
+#include "core/classifier.h"
+#include "core/learner.h"
+#include "core/training_set.h"
 #include "datagen/key_chooser.h"
 #include "datagen/workload.h"
 #include "linking/feature_cache.h"
@@ -36,6 +40,7 @@
 #include "linking/matcher.h"
 #include "linking/serve_engine.h"
 #include "linking/streaming_linker.h"
+#include "text/segmenter.h"
 #include "util/logging.h"
 
 // Global operator-new replacement counting every heap allocation in the
@@ -127,25 +132,37 @@ struct Workload {
   std::vector<core::Item> queries;
 };
 
-Workload MakeWorkload(std::uint64_t seed, std::size_t catalog_size,
-                      std::size_t num_queries) {
-  Workload w;
+datagen::WorkloadCatalog MakeCatalog(std::uint64_t seed,
+                                     std::size_t catalog_size) {
   datagen::WorkloadConfig catalog_config;
   catalog_config.seed = seed;
   catalog_config.catalog_size = catalog_size;
   auto catalog = datagen::GenerateWorkloadCatalog(catalog_config);
   RL_CHECK(catalog.ok()) << catalog.status();
+  return std::move(catalog).value();
+}
 
+// A zipfian stream of dirty queries against `catalog`.
+std::vector<core::Item> MakeQueries(const datagen::WorkloadCatalog& catalog,
+                                    std::uint64_t seed,
+                                    std::size_t num_queries) {
   datagen::QueryStreamConfig query_config;
-  query_config.seed = seed + 1;
+  query_config.seed = seed;
   query_config.num_queries = num_queries;
   query_config.chooser.distribution = datagen::Distribution::kZipfian;
   query_config.typo_prob = 0.08;
   query_config.truncate_prob = 0.05;
-  auto stream = datagen::GenerateQueryStream(catalog.value(), query_config);
+  auto stream = datagen::GenerateQueryStream(catalog, query_config);
   RL_CHECK(stream.ok()) << stream.status();
-  w.queries = std::move(stream).value().queries;
-  w.catalog = std::move(catalog).value().items;
+  return std::move(stream).value().queries;
+}
+
+Workload MakeWorkload(std::uint64_t seed, std::size_t catalog_size,
+                      std::size_t num_queries) {
+  datagen::WorkloadCatalog catalog = MakeCatalog(seed, catalog_size);
+  Workload w;
+  w.queries = MakeQueries(catalog, seed + 1, num_queries);
+  w.catalog = std::move(catalog.items);
   return w;
 }
 
@@ -553,6 +570,88 @@ TEST(ServeEngineTest, CartesianDeltaChainMatchesFromScratch) {
     EXPECT_EQ(session.Query(w.queries[q], &answer, q), 3u);
     EXPECT_TRUE(SameLinks(RemapLocals(answer, compacted.remap), expected[q]))
         << "query " << q;
+  }
+}
+
+// The paper's blocker on the serving path: rules learnt from a workload
+// catalog's items and classes block each query to the extents of its
+// predicted classes (PAPER.md §4.4), and a snapshot under that
+// RuleBlocker answers exactly as the batch streaming run under it does,
+// before and after a retire-only delta (a RuleBlocker index cannot take
+// appended items yet).
+TEST(ServeEngineTest, RuleBlockerSnapshotMatchesBatchRun) {
+  const datagen::WorkloadCatalog catalog = MakeCatalog(42, 3000);
+  const std::vector<core::Item> queries = MakeQueries(catalog, 43, 600);
+  const text::SeparatorSegmenter segmenter;
+  core::TrainingSet training(catalog.ontology());
+  for (std::size_t i = 0; i < catalog.items.size(); ++i) {
+    training.AddExample(catalog.items[i], catalog.items[i].iri,
+                        {catalog.classes[i]});
+  }
+  core::LearnerOptions options;
+  options.support_threshold = 0.005;
+  options.segmenter = &segmenter;
+  options.properties = {datagen::props::kPartNumber};
+  auto rules = core::RuleLearner(options).Learn(training);
+  ASSERT_TRUE(rules.ok()) << rules.status();
+  ASSERT_GT(rules->size(), 0u);
+  const core::RuleClassifier classifier(&*rules, &segmenter);
+  const blocking::RuleBlocker blocker(&classifier, &catalog.ontology(),
+                                      &catalog.classes);
+
+  const std::vector<std::size_t> retired = {3, 100, 771, 2950};
+  const CompactedCatalog compacted = Compact(catalog.items, retired);
+  std::vector<ontology::ClassId> compacted_classes;
+  for (std::size_t i = 0; i < catalog.items.size(); ++i) {
+    if (compacted.remap[i] != static_cast<std::size_t>(-1)) {
+      compacted_classes.push_back(catalog.classes[i]);
+    }
+  }
+  const blocking::RuleBlocker compacted_blocker(
+      &classifier, &catalog.ontology(), &compacted_classes);
+
+  // The rules block: runs are non-empty for some queries and narrower
+  // than the catalog overall.
+  const auto index = blocker.BuildIndex(queries, catalog.items);
+  std::size_t candidates = 0;
+  std::vector<std::size_t> run;
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    index->CandidatesOf(q, &run);
+    candidates += run.size();
+  }
+  EXPECT_GT(candidates, 0u);
+  EXPECT_LT(candidates, queries.size() * catalog.items.size() / 2);
+
+  for (const linking::Linker::Strategy strategy :
+       {linking::Linker::Strategy::kBestPerExternal,
+        linking::Linker::Strategy::kAllAboveThreshold}) {
+    linking::ServeEngine engine;
+    engine.Publish(std::make_unique<linking::ServeSnapshot>(
+        catalog.items, linking::ItemMatcher{ServeRules()}, kThreshold,
+        strategy, blocker));
+    const auto expected = BatchReference(catalog.items, queries, strategy,
+                                         kThreshold, &blocker);
+    std::size_t linked = 0;
+    linking::ServeEngine::Session session(&engine);
+    std::vector<linking::Link> answer;
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      EXPECT_EQ(session.Query(queries[q], &answer, q), 1u);
+      EXPECT_TRUE(SameLinks(answer, expected[q])) << "query " << q;
+      linked += !answer.empty();
+    }
+    EXPECT_GT(linked, 0u);
+
+    linking::CatalogDelta delta;
+    delta.retired = retired;
+    EXPECT_EQ(engine.PublishDelta(std::move(delta), blocker), 2u);
+    const auto expected2 = BatchReference(compacted.items, queries, strategy,
+                                          kThreshold, &compacted_blocker);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      EXPECT_EQ(session.Query(queries[q], &answer, q), 2u);
+      EXPECT_TRUE(
+          SameLinks(RemapLocals(answer, compacted.remap), expected2[q]))
+          << "query " << q << " after the retire-only delta";
+    }
   }
 }
 

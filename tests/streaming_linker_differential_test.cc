@@ -2,8 +2,8 @@
 // blocker's CandidateIndex must be byte-identical to the string-path
 // oracle Linker::Run over the same blocker's materialized candidate list —
 // same links, same order, same scores — at every thread count, for both
-// strategies, over StandardBlocker, RuleBlocker and the default
-// (materializing) BuildIndex, and under three matchers: one that engages
+// strategies, over StandardBlocker, RuleBlocker and BuildIndex's
+// materializing fallback, and under three matchers: one that engages
 // every cascade filter but Jaro's, the Jaro-Winkler-only matcher
 // `rulelink serve` runs (its pair counts pinned against a pair-by-pair
 // reference of the Jaro bound and the running-best floor) and a
@@ -384,8 +384,8 @@ TEST_P(StreamingLinkerDifferential, MatchesOracleOverRuleBlocker) {
 }
 
 TEST_P(StreamingLinkerDifferential, MatchesOverDefaultMaterializedIndex) {
-  // A generator that does not override BuildIndex exercises the base
-  // class's CSR materialization path.
+  // A generator without an item index (BuildItemIndex null) exercises
+  // BuildIndex's CSR materialization of Generate.
   class PlainGenerator : public blocking::CandidateGenerator {
    public:
     std::vector<blocking::CandidatePair> Generate(
