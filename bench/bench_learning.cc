@@ -168,7 +168,7 @@ std::string PrintInterningReport() {
       interned_ms > 0.0 ? reference_ms / interned_ms : 0.0;
 
   util::TextTable table({"pipeline", "learn time (ms)", "intern symbols",
-                         "arena KiB", "segment occurrences"});
+                         "interner KiB", "segment occurrences"});
   table.AddRow({"string-keyed (reference)",
                 util::FormatDouble(reference_ms, 1), "-", "-",
                 std::to_string(stats.segment_occurrences)});
@@ -184,7 +184,7 @@ std::string PrintInterningReport() {
   std::string json = "  \"interning\": {\n";
   json += "    \"intern_symbols\": " +
           std::to_string(stats.interner_symbols) + ",\n";
-  json += "    \"intern_arena_bytes\": " +
+  json += "    \"intern_bytes\": " +
           std::to_string(stats.interner_bytes) + ",\n";
   json += "    \"segment_occurrences\": " +
           std::to_string(stats.segment_occurrences) + ",\n";

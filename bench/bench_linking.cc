@@ -24,6 +24,7 @@
 
 #include "bench_common.h"
 #include "blocking/standard_blocking.h"
+#include "datagen/workload.h"
 #include "linking/evaluation.h"
 #include "linking/feature_cache.h"
 #include "linking/filters.h"
@@ -630,24 +631,68 @@ BENCHMARK(BM_ScoreRunMeasure)
     ->ArgsProduct({{0, 1, 2, 3}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
+// The `rulelink serve` snapshot's feature build: a 100 000-item workload
+// catalog under the serve default matcher, one Jaro-Winkler rule on the
+// part number, whose dictionary interns values only.
+struct ServeCatalogFixture {
+  std::vector<core::Item> catalog;
+  linking::ItemMatcher matcher{{{datagen::props::kPartNumber,
+                                 datagen::props::kPartNumber,
+                                 linking::SimilarityMeasure::kJaroWinkler,
+                                 1.0}}};
+
+  ServeCatalogFixture() {
+    datagen::WorkloadConfig config;
+    config.catalog_size = 100000;
+    auto generated = datagen::GenerateWorkloadCatalog(config);
+    RL_CHECK(generated.ok()) << generated.status();
+    catalog = std::move(generated).value().items;
+  }
+};
+
+const ServeCatalogFixture& GetServeCatalogFixture() {
+  static const ServeCatalogFixture* fixture = new ServeCatalogFixture();
+  return *fixture;
+}
+
+// FeatureCache::Build from an empty dictionary. Arg 0: both sides of the
+// paper corpus under the pipeline matcher, which reads tokens and
+// bigrams. Arg 1: the serve catalog above (local side only, as a
+// snapshot builds it).
 void BM_CacheBuild(benchmark::State& state) {
-  const Fixture& fixture = GetFixture();
+  const bool serve = state.range(0) == 1;
+  const Fixture* paper = serve ? nullptr : &GetFixture();
+  const ServeCatalogFixture* served =
+      serve ? &GetServeCatalogFixture() : nullptr;
+  std::size_t items = 0;
+  std::size_t symbols = 0;
   for (auto _ : state) {
     linking::FeatureDictionary dict;
-    const auto external = linking::FeatureCache::Build(
-        fixture.dataset->external_items, fixture.matcher,
-        linking::FeatureCache::Side::kExternal, &dict, 1);
-    const auto local = linking::FeatureCache::Build(
-        fixture.dataset->catalog_items, fixture.matcher,
-        linking::FeatureCache::Side::kLocal, &dict, 1);
-    benchmark::DoNotOptimize(local.num_items());
+    if (serve) {
+      const auto local = linking::FeatureCache::Build(
+          served->catalog, served->matcher,
+          linking::FeatureCache::Side::kLocal, &dict, 1);
+      items = local.num_items();
+      benchmark::DoNotOptimize(local.num_items());
+    } else {
+      const auto external = linking::FeatureCache::Build(
+          paper->dataset->external_items, paper->matcher,
+          linking::FeatureCache::Side::kExternal, &dict, 1);
+      const auto local = linking::FeatureCache::Build(
+          paper->dataset->catalog_items, paper->matcher,
+          linking::FeatureCache::Side::kLocal, &dict, 1);
+      items = external.num_items() + local.num_items();
+      benchmark::DoNotOptimize(local.num_items());
+    }
+    symbols = dict.num_symbols();
   }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(fixture.dataset->external_items.size() +
-                                fixture.dataset->catalog_items.size()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(items));
+  state.SetLabel(serve ? "serve catalog, jaro-winkler"
+                       : "paper corpus, pipeline matcher");
+  state.counters["dict_symbols"] = static_cast<double>(symbols);
 }
-BENCHMARK(BM_CacheBuild)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CacheBuild)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // The streaming linker over prebuilt caches and the blocker's index at
 // 1-8 threads: the inverted index feeds per-external candidate runs and

@@ -38,7 +38,8 @@ struct RowCursor {
 };
 
 // Rows merged from cursors on the stack; more predicted classes than this
-// (none of which subsumes another) spill the cursors to the heap.
+// (none of which subsumes another) spill the cursors to a per-thread
+// buffer.
 constexpr std::size_t kInlineRows = 16;
 
 class RuleItemIndex : public ItemCandidateIndex {
@@ -87,10 +88,14 @@ class RuleItemIndex : public ItemCandidateIndex {
     }
   }
 
+  // Allocation-free once the calling thread's buffers have grown, so a
+  // served query under the paper's blocker allocates nothing either.
   void CandidatesOfItem(const core::Item& item, std::string*,
                         std::vector<std::size_t>* out) const override {
     out->clear();
-    const auto predictions = classifier_->Classify(item, min_confidence_);
+    thread_local std::vector<core::ClassPrediction> predictions;
+    thread_local std::vector<RowCursor> spilled;
+    classifier_->ClassifyInto(item, min_confidence_, &predictions);
     if (predictions.empty()) {
       if (compare_all_when_unclassified_) {
         out->resize(num_local_);
@@ -101,7 +106,6 @@ class RuleItemIndex : public ItemCandidateIndex {
     // A predicted class with a predicted ancestor adds nothing: its row is
     // a subset of the ancestor's. The rest are merged.
     RowCursor inline_cursors[kInlineRows];
-    std::vector<RowCursor> spilled;
     RowCursor* cursors = inline_cursors;
     if (predictions.size() > kInlineRows) {
       spilled.resize(predictions.size());

@@ -24,20 +24,38 @@ RuleClassifier::RuleClassifier(const RuleSet* rules,
 
 std::vector<ClassPrediction> RuleClassifier::Classify(
     const Item& item, double min_confidence) const {
+  std::vector<ClassPrediction> predictions;
+  ClassifyInto(item, min_confidence, &predictions);
+  return predictions;
+}
+
+void RuleClassifier::ClassifyInto(const Item& item, double min_confidence,
+                                  std::vector<ClassPrediction>* out) const {
+  // Per-thread buffers, reused across calls so a warmed thread allocates
+  // nothing: the premises, one value's segment views, and best-per-class
+  // (below).
+  struct ClassifyScratch {
+    std::vector<std::uint64_t> premises;
+    std::vector<std::string_view> segments;
+    std::vector<ClassPrediction> best;        // slot c: best rule for class c
+    std::vector<ontology::ClassId> touched;   // slots to reset afterwards
+  };
+  thread_local ClassifyScratch scratch;
+
   // Distinct (property, segment) premises the item satisfies, as packed
   // (PropertyId, SegmentId) keys. Segments are resolved read-only against
   // the RuleSet's compact interner: a segment it has never seen cannot
   // fire any rule, so unknown segments are skipped (and the shared
   // interner is never mutated — concurrent Classify calls stay safe).
   const util::StringInterner& segments = rules_->segments();
-  std::vector<std::uint64_t> premises;
-  std::vector<std::string_view> seg_scratch;
+  std::vector<std::uint64_t>& premises = scratch.premises;
+  premises.clear();
   for (const auto& pv : item.facts) {
     const PropertyId property = rules_->properties().Find(pv.property);
     if (property == kInvalidPropertyId) continue;
-    seg_scratch.clear();
-    segmenter_->SegmentViews(pv.value, &seg_scratch);
-    for (std::string_view seg : seg_scratch) {
+    scratch.segments.clear();
+    segmenter_->SegmentViews(pv.value, &scratch.segments);
+    for (std::string_view seg : scratch.segments) {
       const SegmentId seg_id = segments.Find(seg);
       if (seg_id == kInvalidSegmentId) continue;
       premises.push_back(util::PackSymbolPair(property, seg_id));
@@ -53,15 +71,9 @@ std::vector<ClassPrediction> RuleClassifier::Classify(
   // Fire rules; keep only the best rule per predicted class so identical
   // subspaces are not ranked twice. ClassIds are dense (interned by the
   // ontology), so best-per-class lives in a flat scratch vector indexed
-  // by ClassId instead of a hash map — no hashing per fired rule, and the
-  // scratch is reused across calls on the same thread. `touched` records
-  // which slots were written so the reset is O(fired classes), not
-  // O(num_class_slots_).
-  struct ClassifyScratch {
-    std::vector<ClassPrediction> best;        // slot c: best rule for class c
-    std::vector<ontology::ClassId> touched;   // slots to reset afterwards
-  };
-  thread_local ClassifyScratch scratch;
+  // by ClassId instead of a hash map — no hashing per fired rule.
+  // `touched` records which slots were written so the reset is
+  // O(fired classes), not O(num_class_slots_).
   if (scratch.best.size() < num_class_slots_) {
     scratch.best.resize(num_class_slots_);
   }
@@ -87,13 +99,12 @@ std::vector<ClassPrediction> RuleClassifier::Classify(
     }
   }
 
-  std::vector<ClassPrediction> predictions;
-  predictions.reserve(scratch.touched.size());
+  out->clear();
   for (const ontology::ClassId cls : scratch.touched) {
-    predictions.push_back(scratch.best[cls]);
+    out->push_back(scratch.best[cls]);
     scratch.best[cls] = ClassPrediction{};  // restore the sentinel
   }
-  std::sort(predictions.begin(), predictions.end(),
+  std::sort(out->begin(), out->end(),
             [](const ClassPrediction& a, const ClassPrediction& b) {
               if (a.confidence != b.confidence) {
                 return a.confidence > b.confidence;
@@ -101,7 +112,6 @@ std::vector<ClassPrediction> RuleClassifier::Classify(
               if (a.lift != b.lift) return a.lift > b.lift;
               return a.cls < b.cls;
             });
-  return predictions;
 }
 
 std::vector<std::vector<ClassPrediction>> RuleClassifier::ClassifyBatch(

@@ -32,6 +32,13 @@ class RuleClassifier {
   std::vector<ClassPrediction> Classify(const Item& item,
                                         double min_confidence = 0.0) const;
 
+  // Classify into `*out`, which it replaces: the same predictions in the
+  // same order, worked out in per-thread scratch, so a caller that reuses
+  // `out` allocates nothing once the buffers have grown. RuleBlocker's
+  // item index classifies every probe, served queries included, this way.
+  void ClassifyInto(const Item& item, double min_confidence,
+                    std::vector<ClassPrediction>* out) const;
+
   // Classifies a batch of items, partitioning them across `num_threads`
   // workers (0 = hardware concurrency, 1 = serial). Items are independent,
   // so result[i] is exactly Classify(items[i], min_confidence) at every

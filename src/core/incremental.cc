@@ -124,7 +124,7 @@ util::Result<RuleSet> IncrementalRuleLearner::BuildRules(
     stats->num_rules = rules.size();
     stats->classes_with_rules = conclusion_classes.size();
     stats->interner_symbols = segments_.size();
-    stats->interner_bytes = segments_.arena_bytes();
+    stats->interner_bytes = segments_.memory_bytes();
   }
   // RuleSet re-interns compactly, so the returned set does not pin this
   // learner's (growing) symbol table.

@@ -327,7 +327,7 @@ util::Result<RuleSet> RuleLearner::Learn(const TrainingSet& ts,
     stats->num_rules = rules.size();
     stats->classes_with_rules = conclusion_classes.size();
     stats->interner_symbols = corpus.segments.size();
-    stats->interner_bytes = corpus.segments.arena_bytes();
+    stats->interner_bytes = corpus.segments.memory_bytes();
   }
 
   return RuleSet(std::move(rules), ts.properties(), corpus.segments);

@@ -72,7 +72,8 @@ struct LearnStats {
   std::size_t num_rules = 0;
   std::size_t classes_with_rules = 0;       // distinct rule conclusions
   // Interned-pipeline internals (bench/diagnostics): symbol-table size and
-  // arena footprint of the corpus segment interner built in phase 0.
+  // footprint (arena, id table and hash slots) of the corpus segment
+  // interner built in phase 0.
   std::size_t interner_symbols = 0;
   std::size_t interner_bytes = 0;
 };

@@ -1,6 +1,7 @@
 #include "linking/feature_cache.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <limits>
 
 #include "util/logging.h"
@@ -12,6 +13,17 @@ namespace {
 // The separators JaccardTokenSimilarity and MongeElkanSimilarity split on;
 // the cached measures are only byte-identical if tokenization matches.
 constexpr char kTokenSeparators[] = " \t\n\r";
+
+// Sorts (*pool)[begin, end) in place and returns its distinct count.
+std::uint32_t SortTail(std::vector<text::TokenId>* pool, std::size_t begin) {
+  const auto first = pool->begin() + static_cast<std::ptrdiff_t>(begin);
+  std::sort(first, pool->end());
+  std::uint32_t unique = 0;
+  for (auto it = first; it != pool->end(); ++it) {
+    if (it == first || *it != it[-1]) ++unique;
+  }
+  return unique;
+}
 
 // The count a `measure` rule's stage-A bound reads of a value
 // (SlotRecord::count).
@@ -56,36 +68,71 @@ bool SlotSignature(SimilarityMeasure measure, std::string_view value,
   return false;
 }
 
+FeatureDictionary::FeatureMask FeatureDictionary::FeaturesReadBy(
+    const ItemMatcher& matcher) {
+  FeatureMask read = 0;
+  for (const AttributeRule& rule : matcher.rules()) {
+    switch (rule.measure) {
+      case SimilarityMeasure::kJaccardTokens:
+      case SimilarityMeasure::kMongeElkan:
+        read |= kTokens;
+        break;
+      case SimilarityMeasure::kDiceBigram:
+        read |= kBigrams;
+        break;
+      case SimilarityMeasure::kExact:
+      case SimilarityMeasure::kLevenshtein:
+      case SimilarityMeasure::kJaro:
+      case SimilarityMeasure::kJaroWinkler:
+        break;
+    }
+  }
+  return read;
+}
+
 FeatureDictionary::FeatureDictionary(const FeatureDictionary* base)
     : base_(base) {
   RL_CHECK(base != nullptr) << "an overlay dictionary needs a base";
   base_offset_ = static_cast<ValueId>(base->num_symbols());
+  features_ = base->features_;
+}
+
+void FeatureDictionary::RequireFeaturesOf(const ItemMatcher& matcher) {
+  const FeatureMask read = FeaturesReadBy(matcher);
+  if (base_ == nullptr && strings_.empty()) features_ = read;
+  RL_CHECK((read & ~features_) == 0)
+      << "the matcher reads features (mask " << static_cast<int>(read)
+      << ") this dictionary does not build (mask "
+      << static_cast<int>(features_)
+      << "); build its caches over a dictionary of their own";
 }
 
 void FeatureDictionary::EnsureSlot(ValueId local) {
   if (local >= spans_.size()) spans_.resize(local + 1);
 }
 
-ValueId FeatureDictionary::FindSymbol(std::string_view s) const {
+ValueId FeatureDictionary::FindSymbol(std::string_view s,
+                                      std::uint64_t hash) const {
   if (base_ != nullptr) {
-    const ValueId found = base_->FindSymbol(s);
+    const ValueId found = base_->FindSymbol(s, hash);
     if (found != util::kInvalidSymbolId) return found;
   }
-  const ValueId local = strings_.Find(s);
+  const ValueId local = strings_.Find(s, hash);
   return local == util::kInvalidSymbolId ? util::kInvalidSymbolId
                                          : local + base_offset_;
 }
 
-ValueId FeatureDictionary::FindBuiltValue(std::string_view s) const {
+ValueId FeatureDictionary::FindBuiltValue(std::string_view s,
+                                          std::uint64_t hash) const {
   // Deepest-first: the level closest to the root that built the value is
   // the id every cache over this chain agreed on when it was built (and at
   // most one level holds a given string as a built value, since building
   // at level k implies no level below k had built it).
   if (base_ != nullptr) {
-    const ValueId found = base_->FindBuiltValue(s);
+    const ValueId found = base_->FindBuiltValue(s, hash);
     if (found != util::kInvalidSymbolId) return found;
   }
-  const ValueId local = strings_.Find(s);
+  const ValueId local = strings_.Find(s, hash);
   if (local != util::kInvalidSymbolId && local < spans_.size() &&
       spans_[local].built) {
     return local + base_offset_;
@@ -94,71 +141,62 @@ ValueId FeatureDictionary::FindBuiltValue(std::string_view s) const {
 }
 
 text::TokenId FeatureDictionary::InternSymbol(std::string_view s) {
+  const std::uint64_t hash = util::StringInterner::Hash(s);
   if (base_ != nullptr) {
     // Any symbol kind will do for tokens/bigrams — only equality and sort
     // order matter downstream, and the base's id is the canonical one for
     // this string in the combined universe.
-    const ValueId found = base_->FindSymbol(s);
+    const ValueId found = base_->FindSymbol(s, hash);
     if (found != util::kInvalidSymbolId) return found;
   }
-  return strings_.Intern(s) + base_offset_;
-}
-
-std::uint32_t FeatureDictionary::AppendSorted(
-    const std::vector<text::TokenId>& ids, std::vector<text::TokenId>* pool) {
-  const std::size_t begin = pool->size();
-  pool->insert(pool->end(), ids.begin(), ids.end());
-  std::sort(pool->begin() + begin, pool->end());
-  std::uint32_t unique = 0;
-  for (std::size_t i = begin; i < pool->size(); ++i) {
-    if (i == begin || (*pool)[i] != (*pool)[i - 1]) ++unique;
-  }
-  return unique;
+  return strings_.Intern(s, hash) + base_offset_;
 }
 
 void FeatureDictionary::BuildFeatures(ValueId local) {
+  // The value's bytes live in the interner's arena, which never moves, so
+  // its views survive the interning below.
   const std::string_view value = strings_.View(local);
-
-  std::vector<text::TokenId> token_ids;
-  {
-    const auto token_views = util::SplitAny(value, kTokenSeparators);
-    token_ids.reserve(token_views.size());
-    for (std::string_view token : token_views) {
-      token_ids.push_back(InternSymbol(token));
+  Spans spans;
+  if ((features_ & kTokens) != 0) {
+    pieces_.clear();
+    util::SplitAnyInto(value, kTokenSeparators, &pieces_);
+    const std::size_t begin = ordered_tokens_.size();
+    RL_CHECK(begin + pieces_.size() <
+             std::numeric_limits<std::uint32_t>::max());
+    for (std::string_view token : pieces_) {
+      ordered_tokens_.push_back(InternSymbol(token));
     }
+    sorted_tokens_.insert(sorted_tokens_.end(),
+                          ordered_tokens_.begin() +
+                              static_cast<std::ptrdiff_t>(begin),
+                          ordered_tokens_.end());
+    spans.tok_begin = static_cast<std::uint32_t>(begin);
+    spans.tok_end = static_cast<std::uint32_t>(ordered_tokens_.size());
+    spans.tok_unique = SortTail(&sorted_tokens_, begin);
   }
-  std::vector<text::TokenId> bigram_ids;
-  {
-    std::vector<std::string_view> gram_views;
-    text::CharacterBigramViews(value, &gram_views);
-    bigram_ids.reserve(gram_views.size());
-    for (std::string_view gram : gram_views) {
-      bigram_ids.push_back(InternSymbol(gram));
+  if ((features_ & kBigrams) != 0) {
+    pieces_.clear();
+    text::CharacterBigramViews(value, &pieces_);
+    const std::size_t begin = sorted_bigrams_.size();
+    RL_CHECK(begin + pieces_.size() <
+             std::numeric_limits<std::uint32_t>::max());
+    for (std::string_view gram : pieces_) {
+      sorted_bigrams_.push_back(InternSymbol(gram));
     }
+    spans.big_begin = static_cast<std::uint32_t>(begin);
+    spans.big_end = static_cast<std::uint32_t>(sorted_bigrams_.size());
+    SortTail(&sorted_bigrams_, begin);
   }
-
-  RL_CHECK(ordered_tokens_.size() + token_ids.size() <
-           std::numeric_limits<std::uint32_t>::max());
-  RL_CHECK(sorted_bigrams_.size() + bigram_ids.size() <
-           std::numeric_limits<std::uint32_t>::max());
-
+  spans.built = true;
   // Interning the tokens/bigrams may have grown the symbol table past the
   // spans table; re-establish the slot before writing through it.
   EnsureSlot(local);
-  Spans& spans = spans_[local];
-  spans.tok_begin = static_cast<std::uint32_t>(ordered_tokens_.size());
-  ordered_tokens_.insert(ordered_tokens_.end(), token_ids.begin(),
-                         token_ids.end());
-  spans.tok_end = static_cast<std::uint32_t>(ordered_tokens_.size());
-  spans.tok_unique = AppendSorted(token_ids, &sorted_tokens_);
-  spans.big_begin = static_cast<std::uint32_t>(sorted_bigrams_.size());
-  AppendSorted(bigram_ids, &sorted_bigrams_);
-  spans.big_end = static_cast<std::uint32_t>(sorted_bigrams_.size());
-  spans.built = true;
+  spans_[local] = spans;
   ++num_values_;
 }
 
 ValueId FeatureDictionary::AddValue(std::string_view value) {
+  const std::uint64_t hash = util::StringInterner::Hash(value);
   if (base_ != nullptr) {
     // Reuse a chain id only where it carries built features; a chain
     // symbol that is merely a token/bigram gets a fresh overlay value id
@@ -167,13 +205,13 @@ ValueId FeatureDictionary::AddValue(std::string_view value) {
     // search must be by built-value, not FindSymbol: with stacked overlays
     // a string can be an unbuilt token at the root and a built value at a
     // middle level, and FindSymbol would surface the root token id.
-    const ValueId found = base_->FindBuiltValue(value);
+    const ValueId found = base_->FindBuiltValue(value, hash);
     if (found != util::kInvalidSymbolId) {
       ++values_reused_;
       return found;
     }
   }
-  const ValueId local = strings_.Intern(value);
+  const ValueId local = strings_.Intern(value, hash);
   EnsureSlot(local);
   if (spans_[local].built) {
     ++values_reused_;
@@ -202,7 +240,7 @@ FeatureDictionary::ValueFeatures FeatureDictionary::Features(
 }
 
 std::size_t FeatureDictionary::memory_bytes() const {
-  return strings_.arena_bytes() + spans_.capacity() * sizeof(Spans) +
+  return strings_.memory_bytes() + spans_.capacity() * sizeof(Spans) +
          (ordered_tokens_.capacity() + sorted_tokens_.capacity() +
           sorted_bigrams_.capacity()) *
              sizeof(text::TokenId);
@@ -222,6 +260,7 @@ FeatureCache FeatureCache::Build(const std::vector<core::Item>& items,
                             : "linking/cache/local_items",
                         items.size());
   }
+  dict->RequireFeaturesOf(matcher);
   FeatureCache cache;
   cache.dict_ = dict;
   cache.num_rules_ = matcher.rules().size();
@@ -247,6 +286,7 @@ FeatureCache FeatureCache::ExtendFrom(const FeatureCache& base,
       << "ExtendFrom needs base.dict() itself or a direct overlay over it";
   RL_CHECK(matcher.rules().size() == base.num_rules_)
       << "ExtendFrom cannot change the rule slot layout";
+  dict->RequireFeaturesOf(matcher);
   const obs::MetricsRegistry::StageScope stage(metrics,
                                                "linking/cache_extend");
   if (metrics != nullptr) {
@@ -278,6 +318,7 @@ void FeatureCache::AssignSingle(const core::Item& item,
   RL_CHECK(dict != nullptr);
   // clear() keeps every vector's capacity, so at steady state the rebuild
   // allocates nothing (only a never-seen value string does, in `dict`).
+  dict->RequireFeaturesOf(matcher);
   dict_ = dict;
   num_items_ = 0;
   num_rules_ = matcher.rules().size();

@@ -4,8 +4,9 @@
 // for every candidate pair, so an item scored against k candidates pays
 // its string-preparation cost k times. The feature cache moves that work
 // to a build phase that runs once per item: for every distinct property
-// value it interns the value itself plus its whitespace tokens and
-// character bigrams through a shared util::StringInterner, and stores the
+// value it interns the value itself through a shared util::StringInterner
+// and, when the matcher's measures read them, its whitespace tokens
+// (Jaccard, Monge-Elkan) and character bigrams (Dice), storing the
 // token/bigram id sequences the cached scorer needs. Part catalogs repeat
 // values heavily, so the dictionary doubles as a build-time memo: a value
 // seen before costs one hash lookup, not a re-tokenization.
@@ -46,13 +47,26 @@
 namespace rulelink::linking {
 
 // Dense id of an interned property value (a util::SymbolId in the
-// dictionary's symbol universe, which also contains tokens and bigrams).
+// dictionary's symbol universe, which also holds the tokens and bigrams it
+// builds).
 using ValueId = util::SymbolId;
 
 class FeatureDictionary {
  public:
+  // The features a dictionary builds per value beside its text, as bits:
+  // tokens, which Jaccard and Monge-Elkan read, and bigrams, which Dice
+  // reads. The other measures read the text alone (DESIGN.md §5d).
+  using FeatureMask = std::uint8_t;
+  static constexpr FeatureMask kTokens = 1;
+  static constexpr FeatureMask kBigrams = 2;
+  static constexpr FeatureMask kAllFeatures = kTokens | kBigrams;
+
+  // The features `matcher`'s measures read.
+  static FeatureMask FeaturesReadBy(const ItemMatcher& matcher);
+
   // Read-only view of one distinct value's precomputed features. Pointers
-  // alias the dictionary pools and stay valid for its lifetime.
+  // alias the dictionary pools and stay valid for its lifetime. A feature
+  // the dictionary does not build reads as empty.
   struct ValueFeatures {
     std::string_view text;                  // the value string itself
     const text::TokenId* ordered_tokens = nullptr;  // occurrence order
@@ -63,6 +77,11 @@ class FeatureDictionary {
     std::uint32_t num_bigrams = 0;
   };
 
+  // A root dictionary. It builds every feature until a FeatureCache build
+  // brings a matcher while it is still empty: it then builds exactly what
+  // that matcher's measures read. A build whose matcher reads a feature
+  // the dictionary does not build fails an RL_CHECK, so no cache scores
+  // with features that were never built.
   FeatureDictionary() = default;
   // Overlay over an immutable `base` (which must outlive this object and
   // never grow while overlaid): AddValue answers from the base chain when
@@ -76,7 +95,7 @@ class FeatureDictionary {
   // publish (DESIGN.md §5j) and hangs each session's private overlay off
   // the current snapshot's dictionary (§5i). At most one level of a chain
   // ever holds a given string as a *built value*, so the reuse lookup is
-  // unambiguous.
+  // unambiguous. An overlay builds its base's features.
   explicit FeatureDictionary(const FeatureDictionary* base);
   FeatureDictionary(const FeatureDictionary&) = delete;
   FeatureDictionary& operator=(const FeatureDictionary&) = delete;
@@ -107,17 +126,23 @@ class FeatureDictionary {
   // The immediate base of an overlay (null for a root dictionary).
   const FeatureDictionary* base() const { return base_; }
 
-  // Distinct symbols (values + tokens + bigrams), including the base's
-  // for overlay dictionaries.
+  // The features this dictionary builds per value.
+  FeatureMask features() const { return features_; }
+
+  // Distinct symbols (values plus the tokens and bigrams it builds),
+  // including the base's for overlay dictionaries.
   std::size_t num_symbols() const { return base_offset_ + strings_.size(); }
   // Distinct values with built features.
   std::size_t num_values() const { return num_values_; }
   // AddValue calls answered by the build-time memo.
   std::size_t values_reused() const { return values_reused_; }
-  // Memory held by the interner arena plus the feature pools.
+  // Memory held by the interner (arena, id table and hash slots) plus the
+  // feature pools.
   std::size_t memory_bytes() const;
 
  private:
+  friend class FeatureCache;
+
   struct Spans {
     std::uint32_t tok_begin = 0;
     std::uint32_t tok_end = 0;
@@ -127,36 +152,43 @@ class FeatureDictionary {
     bool built = false;
   };
 
+  // Called by every FeatureCache build before it adds a value: an empty
+  // root adopts the features `matcher` reads; then RL_CHECKs that this
+  // dictionary builds every one of them.
+  void RequireFeaturesOf(const ItemMatcher& matcher);
   // Grows spans_ to cover local index `local`.
   void EnsureSlot(ValueId local);
-  // Tokenizes/bigrams the value at local index `local` and records its
-  // spans.
+  // Tokenizes/bigrams the value at local index `local`, as far as
+  // features_ asks, and records its spans.
   void BuildFeatures(ValueId local);
   // Resolves `s` to an id in the combined universe: the base's id when it
   // knows the string (any symbol kind), else a locally-interned offset id.
   text::TokenId InternSymbol(std::string_view s);
+  // The chain walks below take `hash` = util::StringInterner::Hash(s),
+  // computed once by the caller and probed at every level.
   // Public id of `s` anywhere in the chain, or util::kInvalidSymbolId.
   // Read-only: never allocates.
-  ValueId FindSymbol(std::string_view s) const;
+  ValueId FindSymbol(std::string_view s, std::uint64_t hash) const;
   // Public id of `s` where it is a *built value*, searching the whole
   // chain deepest-first, or util::kInvalidSymbolId. Distinct from
   // FindSymbol: a string can be an unbuilt token at one level and a built
   // value at a shallower one, and value reuse must find the built id.
-  ValueId FindBuiltValue(std::string_view s) const;
-  // Appends `ids` sorted (and returns the unique count when asked).
-  std::uint32_t AppendSorted(const std::vector<text::TokenId>& ids,
-                             std::vector<text::TokenId>* pool);
+  ValueId FindBuiltValue(std::string_view s, std::uint64_t hash) const;
 
   // Overlay state. For root dictionaries base_ is null and base_offset_ 0,
   // so local indices equal public ids and every path below is unchanged.
   const FeatureDictionary* base_ = nullptr;
   ValueId base_offset_ = 0;  // public id = local index + base_offset_
 
+  FeatureMask features_ = kAllFeatures;
   util::StringInterner strings_;  // values, tokens and bigrams together
   std::vector<Spans> spans_;      // by local index; built only for values
   std::vector<text::TokenId> ordered_tokens_;  // per value, occurrence order
   std::vector<text::TokenId> sorted_tokens_;   // same spans, sorted by id
   std::vector<text::TokenId> sorted_bigrams_;  // per value, sorted by id
+  // BuildFeatures' token or bigram views, reused so a new value allocates
+  // nothing once the pools have grown.
+  std::vector<std::string_view> pieces_;
   std::size_t num_values_ = 0;
   std::size_t values_reused_ = 0;
 };
@@ -195,7 +227,10 @@ class FeatureCache {
 
   // Precomputes features for `items` against `matcher`'s rules, reading
   // rule.external_property or rule.local_property according to `side`,
-  // interning values into `dict` serially in item order. `num_threads` is
+  // interning values into `dict` serially in item order. An empty root
+  // `dict` adopts the features the matcher's measures read; any other
+  // must already build them (RL_CHECK, see FeatureDictionary's
+  // constructors). So do ExtendFrom and AssignSingle. `num_threads` is
   // accepted for callers' source compatibility and does not change the
   // build. `dict` must outlive the returned cache; `items` may not.
   // `metrics`, when non-null, gets the "linking/cache_build" stage plus
@@ -224,8 +259,8 @@ class FeatureCache {
   // Rebuilds this cache in place over exactly one item — the serving
   // engine's per-query external cache. Allocation-free at steady state:
   // the index and record vectors reuse their capacity and dict->AddValue of
-  // an already-known value is one hash lookup (only a never-seen value
-  // string allocates, in the overlay dictionary).
+  // an already-known value hashes it once and probes each chain level
+  // (only a never-seen value string allocates, in the overlay dictionary).
   void AssignSingle(const core::Item& item, const ItemMatcher& matcher,
                     Side side, FeatureDictionary* dict);
 

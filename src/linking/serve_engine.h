@@ -40,8 +40,8 @@
 // still beat that score (StreamingLinker::QueryRun). This runs with
 // per-session scratch (QueryScratch, an overlay FeatureDictionary for
 // novel query values, the single-item query FeatureCache, the
-// blocking-key buffer) allocated once and reused, so under a key-based
-// or cartesian blocker the steady-state query path performs zero heap
+// blocking-key buffer) allocated once and reused, so under a key-based,
+// cartesian or rule blocker the steady-state query path performs zero heap
 // allocations on values the session already knows, of at most 64 bytes,
 // under measures other than Monge-Elkan, whose new value pairs insert
 // memo entries (asserted by the serve differential test). Served answers
@@ -105,9 +105,7 @@ class ServeSnapshot {
   // must support BuildItemIndex: the key-based, cartesian and rule
   // blockers do, the list-based ones do not. A RuleBlocker snapshot
   // cannot yet take appended items (it has no ExtendItemIndex, so a
-  // BuildDelta that appends aborts), and its probe allocates inside
-  // RuleClassifier::Classify, so the zero-allocation query path holds
-  // under the key-based and cartesian blockers only.
+  // BuildDelta that appends aborts).
   // `threshold`/`strategy` have Linker semantics and are part of the
   // snapshot: a republish can change rules and policy atomically.
   // `rules`, when given, is the learned rule set this serving

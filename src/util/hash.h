@@ -1,9 +1,12 @@
-// Hashing helpers: 64-bit FNV-1a for strings and a boost-style combiner for
+// Hashing helpers: 64-bit FNV-1a for strings, a word-at-a-time byte hash
+// for the open-addressing string tables, and a boost-style combiner for
 // composite keys used by the frequency tables in the rule learner.
 #ifndef RULELINK_UTIL_HASH_H_
 #define RULELINK_UTIL_HASH_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <string_view>
 #include <utility>
@@ -29,6 +32,30 @@ inline std::uint64_t Mix64(std::uint64_t x) {
   x *= 0x94D049BB133111EBULL;
   x ^= x >> 31;
   return x;
+}
+
+// Hash of a byte string for in-memory open-addressing tables
+// (util::StringInterner): eight bytes per multiply, the length folded in
+// first, Mix64 last so every output bit depends on every input byte. The
+// words are read in host byte order, so values differ across byte orders;
+// nothing persists them.
+inline std::uint64_t HashBytes(std::string_view data) {
+  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ULL;
+  const char* p = data.data();
+  std::size_t n = data.size();
+  std::uint64_t h = static_cast<std::uint64_t>(n) * kMul;
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t word;
+    std::memcpy(&word, p, 8);
+    h = (h ^ word) * kMul;
+    h ^= h >> 32;
+  }
+  if (n > 0) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p, n);
+    h = (h ^ word) * kMul;
+  }
+  return Mix64(h);
 }
 
 inline std::size_t HashCombine(std::size_t seed, std::size_t value) {

@@ -14,6 +14,10 @@
 //     can replace hash maps keyed by string with vectors indexed by id;
 //   * string_view lookup: Intern/Find take string_views and never allocate
 //     unless a new symbol is actually added;
+//   * one flat index: an open-addressing table of (id, hash) slots over
+//     the arena views, linear probing, at most half full. Callers that
+//     probe several interners with one string (FeatureDictionary's
+//     overlay chain) hash it once with Hash() and pass the hash down;
 //   * ordering: ids follow first-occurrence order, NOT lexical order.
 //     Callers that need lexical ordering (RuleSet's tie-break, report
 //     emission) resolve ids back to views and compare those — see the
@@ -34,8 +38,9 @@
 #include <cstdint>
 #include <memory>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
+
+#include "util/hash.h"
 
 namespace rulelink::util {
 
@@ -56,13 +61,20 @@ class StringInterner {
   StringInterner(StringInterner&&) noexcept = default;
   StringInterner& operator=(StringInterner&&) noexcept = default;
 
+  // The hash Intern and Find key on. Any interner accepts it, so one hash
+  // serves a probe of several interners.
+  static std::uint64_t Hash(std::string_view s) { return HashBytes(s); }
+
   // Returns the id of `s`, interning it on first sight. Ids are dense and
-  // assigned in first-occurrence order.
-  SymbolId Intern(std::string_view s);
+  // assigned in first-occurrence order. `hash` must be Hash(s).
+  SymbolId Intern(std::string_view s) { return Intern(s, Hash(s)); }
+  SymbolId Intern(std::string_view s, std::uint64_t hash);
 
   // Returns the id of `s` or kInvalidSymbolId when it was never interned.
   // Never allocates; safe on a const interner that nobody is mutating.
-  SymbolId Find(std::string_view s) const;
+  // `hash` must be Hash(s).
+  SymbolId Find(std::string_view s) const { return Find(s, Hash(s)); }
+  SymbolId Find(std::string_view s, std::uint64_t hash) const;
 
   // The string for `id`. Valid for the interner's lifetime.
   std::string_view View(SymbolId id) const { return views_[id]; }
@@ -70,11 +82,12 @@ class StringInterner {
   std::size_t size() const { return views_.size(); }
   bool empty() const { return views_.empty(); }
 
-  // Bytes held by the arena blocks (capacity, not just used), for memory
-  // accounting in benchmarks and stats.
-  std::size_t arena_bytes() const;
+  // Bytes held by the arena blocks, the id->view table and the hash slots
+  // (capacity, not just used), for memory accounting in benchmarks and
+  // stats.
+  std::size_t memory_bytes() const;
 
-  // Pre-sizes the id table and lookup index for `expected_symbols`.
+  // Pre-sizes the id table and hash slots for `expected_symbols`.
   void Reserve(std::size_t expected_symbols);
 
   // Read-only view of the id->string table, decoupled from the interner's
@@ -101,13 +114,24 @@ class StringInterner {
     std::size_t capacity = 0;
   };
 
+  // One hash slot: a symbol's id (kInvalidSymbolId when empty) and the low
+  // 32 bits of its hash, which pick the home slot, re-place the symbol
+  // when the table grows and turn away most mismatches before a byte is
+  // compared.
+  struct Slot {
+    SymbolId id = kInvalidSymbolId;
+    std::uint32_t hash = 0;
+  };
+
   // Copies `s` into the arena and returns a stable view of the copy.
   std::string_view StoreInArena(std::string_view s);
+  // Re-places every symbol into a table of `num_slots` (a power of two).
+  void Rehash(std::size_t num_slots);
 
   std::vector<Block> blocks_;
   std::vector<std::string_view> views_;  // id -> arena-backed view
-  // Keys are arena-backed views, so the index never owns string bytes.
-  std::unordered_map<std::string_view, SymbolId> index_;
+  // Keys are ids into views_, so the index never owns string bytes.
+  std::vector<Slot> slots_;
 };
 
 // Packs two 32-bit ids into the 64-bit composite keys the counting layers

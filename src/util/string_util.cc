@@ -10,16 +10,21 @@ namespace rulelink::util {
 std::vector<std::string_view> SplitAny(std::string_view input,
                                        std::string_view separators) {
   std::vector<std::string_view> pieces;
+  SplitAnyInto(input, separators, &pieces);
+  return pieces;
+}
+
+void SplitAnyInto(std::string_view input, std::string_view separators,
+                  std::vector<std::string_view>* out) {
   std::size_t start = 0;
   for (std::size_t i = 0; i <= input.size(); ++i) {
     const bool at_sep =
         i == input.size() || separators.find(input[i]) != std::string_view::npos;
     if (at_sep) {
-      if (i > start) pieces.push_back(input.substr(start, i - start));
+      if (i > start) out->push_back(input.substr(start, i - start));
       start = i + 1;
     }
   }
-  return pieces;
 }
 
 std::vector<std::string_view> Split(std::string_view input, char sep) {

@@ -13,6 +13,10 @@ namespace rulelink::util {
 // The returned views alias `input`.
 std::vector<std::string_view> SplitAny(std::string_view input,
                                        std::string_view separators);
+// SplitAny appending to `out`, so a caller's reused buffer allocates
+// nothing once it has grown.
+void SplitAnyInto(std::string_view input, std::string_view separators,
+                  std::vector<std::string_view>* out);
 
 // Splits `input` on the single character `sep`, keeping empty pieces.
 std::vector<std::string_view> Split(std::string_view input, char sep);

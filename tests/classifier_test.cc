@@ -1,6 +1,8 @@
 #include "core/classifier.h"
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -123,6 +125,48 @@ TEST_F(ClassifierTest, SegmentMustMatchExactly) {
   // "T8" and "T834" are different segments; no prefix semantics.
   EXPECT_TRUE(classifier_->Classify(MakeItem("T8-X")).empty());
   EXPECT_TRUE(classifier_->Classify(MakeItem("T834-X")).empty());
+}
+
+// ClassifyInto replaces a reused buffer with exactly Classify's
+// predictions, and ClassifyBatch's workers, each on its own per-thread
+// scratch, agree with it at every thread count.
+TEST_F(ClassifierTest, ClassifyIntoAndBatchesMatchClassify) {
+  const std::vector<std::string> parts = {
+      "T83-OHM-MIX", "ZZZ-999", "MIX", "OHM-1", "T83-106", "", "MIX-MIX-T8"};
+  std::vector<Item> items;
+  for (int copy = 0; copy < 40; ++copy) {
+    for (const std::string& part : parts) items.push_back(MakeItem(part));
+  }
+  const auto same = [](const std::vector<ClassPrediction>& a,
+                       const std::vector<ClassPrediction>& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (a[i].cls != b[i].cls || a[i].confidence != b[i].confidence ||
+          a[i].lift != b[i].lift || a[i].rule_index != b[i].rule_index) {
+        return false;
+      }
+    }
+    return true;
+  };
+  std::vector<ClassPrediction> reused = {ClassPrediction{}};
+  for (const double min_confidence : {0.0, 0.6}) {
+    for (const Item& item : items) {
+      const auto want = classifier_->Classify(item, min_confidence);
+      classifier_->ClassifyInto(item, min_confidence, &reused);
+      EXPECT_TRUE(same(reused, want)) << item.facts[0].value;
+    }
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      const auto batch =
+          classifier_->ClassifyBatch(items, min_confidence, threads);
+      ASSERT_EQ(batch.size(), items.size());
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        EXPECT_TRUE(same(batch[i],
+                         classifier_->Classify(items[i], min_confidence)))
+            << "item " << i << " at " << threads << " threads";
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include "util/hash.h"
 
+#include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -19,6 +21,21 @@ TEST(Fnv1aTest, DeterministicAndSensitive) {
   EXPECT_EQ(Fnv1a64("CRCW0805"), Fnv1a64("CRCW0805"));
   EXPECT_NE(Fnv1a64("CRCW0805"), Fnv1a64("CRCW0806"));
   EXPECT_NE(Fnv1a64("ab"), Fnv1a64("ba"));
+}
+
+TEST(HashBytesTest, DistinctKeysLengthsAndLateBytes) {
+  std::unordered_set<std::uint64_t> hashes;
+  for (int i = 0; i < 100000; ++i) {
+    hashes.insert(HashBytes("k" + std::to_string(i)));
+  }
+  // Runs of NUL bytes differ only in length; keys equal in their first
+  // word differ in a later one.
+  for (std::size_t n = 0; n <= 64; ++n) {
+    hashes.insert(HashBytes(std::string(n, '\0')));
+    hashes.insert(HashBytes("ABCDEFGH" + std::string(n, 'x')));
+  }
+  EXPECT_EQ(hashes.size(), 100000u + 65u + 65u);
+  EXPECT_EQ(HashBytes("CRCW0805"), HashBytes(std::string("CRCW0805")));
 }
 
 TEST(HashCombineTest, OrderSensitive) {

@@ -1,9 +1,13 @@
 #include "util/interner.h"
 
 #include <cstddef>
+#include <cstdint>
+#include <random>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -99,7 +103,7 @@ TEST(StringInternerTest, MillionSymbolStress) {
     ASSERT_EQ(interner.Intern("k" + std::to_string(i)), i);
   }
   EXPECT_EQ(interner.size(), 1000000u);
-  EXPECT_GT(interner.arena_bytes(), 0u);
+  EXPECT_GT(interner.memory_bytes(), 0u);
   // Spot-check id stability and lookup at the extremes and in the middle.
   EXPECT_EQ(interner.View(0), "k0");
   EXPECT_EQ(interner.View(499999), "k499999");
@@ -152,6 +156,135 @@ TEST(StringInternerTest, SnapshotReadersRaceNothingWhileWriterInterns) {
   // The snapshot still sees exactly the prefix it was taken at.
   EXPECT_EQ(snapshot.size(), kInitial);
   EXPECT_EQ(snapshot.View(0), "base-0");
+}
+
+// The map-based interner the flat table replaced, kept as the oracle:
+// ids in first-occurrence order, kInvalidSymbolId for a string never
+// interned.
+class MapInterner {
+ public:
+  SymbolId Intern(const std::string& s) {
+    const auto [it, added] =
+        ids_.emplace(s, static_cast<SymbolId>(strings_.size()));
+    if (added) strings_.push_back(s);
+    return it->second;
+  }
+  SymbolId Find(const std::string& s) const {
+    const auto it = ids_.find(s);
+    return it == ids_.end() ? kInvalidSymbolId : it->second;
+  }
+  const std::string& View(SymbolId id) const { return strings_[id]; }
+  std::size_t size() const { return strings_.size(); }
+
+ private:
+  std::unordered_map<std::string, SymbolId> ids_;
+  std::vector<std::string> strings_;
+};
+
+// Strings a byte hash and a tag compare can get wrong: the empty string,
+// embedded NUL bytes, strings equal in their first 8 bytes (one hash word)
+// or 16, long strings differing only in their last byte, and a seeded
+// bulk over a four-byte alphabet with NUL and space, so short strings
+// repeat.
+std::vector<std::string> AwkwardStrings(std::mt19937_64* rng) {
+  using namespace std::string_literals;
+  std::vector<std::string> out = {""s,        "\0"s,       "\0\0"s,
+                                  "a\0b"s,    "a\0c"s,     "\0a"s,
+                                  "abcdefgh"s, "abcdefgh\0"s};
+  for (char c = 'A'; c <= 'Z'; ++c) {
+    out.push_back("PARTNUMB" + std::string(1, c));           // byte 8
+    out.push_back("PARTNUMBER-12345" + std::string(1, c));   // byte 16
+    out.push_back("PARTNUMB" + std::string(1, c) + "-tail");  // mid-word
+  }
+  for (const std::size_t length : {63u, 64u, 65u, 300u, 5000u}) {
+    for (char c = 'x'; c <= 'z'; ++c) {
+      out.push_back(std::string(length - 1, 'L') + c);
+    }
+  }
+  constexpr char kAlphabet[] = {'a', 'b', '\0', ' '};
+  for (int i = 0; i < 6000; ++i) {
+    std::string s((*rng)() % 12, ' ');
+    for (char& c : s) c = kAlphabet[(*rng)() % 4];
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+// Every id, view and lookup of `interner` agrees with `oracle`.
+void ExpectSameAsOracle(const StringInterner& interner,
+                        const MapInterner& oracle) {
+  ASSERT_EQ(interner.size(), oracle.size());
+  for (SymbolId id = 0; id < oracle.size(); ++id) {
+    const std::string& s = oracle.View(id);
+    ASSERT_EQ(interner.View(id), s) << "id " << id;
+    ASSERT_EQ(interner.Find(s), id);
+    ASSERT_EQ(interner.Find(s, StringInterner::Hash(s)), id);
+  }
+}
+
+TEST(StringInternerTest, MatchesAMapOracle) {
+  std::mt19937_64 rng(1019);
+  const std::vector<std::string> strings = AwkwardStrings(&rng);
+  StringInterner interner;
+  MapInterner oracle;
+  // A seeded walk over the strings, each interned or looked up up to
+  // several times, alternating the hashing and the hash-taking forms.
+  for (int step = 0; step < 40000; ++step) {
+    const std::string& s = strings[rng() % strings.size()];
+    const std::uint64_t hash = StringInterner::Hash(s);
+    switch (rng() % 4) {
+      case 0:
+        ASSERT_EQ(interner.Find(s), oracle.Find(s)) << "step " << step;
+        ASSERT_EQ(interner.Find(s, hash), oracle.Find(s));
+        break;
+      case 1:
+        ASSERT_EQ(interner.Intern(s, hash), oracle.Intern(s))
+            << "step " << step;
+        break;
+      default:
+        ASSERT_EQ(interner.Intern(s), oracle.Intern(s)) << "step " << step;
+        break;
+    }
+  }
+  // From 16 slots, at most half full, 1 000 symbols take six growths.
+  ASSERT_GT(oracle.size(), 1000u);
+  ExpectSameAsOracle(interner, oracle);
+  EXPECT_EQ(interner.Find("never interned"), kInvalidSymbolId);
+
+  // A copy keeps the ids in an arena of its own; a move keeps the very
+  // views. Both go on interning in step with the oracle.
+  std::vector<std::string_view> views;
+  for (SymbolId id = 0; id < interner.size(); ++id) {
+    views.push_back(interner.View(id));
+  }
+  StringInterner copy(interner);
+  ExpectSameAsOracle(copy, oracle);
+  EXPECT_NE(copy.View(1).data(), views[1].data());
+  StringInterner moved(std::move(interner));
+  for (SymbolId id = 0; id < views.size(); ++id) {
+    ASSERT_EQ(moved.View(id).data(), views[id].data());
+  }
+  ExpectSameAsOracle(moved, oracle);
+  MapInterner oracle_for_copy = oracle;
+  for (int i = 0; i < 3000; ++i) {
+    const std::string s = "after-" + std::to_string(i % 2000);
+    ASSERT_EQ(moved.Intern(s), oracle.Intern(s));
+    ASSERT_EQ(copy.Intern(s), oracle_for_copy.Intern(s));
+  }
+  ExpectSameAsOracle(moved, oracle);
+  ExpectSameAsOracle(copy, oracle_for_copy);
+  for (SymbolId id = 0; id < views.size(); ++id) {
+    ASSERT_EQ(moved.View(id).data(), views[id].data());
+  }
+}
+
+TEST(StringInternerTest, MemoryBytesCountsTheTables) {
+  StringInterner interner;
+  EXPECT_EQ(interner.memory_bytes(), 0u);
+  interner.Intern("x");
+  // One arena block, one view and the first table of 16 slots.
+  EXPECT_GE(interner.memory_bytes(), 4096u + sizeof(std::string_view) +
+                                         16 * 2 * sizeof(SymbolId));
 }
 
 TEST(SymbolPackingTest, RoundTripsAndOrders) {

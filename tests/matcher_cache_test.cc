@@ -28,6 +28,7 @@
 #include "linking/matcher.h"
 #include "linking/query_scratch.h"
 #include "text/similarity.h"
+#include "util/string_util.h"
 
 namespace rulelink::linking {
 namespace {
@@ -429,7 +430,9 @@ TEST(FeatureCacheTest, ExtendFromAndAssignSingleAppendLikeBuild) {
   // Every kind of record: bigram, token-set and byte signatures and
   // counts, the Jaro prefix, and a rule without a signature or count.
   // "a b a" under the Jaccard rule has fewer distinct tokens than tokens.
-  const ItemMatcher matcher({
+  // Then the `rulelink serve` default, one Jaro-Winkler rule, whose
+  // dictionaries build no token or bigram.
+  const ItemMatcher every_record({
       {"pn", "pn", SimilarityMeasure::kDiceBigram, 1.0},
       {"pn", "pn", SimilarityMeasure::kJaccardTokens, 1.0},
       {"pn", "pn", SimilarityMeasure::kJaroWinkler, 1.0},
@@ -437,54 +440,173 @@ TEST(FeatureCacheTest, ExtendFromAndAssignSingleAppendLikeBuild) {
       {"pn", "pn", SimilarityMeasure::kLevenshtein, 1.0},
       {"mfr", "mfr", SimilarityMeasure::kMongeElkan, 1.0},
   });
-  const auto side = FeatureCache::Side::kLocal;
-  // The appended items hold multi-valued, duplicated, empty and missing
-  // slots.
-  const std::vector<core::Item> first = LocalItems();
-  const std::vector<core::Item> appended = ExternalItems();
-  std::vector<core::Item> both = first;
-  both.insert(both.end(), appended.begin(), appended.end());
-  FeatureDictionary whole_dict;
-  const FeatureCache whole =
-      FeatureCache::Build(both, matcher, side, &whole_dict, 1);
-  ExpectRecordsFollowValues(whole, matcher);
+  const ItemMatcher jaro_winkler(
+      {{"pn", "pn", SimilarityMeasure::kJaroWinkler, 1.0}});
+  for (const ItemMatcher* matcher_ptr : {&every_record, &jaro_winkler}) {
+    const ItemMatcher& matcher = *matcher_ptr;
+    SCOPED_TRACE(std::to_string(matcher.rules().size()) + " rules");
+    const auto side = FeatureCache::Side::kLocal;
+    // The appended items hold multi-valued, duplicated, empty and missing
+    // slots.
+    const std::vector<core::Item> first = LocalItems();
+    const std::vector<core::Item> appended = ExternalItems();
+    std::vector<core::Item> both = first;
+    both.insert(both.end(), appended.begin(), appended.end());
+    FeatureDictionary whole_dict;
+    const FeatureCache whole =
+        FeatureCache::Build(both, matcher, side, &whole_dict, 1);
+    ExpectRecordsFollowValues(whole, matcher);
+    EXPECT_EQ(whole_dict.features(),
+              FeatureDictionary::FeaturesReadBy(matcher));
 
-  // Over a direct overlay, as a delta publish extends: the same values by
-  // string.
-  FeatureDictionary root;
-  const FeatureCache base = FeatureCache::Build(first, matcher, side, &root);
-  FeatureDictionary overlay(&root);
-  const FeatureCache extended =
-      FeatureCache::ExtendFrom(base, appended, matcher, side, &overlay);
-  ExpectRecordsFollowValues(extended, matcher);
-  ExpectSameSlots(whole, extended, /*same_ids=*/false);
+    // Over a direct overlay, as a delta publish extends: the same values
+    // by string.
+    FeatureDictionary root;
+    const FeatureCache base = FeatureCache::Build(first, matcher, side, &root);
+    FeatureDictionary overlay(&root);
+    const FeatureCache extended =
+        FeatureCache::ExtendFrom(base, appended, matcher, side, &overlay);
+    ExpectRecordsFollowValues(extended, matcher);
+    ExpectSameSlots(whole, extended, /*same_ids=*/false);
 
-  // Over the base's own root: the same ids and dictionary counts too.
-  FeatureDictionary grown_dict;
-  const FeatureCache grown = FeatureCache::ExtendFrom(
-      FeatureCache::Build(first, matcher, side, &grown_dict), appended,
-      matcher, side, &grown_dict);
-  ExpectRecordsFollowValues(grown, matcher);
-  ExpectSameSlots(whole, grown, /*same_ids=*/true);
-  EXPECT_EQ(grown_dict.num_symbols(), whole_dict.num_symbols());
-  EXPECT_EQ(grown_dict.num_values(), whole_dict.num_values());
-  EXPECT_EQ(grown_dict.values_reused(), whole_dict.values_reused());
+    // Over the base's own root: the same ids and dictionary counts too.
+    FeatureDictionary grown_dict;
+    const FeatureCache grown = FeatureCache::ExtendFrom(
+        FeatureCache::Build(first, matcher, side, &grown_dict), appended,
+        matcher, side, &grown_dict);
+    ExpectRecordsFollowValues(grown, matcher);
+    ExpectSameSlots(whole, grown, /*same_ids=*/true);
+    EXPECT_EQ(grown_dict.num_symbols(), whole_dict.num_symbols());
+    EXPECT_EQ(grown_dict.num_values(), whole_dict.num_values());
+    EXPECT_EQ(grown_dict.values_reused(), whole_dict.values_reused());
 
-  // One item at a time into a session overlay, reusing one cache: each
-  // assignment equals a build over that item alone.
-  FeatureDictionary session(&root);
-  FeatureCache single;
-  for (const core::Item& item : both) {
-    SCOPED_TRACE(item.iri);
-    single.AssignSingle(item, matcher, FeatureCache::Side::kExternal,
-                        &session);
-    FeatureDictionary alone_dict;
-    const FeatureCache alone =
-        FeatureCache::Build({item}, matcher, FeatureCache::Side::kExternal,
-                            &alone_dict);
-    ExpectRecordsFollowValues(single, matcher);
-    ExpectSameSlots(alone, single, /*same_ids=*/false);
+    // One item at a time into a session overlay, reusing one cache: each
+    // assignment equals a build over that item alone.
+    FeatureDictionary session(&root);
+    FeatureCache single;
+    for (const core::Item& item : both) {
+      SCOPED_TRACE(item.iri);
+      single.AssignSingle(item, matcher, FeatureCache::Side::kExternal,
+                          &session);
+      FeatureDictionary alone_dict;
+      const FeatureCache alone =
+          FeatureCache::Build({item}, matcher, FeatureCache::Side::kExternal,
+                              &alone_dict);
+      ExpectRecordsFollowValues(single, matcher);
+      ExpectSameSlots(alone, single, /*same_ids=*/false);
+    }
   }
+}
+
+// The distinct strings of `items`' values under `property` and, as
+// `features` asks, of their tokens and bigrams: the symbols a dictionary
+// built over them holds.
+std::set<std::string> ExpectedSymbols(const std::vector<core::Item>& items,
+                                      const std::string& property,
+                                      FeatureDictionary::FeatureMask features) {
+  std::set<std::string> symbols;
+  for (const core::Item& item : items) {
+    for (const std::string& value : item.ValuesOf(property)) {
+      symbols.insert(value);
+      std::vector<std::string_view> pieces;
+      if ((features & FeatureDictionary::kTokens) != 0) {
+        pieces = util::SplitAny(value, " \t\n\r");
+      }
+      if ((features & FeatureDictionary::kBigrams) != 0) {
+        text::CharacterBigramViews(value, &pieces);
+      }
+      symbols.insert(pieces.begin(), pieces.end());
+    }
+  }
+  return symbols;
+}
+
+TEST(FeatureDictionaryTest, BuildsOnlyTheFeaturesItsMatcherReads) {
+  const std::vector<core::Item> items = LocalItems();
+  const struct {
+    SimilarityMeasure measure;
+    FeatureDictionary::FeatureMask features;
+  } kCases[] = {
+      {SimilarityMeasure::kExact, 0},
+      {SimilarityMeasure::kLevenshtein, 0},
+      {SimilarityMeasure::kJaro, 0},
+      {SimilarityMeasure::kJaroWinkler, 0},
+      {SimilarityMeasure::kJaccardTokens, FeatureDictionary::kTokens},
+      {SimilarityMeasure::kMongeElkan, FeatureDictionary::kTokens},
+      {SimilarityMeasure::kDiceBigram, FeatureDictionary::kBigrams},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(SimilarityMeasureName(c.measure));
+    const ItemMatcher matcher({{"pn", "pn", c.measure, 1.0}});
+    EXPECT_EQ(FeatureDictionary::FeaturesReadBy(matcher), c.features);
+    FeatureDictionary dict;
+    const FeatureCache cache = FeatureCache::Build(
+        items, matcher, FeatureCache::Side::kLocal, &dict, 1);
+    EXPECT_EQ(dict.features(), c.features);
+    EXPECT_EQ(dict.num_symbols(),
+              ExpectedSymbols(items, "pn", c.features).size());
+    if (c.features == 0) {
+      EXPECT_EQ(dict.num_symbols(), dict.num_values());
+    }
+    // Features a dictionary does not build read as empty; the ones it
+    // builds are there.
+    for (std::size_t item = 0; item < items.size(); ++item) {
+      std::size_t count = 0;
+      const ValueId* ids = cache.Values(item, 0, &count);
+      for (std::size_t k = 0; k < count; ++k) {
+        const auto features = dict.Features(ids[k]);
+        std::vector<std::string_view> grams;
+        text::CharacterBigramViews(features.text, &grams);
+        const std::size_t tokens =
+            util::SplitAny(features.text, " \t\n\r").size();
+        const bool has_tokens = (c.features & FeatureDictionary::kTokens) != 0;
+        const bool has_bigrams =
+            (c.features & FeatureDictionary::kBigrams) != 0;
+        EXPECT_EQ(features.num_tokens, has_tokens ? tokens : 0u);
+        EXPECT_EQ(features.num_bigrams, has_bigrams ? grams.size() : 0u);
+      }
+    }
+    // An overlay builds what its base builds.
+    const FeatureDictionary overlay(&dict);
+    EXPECT_EQ(overlay.features(), c.features);
+  }
+  // A matcher reading less than the dictionary builds may share it: the
+  // Jaro-Winkler cache over a Dice dictionary scores as over its own.
+  const ItemMatcher dice({{"pn", "pn", SimilarityMeasure::kDiceBigram, 1.0}});
+  const ItemMatcher jaro({{"pn", "pn", SimilarityMeasure::kJaroWinkler, 1.0}});
+  BuiltCaches caches;
+  caches.dict = std::make_unique<FeatureDictionary>();
+  FeatureCache::Build(items, dice, FeatureCache::Side::kLocal,
+                      caches.dict.get());
+  caches.external = FeatureCache::Build(
+      ExternalItems(), jaro, FeatureCache::Side::kExternal, caches.dict.get());
+  caches.local = FeatureCache::Build(items, jaro, FeatureCache::Side::kLocal,
+                                     caches.dict.get());
+  EXPECT_EQ(caches.dict->features(), FeatureDictionary::kBigrams);
+  ExpectAllPairsIdentical(ExternalItems(), items, jaro, caches);
+}
+
+TEST(FeatureDictionaryDeathTest, AMatcherReadingUnbuiltFeaturesFailsTheCheck) {
+  const ItemMatcher jaro({{"pn", "pn", SimilarityMeasure::kJaroWinkler, 1.0}});
+  const ItemMatcher dice({{"pn", "pn", SimilarityMeasure::kDiceBigram, 1.0}});
+  const ItemMatcher monge_elkan(
+      {{"mfr", "mfr", SimilarityMeasure::kMongeElkan, 1.0}});
+  FeatureDictionary root;
+  const FeatureCache base = FeatureCache::Build(
+      LocalItems(), jaro, FeatureCache::Side::kLocal, &root);
+  EXPECT_DEATH(FeatureCache::Build(ExternalItems(), dice,
+                                   FeatureCache::Side::kExternal, &root),
+               "does not build");
+  // An overlay inherits its root's features, so neither a delta nor a
+  // served query can bring a matcher that reads more.
+  FeatureDictionary overlay(&root);
+  FeatureCache single;
+  EXPECT_DEATH(single.AssignSingle(ExternalItems()[0], monge_elkan,
+                                   FeatureCache::Side::kExternal, &overlay),
+               "does not build");
+  EXPECT_DEATH(FeatureCache::ExtendFrom(base, ExternalItems(), dice,
+                                        FeatureCache::Side::kLocal, &overlay),
+               "does not build");
 }
 
 // --- The run scorer ----------------------------------------------------
@@ -744,6 +866,18 @@ TEST(ScoreRunTest, MatchesScoreOverAnOverlayChain) {
           *index = 0;
           return query;
         });
+    // Under a matcher that reads no token or bigram (kExact, Levenshtein,
+    // Jaro, Jaro-Winkler) every level interns values only, so the chain
+    // holds one symbol per built value.
+    if (FeatureDictionary::FeaturesReadBy(matcher) == 0) {
+      std::size_t values = 0;
+      for (const FeatureDictionary* level = &session; level != nullptr;
+           level = level->base()) {
+        EXPECT_EQ(level->features(), 0);
+        values += level->num_values();
+      }
+      EXPECT_EQ(session.num_symbols(), values);
+    }
   }
 }
 

@@ -7,8 +7,9 @@
 //     thread counts {1, 2, 8} first.
 //   * Allocation-free steady state: a global operator-new counter proves
 //     a warmed session serves the whole stream again without a single
-//     heap allocation, and scores new value pairs under the `rulelink
-//     serve` default matcher without one.
+//     heap allocation, under the key-based and the paper's rule blocker,
+//     and scores new value pairs under the `rulelink serve` default
+//     matcher without one.
 //   * Swap stress (the TSan target): clients keep querying while a writer
 //     alternates snapshots of two different catalogs. Every answer must
 //     match the expected links of exactly the generation that served it —
@@ -299,28 +300,91 @@ TEST(ServeEngineTest, ServedAnswersMatchBatchRun) {
   }
 }
 
-TEST(ServeEngineTest, SteadyStateQueriesAreAllocationFree) {
-  const Workload w = MakeWorkload(42, 2000, 400);
+// The paper's blocker over a workload catalog: rules learnt from the
+// catalog's items and classes block each query to the extents of its
+// predicted classes (PAPER.md §4.4). Not movable: the classifier and the
+// blocker point into it.
+struct RuleBlockerSetup {
+  RuleBlockerSetup()
+      : catalog(MakeCatalog(42, 3000)),
+        queries(MakeQueries(catalog, 43, 600)),
+        rules(Learn(catalog, segmenter)),
+        classifier(&rules, &segmenter),
+        blocker(&classifier, &catalog.ontology(), &catalog.classes) {}
+  RuleBlockerSetup(const RuleBlockerSetup&) = delete;
+  RuleBlockerSetup& operator=(const RuleBlockerSetup&) = delete;
+
+  static core::RuleSet Learn(const datagen::WorkloadCatalog& catalog,
+                             const text::Segmenter& segmenter) {
+    core::TrainingSet training(catalog.ontology());
+    for (std::size_t i = 0; i < catalog.items.size(); ++i) {
+      training.AddExample(catalog.items[i], catalog.items[i].iri,
+                          {catalog.classes[i]});
+    }
+    core::LearnerOptions options;
+    options.support_threshold = 0.005;
+    options.segmenter = &segmenter;
+    options.properties = {datagen::props::kPartNumber};
+    auto rules = core::RuleLearner(options).Learn(training);
+    RL_CHECK(rules.ok()) << rules.status();
+    return std::move(rules).value();
+  }
+
+  const datagen::WorkloadCatalog catalog;
+  const std::vector<core::Item> queries;
+  const text::SeparatorSegmenter segmenter;
+  const core::RuleSet rules;
+  const core::RuleClassifier classifier;
+  const blocking::RuleBlocker blocker;
+};
+
+// A warmed session serves `queries` again without one heap allocation.
+void ExpectSteadyStateAllocationFree(
+    std::unique_ptr<linking::ServeSnapshot> snapshot,
+    const std::vector<core::Item>& queries) {
   linking::ServeEngine engine;
-  engine.Publish(
-      MakeSnapshot(w.catalog, linking::Linker::Strategy::kBestPerExternal));
+  engine.Publish(std::move(snapshot));
   linking::ServeEngine::Session session(&engine);
   std::vector<linking::Link> answer;
   // Warm pass: grows every per-session buffer to its high-water mark and
   // fills the overlay dictionary and score memo.
-  for (std::size_t q = 0; q < w.queries.size(); ++q) {
-    session.Query(w.queries[q], &answer, q);
+  std::size_t linked = 0;
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    session.Query(queries[q], &answer, q);
+    linked += !answer.empty();
   }
+  EXPECT_GT(linked, 0u);
   // Steady state: the same stream again must not allocate at all.
   const std::uint64_t before =
       g_allocations.load(std::memory_order_relaxed);
-  for (std::size_t q = 0; q < w.queries.size(); ++q) {
-    session.Query(w.queries[q], &answer, q);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    session.Query(queries[q], &answer, q);
   }
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u)
       << "steady-state query path allocated " << (after - before)
-      << " times over " << w.queries.size() << " queries";
+      << " times over " << queries.size() << " queries";
+}
+
+TEST(ServeEngineTest, SteadyStateQueriesAreAllocationFree) {
+  {
+    SCOPED_TRACE("StandardBlocker");
+    const Workload w = MakeWorkload(42, 2000, 400);
+    ExpectSteadyStateAllocationFree(
+        MakeSnapshot(w.catalog, linking::Linker::Strategy::kBestPerExternal),
+        w.queries);
+  }
+  {
+    // The probe classifies every query (RuleClassifier::ClassifyInto).
+    SCOPED_TRACE("RuleBlocker");
+    const RuleBlockerSetup setup;
+    ExpectSteadyStateAllocationFree(
+        std::make_unique<linking::ServeSnapshot>(
+            setup.catalog.items, linking::ItemMatcher{ServeRules()},
+            kThreshold, linking::Linker::Strategy::kBestPerExternal,
+            setup.blocker),
+        setup.queries);
+  }
 }
 
 TEST(ServeEngineTest, ServeDefaultMatcherScoresNewPairsWithoutAllocating) {
@@ -580,24 +644,12 @@ TEST(ServeEngineTest, CartesianDeltaChainMatchesFromScratch) {
 // before and after a retire-only delta (a RuleBlocker index cannot take
 // appended items yet).
 TEST(ServeEngineTest, RuleBlockerSnapshotMatchesBatchRun) {
-  const datagen::WorkloadCatalog catalog = MakeCatalog(42, 3000);
-  const std::vector<core::Item> queries = MakeQueries(catalog, 43, 600);
-  const text::SeparatorSegmenter segmenter;
-  core::TrainingSet training(catalog.ontology());
-  for (std::size_t i = 0; i < catalog.items.size(); ++i) {
-    training.AddExample(catalog.items[i], catalog.items[i].iri,
-                        {catalog.classes[i]});
-  }
-  core::LearnerOptions options;
-  options.support_threshold = 0.005;
-  options.segmenter = &segmenter;
-  options.properties = {datagen::props::kPartNumber};
-  auto rules = core::RuleLearner(options).Learn(training);
-  ASSERT_TRUE(rules.ok()) << rules.status();
-  ASSERT_GT(rules->size(), 0u);
-  const core::RuleClassifier classifier(&*rules, &segmenter);
-  const blocking::RuleBlocker blocker(&classifier, &catalog.ontology(),
-                                      &catalog.classes);
+  const RuleBlockerSetup setup;
+  const datagen::WorkloadCatalog& catalog = setup.catalog;
+  const std::vector<core::Item>& queries = setup.queries;
+  const core::RuleClassifier& classifier = setup.classifier;
+  const blocking::RuleBlocker& blocker = setup.blocker;
+  ASSERT_GT(setup.rules.size(), 0u);
 
   const std::vector<std::size_t> retired = {3, 100, 771, 2950};
   const CompactedCatalog compacted = Compact(catalog.items, retired);
