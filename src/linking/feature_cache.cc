@@ -133,8 +133,7 @@ ValueId FeatureDictionary::FindBuiltValue(std::string_view s,
     if (found != util::kInvalidSymbolId) return found;
   }
   const ValueId local = strings_.Find(s, hash);
-  if (local != util::kInvalidSymbolId && local < spans_.size() &&
-      spans_[local].built) {
+  if (local != util::kInvalidSymbolId && IsBuiltLocal(local)) {
     return local + base_offset_;
   }
   return util::kInvalidSymbolId;
@@ -187,12 +186,13 @@ void FeatureDictionary::BuildFeatures(ValueId local) {
     spans.big_end = static_cast<std::uint32_t>(sorted_bigrams_.size());
     SortTail(&sorted_bigrams_, begin);
   }
+  ++num_values_;
+  if (features_ == 0) return;
   spans.built = true;
   // Interning the tokens/bigrams may have grown the symbol table past the
   // spans table; re-establish the slot before writing through it.
   EnsureSlot(local);
   spans_[local] = spans;
-  ++num_values_;
 }
 
 ValueId FeatureDictionary::AddValue(std::string_view value) {
@@ -211,9 +211,9 @@ ValueId FeatureDictionary::AddValue(std::string_view value) {
       return found;
     }
   }
+  const std::size_t known = strings_.size();
   const ValueId local = strings_.Intern(value, hash);
-  EnsureSlot(local);
-  if (spans_[local].built) {
+  if (local < known && IsBuiltLocal(local)) {
     ++values_reused_;
     return local + base_offset_;
   }
@@ -225,11 +225,12 @@ FeatureDictionary::ValueFeatures FeatureDictionary::Features(
     ValueId id) const {
   if (base_ != nullptr && id < base_offset_) return base_->Features(id);
   const ValueId local = id - base_offset_;
-  RL_DCHECK(local < spans_.size() && spans_[local].built)
+  RL_DCHECK(IsBuiltLocal(local))
       << "Features() of a symbol that is not a built value";
-  const Spans& spans = spans_[local];
   ValueFeatures features;
   features.text = strings_.View(local);
+  if (features_ == 0) return features;
+  const Spans& spans = spans_[local];
   features.ordered_tokens = ordered_tokens_.data() + spans.tok_begin;
   features.sorted_tokens = sorted_tokens_.data() + spans.tok_begin;
   features.num_tokens = spans.tok_end - spans.tok_begin;

@@ -158,6 +158,13 @@ class FeatureDictionary {
   void RequireFeaturesOf(const ItemMatcher& matcher);
   // Grows spans_ to cover local index `local`.
   void EnsureSlot(ValueId local);
+  // Whether local symbol `local` is a built value. A dictionary that
+  // builds no features interns nothing but values, so there every local
+  // symbol is one and spans_ stays empty.
+  bool IsBuiltLocal(ValueId local) const {
+    return features_ == 0 ? local < strings_.size()
+                          : local < spans_.size() && spans_[local].built;
+  }
   // Tokenizes/bigrams the value at local index `local`, as far as
   // features_ asks, and records its spans.
   void BuildFeatures(ValueId local);
@@ -182,7 +189,8 @@ class FeatureDictionary {
 
   FeatureMask features_ = kAllFeatures;
   util::StringInterner strings_;  // values, tokens and bigrams together
-  std::vector<Spans> spans_;      // by local index; built only for values
+  // By local index, for values; empty when features_ is 0.
+  std::vector<Spans> spans_;
   std::vector<text::TokenId> ordered_tokens_;  // per value, occurrence order
   std::vector<text::TokenId> sorted_tokens_;   // same spans, sorted by id
   std::vector<text::TokenId> sorted_bigrams_;  // per value, sorted by id

@@ -1,21 +1,41 @@
 #include "rdf/graph.h"
 
-#include <algorithm>
+#include "util/hash.h"
 
 namespace rulelink::rdf {
+namespace {
+
+std::uint64_t HashTriple(const Triple& t) {
+  return util::Mix64(
+      util::Mix64((static_cast<std::uint64_t>(t.subject) << 32) |
+                  t.predicate) ^
+      t.object);
+}
+
+void AddPosting(std::vector<std::vector<std::uint32_t>>* index, TermId id,
+                std::uint32_t triple_idx) {
+  if (id >= index->size()) index->resize(id + 1);
+  (*index)[id].push_back(triple_idx);
+}
+
+}  // namespace
 
 bool Graph::Insert(const Triple& triple) {
-  if (triple.subject == kInvalidTermId ||
-      triple.predicate == kInvalidTermId ||
-      triple.object == kInvalidTermId) {
+  if (!dict_.Contains(triple.subject) || !dict_.Contains(triple.predicate) ||
+      !dict_.Contains(triple.object)) {
     return false;
   }
-  if (!triple_set_.insert(triple).second) return false;
   const auto idx = static_cast<std::uint32_t>(triples_.size());
+  if (triple_index_.FindOrInsert(HashTriple(triple), idx,
+                                 [&](std::uint32_t known) {
+                                   return triples_[known] == triple;
+                                 }) != idx) {
+    return false;
+  }
   triples_.push_back(triple);
-  by_subject_[triple.subject].push_back(idx);
-  by_predicate_[triple.predicate].push_back(idx);
-  by_object_[triple.object].push_back(idx);
+  AddPosting(&by_subject_, triple.subject, idx);
+  AddPosting(&by_predicate_, triple.predicate, idx);
+  AddPosting(&by_object_, triple.object, idx);
   return true;
 }
 
@@ -36,20 +56,14 @@ bool Graph::InsertLiteralTriple(const std::string& s, const std::string& p,
 }
 
 bool Graph::Contains(const Triple& triple) const {
-  return triple_set_.count(triple) > 0;
+  return triple_index_.Find(HashTriple(triple), [&](std::uint32_t known) {
+           return triples_[known] == triple;
+         }) != util::IdHashIndex::kNoId;
 }
 
-const Graph::PostingList* Graph::SubjectPostings(TermId id) const {
-  auto it = by_subject_.find(id);
-  return it == by_subject_.end() ? nullptr : &it->second;
-}
-const Graph::PostingList* Graph::PredicatePostings(TermId id) const {
-  auto it = by_predicate_.find(id);
-  return it == by_predicate_.end() ? nullptr : &it->second;
-}
-const Graph::PostingList* Graph::ObjectPostings(TermId id) const {
-  auto it = by_object_.find(id);
-  return it == by_object_.end() ? nullptr : &it->second;
+const Graph::PostingList* Graph::Postings(const PostingIndex& index,
+                                          TermId id) {
+  return id < index.size() && !index[id].empty() ? &index[id] : nullptr;
 }
 
 const Graph::PostingList* Graph::ChoosePostings(const TriplePattern& pattern,
@@ -64,11 +78,11 @@ const Graph::PostingList* Graph::ChoosePostings(const TriplePattern& pattern,
     }
     if (best == nullptr || list->size() < best->size()) best = list;
   };
-  consider(pattern.subject, SubjectPostings(pattern.subject));
+  consider(pattern.subject, Postings(by_subject_, pattern.subject));
   if (*miss) return nullptr;
-  consider(pattern.predicate, PredicatePostings(pattern.predicate));
+  consider(pattern.predicate, Postings(by_predicate_, pattern.predicate));
   if (*miss) return nullptr;
-  consider(pattern.object, ObjectPostings(pattern.object));
+  consider(pattern.object, Postings(by_object_, pattern.object));
   if (*miss) return nullptr;
   return best;
 }
@@ -145,20 +159,22 @@ TermId Graph::FirstObject(TermId subject, TermId predicate) const {
   return found;
 }
 
+// A term's first triple in a position is the front of its posting list
+// there, so first-seen order needs no set.
 std::vector<TermId> Graph::DistinctSubjects() const {
   std::vector<TermId> out;
-  std::unordered_set<TermId> seen;
-  for (const Triple& t : triples_) {
-    if (seen.insert(t.subject).second) out.push_back(t.subject);
+  for (std::uint32_t i = 0; i < triples_.size(); ++i) {
+    const TermId subject = triples_[i].subject;
+    if (by_subject_[subject].front() == i) out.push_back(subject);
   }
   return out;
 }
 
 std::vector<TermId> Graph::DistinctPredicates() const {
   std::vector<TermId> out;
-  std::unordered_set<TermId> seen;
-  for (const Triple& t : triples_) {
-    if (seen.insert(t.predicate).second) out.push_back(t.predicate);
+  for (std::uint32_t i = 0; i < triples_.size(); ++i) {
+    const TermId predicate = triples_[i].predicate;
+    if (by_predicate_[predicate].front() == i) out.push_back(predicate);
   }
   return out;
 }

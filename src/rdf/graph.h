@@ -1,19 +1,23 @@
 // In-memory indexed triple store. Triples are de-duplicated; S, P and O
 // indexes support pattern matching with any combination of bound positions.
 // The store owns a TermDictionary so callers can work with Terms or ids.
+//
+// Every index is keyed by id: the de-duplication set is a
+// util::IdHashIndex of triple indexes, and the S, P and O posting lists
+// sit in vectors indexed by TermId, each list ascending in triple order. All of it is built by Insert; const methods only read, so any
+// number of threads may query a graph nobody is inserting into.
 #ifndef RULELINK_RDF_GRAPH_H_
 #define RULELINK_RDF_GRAPH_H_
 
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "rdf/dictionary.h"
 #include "rdf/term.h"
 #include "rdf/triple.h"
+#include "util/id_hash_index.h"
 
 namespace rulelink::rdf {
 
@@ -37,6 +41,8 @@ class Graph {
   const TermDictionary& dict() const { return dict_; }
 
   // Inserts a triple; returns true when it was not already present.
+  // Returns false, inserting nothing, when a position holds
+  // kInvalidTermId or an id dict() never handed out.
   bool Insert(const Triple& triple);
   bool Insert(const Term& s, const Term& p, const Term& o);
   // Interning + insert convenience for the common IRI/IRI/any shape.
@@ -85,10 +91,10 @@ class Graph {
 
  private:
   using PostingList = std::vector<std::uint32_t>;  // indexes into triples_
+  using PostingIndex = std::vector<PostingList>;   // index = TermId
 
-  const PostingList* SubjectPostings(TermId id) const;
-  const PostingList* PredicatePostings(TermId id) const;
-  const PostingList* ObjectPostings(TermId id) const;
+  // `id`'s posting list in `index`, or nullptr when it has none.
+  static const PostingList* Postings(const PostingIndex& index, TermId id);
 
   // Picks the shortest applicable posting list for `pattern`, or nullptr
   // when no position is bound (full scan). Sets `*miss` when a bound
@@ -104,10 +110,11 @@ class Graph {
 
   TermDictionary dict_;
   std::vector<Triple> triples_;
-  std::unordered_set<Triple, TripleHash> triple_set_;
-  std::unordered_map<TermId, PostingList> by_subject_;
-  std::unordered_map<TermId, PostingList> by_predicate_;
-  std::unordered_map<TermId, PostingList> by_object_;
+  util::IdHashIndex triple_index_;  // over triples_, for de-duplication
+  // Each sized to the largest id seen in its position, plus one.
+  PostingIndex by_subject_;
+  PostingIndex by_predicate_;
+  PostingIndex by_object_;
 };
 
 }  // namespace rulelink::rdf

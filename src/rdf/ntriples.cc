@@ -1,8 +1,12 @@
 #include "rdf/ntriples.h"
 
+#include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <string>
+#include <system_error>
 
 #include "util/string_util.h"
 
@@ -22,38 +26,47 @@ struct LineCursor {
   }
 };
 
+// One scanned term: views of its fields into the line, or into its term
+// position's buffer when its body held escapes.
+struct TermView {
+  TermKind kind = TermKind::kIri;
+  std::string_view lexical;
+  std::string_view datatype;
+  std::string_view language;
+};
+
 util::Status SyntaxError(std::size_t line_no, const std::string& what) {
   return util::InvalidArgumentError("N-Triples line " +
                                     std::to_string(line_no) + ": " + what);
 }
 
-// Decodes \-escapes inside an IRI or literal body.
-util::Result<std::string> Unescape(std::string_view body) {
-  std::string out;
-  out.reserve(body.size());
+// Decodes the \-escapes of an IRI or literal body into `*out`. Returns
+// false with `*error` set on a bad escape.
+bool Unescape(std::string_view body, std::string* out, std::string* error) {
+  out->clear();
   for (std::size_t i = 0; i < body.size(); ++i) {
     const char c = body[i];
     if (c != '\\') {
-      out.push_back(c);
+      out->push_back(c);
       continue;
     }
     if (i + 1 >= body.size()) {
-      return util::Status(util::StatusCode::kInvalidArgument,
-                          "dangling backslash escape");
+      *error = "dangling backslash escape";
+      return false;
     }
     const char e = body[++i];
     switch (e) {
-      case 't': out.push_back('\t'); break;
-      case 'n': out.push_back('\n'); break;
-      case 'r': out.push_back('\r'); break;
-      case '"': out.push_back('"'); break;
-      case '\\': out.push_back('\\'); break;
+      case 't': out->push_back('\t'); break;
+      case 'n': out->push_back('\n'); break;
+      case 'r': out->push_back('\r'); break;
+      case '"': out->push_back('"'); break;
+      case '\\': out->push_back('\\'); break;
       case 'u':
       case 'U': {
         const std::size_t len = (e == 'u') ? 4 : 8;
         if (i + len >= body.size()) {
-          return util::Status(util::StatusCode::kInvalidArgument,
-                              "truncated unicode escape");
+          *error = "truncated unicode escape";
+          return false;
         }
         std::uint32_t code = 0;
         for (std::size_t k = 1; k <= len; ++k) {
@@ -62,148 +75,170 @@ util::Result<std::string> Unescape(std::string_view body) {
           if (h >= '0' && h <= '9') code |= static_cast<std::uint32_t>(h - '0');
           else if (h >= 'a' && h <= 'f') code |= static_cast<std::uint32_t>(h - 'a' + 10);
           else if (h >= 'A' && h <= 'F') code |= static_cast<std::uint32_t>(h - 'A' + 10);
-          else
-            return util::Status(util::StatusCode::kInvalidArgument,
-                                "bad hex digit in unicode escape");
+          else {
+            *error = "bad hex digit in unicode escape";
+            return false;
+          }
         }
         i += len;
         // UTF-8 encode.
         if (code < 0x80) {
-          out.push_back(static_cast<char>(code));
+          out->push_back(static_cast<char>(code));
         } else if (code < 0x800) {
-          out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-          out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+          out->push_back(static_cast<char>(0xC0 | (code >> 6)));
+          out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
         } else if (code < 0x10000) {
-          out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-          out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-          out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+          out->push_back(static_cast<char>(0xE0 | (code >> 12)));
+          out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+          out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
         } else {
-          out.push_back(static_cast<char>(0xF0 | (code >> 18)));
-          out.push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
-          out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-          out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+          out->push_back(static_cast<char>(0xF0 | (code >> 18)));
+          out->push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
+          out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+          out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
         }
         break;
       }
       default:
-        return util::Status(util::StatusCode::kInvalidArgument,
-                            std::string("unknown escape \\") + e);
+        *error = std::string("unknown escape \\") + e;
+        return false;
     }
   }
-  return out;
+  return true;
 }
 
-// Parses one term starting at the cursor; advances past it.
-util::Result<Term> ParseTermAt(LineCursor* cur) {
+// Sets `*value` to `body` with its escapes decoded: `body` itself when it
+// holds no backslash, else its decoding in `*buffer`.
+bool Decode(std::string_view body, bool has_escape, std::string* buffer,
+            std::string_view* value, std::string* error) {
+  if (!has_escape) {
+    *value = body;
+    return true;
+  }
+  if (!Unescape(body, buffer, error)) return false;
+  *value = *buffer;
+  return true;
+}
+
+// Scans the term at the cursor into `*term` and advances past it. Builds
+// nothing: the fields are views into the line, or into `*buffer` for a
+// body with escapes. Returns false with `*error` set on a syntax error.
+bool ScanTerm(LineCursor* cur, std::string* buffer, TermView* term,
+              std::string* error) {
   cur->SkipWhitespace();
   if (cur->AtEnd()) {
-    return util::Status(util::StatusCode::kInvalidArgument, "expected term");
+    *error = "expected term";
+    return false;
   }
+  const std::string_view text = cur->text;
   const char c = cur->Peek();
+  *term = TermView{};
   if (c == '<') {
-    const std::size_t close = cur->text.find('>', cur->pos + 1);
+    const std::size_t close = text.find('>', cur->pos + 1);
     if (close == std::string_view::npos) {
-      return util::Status(util::StatusCode::kInvalidArgument,
-                          "unterminated IRI");
+      *error = "unterminated IRI";
+      return false;
     }
-    auto body = cur->text.substr(cur->pos + 1, close - cur->pos - 1);
+    const auto body = text.substr(cur->pos + 1, close - cur->pos - 1);
     cur->pos = close + 1;
-    auto unescaped = Unescape(body);
-    if (!unescaped.ok()) return unescaped.status();
-    return Term::Iri(std::move(unescaped).value());
+    term->kind = TermKind::kIri;
+    return Decode(body, body.find('\\') != std::string_view::npos, buffer,
+                  &term->lexical, error);
   }
   if (c == '_') {
-    if (cur->pos + 1 >= cur->text.size() || cur->text[cur->pos + 1] != ':') {
-      return util::Status(util::StatusCode::kInvalidArgument,
-                          "blank node must start with _:");
+    if (cur->pos + 1 >= text.size() || text[cur->pos + 1] != ':') {
+      *error = "blank node must start with _:";
+      return false;
     }
     std::size_t end = cur->pos + 2;
-    while (end < cur->text.size() && cur->text[end] != ' ' &&
-           cur->text[end] != '\t') {
+    while (end < text.size() && text[end] != ' ' && text[end] != '\t') {
       ++end;
     }
-    auto label = cur->text.substr(cur->pos + 2, end - cur->pos - 2);
+    const auto label = text.substr(cur->pos + 2, end - cur->pos - 2);
     if (label.empty()) {
-      return util::Status(util::StatusCode::kInvalidArgument,
-                          "empty blank node label");
+      *error = "empty blank node label";
+      return false;
     }
     cur->pos = end;
-    return Term::BlankNode(std::string(label));
+    term->kind = TermKind::kBlankNode;
+    term->lexical = label;
+    return true;
   }
   if (c == '"') {
-    // Find the closing quote, honoring escapes.
-    std::size_t i = cur->pos + 1;
-    bool escaped = false;
-    while (i < cur->text.size()) {
-      if (escaped) {
-        escaped = false;
-      } else if (cur->text[i] == '\\') {
-        escaped = true;
-      } else if (cur->text[i] == '"') {
-        break;
-      }
-      ++i;
+    // The closing quote is the first one no backslash escapes. Each round
+    // skips one escape pair; a body with no backslash takes one memchr.
+    std::size_t from = cur->pos + 1;
+    std::size_t close = text.find('"', from);
+    bool has_escape = false;
+    while (close != std::string_view::npos) {
+      const std::size_t backslash =
+          text.substr(from, close - from).find('\\');
+      if (backslash == std::string_view::npos) break;
+      has_escape = true;
+      from += backslash + 2;  // past the escaped character
+      if (from > close) close = text.find('"', from);
     }
-    if (i >= cur->text.size()) {
-      return util::Status(util::StatusCode::kInvalidArgument,
-                          "unterminated literal");
+    if (close == std::string_view::npos) {
+      *error = "unterminated literal";
+      return false;
     }
-    auto body = cur->text.substr(cur->pos + 1, i - cur->pos - 1);
-    cur->pos = i + 1;
-    auto lexical = Unescape(body);
-    if (!lexical.ok()) return lexical.status();
+    const auto body = text.substr(cur->pos + 1, close - cur->pos - 1);
+    cur->pos = close + 1;
+    term->kind = TermKind::kLiteral;
+    if (!Decode(body, has_escape, buffer, &term->lexical, error)) {
+      return false;
+    }
     // Optional @lang or ^^<datatype>.
     if (!cur->AtEnd() && cur->Peek() == '@') {
       std::size_t end = cur->pos + 1;
-      while (end < cur->text.size() &&
-             (util::IsAsciiAlnum(cur->text[end]) || cur->text[end] == '-')) {
+      while (end < text.size() &&
+             (util::IsAsciiAlnum(text[end]) || text[end] == '-')) {
         ++end;
       }
-      auto lang = cur->text.substr(cur->pos + 1, end - cur->pos - 1);
-      if (lang.empty()) {
-        return util::Status(util::StatusCode::kInvalidArgument,
-                            "empty language tag");
+      term->language = text.substr(cur->pos + 1, end - cur->pos - 1);
+      if (term->language.empty()) {
+        *error = "empty language tag";
+        return false;
       }
       cur->pos = end;
-      return Term::LangLiteral(std::move(lexical).value(), std::string(lang));
+      return true;
     }
-    if (cur->pos + 1 < cur->text.size() && cur->Peek() == '^' &&
-        cur->text[cur->pos + 1] == '^') {
+    if (cur->pos + 1 < text.size() && cur->Peek() == '^' &&
+        text[cur->pos + 1] == '^') {
       cur->pos += 2;
       if (cur->AtEnd() || cur->Peek() != '<') {
-        return util::Status(util::StatusCode::kInvalidArgument,
-                            "datatype must be an IRI");
+        *error = "datatype must be an IRI";
+        return false;
       }
-      const std::size_t close = cur->text.find('>', cur->pos + 1);
-      if (close == std::string_view::npos) {
-        return util::Status(util::StatusCode::kInvalidArgument,
-                            "unterminated datatype IRI");
+      const std::size_t close_dt = text.find('>', cur->pos + 1);
+      if (close_dt == std::string_view::npos) {
+        *error = "unterminated datatype IRI";
+        return false;
       }
-      auto dt = cur->text.substr(cur->pos + 1, close - cur->pos - 1);
-      cur->pos = close + 1;
-      return Term::TypedLiteral(std::move(lexical).value(), std::string(dt));
+      term->datatype = text.substr(cur->pos + 1, close_dt - cur->pos - 1);
+      cur->pos = close_dt + 1;
     }
-    return Term::Literal(std::move(lexical).value());
+    return true;
   }
-  return util::Status(util::StatusCode::kInvalidArgument,
-                      std::string("unexpected character '") + c + "'");
+  *error = std::string("unexpected character '") + c + "'";
+  return false;
+}
+
+TermId InternView(const TermView& term, TermDictionary* dict) {
+  return dict->Intern(term.kind, term.lexical, term.datatype, term.language);
 }
 
 }  // namespace
 
-util::Result<Term> ParseNTriplesTerm(std::string_view text) {
-  LineCursor cur{text};
-  auto term = ParseTermAt(&cur);
-  if (!term.ok()) return term;
-  cur.SkipWhitespace();
-  if (!cur.AtEnd()) {
-    return util::Status(util::StatusCode::kInvalidArgument,
-                        "trailing characters after term");
-  }
-  return term;
-}
-
 util::Status ParseNTriples(std::string_view content, Graph* graph) {
+  // One decode buffer per term position, reused line after line: a line's
+  // three terms stay valid together until it is interned.
+  std::string buffers[3];
+  TermView subject;
+  TermView predicate;
+  TermView object;
+  std::string error;
+  TermDictionary& dict = graph->dict();
   std::size_t line_no = 0;
   std::size_t start = 0;
   while (start <= content.size()) {
@@ -218,19 +253,24 @@ util::Status ParseNTriples(std::string_view content, Graph* graph) {
       continue;
     }
 
+    // Validate the whole line before interning anything, so a rejected
+    // line leaves the graph and its dictionary untouched.
     LineCursor cur{line};
-    auto s = ParseTermAt(&cur);
-    if (!s.ok()) return SyntaxError(line_no, s.status().message());
-    if (s.value().is_literal()) {
+    if (!ScanTerm(&cur, &buffers[0], &subject, &error)) {
+      return SyntaxError(line_no, error);
+    }
+    if (subject.kind == TermKind::kLiteral) {
       return SyntaxError(line_no, "literal in subject position");
     }
-    auto p = ParseTermAt(&cur);
-    if (!p.ok()) return SyntaxError(line_no, p.status().message());
-    if (!p.value().is_iri()) {
+    if (!ScanTerm(&cur, &buffers[1], &predicate, &error)) {
+      return SyntaxError(line_no, error);
+    }
+    if (predicate.kind != TermKind::kIri) {
       return SyntaxError(line_no, "predicate must be an IRI");
     }
-    auto o = ParseTermAt(&cur);
-    if (!o.ok()) return SyntaxError(line_no, o.status().message());
+    if (!ScanTerm(&cur, &buffers[2], &object, &error)) {
+      return SyntaxError(line_no, error);
+    }
 
     cur.SkipWhitespace();
     if (cur.AtEnd() || cur.Peek() != '.') {
@@ -241,7 +281,10 @@ util::Status ParseNTriples(std::string_view content, Graph* graph) {
     if (!cur.AtEnd() && cur.Peek() != '#') {
       return SyntaxError(line_no, "trailing characters after '.'");
     }
-    graph->Insert(s.value(), p.value(), o.value());
+    const TermId s = InternView(subject, &dict);
+    const TermId p = InternView(predicate, &dict);
+    const TermId o = InternView(object, &dict);
+    graph->Insert(Triple{s, p, o});
     if (end == content.size()) break;
   }
   return util::OkStatus();
@@ -252,9 +295,22 @@ util::Status ParseNTriplesFile(const std::string& path, Graph* graph) {
   if (!in) {
     return util::NotFoundError("cannot open file: " + path);
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ParseNTriples(buf.str(), graph);
+  // One copy: reserve from a regular file's size, then read in chunks to
+  // the end, which serves a pipe too. Only a regular file has a size: a
+  // directory can report an end offset far past any real size.
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  std::string content;
+  std::error_code size_error;
+  const std::uintmax_t size = std::filesystem::file_size(path, size_error);
+  if (!size_error) content.reserve(static_cast<std::size_t>(size) + kChunk);
+  std::size_t used = 0;
+  while (in) {
+    content.resize(used + kChunk);
+    in.read(content.data() + used, static_cast<std::streamsize>(kChunk));
+    used += static_cast<std::size_t>(in.gcount());
+  }
+  content.resize(used);
+  return ParseNTriples(content, graph);
 }
 
 std::string WriteNTriples(const Graph& graph) {

@@ -14,14 +14,15 @@
 namespace rulelink::rdf {
 
 // Parses N-Triples content into `graph`. Returns InvalidArgument with a
-// line number on the first syntax error.
+// line number on the first syntax error; the lines before it stay in the
+// graph, and nothing of the bad line is interned. Each term is scanned as
+// views into its line and interned by those views, so only a term the
+// graph's dictionary has not seen is copied.
 util::Status ParseNTriples(std::string_view content, Graph* graph);
 
-// Parses a file from disk.
+// Parses a file from disk (or a pipe), read into memory once. NotFound
+// when it cannot be opened.
 util::Status ParseNTriplesFile(const std::string& path, Graph* graph);
-
-// Parses a single N-Triples term (used by the parser and by tests).
-util::Result<Term> ParseNTriplesTerm(std::string_view text);
 
 // Serializes the whole graph as N-Triples, one triple per line, in
 // insertion order (deterministic).

@@ -1,7 +1,5 @@
 #include "rdf/term.h"
 
-#include "util/hash.h"
-
 namespace rulelink::rdf {
 
 Term Term::Iri(std::string iri) {
@@ -92,14 +90,6 @@ bool operator<(const Term& a, const Term& b) {
   if (a.lexical_ != b.lexical_) return a.lexical_ < b.lexical_;
   if (a.datatype_ != b.datatype_) return a.datatype_ < b.datatype_;
   return a.language_ < b.language_;
-}
-
-std::size_t Term::Hash() const {
-  std::size_t h = static_cast<std::size_t>(kind_);
-  h = util::HashCombine(h, util::Fnv1a64(lexical_));
-  h = util::HashCombine(h, util::Fnv1a64(datatype_));
-  h = util::HashCombine(h, util::Fnv1a64(language_));
-  return h;
 }
 
 }  // namespace rulelink::rdf

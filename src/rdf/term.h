@@ -1,6 +1,6 @@
 // RDF term model: IRIs, literals (with optional datatype IRI and language
 // tag), and blank nodes. Terms are value types; graphs intern them into ids
-// via TermDictionary.
+// via TermDictionary, which hashes and compares them field by field.
 #ifndef RULELINK_RDF_TERM_H_
 #define RULELINK_RDF_TERM_H_
 
@@ -56,10 +56,16 @@ class Term {
   // containers and for deterministic output.
   friend bool operator<(const Term& a, const Term& b);
 
-  // Stable hash over all fields.
-  std::size_t Hash() const;
-
  private:
+  // TermDictionary builds a new term straight from views of its fields.
+  friend class TermDictionary;
+  Term(TermKind kind, std::string_view lexical, std::string_view datatype,
+       std::string_view language)
+      : kind_(kind),
+        lexical_(lexical),
+        datatype_(datatype),
+        language_(language) {}
+
   TermKind kind_;
   std::string lexical_;
   std::string datatype_;
@@ -70,12 +76,5 @@ class Term {
 std::string EscapeNTriplesString(std::string_view s);
 
 }  // namespace rulelink::rdf
-
-template <>
-struct std::hash<rulelink::rdf::Term> {
-  std::size_t operator()(const rulelink::rdf::Term& t) const {
-    return t.Hash();
-  }
-};
 
 #endif  // RULELINK_RDF_TERM_H_

@@ -3,11 +3,7 @@
 #ifndef RULELINK_RDF_TRIPLE_H_
 #define RULELINK_RDF_TRIPLE_H_
 
-#include <cstddef>
-#include <functional>
-
 #include "rdf/term.h"
-#include "util/hash.h"
 
 namespace rulelink::rdf {
 
@@ -24,15 +20,6 @@ struct Triple {
     if (a.subject != b.subject) return a.subject < b.subject;
     if (a.predicate != b.predicate) return a.predicate < b.predicate;
     return a.object < b.object;
-  }
-};
-
-struct TripleHash {
-  std::size_t operator()(const Triple& t) const {
-    std::size_t h = std::hash<TermId>()(t.subject);
-    h = util::HashCombine(h, std::hash<TermId>()(t.predicate));
-    h = util::HashCombine(h, std::hash<TermId>()(t.object));
-    return h;
   }
 };
 

@@ -14,10 +14,10 @@
 //     can replace hash maps keyed by string with vectors indexed by id;
 //   * string_view lookup: Intern/Find take string_views and never allocate
 //     unless a new symbol is actually added;
-//   * one flat index: an open-addressing table of (id, hash) slots over
-//     the arena views, linear probing, at most half full. Callers that
-//     probe several interners with one string (FeatureDictionary's
-//     overlay chain) hash it once with Hash() and pass the hash down;
+//   * one flat index: a util::IdHashIndex of (id, hash) slots over the
+//     arena views, linear probing, at most half full. Callers that probe
+//     several interners with one string (FeatureDictionary's overlay
+//     chain) hash it once with Hash() and pass the hash down;
 //   * ordering: ids follow first-occurrence order, NOT lexical order.
 //     Callers that need lexical ordering (RuleSet's tie-break, report
 //     emission) resolve ids back to views and compare those — see the
@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "util/hash.h"
+#include "util/id_hash_index.h"
 
 namespace rulelink::util {
 
@@ -114,25 +115,15 @@ class StringInterner {
     std::size_t capacity = 0;
   };
 
-  // One hash slot: a symbol's id (kInvalidSymbolId when empty) and the low
-  // 32 bits of its hash, which pick the home slot, re-place the symbol
-  // when the table grows and turn away most mismatches before a byte is
-  // compared.
-  struct Slot {
-    SymbolId id = kInvalidSymbolId;
-    std::uint32_t hash = 0;
-  };
-
   // Copies `s` into the arena and returns a stable view of the copy.
   std::string_view StoreInArena(std::string_view s);
-  // Re-places every symbol into a table of `num_slots` (a power of two).
-  void Rehash(std::size_t num_slots);
 
   std::vector<Block> blocks_;
   std::vector<std::string_view> views_;  // id -> arena-backed view
   // Keys are ids into views_, so the index never owns string bytes.
-  std::vector<Slot> slots_;
+  IdHashIndex index_;
 };
+static_assert(kInvalidSymbolId == IdHashIndex::kNoId);
 
 // Packs two 32-bit ids into the 64-bit composite keys the counting layers
 // use for (property, segment) premises and similar pairs.

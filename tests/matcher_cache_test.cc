@@ -28,6 +28,7 @@
 #include "linking/matcher.h"
 #include "linking/query_scratch.h"
 #include "text/similarity.h"
+#include "util/interner.h"
 #include "util/string_util.h"
 
 namespace rulelink::linking {
@@ -547,6 +548,13 @@ TEST(FeatureDictionaryTest, BuildsOnlyTheFeaturesItsMatcherReads) {
               ExpectedSymbols(items, "pn", c.features).size());
     if (c.features == 0) {
       EXPECT_EQ(dict.num_symbols(), dict.num_values());
+      // Every symbol is a built value with no feature to point at, so the
+      // dictionary holds its interner and nothing beside it.
+      util::StringInterner interner;
+      for (ValueId id = 0; id < dict.num_symbols(); ++id) {
+        interner.Intern(dict.View(id));
+      }
+      EXPECT_EQ(dict.memory_bytes(), interner.memory_bytes());
     }
     // Features a dictionary does not build read as empty; the ones it
     // builds are there.

@@ -1,5 +1,12 @@
 #include "rdf/ntriples.h"
 
+#include <sys/stat.h>
+
+#include <cstdio>
+#include <fstream>
+#include <string>
+#include <thread>
+
 #include <gtest/gtest.h>
 
 namespace rulelink::rdf {
@@ -148,17 +155,95 @@ TEST(NTriplesFileTest, MissingFileIsNotFound) {
   EXPECT_EQ(status.code(), util::StatusCode::kNotFound);
 }
 
+TEST(NTriplesFileTest, DirectoryReadsNoTriples) {
+  // A directory opens but has no regular size (its end offset can be far
+  // past any real size) and no content; reading it must not abort.
+  Graph g;
+  ParseNTriplesFile(::testing::TempDir(), &g);
+  EXPECT_EQ(g.size(), 0u);
+}
+
+// A file larger than one read chunk, with a final line that has no newline.
+std::string FileContent() {
+  std::string content;
+  for (int i = 0; i < 3000; ++i) {
+    content += "<http://e/s" + std::to_string(i % 700) + "> <http://e/p" +
+               std::to_string(i % 3) + "> \"value \\\"" +
+               std::to_string(i) + "\\\"\"@en .\n";
+  }
+  return content + "_:tail <http://e/p0> <http://e/o> .";
+}
+
+void ExpectSameGraph(const Graph& a, const Graph& b) {
+  ASSERT_EQ(a.triples(), b.triples());
+  ASSERT_EQ(a.dict().size(), b.dict().size());
+  for (TermId id = 1; id <= a.dict().size(); ++id) {
+    ASSERT_EQ(a.dict().term(id), b.dict().term(id)) << "term " << id;
+  }
+}
+
+TEST(NTriplesFileTest, FileParsesLikeItsContent) {
+  const std::string content = FileContent();
+  ASSERT_GT(content.size(), std::size_t{1} << 17);  // several read chunks
+  const std::string path = ::testing::TempDir() + "ntriples_file_test.nt";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << content;
+  }
+  Graph from_file;
+  ASSERT_TRUE(ParseNTriplesFile(path, &from_file).ok());
+  std::remove(path.c_str());
+  Graph from_string;
+  ASSERT_TRUE(ParseNTriples(content, &from_string).ok());
+  EXPECT_EQ(from_file.size(), 3001u);
+  ExpectSameGraph(from_file, from_string);
+}
+
+TEST(NTriplesFileTest, PipeParsesLikeItsContent) {
+  // A FIFO reports no size and cannot seek, so the file reader falls back
+  // to reading chunks until the writer closes it.
+  const std::string content = FileContent();
+  const std::string path = ::testing::TempDir() + "ntriples_pipe_test.nt";
+  std::remove(path.c_str());
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  std::thread writer([&] {
+    std::ofstream out(path, std::ios::binary);
+    out << content;
+  });
+  Graph from_pipe;
+  const util::Status status = ParseNTriplesFile(path, &from_pipe);
+  writer.join();
+  std::remove(path.c_str());
+  ASSERT_TRUE(status.ok()) << status;
+  Graph from_string;
+  ASSERT_TRUE(ParseNTriples(content, &from_string).ok());
+  ExpectSameGraph(from_pipe, from_string);
+}
+
+// Single terms, each as the object of a one-line input.
 TEST(ParseTermTest, SingleTerms) {
-  auto iri = ParseNTriplesTerm("<http://x>");
-  ASSERT_TRUE(iri.ok());
-  EXPECT_EQ(iri.value(), Term::Iri("http://x"));
+  const auto object_of = [](const std::string& term) {
+    Graph g;
+    const util::Status status =
+        ParseNTriples("<http://s> <http://p> " + term + " .", &g);
+    EXPECT_TRUE(status.ok()) << term << ": " << status;
+    return g.size() == 1 ? g.dict().term(g.triples()[0].object) : Term();
+  };
+  EXPECT_EQ(object_of("<http://x>"), Term::Iri("http://x"));
+  EXPECT_EQ(object_of("\"v\"@en"), Term::LangLiteral("v", "en"));
+  EXPECT_EQ(object_of("\"1\"^^<http://dt>"),
+            Term::TypedLiteral("1", "http://dt"));
+  EXPECT_EQ(object_of("_:b"), Term::BlankNode("b"));
 
-  auto lit = ParseNTriplesTerm("\"v\"@en");
-  ASSERT_TRUE(lit.ok());
-  EXPECT_EQ(lit.value(), Term::LangLiteral("v", "en"));
-
-  EXPECT_FALSE(ParseNTriplesTerm("<http://x> extra").ok());
-  EXPECT_FALSE(ParseNTriplesTerm("").ok());
+  Graph g;
+  const util::Status trailing =
+      ParseNTriples("<http://s> <http://p> <http://x> extra .", &g);
+  EXPECT_EQ(trailing.message(),
+            "N-Triples line 1: missing terminating '.'");
+  const util::Status empty = ParseNTriples("<http://s> <http://p>", &g);
+  EXPECT_EQ(empty.message(), "N-Triples line 1: expected term");
+  EXPECT_EQ(g.size(), 0u);
+  EXPECT_EQ(g.dict().size(), 0u);  // a rejected line interns nothing
 }
 
 }  // namespace

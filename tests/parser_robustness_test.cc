@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fuzz_mutate.h"
 #include "io/csv.h"
 #include "rdf/ntriples.h"
 #include "rdf/sparql.h"
@@ -14,6 +15,8 @@
 
 namespace rulelink {
 namespace {
+
+using fuzz::Mutate;
 
 constexpr char kValidNTriples[] =
     "<http://e/a> <http://e/p> <http://e/b> .\n"
@@ -37,29 +40,6 @@ constexpr char kValidCsv[] =
     "id,pn,desc\n"
     "1,CRCW0805,\"has, comma\"\n"
     "2,T83,\"quote \"\" inside\"\n";
-
-std::string Mutate(std::string input, util::Rng* rng) {
-  const std::size_t edits = 1 + rng->UniformUint64(4);
-  for (std::size_t e = 0; e < edits && !input.empty(); ++e) {
-    const std::size_t pos = rng->UniformUint64(input.size());
-    switch (rng->UniformUint64(4)) {
-      case 0:  // substitute with a random byte (printable-ish range)
-        input[pos] = static_cast<char>(32 + rng->UniformUint64(95));
-        break;
-      case 1:  // delete
-        input.erase(input.begin() + static_cast<std::ptrdiff_t>(pos));
-        break;
-      case 2:  // duplicate a byte
-        input.insert(input.begin() + static_cast<std::ptrdiff_t>(pos),
-                     input[pos]);
-        break;
-      case 3:  // insert a structural character
-        input.insert(pos, 1, "<>\"\\.;,@{}()?#\n"[rng->UniformUint64(15)]);
-        break;
-    }
-  }
-  return input;
-}
 
 class ParserRobustness : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -59,11 +59,6 @@ TEST(TermTest, OrderingIsTotalByKindThenFields) {
   EXPECT_LT(Term::Literal("z"), Term::BlankNode("a"));  // kLiteral < kBlank
 }
 
-TEST(TermTest, HashConsistentWithEquality) {
-  EXPECT_EQ(Term::Iri("a").Hash(), Term::Iri("a").Hash());
-  EXPECT_NE(Term::Iri("a").Hash(), Term::Literal("a").Hash());
-}
-
 TEST(EscapeTest, PassesThroughPlainText) {
   EXPECT_EQ(EscapeNTriplesString("CRCW0805-10K"), "CRCW0805-10K");
 }
