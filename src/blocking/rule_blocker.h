@@ -34,8 +34,9 @@ class RuleBlocker : public CandidateGenerator {
   // subtree, and classifies each probed item on demand: a run is the row
   // of each predicted class no other predicted class subsumes, merged
   // when there are several, so no pair list is ever materialized and no
-  // run is sorted. The key scratch is unused; a probe allocates inside
-  // the classifier. The returned index borrows this blocker's
+  // run is sorted. The key scratch is unused; a probe classifies through
+  // RuleClassifier::ClassifyInto into per-thread buffers, so it allocates
+  // nothing once they have grown. The returned index borrows this blocker's
   // classifier/ontology, which must outlive it. There is no
   // ExtendItemIndex yet, so a served catalog under this blocker cannot
   // take appended items.

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "core/measures.h"
+#include "util/file.h"
 #include "util/interner.h"
 #include "util/string_util.h"
 
@@ -164,11 +165,8 @@ util::Result<RuleSet> ReadRules(const std::string& content,
 
 util::Result<RuleSet> ReadRulesFromFile(const std::string& path,
                                         const ontology::Ontology& onto) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return util::NotFoundError("cannot open file: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ReadRules(buf.str(), onto);
+  RL_ASSIGN_OR_RETURN(const std::string content, util::ReadFile(path));
+  return ReadRules(content, onto);
 }
 
 }  // namespace rulelink::core

@@ -35,6 +35,8 @@ util::Status WriteRulesToFile(const RuleSet& rules,
 // line number.
 util::Result<RuleSet> ReadRules(const std::string& content,
                                 const ontology::Ontology& onto);
+// ReadRules over the file at `path`, read by util::ReadFile (NotFound when
+// it cannot be opened, InvalidArgument when it cannot be read).
 util::Result<RuleSet> ReadRulesFromFile(const std::string& path,
                                         const ontology::Ontology& onto);
 

@@ -1,7 +1,6 @@
 #include "io/csv.h"
 
-#include <fstream>
-#include <sstream>
+#include "util/file.h"
 
 namespace rulelink::io {
 
@@ -109,11 +108,8 @@ util::Result<CsvTable> ParseCsv(std::string_view content,
 
 util::Result<CsvTable> ParseCsvFile(const std::string& path,
                                     const CsvOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return util::NotFoundError("cannot open file: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ParseCsv(buf.str(), options);
+  RL_ASSIGN_OR_RETURN(const std::string content, util::ReadFile(path));
+  return ParseCsv(content, options);
 }
 
 }  // namespace rulelink::io

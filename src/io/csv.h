@@ -35,6 +35,8 @@ struct CsvOptions {
 util::Result<CsvTable> ParseCsv(std::string_view content,
                                 const CsvOptions& options = CsvOptions());
 
+// ParseCsv over the file at `path`, read by util::ReadFile (NotFound when
+// it cannot be opened, InvalidArgument when it cannot be read).
 util::Result<CsvTable> ParseCsvFile(const std::string& path,
                                     const CsvOptions& options = CsvOptions());
 

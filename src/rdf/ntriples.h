@@ -20,8 +20,9 @@ namespace rulelink::rdf {
 // graph's dictionary has not seen is copied.
 util::Status ParseNTriples(std::string_view content, Graph* graph);
 
-// Parses a file from disk (or a pipe), read into memory once. NotFound
-// when it cannot be opened.
+// Parses a file from disk (or a pipe), read into memory once by
+// util::ReadFile: NotFound when it cannot be opened, InvalidArgument when
+// it cannot be read (a directory).
 util::Status ParseNTriplesFile(const std::string& path, Graph* graph);
 
 // Serializes the whole graph as N-Triples, one triple per line, in

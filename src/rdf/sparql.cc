@@ -5,14 +5,17 @@
 #include <regex>
 #include <unordered_map>
 
+#include "rdf/term_scan.h"
 #include "rdf/vocab.h"
 #include "util/string_util.h"
 
 namespace rulelink::rdf {
 namespace {
 
-// Token-level scanner shared with nothing else: SPARQL's lexical rules
-// differ enough from Turtle's (variables, keywords) to warrant its own.
+// Token-level scanner for variables, keywords and words, which are
+// SPARQL's own. IRIs, quoted literals and language tags go through the
+// term scanners N-Triples and Turtle use (rdf/term_scan.h), so a query
+// names a term with the same escapes a data file does.
 class Scanner {
  public:
   explicit Scanner(std::string_view text) : text_(text) {}
@@ -80,11 +83,11 @@ class Scanner {
   }
 
   util::Result<std::string> IriRef() {
-    const std::size_t close = text_.find('>', pos_ + 1);
-    if (close == std::string_view::npos) return error("unterminated IRI");
-    std::string iri(text_.substr(pos_ + 1, close - pos_ - 1));
-    pos_ = close + 1;
-    return iri;
+    std::string_view iri;
+    if (!ScanIri(text_, &pos_, &buffer_, &iri, &scan_error_)) {
+      return error(scan_error_);
+    }
+    return std::string(iri);
   }
 
   util::Result<std::string> VariableName() {
@@ -100,64 +103,35 @@ class Scanner {
     return name;
   }
 
+  // A quoted literal with an optional @lang or ^^<IRI>. Error lines count
+  // the newlines in its body.
   util::Result<Term> LiteralTerm() {
-    const char quote = text_[pos_];
-    std::string body;
-    std::size_t i = pos_ + 1;
-    bool closed = false;
-    while (i < text_.size()) {
-      const char c = text_[i];
-      if (c == '\\') {
-        if (i + 1 >= text_.size()) return error("dangling escape");
-        const char e = text_[i + 1];
-        switch (e) {
-          case 'n': body.push_back('\n'); break;
-          case 't': body.push_back('\t'); break;
-          case 'r': body.push_back('\r'); break;
-          case '"': body.push_back('"'); break;
-          case '\'': body.push_back('\''); break;
-          case '\\': body.push_back('\\'); break;
-          default: return error("unknown escape");
-        }
-        i += 2;
-        continue;
-      }
-      if (c == quote) {
-        closed = true;
-        ++i;
-        break;
-      }
-      if (c == '\n') ++line_;
-      body.push_back(c);
-      ++i;
-    }
-    if (!closed) return error("unterminated literal");
-    pos_ = i;
-    // @lang / ^^<iri> or ^^prefixed handled by the parser via suffix
-    // peeking below.
+    const std::size_t start = pos_;
+    std::string_view body;
+    const bool scanned =
+        ScanQuoted(text_, &pos_, &buffer_, &body, &scan_error_);
+    line_ += static_cast<std::size_t>(
+        std::count(text_.begin() + start, text_.begin() + pos_, '\n'));
+    if (!scanned) return error(scan_error_);
+    std::string lexical(body);
     if (pos_ < text_.size() && text_[pos_] == '@') {
-      std::size_t end = pos_ + 1;
-      while (end < text_.size() &&
-             (util::IsAsciiAlnum(text_[end]) || text_[end] == '-')) {
-        ++end;
+      std::string_view lang;
+      if (!ScanLanguage(text_, &pos_, &lang, &scan_error_)) {
+        return error(scan_error_);
       }
-      std::string lang(text_.substr(pos_ + 1, end - pos_ - 1));
-      pos_ = end;
-      if (lang.empty()) return error("empty language tag");
-      return Term::LangLiteral(std::move(body), std::move(lang));
+      return Term::LangLiteral(std::move(lexical), std::string(lang));
     }
     if (pos_ + 1 < text_.size() && text_[pos_] == '^' &&
         text_[pos_ + 1] == '^') {
       pos_ += 2;
       if (pos_ < text_.size() && text_[pos_] == '<') {
-        auto iri = IriRef();
-        if (!iri.ok()) return iri.status();
-        return Term::TypedLiteral(std::move(body), std::move(iri).value());
+        RL_ASSIGN_OR_RETURN(std::string iri, IriRef());
+        return Term::TypedLiteral(std::move(lexical), std::move(iri));
       }
       return error("datatype must be <IRI> (prefixed datatypes: expand "
                    "manually)");
     }
-    return Term::Literal(std::move(body));
+    return Term::Literal(std::move(lexical));
   }
 
   static bool IsBreak(char c) {
@@ -171,6 +145,8 @@ class Scanner {
   std::string_view text_;
   std::size_t pos_ = 0;
   std::size_t line_ = 1;
+  std::string buffer_;      // decoded IRI and literal bodies
+  std::string scan_error_;  // the shared scanners' last error
 };
 
 class SparqlParser {

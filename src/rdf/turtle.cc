@@ -1,261 +1,40 @@
 #include "rdf/turtle.h"
 
-#include <fstream>
-#include <sstream>
+#include <algorithm>
+#include <string>
 #include <unordered_map>
 
+#include "rdf/term_scan.h"
+#include "rdf/vocab.h"
+#include "util/file.h"
 #include "util/string_util.h"
 
 namespace rulelink::rdf {
 namespace {
 
-// Token kinds produced by the lexer.
-enum class TokKind {
-  kEof,
-  kIri,          // <...> (unexpanded)
-  kPrefixedName, // pfx:local or :local
-  kLiteral,      // "..." with suffix fields
-  kBlank,        // _:label
-  kA,            // keyword 'a'
-  kDot,
-  kSemicolon,
-  kComma,
-  kPrefixDecl,   // @prefix or PREFIX
-  kBaseDecl,     // @base or BASE
-};
-
-struct Token {
-  TokKind kind = TokKind::kEof;
-  std::string text;      // IRI body, prefixed name, literal lexical, label
-  std::string language;  // literal @lang
-  std::string datatype;  // literal ^^ datatype (raw: <iri> body or pfx:local)
-  bool datatype_prefixed = false;
+// One term position of a statement: the term scanned there, the buffers
+// its decoded, expanded or resolved fields live in, and the line it
+// starts on. The subject and predicate keep theirs across ';' and ','.
+struct Slot {
+  TermView term;
+  std::string lexical_buffer;
+  std::string datatype_buffer;
   std::size_t line = 0;
-};
-
-class Lexer {
- public:
-  explicit Lexer(std::string_view content) : content_(content) {}
-
-  util::Result<Token> Next() {
-    SkipWhitespaceAndComments();
-    Token tok;
-    tok.line = line_;
-    if (AtEnd()) {
-      tok.kind = TokKind::kEof;
-      return tok;
-    }
-    const char c = Peek();
-    if (c == '.') {
-      ++pos_;
-      tok.kind = TokKind::kDot;
-      return tok;
-    }
-    if (c == ';') {
-      ++pos_;
-      tok.kind = TokKind::kSemicolon;
-      return tok;
-    }
-    if (c == ',') {
-      ++pos_;
-      tok.kind = TokKind::kComma;
-      return tok;
-    }
-    if (c == '<') return LexIri(&tok);
-    if (c == '"' || c == '\'') return LexLiteral(&tok);
-    if (c == '_') return LexBlank(&tok);
-    if (c == '@') return LexAtKeyword(&tok);
-    if (c == '[' || c == '(') {
-      return Error("blank node property lists and collections are not "
-                   "supported by this Turtle subset");
-    }
-    return LexNameOrKeyword(&tok);
-  }
-
-  std::size_t line() const { return line_; }
-
- private:
-  bool AtEnd() const { return pos_ >= content_.size(); }
-  char Peek() const { return content_[pos_]; }
-
-  util::Status Error(const std::string& what) const {
-    return util::InvalidArgumentError("Turtle line " + std::to_string(line_) +
-                                      ": " + what);
-  }
-
-  void SkipWhitespaceAndComments() {
-    while (!AtEnd()) {
-      const char c = Peek();
-      if (c == '\n') {
-        ++line_;
-        ++pos_;
-      } else if (c == ' ' || c == '\t' || c == '\r') {
-        ++pos_;
-      } else if (c == '#') {
-        while (!AtEnd() && Peek() != '\n') ++pos_;
-      } else {
-        break;
-      }
-    }
-  }
-
-  util::Result<Token> LexIri(Token* tok) {
-    const std::size_t close = content_.find('>', pos_ + 1);
-    if (close == std::string_view::npos) return Error("unterminated IRI");
-    tok->kind = TokKind::kIri;
-    tok->text = std::string(content_.substr(pos_ + 1, close - pos_ - 1));
-    pos_ = close + 1;
-    return *tok;
-  }
-
-  util::Result<Token> LexLiteral(Token* tok) {
-    const char quote = Peek();
-    std::size_t i = pos_ + 1;
-    std::string body;
-    bool closed = false;
-    while (i < content_.size()) {
-      const char c = content_[i];
-      if (c == '\\') {
-        if (i + 1 >= content_.size()) return Error("dangling escape");
-        const char e = content_[i + 1];
-        switch (e) {
-          case 't': body.push_back('\t'); break;
-          case 'n': body.push_back('\n'); break;
-          case 'r': body.push_back('\r'); break;
-          case '"': body.push_back('"'); break;
-          case '\'': body.push_back('\''); break;
-          case '\\': body.push_back('\\'); break;
-          default:
-            return Error(std::string("unknown escape \\") + e);
-        }
-        i += 2;
-        continue;
-      }
-      if (c == quote) {
-        closed = true;
-        ++i;
-        break;
-      }
-      if (c == '\n') ++line_;
-      body.push_back(c);
-      ++i;
-    }
-    if (!closed) return Error("unterminated literal");
-    pos_ = i;
-    tok->kind = TokKind::kLiteral;
-    tok->text = std::move(body);
-    // Optional @lang / ^^datatype.
-    if (!AtEnd() && Peek() == '@') {
-      std::size_t end = pos_ + 1;
-      while (end < content_.size() && (util::IsAsciiAlnum(content_[end]) ||
-                                       content_[end] == '-')) {
-        ++end;
-      }
-      tok->language = std::string(content_.substr(pos_ + 1, end - pos_ - 1));
-      if (tok->language.empty()) return Error("empty language tag");
-      pos_ = end;
-    } else if (pos_ + 1 < content_.size() && Peek() == '^' &&
-               content_[pos_ + 1] == '^') {
-      pos_ += 2;
-      if (AtEnd()) return Error("missing datatype");
-      if (Peek() == '<') {
-        const std::size_t close = content_.find('>', pos_ + 1);
-        if (close == std::string_view::npos) {
-          return Error("unterminated datatype IRI");
-        }
-        tok->datatype = std::string(content_.substr(pos_ + 1, close - pos_ - 1));
-        pos_ = close + 1;
-      } else {
-        std::size_t end = pos_;
-        while (end < content_.size() && !IsNameBreak(content_[end])) ++end;
-        tok->datatype = std::string(content_.substr(pos_, end - pos_));
-        tok->datatype_prefixed = true;
-        if (tok->datatype.find(':') == std::string::npos) {
-          return Error("datatype must be an IRI or prefixed name");
-        }
-        pos_ = end;
-      }
-    }
-    return *tok;
-  }
-
-  util::Result<Token> LexBlank(Token* tok) {
-    if (pos_ + 1 >= content_.size() || content_[pos_ + 1] != ':') {
-      return Error("expected _: blank node");
-    }
-    std::size_t end = pos_ + 2;
-    while (end < content_.size() && !IsNameBreak(content_[end])) ++end;
-    tok->kind = TokKind::kBlank;
-    tok->text = std::string(content_.substr(pos_ + 2, end - pos_ - 2));
-    if (tok->text.empty()) return Error("empty blank node label");
-    pos_ = end;
-    return *tok;
-  }
-
-  util::Result<Token> LexAtKeyword(Token* tok) {
-    std::size_t end = pos_ + 1;
-    while (end < content_.size() && util::IsAsciiAlpha(content_[end])) ++end;
-    const auto kw = content_.substr(pos_ + 1, end - pos_ - 1);
-    pos_ = end;
-    if (kw == "prefix") {
-      tok->kind = TokKind::kPrefixDecl;
-      return *tok;
-    }
-    if (kw == "base") {
-      tok->kind = TokKind::kBaseDecl;
-      return *tok;
-    }
-    return Error("unknown @-keyword: @" + std::string(kw));
-  }
-
-  util::Result<Token> LexNameOrKeyword(Token* tok) {
-    std::size_t end = pos_;
-    while (end < content_.size() && !IsNameBreak(content_[end])) ++end;
-    auto word = content_.substr(pos_, end - pos_);
-    pos_ = end;
-    if (word == "a") {
-      tok->kind = TokKind::kA;
-      return *tok;
-    }
-    if (word == "PREFIX") {
-      tok->kind = TokKind::kPrefixDecl;
-      return *tok;
-    }
-    if (word == "BASE") {
-      tok->kind = TokKind::kBaseDecl;
-      return *tok;
-    }
-    if (word.find(':') != std::string_view::npos) {
-      tok->kind = TokKind::kPrefixedName;
-      tok->text = std::string(word);
-      return *tok;
-    }
-    return Error("unexpected token: " + std::string(word));
-  }
-
-  static bool IsNameBreak(char c) {
-    return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == ';' ||
-           c == ',' || c == '#' || c == '"' || c == '<' ||
-           c == '(' || c == ')' || c == '[' || c == ']';
-  }
-
-  std::string_view content_;
-  std::size_t pos_ = 0;
-  std::size_t line_ = 1;
 };
 
 class Parser {
  public:
-  Parser(std::string_view content, Graph* graph)
-      : lexer_(content), graph_(graph) {}
+  Parser(std::string_view text, Graph* graph) : text_(text), graph_(graph) {}
 
   util::Status Run() {
-    RL_RETURN_IF_ERROR(Advance());
-    while (tok_.kind != TokKind::kEof) {
-      if (tok_.kind == TokKind::kPrefixDecl) {
-        RL_RETURN_IF_ERROR(ParsePrefixDecl());
-      } else if (tok_.kind == TokKind::kBaseDecl) {
-        RL_RETURN_IF_ERROR(ParseBaseDecl());
+    for (Skip(); !AtEnd(); Skip()) {
+      const std::string_view keyword = Keyword();
+      if (keyword == "@prefix" || keyword == "PREFIX") {
+        pos_ += keyword.size();
+        RL_RETURN_IF_ERROR(ParsePrefix());
+      } else if (keyword == "@base" || keyword == "BASE") {
+        pos_ += keyword.size();
+        RL_RETURN_IF_ERROR(ParseBase());
       } else {
         RL_RETURN_IF_ERROR(ParseStatement());
       }
@@ -264,139 +43,270 @@ class Parser {
   }
 
  private:
-  util::Status Advance() {
-    auto t = lexer_.Next();
-    if (!t.ok()) return t.status();
-    tok_ = std::move(t).value();
-    return util::OkStatus();
+  bool AtEnd() const { return pos_ >= text_.size(); }
+  char Peek() const { return text_[pos_]; }
+  bool At(char c) const { return !AtEnd() && Peek() == c; }
+  bool Consume(char c) {
+    if (!At(c)) return false;
+    ++pos_;
+    return true;
   }
 
-  util::Status Error(const std::string& what) const {
-    return util::InvalidArgumentError(
-        "Turtle line " + std::to_string(tok_.line) + ": " + what);
+  util::Status Error(std::size_t line, const std::string& what) const {
+    return util::InvalidArgumentError("Turtle line " + std::to_string(line) +
+                                      ": " + what);
+  }
+  // OK, or the error a shared scanner left in error_.
+  util::Status Check(bool scanned, std::size_t line) const {
+    return scanned ? util::OkStatus() : Error(line, error_);
   }
 
-  util::Status ExpectDot() {
-    if (tok_.kind != TokKind::kDot) return Error("expected '.'");
-    return Advance();
-  }
-
-  util::Status ParsePrefixDecl() {
-    RL_RETURN_IF_ERROR(Advance());  // past @prefix
-    if (tok_.kind != TokKind::kPrefixedName ||
-        tok_.text.back() != ':') {
-      return Error("expected prefix name ending in ':'");
-    }
-    const std::string prefix = tok_.text.substr(0, tok_.text.size() - 1);
-    RL_RETURN_IF_ERROR(Advance());
-    if (tok_.kind != TokKind::kIri) return Error("expected namespace IRI");
-    prefixes_[prefix] = ResolveIri(tok_.text);
-    RL_RETURN_IF_ERROR(Advance());
-    // SPARQL-style PREFIX has no dot; @prefix requires one.
-    if (tok_.kind == TokKind::kDot) RL_RETURN_IF_ERROR(Advance());
-    return util::OkStatus();
-  }
-
-  util::Status ParseBaseDecl() {
-    RL_RETURN_IF_ERROR(Advance());
-    if (tok_.kind != TokKind::kIri) return Error("expected base IRI");
-    base_ = tok_.text;
-    RL_RETURN_IF_ERROR(Advance());
-    if (tok_.kind == TokKind::kDot) RL_RETURN_IF_ERROR(Advance());
-    return util::OkStatus();
-  }
-
-  std::string ResolveIri(const std::string& raw) const {
-    // Resolve relative IRIs against @base when one is set. We only handle
-    // the simple concatenation case (no ../ normalization).
-    if (base_.empty() || raw.find("://") != std::string::npos) return raw;
-    return base_ + raw;
-  }
-
-  util::Result<Term> ExpandPrefixedName(const std::string& pname) const {
-    const std::size_t colon = pname.find(':');
-    const std::string prefix = pname.substr(0, colon);
-    const std::string local = pname.substr(colon + 1);
-    auto it = prefixes_.find(prefix);
-    if (it == prefixes_.end()) {
-      return util::InvalidArgumentError("undeclared prefix '" + prefix + ":'");
-    }
-    return Term::Iri(it->second + local);
-  }
-
-  util::Result<Term> TokenToTerm(const Token& tok) const {
-    switch (tok.kind) {
-      case TokKind::kIri:
-        return Term::Iri(ResolveIri(tok.text));
-      case TokKind::kPrefixedName:
-        return ExpandPrefixedName(tok.text);
-      case TokKind::kBlank:
-        return Term::BlankNode(tok.text);
-      case TokKind::kLiteral: {
-        if (!tok.language.empty()) {
-          return Term::LangLiteral(tok.text, tok.language);
-        }
-        if (!tok.datatype.empty()) {
-          if (tok.datatype_prefixed) {
-            auto dt = ExpandPrefixedName(tok.datatype);
-            if (!dt.ok()) return dt.status();
-            return Term::TypedLiteral(tok.text, dt.value().lexical());
-          }
-          return Term::TypedLiteral(tok.text, ResolveIri(tok.datatype));
-        }
-        return Term::Literal(tok.text);
-      }
-      default:
-        return util::InvalidArgumentError("expected an RDF term");
-    }
-  }
-
-  util::Status ParseStatement() {
-    auto subject = TokenToTerm(tok_);
-    if (!subject.ok()) return Error(subject.status().message());
-    if (subject.value().is_literal()) {
-      return Error("literal in subject position");
-    }
-    RL_RETURN_IF_ERROR(Advance());
-
-    for (;;) {  // predicate list
-      Term predicate;
-      if (tok_.kind == TokKind::kA) {
-        predicate = Term::Iri(
-            "http://www.w3.org/1999/02/22-rdf-syntax-ns#type");
+  // Skips whitespace and comments, counting lines.
+  void Skip() {
+    while (!AtEnd()) {
+      const char c = Peek();
+      if (c == '\n') {
+        ++line_;
+        ++pos_;
+      } else if (c == ' ' || c == '\t' || c == '\r') {
+        ++pos_;
+      } else if (c == '#') {
+        pos_ = std::min(text_.find('\n', pos_), text_.size());
       } else {
-        auto p = TokenToTerm(tok_);
-        if (!p.ok()) return Error(p.status().message());
-        if (!p.value().is_iri()) return Error("predicate must be an IRI");
-        predicate = std::move(p).value();
-      }
-      RL_RETURN_IF_ERROR(Advance());
-
-      for (;;) {  // object list
-        auto object = TokenToTerm(tok_);
-        if (!object.ok()) return Error(object.status().message());
-        graph_->Insert(subject.value(), predicate, object.value());
-        RL_RETURN_IF_ERROR(Advance());
-        if (tok_.kind == TokKind::kComma) {
-          RL_RETURN_IF_ERROR(Advance());
-          continue;
-        }
         break;
       }
-      if (tok_.kind == TokKind::kSemicolon) {
-        RL_RETURN_IF_ERROR(Advance());
-        // Allow trailing ';' before '.'
-        if (tok_.kind == TokKind::kDot) break;
-        continue;
-      }
-      break;
     }
-    return ExpectDot();
   }
 
-  Lexer lexer_;
+  // The keyword or prefixed name at the cursor: '@' and its letters, or a
+  // bare word ending as a blank-node label does. Empty where any other
+  // token starts.
+  std::string_view Keyword() const {
+    std::size_t end = pos_;
+    if (At('@')) {
+      ++end;
+      while (end < text_.size() && util::IsAsciiAlpha(text_[end])) ++end;
+    } else if (!AtEnd() && std::string_view(".;,<\"'_[(").find(Peek()) ==
+                               std::string_view::npos) {
+      end = NameEnd(text_, pos_);
+    }
+    return text_.substr(pos_, end - pos_);
+  }
+
+  // False where no term starts: at the end, at '.', ';' or ',', at 'a'
+  // and at a directive.
+  bool AtTerm() const {
+    if (AtEnd() || Peek() == '.' || Peek() == ';' || Peek() == ',') {
+      return false;
+    }
+    const std::string_view keyword = Keyword();
+    return keyword != "a" && keyword != "@prefix" && keyword != "PREFIX" &&
+           keyword != "@base" && keyword != "BASE";
+  }
+
+  // Reports that the grammar needs `what` here, unless the token at the
+  // cursor is malformed: that reports its own error, as it would anywhere
+  // else. (A prefixed name always scans.)
+  util::Status Expected(const std::string& what) {
+    const std::size_t line = line_;
+    if (AtTerm() && Keyword().find(':') == std::string_view::npos) {
+      Slot token;
+      RL_RETURN_IF_ERROR(Lex(&token));
+    }
+    return Error(line, "expected " + what);
+  }
+
+  // Scans the term at the cursor into `*slot`: an IRI, a literal, a blank
+  // node or a prefixed name, with prefixed names expanded and relative
+  // IRIs resolved.
+  util::Status Lex(Slot* slot) {
+    const std::size_t line = line_;
+    TermView& term = slot->term;
+    term = TermView{};
+    const char c = Peek();
+    if (c == '<') {
+      RL_RETURN_IF_ERROR(Check(
+          ScanIri(text_, &pos_, &slot->lexical_buffer, &term.lexical, &error_),
+          line));
+      Resolve(&term.lexical, &slot->lexical_buffer);
+      return util::OkStatus();
+    }
+    if (c == '"' || c == '\'') return LexLiteral(slot, line);
+    if (c == '_') {
+      if (pos_ + 1 >= text_.size() || text_[pos_ + 1] != ':') {
+        return Error(line, "expected _: blank node");
+      }
+      term.kind = TermKind::kBlankNode;
+      return Check(ScanBlankLabel(text_, &pos_, &term.lexical, &error_), line);
+    }
+    if (c == '[' || c == '(') {
+      return Error(line,
+                   "blank node property lists and collections are not "
+                   "supported by this Turtle subset");
+    }
+    const std::string_view word = Keyword();
+    if (c == '@') return Error(line, "unknown @-keyword: " + std::string(word));
+    if (word.find(':') == std::string_view::npos) {
+      return Error(line, "unexpected token: " + std::string(word));
+    }
+    pos_ += word.size();
+    term.lexical = word;
+    return Expand(line, &term.lexical, &slot->lexical_buffer);
+  }
+
+  // A literal starting on `line`. Its scanning errors name the line they
+  // are found on, past any newlines in its body.
+  util::Status LexLiteral(Slot* slot, std::size_t line) {
+    TermView& term = slot->term;
+    term.kind = TermKind::kLiteral;
+    const std::size_t start = pos_;
+    const bool scanned = ScanQuoted(text_, &pos_, &slot->lexical_buffer,
+                                    &term.lexical, &error_);
+    line_ += static_cast<std::size_t>(
+        std::count(text_.begin() + start, text_.begin() + pos_, '\n'));
+    if (!scanned) return Error(line_, error_);
+    if (At('@')) {
+      return Check(ScanLanguage(text_, &pos_, &term.language, &error_), line_);
+    }
+    if (pos_ + 1 >= text_.size() || Peek() != '^' || text_[pos_ + 1] != '^') {
+      return util::OkStatus();
+    }
+    if (pos_ + 2 >= text_.size()) return Error(line_, "missing datatype");
+    if (text_[pos_ + 2] == '<') {
+      RL_RETURN_IF_ERROR(Check(ScanDatatype(text_, &pos_,
+                                            &slot->datatype_buffer,
+                                            &term.datatype, &error_),
+                               line_));
+      // An empty datatype, "^^<>", leaves a plain literal.
+      if (!term.datatype.empty()) {
+        Resolve(&term.datatype, &slot->datatype_buffer);
+      }
+      return util::OkStatus();
+    }
+    pos_ += 2;
+    term.datatype = text_.substr(pos_, NameEnd(text_, pos_) - pos_);
+    if (term.datatype.find(':') == std::string_view::npos) {
+      return Error(line_, "datatype must be an IRI or prefixed name");
+    }
+    pos_ += term.datatype.size();
+    return Expand(line, &term.datatype, &slot->datatype_buffer);
+  }
+
+  // Expands the prefixed name `*iri` to its namespace and local part, in
+  // `*buffer`.
+  util::Status Expand(std::size_t line, std::string_view* iri,
+                      std::string* buffer) const {
+    const std::size_t colon = iri->find(':');
+    const std::string prefix(iri->substr(0, colon));
+    const auto it = prefixes_.find(prefix);
+    if (it == prefixes_.end()) {
+      return Error(line, "undeclared prefix '" + prefix + ":'");
+    }
+    buffer->assign(it->second).append(iri->substr(colon + 1));
+    *iri = *buffer;
+    return util::OkStatus();
+  }
+
+  // Resolves the IRI `*iri` against @base when it is relative (simple
+  // concatenation, no ../ normalization), in `*buffer`.
+  void Resolve(std::string_view* iri, std::string* buffer) const {
+    if (base_.empty() || iri->find("://") != std::string_view::npos) return;
+    if (iri->data() == buffer->data()) {  // decoded into *buffer
+      buffer->insert(0, base_);
+    } else {
+      buffer->assign(base_).append(*iri);
+    }
+    *iri = *buffer;
+  }
+
+  // Skips to the term at the cursor and scans it into `*slot`.
+  util::Status ParseTerm(Slot* slot) {
+    Skip();
+    slot->line = line_;
+    if (!AtTerm()) return Error(line_, "expected an RDF term");
+    return Lex(slot);
+  }
+
+  // After @prefix or PREFIX: a name ending in ':', its namespace IRI and
+  // an optional '.'.
+  util::Status ParsePrefix() {
+    Skip();
+    const std::string_view name = Keyword();
+    if (name.empty() || name.back() != ':') {
+      return Expected("prefix name ending in ':'");
+    }
+    pos_ += name.size();
+    Skip();
+    if (!At('<')) return Expected("namespace IRI");
+    Slot iri;
+    RL_RETURN_IF_ERROR(Lex(&iri));
+    prefixes_[std::string(name.substr(0, name.size() - 1))] =
+        std::string(iri.term.lexical);
+    Skip();
+    Consume('.');
+    return util::OkStatus();
+  }
+
+  // After @base or BASE: the base IRI, taken as written, and an optional
+  // '.'.
+  util::Status ParseBase() {
+    Skip();
+    if (!At('<')) return Expected("base IRI");
+    std::string buffer;
+    std::string_view iri;
+    RL_RETURN_IF_ERROR(
+        Check(ScanIri(text_, &pos_, &buffer, &iri, &error_), line_));
+    base_ = std::string(iri);
+    Skip();
+    Consume('.');
+    return util::OkStatus();
+  }
+
+  // A subject, then predicate lists split by ';' (a trailing one allowed)
+  // of object lists split by ','. Each triple is interned by views, s, p
+  // and o in turn, and inserted as soon as its object is read.
+  util::Status ParseStatement() {
+    RL_RETURN_IF_ERROR(ParseTerm(&subject_));
+    if (subject_.term.kind == TermKind::kLiteral) {
+      return Error(subject_.line, "literal in subject position");
+    }
+    do {
+      Skip();
+      if (Keyword() == "a") {
+        ++pos_;
+        predicate_.term = TermView{TermKind::kIri, vocab::kRdfType, {}, {}};
+      } else {
+        RL_RETURN_IF_ERROR(ParseTerm(&predicate_));
+        if (predicate_.term.kind != TermKind::kIri) {
+          return Error(predicate_.line, "predicate must be an IRI");
+        }
+      }
+      do {
+        RL_RETURN_IF_ERROR(ParseTerm(&object_));
+        graph_->Insert(Triple{Intern(subject_.term), Intern(predicate_.term),
+                              Intern(object_.term)});
+        Skip();
+      } while (Consume(','));
+      if (!Consume(';')) break;
+      Skip();
+    } while (!At('.'));
+    if (!Consume('.')) return Expected("'.'");
+    return util::OkStatus();
+  }
+
+  TermId Intern(const TermView& term) {
+    return graph_->dict().Intern(term.kind, term.lexical, term.datatype,
+                                 term.language);
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  std::size_t line_ = 1;
   Graph* graph_;
-  Token tok_;
+  Slot subject_;
+  Slot predicate_;
+  Slot object_;
+  std::string error_;
   std::unordered_map<std::string, std::string> prefixes_;
   std::string base_;
 };
@@ -408,11 +318,8 @@ util::Status ParseTurtle(std::string_view content, Graph* graph) {
 }
 
 util::Status ParseTurtleFile(const std::string& path, Graph* graph) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return util::NotFoundError("cannot open file: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ParseTurtle(buf.str(), graph);
+  RL_ASSIGN_OR_RETURN(const std::string content, util::ReadFile(path));
+  return ParseTurtle(content, graph);
 }
 
 }  // namespace rulelink::rdf

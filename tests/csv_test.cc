@@ -158,6 +158,14 @@ TEST(CsvFileTest, MissingFile) {
             util::StatusCode::kNotFound);
 }
 
+TEST(CsvFileTest, DirectoryIsInvalidArgument) {
+  // Not "missing header row": the read fails and says which path.
+  const util::Status status = ParseCsvFile(::testing::TempDir()).status();
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find(::testing::TempDir()), std::string::npos)
+      << status;
+}
+
 // --- Item loading ---------------------------------------------------------
 
 constexpr char kProviderCsv[] =

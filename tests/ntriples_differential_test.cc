@@ -3,8 +3,11 @@
 // those views, and by the reference term-at-a-time parser in
 // ntriples_oracle. Both must return the same status (code and message) and
 // leave the same triples, in the same order, over the same dictionary,
-// term by term. The inputs are a generated corpus, hand cases for every
-// rule of the grammar and every error, and seeded mutations of both.
+// term by term. N-Triples is a subset of Turtle, so every input
+// ParseNTriples accepts must also parse under rdf::ParseTurtle to the same
+// triples and dictionary. The inputs are a generated corpus, hand cases
+// for every rule of the grammar and every error, and seeded mutations of
+// both.
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -19,6 +22,7 @@
 #include "fuzz_mutate.h"
 #include "ntriples_oracle.h"
 #include "rdf/ntriples.h"
+#include "rdf/turtle.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -44,6 +48,27 @@ std::string Printable(std::string_view input) {
   return out;
 }
 
+// Empty when `got` holds the same triples, in the same order, over the
+// same dictionary as `want`, term by term; else what differs.
+std::string GraphDifference(const Graph& got, const Graph& want) {
+  if (got.triples() != want.triples()) {
+    return std::to_string(got.size()) + " triples, want " +
+           std::to_string(want.size()) + " (or a different order)";
+  }
+  if (got.dict().size() != want.dict().size()) {
+    return std::to_string(got.dict().size()) + " terms, want " +
+           std::to_string(want.dict().size());
+  }
+  for (TermId id = 1; id <= got.dict().size(); ++id) {
+    if (got.dict().term(id) != want.dict().term(id)) {
+      return "term " + std::to_string(id) + " is " +
+             got.dict().term(id).ToNTriples() + ", want " +
+             want.dict().term(id).ToNTriples();
+    }
+  }
+  return "";
+}
+
 ::testing::AssertionResult SameParse(std::string_view input) {
   Graph scanned;
   Graph reference;
@@ -56,26 +81,25 @@ std::string Printable(std::string_view input) {
   if (got.code() != want.code() || got.message() != want.message()) {
     return fail() << "status " << got << ", oracle " << want;
   }
-  if (scanned.triples() != reference.triples()) {
-    return fail() << scanned.size() << " triples, oracle "
-                  << reference.size() << " (or a different order)";
+  if (const std::string diff = GraphDifference(scanned, reference);
+      !diff.empty()) {
+    return fail() << "against the oracle: " << diff;
   }
-  if (scanned.dict().size() != reference.dict().size()) {
-    return fail() << scanned.dict().size() << " terms, oracle "
-                  << reference.dict().size();
-  }
-  for (TermId id = 1; id <= scanned.dict().size(); ++id) {
-    if (scanned.dict().term(id) != reference.dict().term(id)) {
-      return fail() << "term " << id << " is "
-                    << scanned.dict().term(id).ToNTriples() << ", oracle "
-                    << reference.dict().term(id).ToNTriples();
+  if (got.ok()) {
+    Graph turtle;
+    const util::Status status = ParseTurtle(input, &turtle);
+    if (!status.ok()) return fail() << "Turtle rejects it: " << status;
+    if (const std::string diff = GraphDifference(turtle, scanned);
+        !diff.empty()) {
+      return fail() << "Turtle parses " << diff;
     }
   }
   return ::testing::AssertionSuccess();
 }
 
-// Escapes of every kind, language and typed literals, blank nodes,
-// comments, CRLF and surrounding whitespace, as the mutation seed.
+// Escapes of every kind (in a datatype too), language and typed literals,
+// blank nodes (one ending at the '.'), comments, CRLF and surrounding
+// whitespace, as the mutation seed.
 constexpr char kSnippet[] =
     "# a comment line\n"
     "<http://e/a> <http://e/p> <http://e/b> .\n"
@@ -86,6 +110,8 @@ constexpr char kSnippet[] =
     "\n"
     "<http://e/a> <http://e/p> <http://e/b> .\n"
     "_:b1 <http://e/r> _:b2 .\r\n"
+    "_:b2 <http://e/q> \"it\\'s\"^^<http://e/t\\u0041> .\n"
+    "<http://e/d> <http://e/r> _:b3.\n"
     "<http://e/d> <http://e/p> \"line\\nbreak\\rcr\"@fr .\n"
     "<http://e/d> <http://e/p> \"A\" .\n"
     "<http://e/d> <http://e/p> \"\\u0041\" .";
@@ -163,6 +189,8 @@ TEST(NTriplesDifferentialTest, HandCases) {
       "<http://e/\\\"q\\\"> <http://e/p> <http://e/\\t\\n\\r> .\n",
       "<http://e/a> <http://e/p> \"tab\\tnl\\nquote\\\"bs\\\\\" .\n",
       "<http://e/a> <http://e/p> \"\\\\\" .\n",
+      "<http://e/a> <http://e/p> \"it\\'s\" .\n",
+      "<http://e/it\\'s> <http://e/p> \"1\"^^<http://e/\\'> .\n",
       "<http://e/a> <http://e/p> \"a\\\\\\\"b\" .\n",
       "<http://e/a> <http://e/p> \"\\u00E9 \\U0001F600 \\U0010FFFF\" .\n",
       "<http://e/a> <http://e/p> \"\\UFFFFFFFF \\u0000 \\u07FF \\uFFFF\" .\n",
@@ -196,6 +224,14 @@ TEST(NTriplesDifferentialTest, HandCases) {
       "_x <http://e/p> <http://e/b> .\n",
       "_:b1. <http://e/p> <http://e/b> .\n",
       "<http://e/a> <http://e/p> _:b1.\n",
+      "_:b1.. <http://e/p> <http://e/b> .\n",
+      "_:a.b<http://e/p>_:c;d .\n",
+      "_:a,b <http://e/p> <http://e/b> .\n",
+      "<http://e/a> <http://e/p> _:x{y} .\n",
+      "<http://e/a> <http://e/p> _:x'y .\n",
+      "_:.. <http://e/p> <http://e/b> .\n",
+      "_:a#b <http://e/p> <http://e/b> .\n",
+      "_:a\"x\" <http://e/p> <http://e/b> .\n",
       "_:x <http://e/p> <x> .\n<x> <http://e/p> \"x\" .\n",
       // Positions.
       "\"x\" <http://e/p> <http://e/b> .\n",

@@ -45,6 +45,7 @@ util::Result<std::string> Unescape(std::string_view body) {
       case 'n': out.push_back('\n'); break;
       case 'r': out.push_back('\r'); break;
       case '"': out.push_back('"'); break;
+      case '\'': out.push_back('\''); break;
       case '\\': out.push_back('\\'); break;
       case 'u':
       case 'U': {
@@ -115,11 +116,14 @@ util::Result<Term> ParseTermAt(LineCursor* cur) {
       return util::Status(util::StatusCode::kInvalidArgument,
                           "blank node must start with _:");
     }
+    // The label runs to whitespace or a delimiter, less trailing dots.
     std::size_t end = cur->pos + 2;
-    while (end < cur->text.size() && cur->text[end] != ' ' &&
-           cur->text[end] != '\t') {
+    while (end < cur->text.size() &&
+           std::string_view(" \t\n\r;,#\"'<()[]{}").find(cur->text[end]) ==
+               std::string_view::npos) {
       ++end;
     }
+    while (end > cur->pos + 2 && cur->text[end - 1] == '.') --end;
     auto label = cur->text.substr(cur->pos + 2, end - cur->pos - 2);
     if (label.empty()) {
       return util::Status(util::StatusCode::kInvalidArgument,
@@ -177,9 +181,11 @@ util::Result<Term> ParseTermAt(LineCursor* cur) {
         return util::Status(util::StatusCode::kInvalidArgument,
                             "unterminated datatype IRI");
       }
-      auto dt = cur->text.substr(cur->pos + 1, close - cur->pos - 1);
+      auto dt = Unescape(cur->text.substr(cur->pos + 1, close - cur->pos - 1));
+      if (!dt.ok()) return dt.status();
       cur->pos = close + 1;
-      return Term::TypedLiteral(std::move(lexical).value(), std::string(dt));
+      return Term::TypedLiteral(std::move(lexical).value(),
+                                std::move(dt).value());
     }
     return Term::Literal(std::move(lexical).value());
   }

@@ -74,6 +74,36 @@ TEST(NTriplesParseTest, UnicodeEscapes) {
   EXPECT_NE(g.dict().Find(Term::Literal("caf\xC3\xA9")), kInvalidTermId);
 }
 
+// N-Triples decodes a datatype IRI's escapes as it does any other IRI's.
+TEST(NTriplesParseTest, DatatypeIriEscapesAreDecoded) {
+  Graph g;
+  const auto status =
+      ParseNTriples("<http://e/a> <http://e/p> \"1\"^^<http://e/\\u0041> .\n",
+                    &g);
+  ASSERT_TRUE(status.ok()) << status;
+  ASSERT_EQ(g.size(), 1u);
+  EXPECT_EQ(g.dict().term(g.triples()[0].object),
+            Term::TypedLiteral("1", "http://e/A"));
+}
+
+// A blank-node label never ends with '.', so a '.' right after it ends the
+// triple.
+TEST(NTriplesParseTest, BlankLabelStopsBeforeTheDot) {
+  Graph g;
+  const auto status = ParseNTriples("<http://e/a> <http://e/p> _:b1.\n", &g);
+  ASSERT_TRUE(status.ok()) << status;
+  ASSERT_EQ(g.size(), 1u);
+  EXPECT_EQ(g.dict().term(g.triples()[0].object), Term::BlankNode("b1"));
+}
+
+TEST(NTriplesParseTest, EscapedSingleQuote) {
+  Graph g;
+  const auto status =
+      ParseNTriples("<http://e/a> <http://e/p> \"it\\'s\" .\n", &g);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_NE(g.dict().Find(Term::Literal("it's")), kInvalidTermId);
+}
+
 TEST(NTriplesParseTest, NoTrailingNewline) {
   Graph g;
   ASSERT_TRUE(ParseNTriples("<http://a> <http://p> <http://b> .", &g).ok());
@@ -155,11 +185,15 @@ TEST(NTriplesFileTest, MissingFileIsNotFound) {
   EXPECT_EQ(status.code(), util::StatusCode::kNotFound);
 }
 
-TEST(NTriplesFileTest, DirectoryReadsNoTriples) {
+TEST(NTriplesFileTest, DirectoryIsInvalidArgument) {
   // A directory opens but has no regular size (its end offset can be far
-  // past any real size) and no content; reading it must not abort.
+  // past any real size) and cannot be read: an error naming the path, not
+  // an empty graph and not an abort.
   Graph g;
-  ParseNTriplesFile(::testing::TempDir(), &g);
+  const util::Status status = ParseNTriplesFile(::testing::TempDir(), &g);
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find(::testing::TempDir()), std::string::npos)
+      << status;
   EXPECT_EQ(g.size(), 0u);
 }
 

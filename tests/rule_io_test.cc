@@ -206,6 +206,14 @@ TEST_F(RuleIoTest, MissingFileIsNotFound) {
             util::StatusCode::kNotFound);
 }
 
+TEST_F(RuleIoTest, DirectoryIsInvalidArgument) {
+  const util::Status status =
+      ReadRulesFromFile(::testing::TempDir(), onto_).status();
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find(::testing::TempDir()), std::string::npos)
+      << status;
+}
+
 TEST_F(RuleIoTest, EmptyContentYieldsEmptyRuleSet) {
   auto loaded = ReadRules("", onto_);
   ASSERT_TRUE(loaded.ok());

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "rdf/ntriples.h"
 #include "rdf/turtle.h"
 
 namespace rulelink::rdf {
@@ -210,6 +211,36 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<BadQuery>& info) {
       return info.param.name;
     });
+
+// A query decodes escapes as the N-Triples parser does, so it finds a term
+// written with \u escapes in both.
+TEST(SparqlEscapeTest, FindsEscapedTermsOfAnNTriplesGraph) {
+  Graph g;
+  ASSERT_TRUE(ParseNTriples("<http://e/caf\\u00E9> <http://e/p> "
+                            "\"caf\\u00e9\" .\n",
+                            &g)
+                  .ok());
+  auto by_iri =
+      RunSparql(g, "SELECT ?o WHERE { <http://e/caf\\u00E9> ?p ?o }");
+  ASSERT_TRUE(by_iri.ok()) << by_iri.status();
+  ASSERT_EQ(by_iri->size(), 1u);
+  EXPECT_EQ((*by_iri)[0][0], "caf\xC3\xA9");
+  auto by_literal =
+      RunSparql(g, "SELECT ?s WHERE { ?s <http://e/p> \"caf\\u00e9\" }");
+  ASSERT_TRUE(by_literal.ok()) << by_literal.status();
+  ASSERT_EQ(by_literal->size(), 1u);
+  EXPECT_EQ((*by_literal)[0][0], "<http://e/caf\xC3\xA9>");
+  // \' too, and a datatype IRI's escapes.
+  ASSERT_TRUE(ParseNTriples("<http://e/q> <http://e/p> "
+                            "\"it\\'s\"^^<http://e/\\u0041> .\n",
+                            &g)
+                  .ok());
+  auto typed = RunSparql(
+      g, "SELECT ?s WHERE { ?s ?p 'it\\'s'^^<http://e/\\u0041> }");
+  ASSERT_TRUE(typed.ok()) << typed.status();
+  ASSERT_EQ(typed->size(), 1u);
+  EXPECT_EQ((*typed)[0][0], "<http://e/q>");
+}
 
 TEST_F(SparqlTest, TypedAndLangLiterals) {
   Graph g;
