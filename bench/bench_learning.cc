@@ -2,6 +2,7 @@
 // naive comparison (quadratic in the sources); rule learning is a single
 // pass over TS. We chart learning time and rule census as |TS| grows, and
 // compare the comparison budgets: naive |S_E| x |S_L| vs rule-reduced.
+#include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -11,7 +12,7 @@
 
 #include "bench_common.h"
 #include "core/incremental.h"
-#include "core/reference_learner.h"
+#include "reference_learner.h"
 #include "obs/metrics.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -141,8 +142,8 @@ void PrintIncrementalReport() {
 // production learner segments once into a StringInterner and counts over
 // dense ids. Same rules byte-for-byte (see interned_differential_test);
 // this section records the wall-time and symbol-table footprint of the
-// trade, and its JSON lands in BENCH_learning.json next to the sweep.
-std::string PrintInterningReport() {
+// trade, and its JSON lands in BENCH_learning.json.
+void PrintInterningReport() {
   std::cout << "=== E5d: interned vs string-keyed learner (|TS| = "
             << PaperTrainingSet().size() << ") ===\n";
   const auto options = PaperLearnerOptions();
@@ -181,71 +182,24 @@ std::string PrintInterningReport() {
             << util::FormatDouble(speedup, 2)
             << "x (identical rules; differential-tested)\n\n";
 
-  std::string json = "  \"interning\": {\n";
-  json += "    \"intern_symbols\": " +
-          std::to_string(stats.interner_symbols) + ",\n";
-  json += "    \"intern_bytes\": " +
-          std::to_string(stats.interner_bytes) + ",\n";
-  json += "    \"segment_occurrences\": " +
-          std::to_string(stats.segment_occurrences) + ",\n";
-  json += "    \"reference_ms\": " + util::FormatDouble(reference_ms, 3) +
-          ",\n";
-  json += "    \"interned_ms\": " + util::FormatDouble(interned_ms, 3) +
-          ",\n";
-  json += "    \"speedup_vs_reference\": " + util::FormatDouble(speedup, 3) +
-          "\n  },\n";
-  return json;
-}
-
-// Thread-count sweep over the paper-scale corpus: the speedup trajectory
-// of the sharded counting passes, recorded to BENCH_learning.json. On a
-// single-core host the parallel points only measure the sharding/merge
-// overhead; the trajectory becomes a speedup curve on multi-core hardware.
-void PrintThreadSweepReport(const std::string& interning_json) {
-  std::cout << "=== E5c: learner thread-count sweep (|TS| = "
-            << PaperTrainingSet().size() << ", hardware_concurrency = "
-            << std::thread::hardware_concurrency() << ") ===\n";
-  util::TextTable table(
-      {"threads", "learn time (ms)", "speedup vs 1", "#rules"});
-  std::vector<ThreadSweepPoint> points;
-  double serial_ms = 0.0;
-  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-    auto options = PaperLearnerOptions();
-    options.num_threads = threads;
-    const core::RuleLearner learner(options);
-    core::LearnStats stats;
-    // Warm-up, then best-of-3 to de-noise the report.
-    auto warm = learner.Learn(PaperTrainingSet(), &stats);
-    RL_CHECK(warm.ok());
-    double best_ms = 0.0;
-    const util::SchedulerTotals sched_before = util::GlobalSchedulerTotals();
-    for (int rep = 0; rep < 3; ++rep) {
-      util::Stopwatch timer;
-      auto rules = learner.Learn(PaperTrainingSet());
-      const double ms = timer.ElapsedMillis();
-      RL_CHECK(rules.ok());
-      if (rep == 0 || ms < best_ms) best_ms = ms;
-    }
-    const util::SchedulerTotals sched =
-        util::GlobalSchedulerTotals().Minus(sched_before);
-    if (threads == 1) serial_ms = best_ms;
-    points.push_back({threads, best_ms, sched});
-    table.AddRow({std::to_string(threads), util::FormatDouble(best_ms, 1),
-                  serial_ms > 0.0
-                      ? util::FormatDouble(serial_ms / best_ms, 2) + "x"
-                      : "-",
-                  std::to_string(stats.num_rules)});
-  }
-  WriteThreadSweepJson("learning", "Learn on the paper-scale corpus",
-                       points, interning_json);
-  std::cout << table.ToText()
-            << "(identical rules at every thread count; trajectory written "
-               "to BENCH_learning.json)\n\n";
+  std::ofstream json("BENCH_learning.json");
+  json << "{\n  \"bench\": \"learning\",\n  \"workload\": \"Learn on the "
+          "paper-scale corpus\",\n  \"interning\": {\n"
+       << "    \"intern_symbols\": " << stats.interner_symbols << ",\n"
+       << "    \"intern_bytes\": " << stats.interner_bytes << ",\n"
+       << "    \"segment_occurrences\": " << stats.segment_occurrences
+       << ",\n"
+       << "    \"reference_ms\": " << util::FormatDouble(reference_ms, 3)
+       << ",\n"
+       << "    \"interned_ms\": " << util::FormatDouble(interned_ms, 3)
+       << ",\n"
+       << "    \"speedup_vs_reference\": " << util::FormatDouble(speedup, 3)
+       << "\n  }\n}\n";
 }
 
 // One instrumented Learn over the paper-scale corpus; the snapshot (phase
 // timings, corpus counters, the per-example segment histogram) lands in
-// BENCH_learning_metrics.json next to the sweep JSON.
+// BENCH_learning_metrics.json next to BENCH_learning.json.
 void WriteLearnerMetricsSnapshot() {
   obs::MetricsRegistry registry;
   auto rules = core::RuleLearner(PaperLearnerOptions())
@@ -319,26 +273,6 @@ BENCHMARK(BM_LearnThresholdSweep)
     ->Arg(1600)  // th = 0.016
     ->Unit(benchmark::kMillisecond);
 
-// The thread-count axis: Learn on the paper corpus at 1/2/4/8 workers.
-void BM_LearnThreads(benchmark::State& state) {
-  auto options = PaperLearnerOptions();
-  options.num_threads = static_cast<std::size_t>(state.range(0));
-  const core::RuleLearner learner(options);
-  for (auto _ : state) {
-    auto rules = learner.Learn(PaperTrainingSet());
-    benchmark::DoNotOptimize(rules);
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(PaperTrainingSet().size()));
-}
-BENCHMARK(BM_LearnThreads)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace rulelink::bench
 
@@ -346,9 +280,7 @@ int main(int argc, char** argv) {
   rulelink::bench::ApplyPinningFromEnv();
   rulelink::bench::PrintScalingReport();
   rulelink::bench::PrintIncrementalReport();
-  const std::string interning_json =
-      rulelink::bench::PrintInterningReport();
-  rulelink::bench::PrintThreadSweepReport(interning_json);
+  rulelink::bench::PrintInterningReport();
   rulelink::bench::WriteLearnerMetricsSnapshot();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

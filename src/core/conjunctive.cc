@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "core/learner.h"
 #include "util/hash.h"
 #include "util/logging.h"
 
@@ -108,9 +109,8 @@ util::Result<ConjunctiveRuleSet> LearnConjunctiveRules(
   if (ts.size() == 0) {
     return util::InvalidArgumentError("empty training set");
   }
-  const double total = static_cast<double>(ts.size());
   const auto is_frequent = [&](std::size_t count) {
-    return static_cast<double>(count) > options.support_threshold * total;
+    return IsFrequentCount(count, options.support_threshold, ts.size());
   };
   std::unordered_set<PropertyId> selected;
   for (const std::string& name : options.properties) {

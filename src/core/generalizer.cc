@@ -1,23 +1,13 @@
 #include "core/generalizer.h"
 
 #include <algorithm>
-#include <cstdint>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "util/hash.h"
-#include "util/interner.h"
+#include "core/contingency.h"
 
 namespace rulelink::core {
 namespace {
-
-// Packed (PropertyId, SegmentId) premise key (see util::PackSymbolPair).
-struct PackedHash {
-  std::size_t operator()(std::uint64_t key) const {
-    return static_cast<std::size_t>(util::Mix64(key));
-  }
-};
 
 // Ancestor-or-self classes of an example's most-specific classes, capped at
 // `max_levels_up` levels above any asserted class.
@@ -52,84 +42,42 @@ util::Result<RuleSet> LearnGeneralizedRules(
     return util::InvalidArgumentError("empty training set");
   }
   const ontology::Ontology& onto = ts.ontology();
-  const double total = static_cast<double>(ts.size());
-  const auto is_frequent = [&](std::size_t count) {
-    return static_cast<double>(count) > options.support_threshold * total;
-  };
 
-  // Per-example premises (packed keys over a call-local interner) and
-  // widened class sets, materialized once.
-  util::StringInterner segments;
-  std::vector<std::vector<std::uint64_t>> example_premises(ts.size());
-  std::vector<std::vector<ontology::ClassId>> example_classes(ts.size());
-  std::unordered_map<std::uint64_t, std::size_t, PackedHash> premise_count;
-  std::unordered_map<ontology::ClassId, std::size_t> widened_class_count;
-
-  std::vector<text::SegmentId> seg_scratch;
-  for (std::size_t i = 0; i < ts.size(); ++i) {
-    const TrainingExample& example = ts.examples()[i];
-    std::vector<std::uint64_t>& premises = example_premises[i];
+  // Every fact counts (no property selection), under widened classes.
+  ContingencyCounts counts(options.segmenter);
+  for (const TrainingExample& example : ts.examples()) {
     for (const auto& [property, value] : example.facts) {
-      seg_scratch.clear();
-      options.segmenter->SegmentInto(value, &segments, &seg_scratch);
-      for (const text::SegmentId seg : seg_scratch) {
-        premises.push_back(util::PackSymbolPair(property, seg));
-      }
+      counts.AddValue(property, value);
     }
-    std::sort(premises.begin(), premises.end());
-    premises.erase(std::unique(premises.begin(), premises.end()),
-                   premises.end());
-    for (const std::uint64_t key : premises) ++premise_count[key];
-
-    example_classes[i] =
-        WidenedClasses(onto, example.classes, options.max_levels_up);
-    for (ontology::ClassId c : example_classes[i]) ++widened_class_count[c];
+    counts.EndExample(
+        WidenedClasses(onto, example.classes, options.max_levels_up));
   }
+  std::vector<ClassificationRule> drafts =
+      counts.Rules(options.support_threshold, options.min_confidence);
+  std::erase_if(drafts, [&](const ClassificationRule& rule) {
+    return rule.lift <= options.min_lift;
+  });
 
-  // Joint counts restricted to frequent premises.
-  std::unordered_map<std::uint64_t,
-                     std::unordered_map<ontology::ClassId, std::size_t>,
-                     PackedHash>
-      joint;
-  for (std::size_t i = 0; i < ts.size(); ++i) {
-    for (const std::uint64_t key : example_premises[i]) {
-      auto it = premise_count.find(key);
-      if (it == premise_count.end() || !is_frequent(it->second)) continue;
-      auto& per_class = joint[key];
-      for (ontology::ClassId c : example_classes[i]) ++per_class[c];
-    }
-  }
-
-  // Per premise: qualifying conclusions, reduced to the most specific.
+  // Per premise (Rules() keeps a premise's conclusions together), only the
+  // most specific qualifying conclusions: a leaf that already reaches the
+  // confidence bar suppresses its (also qualifying) ancestors, which would
+  // only enlarge the subspace.
   std::vector<ClassificationRule> rules;
-  for (const auto& [key, per_class] : joint) {
-    std::vector<ontology::ClassId> qualifying;
-    std::unordered_map<ontology::ClassId, ClassificationRule> drafts;
-    for (const auto& [cls, joint_count] : per_class) {
-      if (!is_frequent(joint_count)) continue;
-      ClassificationRule rule;
-      rule.property = util::PackedHi(key);
-      rule.segment = util::PackedLo(key);
-      rule.cls = cls;
-      rule.counts.premise_count = premise_count.at(key);
-      rule.counts.class_count = widened_class_count.at(cls);
-      rule.counts.joint_count = joint_count;
-      rule.counts.total = ts.size();
-      rule.ComputeMeasures();
-      if (rule.confidence < options.min_confidence) continue;
-      if (rule.lift <= options.min_lift) continue;
-      qualifying.push_back(cls);
-      drafts.emplace(cls, std::move(rule));
+  std::vector<ontology::ClassId> qualifying;
+  for (auto first = drafts.begin(); first != drafts.end();) {
+    const auto last = std::find_if(first, drafts.end(), [&](const auto& r) {
+      return r.property != first->property || r.segment != first->segment;
+    });
+    qualifying.clear();
+    for (auto it = first; it != last; ++it) qualifying.push_back(it->cls);
+    for (const ontology::ClassId cls : onto.MostSpecific(qualifying)) {
+      rules.push_back(*std::find_if(
+          first, last, [&](const auto& r) { return r.cls == cls; }));
     }
-    // Most specific qualifying conclusions only: a leaf that already
-    // reaches the confidence bar suppresses its (also qualifying)
-    // ancestors, which would only enlarge the subspace.
-    for (ontology::ClassId cls : onto.MostSpecific(qualifying)) {
-      rules.push_back(drafts.at(cls));
-    }
+    first = last;
   }
 
-  return RuleSet(std::move(rules), ts.properties(), segments);
+  return RuleSet(std::move(rules), ts.properties(), counts.segments());
 }
 
 }  // namespace rulelink::core

@@ -1,30 +1,23 @@
 // Incremental rule learning: the expert validates links in batches (§3's
 // workflow is inherently incremental — every new provider file adds
 // reconciliations), so the learner should not re-scan all of TS each time.
-// IncrementalRuleLearner maintains the contingency counts online; building
-// the rule set at any point is a pass over the (much smaller) count tables
-// and yields exactly what the batch RuleLearner would produce on the same
-// examples.
-//
-// Segments are interned into an owned StringInterner as examples arrive;
-// the count tables are keyed by packed (PropertyId, SegmentId) uint64
-// composites, so ingesting an example hashes fixed-width integers instead
-// of (property, string) pairs.
+// IncrementalRuleLearner feeds each example to the one counter
+// (ContingencyCounts) as it arrives, segmenting every value once. A
+// rebuild walks the kept premise ids of every example, O(distinct
+// occurrences), not count tables, and yields exactly what the batch
+// RuleLearner would produce on the same examples.
 #ifndef RULELINK_CORE_INCREMENTAL_H_
 #define RULELINK_CORE_INCREMENTAL_H_
 
-#include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "core/contingency.h"
 #include "core/item.h"
 #include "core/learner.h"
 #include "core/rule.h"
 #include "ontology/ontology.h"
 #include "text/segmenter.h"
-#include "util/hash.h"
-#include "util/interner.h"
 
 namespace rulelink::core {
 
@@ -42,7 +35,7 @@ class IncrementalRuleLearner {
                   const std::vector<ontology::ClassId>& classes);
 
   // Number of examples ingested so far.
-  std::size_t size() const { return num_examples_; }
+  std::size_t size() const { return counts_.num_examples(); }
 
   // Materializes the rules at the current counts. Equivalent to running
   // the batch RuleLearner with the same options over all ingested
@@ -53,29 +46,10 @@ class IncrementalRuleLearner {
                                    LearnStats* stats = nullptr) const;
 
  private:
-  struct PremiseStat {
-    std::size_t example_count = 0;
-    std::size_t occurrences = 0;
-    std::unordered_map<ontology::ClassId, std::size_t> joint;
-  };
-
-  struct PackedHash {
-    std::size_t operator()(std::uint64_t key) const {
-      return static_cast<std::size_t>(util::Mix64(key));
-    }
-  };
-
   const ontology::Ontology* onto_;
-  const text::Segmenter* segmenter_;
-  std::vector<std::string> selected_properties_;
-
+  bool select_properties_;  // false: every property is in P
   PropertyCatalog properties_;
-  std::size_t num_examples_ = 0;
-  util::StringInterner segments_;  // all distinct segments ever ingested
-  // Keyed by PackSymbolPair(property, segment).
-  std::unordered_map<std::uint64_t, PremiseStat, PackedHash> premises_;
-  std::unordered_map<ontology::ClassId, std::size_t> class_counts_;
-  std::size_t total_occurrences_ = 0;
+  ContingencyCounts counts_;
 };
 
 }  // namespace rulelink::core

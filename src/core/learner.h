@@ -1,13 +1,7 @@
 // The rule learning algorithm (Algorithm 1, §4.3): frequent-conjunction
 // mining of p(X,Y) ∧ subsegment(Y,a) ⇒ c(X) rules over the training set.
-//
-// Counting semantics (one "count" = one training example / same-as link):
-//   * premise_count(p,a) counts examples whose external item has SOME value
-//     of p containing segment a (distinct per example, as the logical
-//     reading of the premise requires);
-//   * class_count(c) counts examples whose local item belongs to the
-//     most-specific class c;
-//   * joint_count(p,a,c) counts examples satisfying both.
+// RuleLearner feeds each example's selected facts to the one counter,
+// core::ContingencyCounts (contingency.h), which states what a count is.
 // A conjunction is frequent when count / |TS| > th (strict, matching the
 // paper's "frequency greater than th").
 #ifndef RULELINK_CORE_LEARNER_H_
@@ -28,9 +22,10 @@ namespace rulelink::core {
 // `count` of `total` examples is frequent iff count / total > th — strict,
 // matching the paper's "frequency greater than th". Stated as
 // count > th * total (one multiply, no division) and kept in a single
-// place so the batch, reference and incremental learners cannot drift at
-// the boundary: count == th * total exactly (e.g. 2 of 8 at th = 0.25) is
-// NOT frequent for all of them, bit-for-bit.
+// place so the counter, the conjunctive learner, Table 1 and the
+// reference learner cannot drift at the boundary: count == th * total
+// exactly (e.g. 2 of 8 at th = 0.25) is NOT frequent for all of them,
+// bit-for-bit.
 inline bool IsFrequentCount(std::size_t count, double support_threshold,
                             std::size_t total) {
   return static_cast<double>(count) >
@@ -51,11 +46,8 @@ struct LearnerOptions {
   // Optional post-filter: drop rules below this confidence. 0 keeps all.
   double min_confidence = 0.0;
 
-  // Worker threads for the counting passes. 0 = hardware concurrency,
-  // 1 = the serial code path (no pool). Every thread count produces
-  // byte-identical rules, ordering and statistics: counting is sharded
-  // over contiguous example ranges into per-worker maps that are merged
-  // additively, and the RuleSet ordering is a total order.
+  // Accepted for callers' source compatibility; it does not change the
+  // learn, which counts in one serial pass.
   std::size_t num_threads = 0;
 };
 
@@ -73,7 +65,7 @@ struct LearnStats {
   std::size_t classes_with_rules = 0;       // distinct rule conclusions
   // Interned-pipeline internals (bench/diagnostics): symbol-table size and
   // footprint (arena, id table and hash slots) of the corpus segment
-  // interner built in phase 0.
+  // interner the counter built.
   std::size_t interner_symbols = 0;
   std::size_t interner_bytes = 0;
 };
@@ -84,11 +76,10 @@ class RuleLearner {
 
   // Mines the rule set. Fails on an empty training set, a missing
   // segmenter, or a threshold outside (0, 1). `metrics`, when non-null,
-  // gets the learner phase stages ("learn/segment", "learn/count_*",
-  // "learn/emit_rules"), the corpus counters mirroring LearnStats and a
-  // log2 histogram of per-example segment occurrences — all
-  // thread-invariant, so snapshots are byte-identical at every
-  // num_threads (DESIGN.md §5f).
+  // gets the learner phase stages ("learn/count": segment and count every
+  // example; "learn/emit_rules": the joint pass and the rules), the corpus
+  // counters mirroring LearnStats and a log2 histogram of per-example
+  // segment occurrences (DESIGN.md §5f).
   util::Result<RuleSet> Learn(const TrainingSet& ts,
                               LearnStats* stats = nullptr,
                               obs::MetricsRegistry* metrics = nullptr) const;

@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "core/learner.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 #include "util/table.h"
@@ -81,9 +82,10 @@ Table1Result Table1Evaluator::Evaluate(
     for (ontology::ClassId c : example.classes) ++class_count[c];
   }
   std::unordered_set<ontology::ClassId> frequent;
-  const double bar = support_threshold_ * static_cast<double>(ts.size());
   for (const auto& [cls, count] : class_count) {
-    if (static_cast<double>(count) > bar) frequent.insert(cls);
+    if (core::IsFrequentCount(count, support_threshold_, ts.size())) {
+      frequent.insert(cls);
+    }
   }
   result.frequent_classes = frequent.size();
 

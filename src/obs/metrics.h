@@ -92,7 +92,7 @@ class Histogram {
   std::uint64_t max_ = 0;
 };
 
-// Accumulated wall-clock of one stage path ("learn/segment",
+// Accumulated wall-clock of one stage path ("learn/count",
 // "pipeline/cache_build", ...).
 struct StageTiming {
   double total_ms = 0.0;

@@ -66,10 +66,36 @@ std::string EscapeNTriplesString(std::string_view s) {
   return out;
 }
 
+namespace {
+
+// Appends `iri` as an IRIREF, <...>: every byte IRIREF forbids (0x00-0x20
+// and <>"{}|^`\) written as \u00XX, which every parser here decodes back.
+void AppendIriRef(std::string_view iri, std::string* out) {
+  static constexpr char kHex[] = "0123456789ABCDEF";
+  static constexpr std::string_view kForbidden = "<>\"{}|^`\\";
+  out->push_back('<');
+  for (const char c : iri) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (byte > 0x20 && kForbidden.find(c) == std::string_view::npos) {
+      out->push_back(c);
+      continue;
+    }
+    out->append("\\u00");
+    out->push_back(kHex[byte >> 4]);
+    out->push_back(kHex[byte & 0xF]);
+  }
+  out->push_back('>');
+}
+
+}  // namespace
+
 std::string Term::ToNTriples() const {
   switch (kind_) {
-    case TermKind::kIri:
-      return "<" + lexical_ + ">";
+    case TermKind::kIri: {
+      std::string out;
+      AppendIriRef(lexical_, &out);
+      return out;
+    }
     case TermKind::kBlankNode:
       return "_:" + lexical_;
     case TermKind::kLiteral: {
@@ -77,7 +103,8 @@ std::string Term::ToNTriples() const {
       if (!language_.empty()) {
         out += "@" + language_;
       } else if (!datatype_.empty()) {
-        out += "^^<" + datatype_ + ">";
+        out += "^^";
+        AppendIriRef(datatype_, &out);
       }
       return out;
     }

@@ -43,7 +43,8 @@ class Term {
   // BCP-47 language tag; empty unless a language-tagged literal.
   const std::string& language() const { return language_; }
 
-  // N-Triples serialization of this single term, with escaping.
+  // N-Triples serialization of this single term, with escaping: every
+  // term ParseNTriples reads is written back so that it reads the same.
   std::string ToNTriples() const;
 
   friend bool operator==(const Term& a, const Term& b) {
@@ -72,7 +73,7 @@ class Term {
   std::string language_;
 };
 
-// Escapes a string for embedding in an N-Triples literal or IRI.
+// Escapes a string for embedding in an N-Triples literal.
 std::string EscapeNTriplesString(std::string_view s);
 
 }  // namespace rulelink::rdf

@@ -22,6 +22,19 @@ struct Slot {
   std::size_t line = 0;
 };
 
+// Whether `iri` opens with an RFC 3986 scheme and its ':'.
+bool HasScheme(std::string_view iri) {
+  if (iri.empty() || !util::IsAsciiAlpha(iri[0])) return false;
+  for (std::size_t i = 1; i < iri.size(); ++i) {
+    const char c = iri[i];
+    if (c == ':') return true;
+    if (!util::IsAsciiAlnum(c) && c != '+' && c != '-' && c != '.') {
+      return false;
+    }
+  }
+  return false;
+}
+
 class Parser {
  public:
   Parser(std::string_view text, Graph* graph) : text_(text), graph_(graph) {}
@@ -208,9 +221,11 @@ class Parser {
   }
 
   // Resolves the IRI `*iri` against @base when it is relative (simple
-  // concatenation, no ../ normalization), in `*buffer`.
+  // concatenation, no ../ normalization), in `*buffer`. An IRI that opens
+  // with an RFC 3986 scheme, ALPHA *( ALPHA / DIGIT / "+" / "-" / "." )
+  // ":", is absolute: urn: and mailto: as much as http:.
   void Resolve(std::string_view* iri, std::string* buffer) const {
-    if (base_.empty() || iri->find("://") != std::string_view::npos) return;
+    if (base_.empty() || HasScheme(*iri)) return;
     if (iri->data() == buffer->data()) {  // decoded into *buffer
       buffer->insert(0, base_);
     } else {

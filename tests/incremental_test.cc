@@ -1,13 +1,15 @@
 #include "core/incremental.h"
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <tuple>
 
 #include <gtest/gtest.h>
 
+#include "core/generalizer.h"
 #include "core/learner.h"
-#include "core/reference_learner.h"
+#include "reference_learner.h"
 #include "datagen/generator.h"
 #include "util/logging.h"
 
@@ -222,6 +224,30 @@ TEST_F(IncrementalTest, SupportBoundaryMatchesBatchExactly) {
   EXPECT_EQ(rule.counts.premise_count, 3u);
   EXPECT_EQ(rule.counts.joint_count, 3u);
   EXPECT_EQ(rule.counts.class_count, 5u);
+
+  // The generalizer shares the boundary: at max_levels_up = 0 its
+  // conclusions are the asserted classes, so EDGE (2 of 8) still gives no
+  // rule, and one more EDGE example (3 of 9, above 0.25 * 9) gives one.
+  GeneralizerOptions general;
+  general.support_threshold = 0.25;
+  general.max_levels_up = 0;
+  general.segmenter = &segmenter_;
+  auto generalized = LearnGeneralizedRules(ts, general);
+  ASSERT_TRUE(generalized.ok()) << generalized.status();
+  EXPECT_EQ(RuleKeys(*generalized), RuleKeys(*online));
+  ts.AddExample(MakeItem("EDGE"), "local:x", {a_});
+  generalized = LearnGeneralizedRules(ts, general);
+  ASSERT_TRUE(generalized.ok()) << generalized.status();
+  const auto edge = std::find_if(
+      generalized->rules().begin(), generalized->rules().end(),
+      [&](const ClassificationRule& r) {
+        return generalized->segment_text(r) == "EDGE";
+      });
+  ASSERT_NE(edge, generalized->rules().end());
+  EXPECT_EQ(edge->cls, a_);
+  EXPECT_EQ(edge->counts.premise_count, 3u);
+  EXPECT_EQ(edge->counts.joint_count, 3u);
+  EXPECT_EQ(edge->counts.total, 9u);
 }
 
 // Differential for the interned property-selection fast path: with a

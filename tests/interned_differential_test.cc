@@ -15,7 +15,7 @@
 #include "core/classifier.h"
 #include "core/learner.h"
 #include "core/linking_space.h"
-#include "core/reference_learner.h"
+#include "reference_learner.h"
 #include "core/rule_io.h"
 #include "datagen/generator.h"
 #include "eval/table1.h"

@@ -5,9 +5,10 @@
 // leave the same triples, in the same order, over the same dictionary,
 // term by term. N-Triples is a subset of Turtle, so every input
 // ParseNTriples accepts must also parse under rdf::ParseTurtle to the same
-// triples and dictionary. The inputs are a generated corpus, hand cases
-// for every rule of the grammar and every error, and seeded mutations of
-// both.
+// triples and dictionary, and its graph must round-trip through
+// WriteNTriples to the same graph. The inputs are a generated corpus, hand
+// cases for every rule of the grammar and every error, and seeded
+// mutations of both.
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -92,6 +93,16 @@ std::string GraphDifference(const Graph& got, const Graph& want) {
     if (const std::string diff = GraphDifference(turtle, scanned);
         !diff.empty()) {
       return fail() << "Turtle parses " << diff;
+    }
+    Graph rewritten;
+    const util::Status reread =
+        ParseNTriples(WriteNTriples(scanned), &rewritten);
+    if (!reread.ok()) {
+      return fail() << "its WriteNTriples output is rejected: " << reread;
+    }
+    if (const std::string diff = GraphDifference(rewritten, scanned);
+        !diff.empty()) {
+      return fail() << "WriteNTriples round trip: " << diff;
     }
   }
   return ::testing::AssertionSuccess();

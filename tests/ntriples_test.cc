@@ -179,6 +179,26 @@ TEST(NTriplesRoundTripTest, WriteThenParseIsIdentity) {
   }
 }
 
+// IRIs holding bytes IRIREF forbids (here a '>' and a newline, read from
+// \u escapes) are written with \u00XX escapes, so the output parses back.
+TEST(NTriplesRoundTripTest, ForbiddenIriBytesAreEscaped) {
+  constexpr char kInput[] =
+      "<http://e/a\\u003E> <http://e/p> <http://e/o\\u000Ax> .\n";
+  Graph g;
+  ASSERT_TRUE(ParseNTriples(kInput, &g).ok());
+  ASSERT_NE(g.dict().FindIri("http://e/a>"), kInvalidTermId);
+  ASSERT_NE(g.dict().FindIri("http://e/o\nx"), kInvalidTermId);
+
+  const std::string serialized = WriteNTriples(g);
+  EXPECT_EQ(serialized, kInput);
+  Graph g2;
+  const util::Status status = ParseNTriples(serialized, &g2);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(g2.triples(), g.triples());
+  EXPECT_NE(g2.dict().FindIri("http://e/a>"), kInvalidTermId);
+  EXPECT_NE(g2.dict().FindIri("http://e/o\nx"), kInvalidTermId);
+}
+
 TEST(NTriplesFileTest, MissingFileIsNotFound) {
   Graph g;
   const auto status = ParseNTriplesFile("/nonexistent/file.nt", &g);

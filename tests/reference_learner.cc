@@ -1,4 +1,4 @@
-#include "core/reference_learner.h"
+#include "reference_learner.h"
 
 #include <algorithm>
 #include <string>

@@ -45,6 +45,16 @@ TEST(TermTest, LiteralEscaping) {
   EXPECT_EQ(t.ToNTriples(), "\"a\\\"b\\\\c\\nd\\te\\rf\"");
 }
 
+TEST(TermTest, IriEscapesEveryByteIriRefForbids) {
+  const std::string_view bytes("http://e/\0 <>\"{}|^`\\\x1F\x7F\xC3\xA9", 24);
+  const Term iri = Term::Iri(std::string(bytes));
+  EXPECT_EQ(iri.ToNTriples(),
+            "<http://e/\\u0000\\u0020\\u003C\\u003E\\u0022\\u007B\\u007D"
+            "\\u007C\\u005E\\u0060\\u005C\\u001F\x7F\xC3\xA9>");
+  const Term typed = Term::TypedLiteral("1", "http://e/t y");
+  EXPECT_EQ(typed.ToNTriples(), "\"1\"^^<http://e/t\\u0020y>");
+}
+
 TEST(TermTest, EqualityDistinguishesKindAndFields) {
   EXPECT_EQ(Term::Iri("x"), Term::Iri("x"));
   EXPECT_NE(Term::Iri("x"), Term::Literal("x"));

@@ -111,6 +111,26 @@ TEST(TurtleTest, BaseResolution) {
   EXPECT_NE(g.dict().FindIri("http://example.org/dir/a"), kInvalidTermId);
 }
 
+// Only a relative IRI takes the base: one that opens with a scheme is
+// absolute, whatever follows its ':'.
+TEST(TurtleTest, BaseLeavesIrisWithASchemeAlone) {
+  Graph g;
+  const auto status = ParseTurtle(
+      "@base <http://e/> .\n"
+      "<urn:isbn:123> <rel> <mailto:x@y.org> .\n"
+      "<a+b-c.d:x> <rel> <1a:x> .\n",
+      &g);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_NE(g.dict().FindIri("urn:isbn:123"), kInvalidTermId);
+  EXPECT_NE(g.dict().FindIri("mailto:x@y.org"), kInvalidTermId);
+  EXPECT_NE(g.dict().FindIri("http://e/rel"), kInvalidTermId);
+  EXPECT_NE(g.dict().FindIri("a+b-c.d:x"), kInvalidTermId);
+  // A scheme starts with a letter, so "1a:x" is relative.
+  EXPECT_NE(g.dict().FindIri("http://e/1a:x"), kInvalidTermId);
+  EXPECT_EQ(g.dict().FindIri("http://e/urn:isbn:123"), kInvalidTermId);
+  EXPECT_EQ(g.dict().FindIri("http://e/mailto:x@y.org"), kInvalidTermId);
+}
+
 TEST(TurtleTest, CommentsAnywhere) {
   Graph g;
   const auto status = ParseTurtle(
